@@ -51,7 +51,9 @@
 #                           warming IPC error < 2%; recorded in
 #                           BENCH_tpar.json. Then ucpsim itself runs
 #                           -segments 4 at -jobs 1 vs -jobs 8 and the
-#                           digest files must cmp-equal)
+#                           digest files must cmp-equal each other and
+#                           the leading part of
+#                           testdata/parallel_digest.golden)
 #  11b. window-parallel gate (one sampled UCP run executed chain-serial,
 #                           window-parallel at two worker counts, through
 #                           a capture+restore checkpoint cycle, and
@@ -65,7 +67,9 @@
 #                           hosts carry a note); recorded in
 #                           BENCH_wpar.json. Then ucpsim itself runs
 #                           -sample -segments 4 at -jobs 1 vs -jobs 8
-#                           and the digest files must cmp-equal)
+#                           and the digest files must cmp-equal each
+#                           other and the trailing part of
+#                           testdata/parallel_digest.golden)
 #  12. sweep-reuse gate    (cold vs arena+checkpoint pool over a
 #                           10-config sampled threshold ablation: every
 #                           digest byte-identical, exactly one warm
@@ -342,6 +346,11 @@ step "time-parallel gate"
 cmp "$RUNQ_TMP/tpar_digest_j1.txt" "$RUNQ_TMP/tpar_digest_j8.txt" || {
 	echo "tpar: segmented ucpsim digest differs between -jobs 1 and -jobs 8" >&2; exit 1; }
 echo "tpar: segmented ucpsim digests byte-identical across worker counts"
+# Cross-commit half: the golden's leading lines are this run's digest.
+head -n "$(wc -l < "$RUNQ_TMP/tpar_digest_j1.txt")" testdata/parallel_digest.golden |
+	cmp - "$RUNQ_TMP/tpar_digest_j1.txt" || {
+	echo "tpar: segmented ucpsim digest differs from testdata/parallel_digest.golden" >&2; exit 1; }
+echo "tpar: segmented ucpsim digests match golden"
 fi
 
 if want wpar; then
@@ -369,6 +378,11 @@ step "window-parallel gate"
 cmp "$RUNQ_TMP/wpar_digest_j1.txt" "$RUNQ_TMP/wpar_digest_j8.txt" || {
 	echo "wpar: sampled segmented ucpsim digest differs between -jobs 1 and -jobs 8" >&2; exit 1; }
 echo "wpar: sampled segmented ucpsim digests byte-identical across worker counts"
+# Cross-commit half: the golden's trailing lines are this run's digest.
+tail -n "$(wc -l < "$RUNQ_TMP/wpar_digest_j1.txt")" testdata/parallel_digest.golden |
+	cmp - "$RUNQ_TMP/wpar_digest_j1.txt" || {
+	echo "wpar: sampled segmented ucpsim digest differs from testdata/parallel_digest.golden" >&2; exit 1; }
+echo "wpar: sampled segmented ucpsim digests match golden"
 fi
 
 if want sweepreuse; then

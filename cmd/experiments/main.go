@@ -110,14 +110,14 @@ func main() {
 		return
 	}
 	if *tpGate {
-		if err := runTparGate(os.Stdout, *tpOut); err != nil {
+		if err := tparGate().run(os.Stdout, *tpOut); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
 	if *wpGate {
-		if err := runWparGate(os.Stdout, *wpOut); err != nil {
+		if err := wparGate().run(os.Stdout, *wpOut); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

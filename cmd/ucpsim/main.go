@@ -65,10 +65,6 @@ func main() {
 		adaptMin   = flag.Int("adaptive-min", 0, "with -adaptive: minimum windows before the first stop check (0: default)")
 		adaptMax   = flag.Int("adaptive-max", 0, "with -adaptive: cap on windows even if the target is unmet (0: the fixed-geometry budget)")
 		segments   = flag.Int("segments", 0, "time-parallel run: split the measured region into this many boundary-warmed segments; with -sample, any value > 1 runs the sampled windows in parallel instead (0/1: serial)")
-		segWarm    = flag.Uint64("seg-warm", 0, "with -segments: override the detailed boundary-warm length")
-		segFF      = flag.Uint64("seg-ffwarm", 0, "with -segments: override the functional boundary-warm horizon")
-		segCache   = flag.Uint64("seg-cachewarm", 0, "with -segments: override the cache-warm horizon of the skip zone")
-		segBP      = flag.Uint64("seg-bpwarm", 0, "with -segments: override the predictor-training horizon of the skip zone")
 		compare    = flag.Bool("compare", false, "run baseline AND UCP, reporting the speedup")
 		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of the table")
 		hist       = flag.Bool("hist", false, "print stream-length and refill-latency distributions")
@@ -168,27 +164,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "ucpsim:", err)
 		os.Exit(1)
 	}
-	boundary := sim.BoundaryWarm{
-		DetailedInsts: *segWarm,
-		FFInsts:       *segFF,
-		CacheInsts:    *segCache,
-		BPInsts:       *segBP,
-	}
-	if *segments > 1 && *sample && boundary != (sim.BoundaryWarm{}) {
-		// Sampled+segmented runs derive every window's boundary warm from
-		// the sampling geometry (-sample-warm and friends); a seg-* flag
-		// here would be silently ignored, so reject it instead.
-		fmt.Fprintln(os.Stderr, "ucpsim: -seg-* boundary flags do not apply to sampled runs; the window boundary warm comes from the sampling geometry (-sample-warm, -sample-ffwarm, ...)")
-		os.Exit(1)
-	}
-	if boundary == (sim.BoundaryWarm{}) {
-		// Leave the zero value in place: the pool resolves it to
-		// sim.DefaultBoundaryWarm, and the cache key normalizes both
-		// spellings onto one record.
-	} else if boundary.DetailedInsts == 0 {
-		boundary.DetailedInsts = sim.DefaultBoundaryWarm().DetailedInsts
-	}
-
 	pool := runq.New(runq.Options{
 		Workers:      *jobs,
 		CacheDir:     *cacheDir,
@@ -208,7 +183,7 @@ func main() {
 		exec = client.New(*server)
 	}
 	if *file != "" {
-		runFile(pool, cfg, *file, *warmup, *measure, *segments, boundary)
+		runFile(pool, cfg, *file, *warmup, *measure, *segments)
 		return
 	}
 	var profiles []ucp.Profile
@@ -230,13 +205,12 @@ func main() {
 		profiles = []ucp.Profile{p}
 	}
 	if *compare {
-		runCompare(exec, profiles, *warmup, *measure, *segments, boundary)
+		runCompare(exec, profiles, *warmup, *measure, *segments)
 		return
 	}
 	jobList := make([]runq.Job, len(profiles))
 	for i, p := range profiles {
-		jobList[i] = runq.Job{Config: cfg, Profile: p, Warmup: *warmup, Measure: *measure,
-			Segments: *segments, Boundary: boundary}
+		jobList[i] = runq.Job{Config: cfg, Profile: p, Warmup: *warmup, Measure: *measure, Segments: *segments}
 	}
 	results := exec.RunAll(jobList)
 	if !*jsonOut && !*digest {
@@ -257,14 +231,14 @@ func main() {
 
 // runCompare runs the baseline and UCP over each profile
 // (interleaved base/UCP job pairs) and reports the per-trace speedup.
-func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64, segments int, boundary sim.BoundaryWarm) {
+func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64, segments int) {
 	base := ucp.Baseline()
 	withUCP := ucp.WithUCP(ucp.DefaultUCP())
 	jobList := make([]runq.Job, 0, 2*len(profiles))
 	for _, p := range profiles {
 		jobList = append(jobList,
-			runq.Job{Config: base, Profile: p, Warmup: warmup, Measure: measure, Segments: segments, Boundary: boundary},
-			runq.Job{Config: withUCP, Profile: p, Warmup: warmup, Measure: measure, Segments: segments, Boundary: boundary})
+			runq.Job{Config: base, Profile: p, Warmup: warmup, Measure: measure, Segments: segments},
+			runq.Job{Config: withUCP, Profile: p, Warmup: warmup, Measure: measure, Segments: segments})
 	}
 	results := exec.RunAll(jobList)
 	fmt.Printf("%-10s %10s %10s %10s %9s %9s\n",
@@ -380,9 +354,8 @@ func safeDiv(a, b uint64) float64 {
 // decodes the file once into a shared arena (with O(1) sampled-mode
 // seeking via the tracegen sidecar index when present) and serves any
 // repeat invocation from the result cache.
-func runFile(pool *runq.Pool, cfg sim.Config, path string, warmup, measure uint64, segments int, boundary sim.BoundaryWarm) {
-	rs := pool.RunAll([]runq.Job{{Config: cfg, TraceFile: path, Warmup: warmup, Measure: measure,
-		Segments: segments, Boundary: boundary}})
+func runFile(pool *runq.Pool, cfg sim.Config, path string, warmup, measure uint64, segments int) {
+	rs := pool.RunAll([]runq.Job{{Config: cfg, TraceFile: path, Warmup: warmup, Measure: measure, Segments: segments}})
 	if rs[0].Err != nil {
 		fmt.Fprintln(os.Stderr, rs[0].Err)
 		os.Exit(1)

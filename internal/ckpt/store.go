@@ -196,12 +196,13 @@ func (s *Store) storeDisk(key string, blob []byte) {
 
 // prune removes least-recently-verified checkpoint blobs until the
 // directory's .ckpt bytes fit within maxBytes. Boundary-checkpoint
-// capture (internal/tpar) writes one blob per segment boundary per
-// distinct warm config, so an unbounded store grows with every sweep;
-// the bound turns it into an LRU tier. Concurrent writers both prune;
-// pruneMu keeps the walk-and-delete passes from interleaving, and a
-// blob deleted under a concurrent reader's feet is indistinguishable
-// from a miss (ReadFile fails, Acquire elects a leader).
+// capture (internal/tpar) writes one blob per segment or window
+// boundary per distinct warm config, so an unbounded store grows with
+// every sweep; the bound turns it into an LRU tier. Concurrent writers
+// both prune; pruneMu keeps the walk-and-delete passes from
+// interleaving, and a blob deleted under a concurrent reader's feet is
+// indistinguishable from a miss (ReadFile fails, Acquire elects a
+// leader).
 func (s *Store) prune() {
 	s.pruneMu.Lock()
 	defer s.pruneMu.Unlock()

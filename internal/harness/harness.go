@@ -29,18 +29,14 @@ type Options struct {
 	// and full-detail results hash to different runq cache keys, so the
 	// two kinds of sweep never contaminate each other's cache entries.
 	Sampling sim.SamplingConfig
-	// Segments > 1 runs every sweep job time-parallel. Full-detail
-	// sweeps split the measured region into that many boundary-warmed
-	// trace segments (internal/tpar) simulated concurrently and merged
-	// deterministically; Boundary tunes the per-boundary warming
-	// geometry (zero value: sim.DefaultBoundaryWarm). Sampled sweeps
-	// (Sampling.Enabled) instead shard per measured window
-	// (internal/wpar) — the window plan and boundary warm come from the
-	// sampling geometry and Boundary is ignored; the combination is
-	// validated by sim.Config.ValidateSegments. Like Sampling,
-	// parallel results hash to their own runq cache keys.
+	// Segments > 1 runs every sweep job through the interval executor
+	// (internal/tpar): full-detail sweeps split the measured region into
+	// that many boundary-warmed trace segments, sampled sweeps
+	// (Sampling.Enabled) run their measured windows in parallel, the
+	// window plan and boundary warm coming from the sampling geometry;
+	// the combination is validated by sim.Config.ValidateSegments. Like
+	// Sampling, parallel results hash to their own runq cache keys.
 	Segments int
-	Boundary sim.BoundaryWarm
 	// Out receives the rendered tables (must be non-nil).
 	Out io.Writer
 	// Verbose prints one line per completed run.
@@ -158,7 +154,6 @@ func (r *Runner) sweep(cfg sim.Config, profs []trace.Profile) ([]sim.Result, err
 			Warmup:   r.opts.Warmup,
 			Measure:  r.opts.Measure,
 			Segments: r.opts.Segments,
-			Boundary: r.opts.Boundary,
 		}
 	}
 	out := make([]sim.Result, len(jobs))

@@ -14,7 +14,7 @@ import (
 // sim.ModelVersion, which is folded into every key alongside it)
 // orphans all previously written records: they are simply never looked
 // up again, so no explicit invalidation pass is needed.
-const SchemaVersion = "runq-5"
+const SchemaVersion = "runq-6"
 
 // keyPayload is the canonical serialized identity of a job. It contains
 // everything that determines a run's measured numbers: the full machine
@@ -35,11 +35,11 @@ type keyPayload struct {
 	Warmup      uint64
 	Measure     uint64
 	Segments    int
-	Boundary    sim.BoundaryWarm
-	// WindowParallel marks sampled jobs executed per-window through
-	// internal/wpar. The window plan is fully determined by the sampling
-	// geometry already inside Config, so the flag alone identifies the
-	// mode; Segments and Boundary are normalized away for such jobs.
+	// WindowParallel marks sampled jobs whose windows run in parallel
+	// through the interval executor. The window plan is fully
+	// determined by the sampling geometry already inside Config, so the
+	// flag alone identifies the mode; Segments is normalized away for
+	// such jobs.
 	WindowParallel bool
 }
 
@@ -63,27 +63,25 @@ func Key(job Job) (string, error) {
 func keyWith(job Job, traceDigest string) (string, error) {
 	cfg := job.Config
 	cfg.WarmupInsts, cfg.MeasureInsts = job.Warmup, job.Measure
-	// Normalize the time-parallel identity so equivalent jobs share a
-	// record: the serial forms (0 and 1 segments) collapse to one key,
-	// and an unset boundary warm collapses onto the default it resolves
-	// to. Segmented sampled jobs run window-parallel (wpar), where the
-	// geometry lives in Config.Sampling and Job.Boundary is ignored, so
-	// they collapse onto WindowParallel=true with Segments and Boundary
-	// zeroed — any segment count maps to the same wpar execution. The
-	// parallel mode stays in the key even though the merged numbers are
-	// meant to approximate the serial run — boundary warming and window
-	// independence change the measured bytes, so cached results must not
-	// cross those lines.
+	if job.Boundary != (sim.BoundaryWarm{}) {
+		return "", fmt.Errorf("runq: %s/%s: Job.Boundary is retired; boundary warming is fixed (sim.DefaultBoundaryWarm for segments, the sampling geometry for windows)",
+			job.Config.Name, job.traceLabel())
+	}
+	// Normalize the parallel identity so equivalent jobs share a record:
+	// the serial forms (0 and 1 segments) collapse to one key, and
+	// segmented sampled jobs collapse onto WindowParallel=true with
+	// Segments zeroed — the window plan lives in Config.Sampling, so any
+	// segment count maps to the same execution. The parallel mode stays
+	// in the key even though the merged numbers are meant to approximate
+	// the serial run — boundary warming and window independence change
+	// the measured bytes, so cached results must not cross those lines.
 	segments := job.Segments
-	boundary := job.Boundary
 	windowParallel := false
 	if segments <= 1 {
-		segments, boundary = 0, sim.BoundaryWarm{}
+		segments = 0
 	} else if cfg.Sampling.Enabled {
 		windowParallel = true
-		segments, boundary = 0, sim.BoundaryWarm{}
-	} else if boundary == (sim.BoundaryWarm{}) {
-		boundary = sim.DefaultBoundaryWarm()
+		segments = 0
 	}
 	b, err := json.Marshal(keyPayload{
 		Schema:         SchemaVersion,
@@ -94,7 +92,6 @@ func keyWith(job Job, traceDigest string) (string, error) {
 		Warmup:         job.Warmup,
 		Measure:        job.Measure,
 		Segments:       segments,
-		Boundary:       boundary,
 		WindowParallel: windowParallel,
 	})
 	if err != nil {

@@ -29,7 +29,6 @@ import (
 	"ucp/internal/sim"
 	"ucp/internal/tpar"
 	"ucp/internal/trace"
-	"ucp/internal/wpar"
 )
 
 // Job is one simulation to run: cfg over a workload at the given
@@ -45,21 +44,23 @@ type Job struct {
 	Warmup    uint64
 	Measure   uint64
 
-	// Segments > 1 runs the job time-parallel. Full-detail jobs split
-	// the measured region into that many trace segments (internal/tpar)
-	// simulated concurrently on the pool's shared segment gate and
-	// merged in segment order; sampled jobs (Config.Sampling.Enabled)
-	// instead shard per measured window (internal/wpar), where the
-	// window plan and boundary warm come from the sampling geometry and
-	// Segments is only the opt-in switch. Parallel results differ from
-	// serial ones (counter blocks become measured-region deltas and a
-	// bounded boundary-warming or window-independence error applies; see
-	// EXPERIMENTS.md), so the parallel mode is part of the cache key.
-	// 0 and 1 are the serial engine.
+	// Segments > 1 runs the job through the interval executor
+	// (internal/tpar) on the pool's shared segment gate: a full-detail
+	// job splits its measured region into that many boundary-warmed
+	// trace segments, a sampled job (Config.Sampling.Enabled) runs its
+	// measured windows in parallel, the window plan and boundary warm
+	// coming from the sampling geometry so Segments is only the opt-in
+	// switch. Parallel results differ from serial ones (counter blocks
+	// become measured-region deltas and a bounded warming error applies;
+	// see EXPERIMENTS.md), so the parallel mode is part of the cache
+	// key. 0 and 1 are the serial engine.
 	Segments int
-	// Boundary overrides the boundary-warming geometry for segmented
-	// full-detail runs (zero value: sim.DefaultBoundaryWarm). Sampled
-	// window-parallel runs ignore it.
+	// Boundary is retired: boundary warming is fixed at
+	// sim.DefaultBoundaryWarm for segments and at the sampling geometry
+	// for windows. Only the zero value is accepted (a job carrying any
+	// other value fails with an error); the field survives only because
+	// the benchmark harness (_perfbench/workloads.go) still assigns the
+	// zero value, and goes once that line does.
 	Boundary sim.BoundaryWarm
 }
 
@@ -131,8 +132,8 @@ type Options struct {
 	// CkptMaxBytes bounds CkptDir's on-disk footprint: after each
 	// persisted checkpoint, least-recently-verified blobs are pruned
 	// until the directory fits (0: unbounded). Boundary checkpoints
-	// from time-parallel runs accumulate one blob per segment boundary,
-	// so long-lived services (sweepd) should set a bound.
+	// from parallel runs accumulate one blob per segment or window
+	// boundary, so long-lived services (sweepd) should set a bound.
 	CkptMaxBytes int64
 	// CkptNow supplies wall time (unix nanoseconds) for the pruning
 	// order's verify-stamps. Like Clock it is injected from cmd/ only;
@@ -177,14 +178,14 @@ type Pool struct {
 	done    int // jobs completed in the current RunAll, for progress
 
 	// ckpts is the warm-checkpoint store shared by every sampled job
-	// and every time-parallel boundary (nil when checkpoints are
-	// disabled).
+	// and every segment or window boundary of a parallel job (nil when
+	// checkpoints are disabled).
 	ckpts *ckpt.Store
 
 	// segGate bounds detailed-simulation concurrency across every
-	// time-parallel job on this pool: each in-flight segment holds one
-	// slot, so a -segments job cooperates with the worker pool instead
-	// of multiplying it (workers × segments goroutines would
+	// parallel job on this pool: each in-flight segment or window holds
+	// one slot, so a -segments job cooperates with the worker pool
+	// instead of multiplying it (workers × segments goroutines would
 	// oversubscribe the host).
 	segGate chan struct{}
 
@@ -522,15 +523,13 @@ func recoverRun(run func(Job, sim.ProgressFunc) (sim.Result, error), job Job, ho
 
 // simulate is the real job body: resolve the workload stream (shared
 // arena or per-job walker), apply the instruction budgets, and run the
-// machine — serially, or parallel when Job.Segments > 1 (per-segment
-// through tpar for full-detail jobs, per-window through wpar for
-// sampled ones) — with warm-checkpoint reuse when the pool has a store.
+// machine — serially, or through the interval executor when
+// Job.Segments > 1 — with warm-checkpoint reuse when the pool has a
+// store.
 func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 	cfg := job.Config
 	cfg.WarmupInsts, cfg.MeasureInsts = job.Warmup, job.Measure
 	budget := int(cfg.WarmupInsts+cfg.MeasureInsts) + 200_000
-	windowPar := job.Segments > 1 && cfg.Sampling.Enabled
-	timePar := job.Segments > 1 && !windowPar
 
 	var (
 		newSource func() trace.Source
@@ -558,12 +557,12 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 		// budget: the stream prefix a checkpoint replays is independent
 		// of where the run's limit lies.
 		traceID = "profile:" + pk
-		if p.opts.UseArena || timePar || windowPar {
-			// Time-parallel jobs (segment- or window-sharded) always run
-			// over the shared arena, whatever Options.UseArena says:
-			// segment boundaries lean on the cursor's O(1) seek, and
-			// per-segment generator walks would turn every boundary
-			// placement into an O(position) replay.
+		if p.opts.UseArena || job.Segments > 1 {
+			// Parallel jobs (segment- or window-sharded) always run over
+			// the shared arena, whatever Options.UseArena says: interval
+			// boundaries lean on the cursor's O(1) seek, and per-interval
+			// generator walks would turn every boundary placement into an
+			// O(position) replay.
 			a, err := p.profileArena(job.Profile, budget)
 			if err != nil {
 				return sim.Result{}, err
@@ -573,24 +572,10 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 			newSource = func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
 		}
 	}
-	if windowPar {
-		// Sampled jobs shard per measured window: wpar derives the window
-		// plan and its boundary warm from the sampling geometry, so
-		// Job.Segments is only the opt-in switch and Job.Boundary is
-		// ignored (the key normalizes both away).
-		return wpar.Run(cfg, newSource, code, job.traceLabel(), wpar.Options{
-			Workers:     p.workers(),
-			Checkpoints: p.ckpts,
-			TraceID:     traceID,
-			Gate:        p.segGate,
-			Hook:        hook,
-		})
-	}
-	if timePar {
+	if job.Segments > 1 {
 		return tpar.Run(cfg, newSource, code, job.traceLabel(), tpar.Options{
 			Segments:    job.Segments,
 			Workers:     p.workers(),
-			Warm:        job.Boundary,
 			Checkpoints: p.ckpts,
 			TraceID:     traceID,
 			Gate:        p.segGate,

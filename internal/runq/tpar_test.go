@@ -1,6 +1,7 @@
 package runq
 
 import (
+	"strings"
 	"testing"
 
 	"ucp/internal/sim"
@@ -9,9 +10,9 @@ import (
 
 // TestKeyNormalizesTimeParIdentity pins the cache-key contract for
 // time-parallel jobs: both serial spellings (0 and 1 segments) share
-// one key, an unset boundary warm keys like the default it resolves to,
-// and a segmented job never shares a record with its serial twin —
-// boundary warming changes the measured bytes.
+// one key, a segmented job never shares a record with its serial twin —
+// boundary warming changes the measured bytes — and the segment count
+// is part of the key.
 func TestKeyNormalizesTimeParIdentity(t *testing.T) {
 	base := Job{Config: sim.Baseline(), Profile: trace.QuickProfiles()[0], Warmup: 1000, Measure: 1000}
 	k0, err := Key(base)
@@ -23,11 +24,6 @@ func TestKeyNormalizesTimeParIdentity(t *testing.T) {
 	if k1, _ := Key(one); k1 != k0 {
 		t.Error("Segments=1 keys apart from Segments=0; both are the serial engine")
 	}
-	strayBoundary := base
-	strayBoundary.Boundary = sim.DefaultBoundaryWarm()
-	if kb, _ := Key(strayBoundary); kb != k0 {
-		t.Error("Boundary on a serial job leaks into the key")
-	}
 
 	seg := base
 	seg.Segments = 4
@@ -35,20 +31,24 @@ func TestKeyNormalizesTimeParIdentity(t *testing.T) {
 	if ks == k0 {
 		t.Error("segmented job shares a key with its serial twin")
 	}
-	segDefault := seg
-	segDefault.Boundary = sim.DefaultBoundaryWarm()
-	if kd, _ := Key(segDefault); kd != ks {
-		t.Error("zero Boundary keys apart from the default it resolves to")
-	}
-	segOther := seg
-	segOther.Boundary = sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
-	if ko, _ := Key(segOther); ko == ks {
-		t.Error("boundary-warm geometry not in the key")
-	}
 	segMore := seg
 	segMore.Segments = 8
 	if km, _ := Key(segMore); km == ks {
 		t.Error("segment count not in the key")
+	}
+}
+
+// TestRetiredBoundaryRejected: Job.Boundary only survives as a field;
+// a job carrying any non-zero value fails instead of being keyed (and
+// memoized) as if the value applied.
+func TestRetiredBoundaryRejected(t *testing.T) {
+	job := Job{Config: sim.Baseline(), Profile: trace.QuickProfiles()[0], Warmup: 1000, Measure: 1000, Segments: 4}
+	job.Boundary = sim.DefaultBoundaryWarm()
+	if _, err := Key(job); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("Key accepted a non-zero Boundary: err = %v", err)
+	}
+	if jr := New(Options{Workers: 1}).RunAll([]Job{job})[0]; jr.Err == nil {
+		t.Fatal("RunAll ran a job with a non-zero Boundary")
 	}
 }
 
@@ -60,7 +60,6 @@ func TestSegmentedJobsDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := quickJobs(20_000, 20_000)
 	for i := range jobs {
 		jobs[i].Segments = 4
-		jobs[i].Boundary = sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
 	}
 	serial := New(Options{Workers: 1}).RunAll(jobs)
 	parallel := New(Options{Workers: 8}).RunAll(jobs)
@@ -85,7 +84,6 @@ func TestSegmentedDiskCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	jobs := quickJobs(20_000, 20_000)[:1]
 	jobs[0].Segments = 4
-	jobs[0].Boundary = sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
 
 	cold := New(Options{Workers: 2, CacheDir: dir}).RunAll(jobs)
 	if cold[0].Err != nil {

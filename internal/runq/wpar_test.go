@@ -25,9 +25,8 @@ func sampledQuickJobs(warm, meas uint64) []Job {
 // TestKeyNormalizesWindowParIdentity pins the cache-key contract for
 // sampled parallel jobs: any Segments > 1 collapses onto the one
 // window-parallel execution (the window plan lives in Config.Sampling),
-// a stray Boundary is ignored, and window-parallel never shares a
-// record with the serial sampled run — window independence changes the
-// measured bytes.
+// and window-parallel never shares a record with the serial sampled
+// run — window independence changes the measured bytes.
 func TestKeyNormalizesWindowParIdentity(t *testing.T) {
 	base := sampledQuickJobs(1000, 8000)[0]
 	k0, err := Key(base)
@@ -45,11 +44,6 @@ func TestKeyNormalizesWindowParIdentity(t *testing.T) {
 	if km, _ := Key(wpMore); km != kw {
 		t.Error("segment count leaks into the window-parallel key; the window plan comes from the sampling geometry")
 	}
-	wpBoundary := wp
-	wpBoundary.Boundary = sim.DefaultBoundaryWarm()
-	if kb, _ := Key(wpBoundary); kb != kw {
-		t.Error("Boundary on a window-parallel job leaks into the key; wpar ignores it")
-	}
 	geom := wp
 	geom.Config.Sampling.DetailedInsts = 1_000
 	geom.Config.Sampling.WarmInsts = 1_000
@@ -60,7 +54,7 @@ func TestKeyNormalizesWindowParIdentity(t *testing.T) {
 
 // TestSampledSegmentedJobsDeterministicAcrossWorkerCounts is the
 // pool-level tentpole bar for the sampled composition: sampled jobs
-// with Segments > 1 route through wpar and must produce byte-identical
+// with Segments > 1 run their windows in parallel and must produce byte-identical
 // digests whether the pool runs one worker or eight.
 func TestSampledSegmentedJobsDeterministicAcrossWorkerCounts(t *testing.T) {
 	jobs := sampledQuickJobs(10_000, 40_000)

@@ -6,8 +6,10 @@ import (
 
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
+	"ucp/internal/frontend"
 	"ucp/internal/stats"
 	"ucp/internal/trace"
+	"ucp/internal/uopcache"
 )
 
 // This file is the sampled simulation mode (SMARTS-style): instead of
@@ -230,9 +232,8 @@ func adaptiveSchedule(n int) int { return n + max(1, n/4) }
 // trailing window over the remainder when MeasureInsts is not
 // period-aligned (Config.Validate rejects remainders too short to hold
 // the warm+measure tail). The serial sampled controller and the
-// window-parallel executor (internal/wpar) both derive their window
-// positions from this one function, so the schedule cannot drift
-// between them.
+// interval executor (internal/tpar) both derive their window positions
+// from this one function, so the schedule cannot drift between them.
 func (c Config) SampleWindows() []SegmentSpec {
 	s := c.Sampling
 	budget := int(c.MeasureInsts / s.PeriodInsts)
@@ -255,11 +256,11 @@ func (c Config) SampleWindows() []SegmentSpec {
 // per-boundary warming geometry RunSegment applies: the per-window
 // detailed warm becomes the boundary's detailed warm and the
 // functional/cache/predictor horizons carry over unchanged. This is the
-// bridge the window-parallel executor crosses — a sampled window is
-// exactly a RunSegment over the measured span with this warm — and it
-// also makes window boundaries share checkpoint content addresses
-// (sim.BoundaryKey) with full-detail segment boundaries placed at the
-// same position under the same horizons.
+// bridge the interval executor (internal/tpar) crosses — a sampled
+// window is exactly a RunSegment over the measured span with this
+// warm — and it also makes window boundaries share checkpoint content
+// addresses (sim.BoundaryKey) with full-detail segment boundaries
+// placed at the same position under the same horizons.
 func (s SamplingConfig) BoundaryWarm() BoundaryWarm {
 	return BoundaryWarm{
 		DetailedInsts: s.WarmInsts,
@@ -274,9 +275,9 @@ func (s SamplingConfig) BoundaryWarm() BoundaryWarm {
 // the pinned group-sequential schedule points. It is a pure function of
 // the window-(insts, cycles) sequence observed in window-index order —
 // no machine state, no wall clock — which is precisely why the serial
-// sampled controller and the window-parallel executor (internal/wpar,
-// which observes speculatively simulated windows through a reorder
-// buffer) stop at exactly the same window. Both use this one type.
+// sampled controller and the interval executor (internal/tpar, which
+// observes speculatively simulated windows through a reorder buffer)
+// stop at exactly the same window. Both use this one type.
 type AdaptiveStop struct {
 	s        SamplingConfig
 	minW     int
@@ -387,6 +388,29 @@ type SampledStats struct {
 	TargetMet    bool
 }
 
+// Finish fills the Student-t 95% interval estimates from the window
+// observations — a half-width that is undefined (fewer than two
+// windows) is stored as 0, keeping Result JSON-serializable — and, for
+// adaptive geometries, the stop provenance: budget is the fixed
+// schedule's window count and targetMet reports an adaptive stop. The
+// serial sampled controller and the interval executor's reducer
+// (internal/tpar) both finish through here.
+func (s *SampledStats) Finish(sc SamplingConfig, budget int, targetMet bool) {
+	if sc.Adaptive() {
+		s.TargetCI = sc.TargetCI
+		s.WindowBudget = budget
+		s.TargetMet = targetMet
+	}
+	s.IPCMean, s.IPCCI95 = stats.CI95(s.WindowIPC)
+	s.MPKIMean, s.MPKICI95 = stats.CI95(s.WindowMPKI)
+	if math.IsInf(s.IPCCI95, 1) {
+		s.IPCCI95 = 0
+	}
+	if math.IsInf(s.MPKICI95, 1) {
+		s.MPKICI95 = 0
+	}
+}
+
 // machineWarmer adapts the machine's memory hierarchy to trace.Warmer
 // for the warming-skip tier. Ideal always-hit frontends never touch the
 // L1I on the demand path, so the I-side warm is gated the same way.
@@ -437,7 +461,7 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	// window over the remainder when MeasureInsts is not period-aligned
 	// (Config.Validate rejects remainders too short to hold the
 	// warm+measure tail, so no measured instructions are ever silently
-	// dropped). SampleWindows is shared with the window-parallel
+	// dropped). SampleWindows is shared with the interval
 	// executor, so serial and parallel runs place identical windows.
 	specs := cfg.SampleWindows()
 	budget := len(specs)
@@ -465,9 +489,8 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 		streamAcc, refillAcc *stats.Histogram
 		ipcs, mpkis          []float64
 		sumInsts, sumCycles  uint64
-		dUopHit, dDecode     uint64
-		dSwitch, dMispred    uint64
-		dPfIns, dPfUsed      uint64
+		dFE                  frontend.Stats
+		dUop                 uopcache.Stats
 	)
 
 	// Warmup region: fast-forwarded entirely (bounded functional
@@ -534,12 +557,8 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 		wCycles := b.cycles - a.cycles
 		sumInsts += wInsts
 		sumCycles += wCycles
-		dUopHit += b.fe.UopsFromUopCache - a.fe.UopsFromUopCache
-		dDecode += b.fe.UopsFromDecode - a.fe.UopsFromDecode
-		dSwitch += b.fe.ModeSwitches - a.fe.ModeSwitches
-		dMispred += b.fe.CondMispredicts - a.fe.CondMispredicts
-		dPfIns += b.uop.PrefetchInserts - a.uop.PrefetchInserts
-		dPfUsed += b.uop.PrefetchUsed - a.uop.PrefetchUsed
+		AddCounters(&dFE, SubCounters(a.fe, b.fe))
+		AddCounters(&dUop, SubCounters(a.uop, b.uop))
 		if wCycles > 0 {
 			ipcs = append(ipcs, float64(wInsts)/float64(wCycles))
 		}
@@ -584,19 +603,7 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 		WindowIPC:     ipcs,
 		WindowMPKI:    mpkis,
 	}
-	if adaptive {
-		sampled.TargetCI = s.TargetCI
-		sampled.WindowBudget = budget
-		sampled.TargetMet = targetMet
-	}
-	sampled.IPCMean, sampled.IPCCI95 = stats.CI95(ipcs)
-	sampled.MPKIMean, sampled.MPKICI95 = stats.CI95(mpkis)
-	if math.IsInf(sampled.IPCCI95, 1) {
-		sampled.IPCCI95 = 0
-	}
-	if math.IsInf(sampled.MPKICI95, 1) {
-		sampled.MPKICI95 = 0
-	}
+	sampled.Finish(s, budget, targetMet)
 
 	r := Result{
 		Name:    cfg.Name,
@@ -605,19 +612,7 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 		Cycles:  sumCycles,
 		Sampled: sampled,
 	}
-	if sumCycles > 0 {
-		r.IPC = float64(sumInsts) / float64(sumCycles)
-	}
-	if fetched := dUopHit + dDecode; fetched > 0 {
-		r.UopHitRate = float64(dUopHit) / float64(fetched)
-	}
-	if sumInsts > 0 {
-		r.SwitchPKI = float64(dSwitch) / float64(sumInsts) * 1000
-		r.CondMPKI = float64(dMispred) / float64(sumInsts) * 1000
-	}
-	if dPfIns > 0 {
-		r.PrefetchAccuracy = float64(dPfUsed) / float64(dPfIns)
-	}
+	r.SetRates(dFE, dUop)
 	r.FE = end.fe
 	r.Uop = end.uop
 	r.UCP = end.ucp

@@ -15,15 +15,16 @@ import (
 	"ucp/internal/uopcache"
 )
 
-// This file is the per-segment half of time-parallel simulation
-// (internal/tpar): one full-detail run is split into N contiguous spans
-// of its measured region, and each span is simulated independently on a
-// fresh machine whose boundary state is rebuilt by the same warming
-// pyramid the sampled mode uses (trace skip → BP-train skip →
-// cache-warm skip → functional commit → detailed warm). Because every
-// segment's outcome is a pure function of (config, trace, span,
-// warming geometry), segments can run concurrently on any number of
-// workers and merge into one byte-identical result.
+// This file is the per-interval half of the interval executor
+// (internal/tpar): one run is split into spans — contiguous segments of
+// a full-detail run's measured region, or the measured windows of a
+// sampled run — and each span is simulated independently on a fresh
+// machine whose boundary state is rebuilt by the same warming pyramid
+// the sampled mode uses (trace skip → BP-train skip → cache-warm skip →
+// functional commit → detailed warm). Because every span's outcome is a
+// pure function of (config, trace, span, warming geometry), spans can
+// run concurrently on any number of workers and merge into one
+// byte-identical result.
 
 // BoundaryWarm is the warming geometry applied at each segment
 // boundary. All counts are instructions; the pyramid-nesting rules
@@ -123,7 +124,7 @@ type SegmentResult struct {
 	// checkpoints return the captured values, so a restored segment is
 	// indistinguishable from a cold one here too); DetailedInsts counts
 	// everything cycle-accurately committed (boundary warm + measured
-	// span) — the window-parallel merge sums it into
+	// span) — the interval executor's sampled merge sums it into
 	// SampledStats.DetailedInsts.
 	SkippedInsts  uint64
 	FFInsts       uint64
@@ -177,7 +178,7 @@ func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSp
 		return SegmentResult{}, err
 	}
 	if cfg.Sampling.Enabled {
-		return SegmentResult{}, fmt.Errorf("sim: RunSegment is the full-detail span runner; sampled configs parallelize per measured window through internal/wpar, which strips Sampling and derives the boundary warm from the sampling geometry")
+		return SegmentResult{}, fmt.Errorf("sim: RunSegment is the full-detail span runner; a sampled window runs here with Sampling stripped and the boundary warm derived from the sampling geometry (internal/tpar)")
 	}
 	if err := warm.Validate(); err != nil {
 		return SegmentResult{}, err

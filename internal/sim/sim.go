@@ -174,15 +174,16 @@ func (c Config) Validate() error {
 }
 
 // ValidateSegments is the one compatibility matrix for composing a
-// time-parallel segment request with this config — ucpsim, experiments,
-// and the executors all consult it instead of hand-rolling (and
-// drifting) their own rejection messages. segments <= 1 is always the
-// serial engine. segments > 1 on a full-detail config is internal/tpar;
-// on a sampled config it is internal/wpar, whose per-window boundary
-// warm is derived from the sampling geometry (SamplingConfig's
-// BoundaryWarm method) — the only still-unvalidated combination is a
-// sampled geometry whose WarmInsts cannot satisfy the boundary warm's
-// floor, which is rejected here with the remediation spelled out.
+// parallel segment request with this config — ucpsim, experiments, and
+// the interval executor (internal/tpar) all consult it instead of
+// hand-rolling (and drifting) their own rejection messages. segments
+// <= 1 is always the serial engine. segments > 1 splits a full-detail
+// config into segments and runs a sampled config's windows in parallel,
+// each window's boundary warm derived from the sampling geometry
+// (SamplingConfig's BoundaryWarm method) — the only still-unvalidated
+// combination is a sampled geometry whose WarmInsts cannot satisfy the
+// boundary warm's floor, which is rejected here with the remediation
+// spelled out.
 func (c Config) ValidateSegments(segments int) error {
 	if segments <= 1 || !c.Sampling.Enabled {
 		return nil
@@ -228,13 +229,14 @@ type Result struct {
 	// for full-detail runs, so their digests are unchanged.
 	Sampled *SampledStats
 
-	// TimePar carries the time-parallel merge provenance (internal/tpar);
-	// nil for serial runs, so their digests are unchanged.
+	// TimePar carries the interval executor's merge provenance
+	// (internal/tpar) for segmented and window-parallel runs; nil for
+	// serial runs, so their digests are unchanged.
 	TimePar *TimeParStats
 }
 
-// TimeParStats reports how a time-parallel run was segmented and what
-// each segment measured. It is folded into the determinism digest, so
+// TimeParStats reports how a parallel run was split into intervals
+// (segments or sampled windows) and what each one measured. It is folded into the determinism digest, so
 // every field must be independent of worker count and scheduling —
 // checkpoint provenance (captured vs restored boundaries) deliberately
 // lives in the pool's CheckpointStats instead.
@@ -457,29 +459,13 @@ func RunHooked(cfg Config, src trace.Source, code core.CodeInfo, traceName strin
 }
 
 func buildResult(cfg Config, traceName string, m *Machine, a, b snapshot) Result {
-	insts := b.insts - a.insts
-	cycles := b.cycles - a.cycles
 	r := Result{
 		Name:   cfg.Name,
 		Trace:  traceName,
-		Insts:  insts,
-		Cycles: cycles,
+		Insts:  b.insts - a.insts,
+		Cycles: b.cycles - a.cycles,
 	}
-	if cycles > 0 {
-		r.IPC = float64(insts) / float64(cycles)
-	}
-	fetched := (b.fe.UopsFromUopCache + b.fe.UopsFromDecode) - (a.fe.UopsFromUopCache + a.fe.UopsFromDecode)
-	if fetched > 0 {
-		r.UopHitRate = float64(b.fe.UopsFromUopCache-a.fe.UopsFromUopCache) / float64(fetched)
-	}
-	if insts > 0 {
-		r.SwitchPKI = float64(b.fe.ModeSwitches-a.fe.ModeSwitches) / float64(insts) * 1000
-		r.CondMPKI = float64(b.fe.CondMispredicts-a.fe.CondMispredicts) / float64(insts) * 1000
-	}
-	pi := b.uop.PrefetchInserts - a.uop.PrefetchInserts
-	if pi > 0 {
-		r.PrefetchAccuracy = float64(b.uop.PrefetchUsed-a.uop.PrefetchUsed) / float64(pi)
-	}
+	r.SetRates(SubCounters(a.fe, b.fe), SubCounters(a.uop, b.uop))
 	r.FE = b.fe
 	r.Uop = b.uop
 	r.UCP = b.ucp
@@ -490,6 +476,29 @@ func buildResult(cfg Config, traceName string, m *Machine, a, b snapshot) Result
 		r.UCPStorageKB = m.ucp.StorageKB()
 	}
 	return r
+}
+
+// SetRates derives the rate metrics (IPC, µ-op cache hit rate, switch
+// and conditional-mispredict PKI, prefetch accuracy) from r.Insts,
+// r.Cycles and the measured region's frontend and µ-op cache counter
+// deltas. It is the one rate formula of every engine — the serial
+// full-detail loop, the serial sampled controller and the interval
+// executor's reducer (internal/tpar) — so their rates agree to the bit
+// whenever their counts do.
+func (r *Result) SetRates(fe frontend.Stats, uop uopcache.Stats) {
+	if r.Cycles > 0 {
+		r.IPC = float64(r.Insts) / float64(r.Cycles)
+	}
+	if fetched := fe.UopsFromUopCache + fe.UopsFromDecode; fetched > 0 {
+		r.UopHitRate = float64(fe.UopsFromUopCache) / float64(fetched)
+	}
+	if r.Insts > 0 {
+		r.SwitchPKI = float64(fe.ModeSwitches) / float64(r.Insts) * 1000
+		r.CondMPKI = float64(fe.CondMispredicts) / float64(r.Insts) * 1000
+	}
+	if uop.PrefetchInserts > 0 {
+		r.PrefetchAccuracy = float64(uop.PrefetchUsed) / float64(uop.PrefetchInserts)
+	}
 }
 
 // DeterminismDigest renders every measured quantity of the run —

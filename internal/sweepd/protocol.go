@@ -34,7 +34,7 @@ import (
 // disagreeing on sim.ModelVersion or the job-key schema would silently
 // exchange results computed under different models, which is exactly
 // the cache-compatibility bug class the -version flags exist to debug.
-const ProtocolVersion = "sweepd-4"
+const ProtocolVersion = "sweepd-5"
 
 // Job states, in lifecycle order. A job is queued on admission, warming
 // once an executor picks it up, measuring when detailed windows start,
@@ -60,14 +60,12 @@ type JobSpec struct {
 	Profile trace.Profile `json:"profile"`
 	Warmup  uint64        `json:"warmup"`
 	Measure uint64        `json:"measure"`
-	// Segments > 1 asks the server to run the job time-parallel:
-	// per-segment (internal/tpar) with the given boundary-warm geometry
-	// for full-detail configs, per measured window (internal/wpar) for
-	// sampled ones — where the window plan comes from the sampling
-	// geometry and Boundary is ignored. Results are byte-identical
-	// whatever worker budget the server has.
-	Segments int              `json:"segments,omitempty"`
-	Boundary sim.BoundaryWarm `json:"boundary,omitzero"`
+	// Segments > 1 asks the server to run the job through the interval
+	// executor (internal/tpar): per segment for full-detail configs, per
+	// measured window for sampled ones, whose window plan comes from the
+	// sampling geometry. Results are byte-identical whatever worker
+	// budget the server has.
+	Segments int `json:"segments,omitempty"`
 }
 
 // Job converts the spec back to a pool job.
@@ -78,7 +76,6 @@ func (s JobSpec) Job() runq.Job {
 		Warmup:   s.Warmup,
 		Measure:  s.Measure,
 		Segments: s.Segments,
-		Boundary: s.Boundary,
 	}
 }
 
@@ -87,13 +84,15 @@ func Spec(j runq.Job) (JobSpec, error) {
 	if j.TraceFile != "" {
 		return JobSpec{}, fmt.Errorf("sweepd: %s: recorded-trace jobs are server-local; run them in-process", j.TraceFile)
 	}
+	if j.Boundary != (sim.BoundaryWarm{}) {
+		return JobSpec{}, fmt.Errorf("sweepd: %s: Job.Boundary is retired and has no wire form; boundary warming is fixed", j.Config.Name)
+	}
 	return JobSpec{
 		Config:   j.Config,
 		Profile:  j.Profile,
 		Warmup:   j.Warmup,
 		Measure:  j.Measure,
 		Segments: j.Segments,
-		Boundary: j.Boundary,
 	}, nil
 }
 

@@ -585,6 +585,20 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	}
 }
 
+// TestSpecRejectsRetiredBoundary: runq.Job.Boundary has no wire form,
+// so a job carrying a non-zero value must fail to convert instead of
+// silently running remotely with the fixed boundary warm.
+func TestSpecRejectsRetiredBoundary(t *testing.T) {
+	job := runq.Job{Config: sim.Baseline(), Profile: trace.QuickProfiles()[0], Warmup: 1000, Measure: 1000, Segments: 4}
+	if _, err := sweepd.Spec(job); err != nil {
+		t.Fatalf("zero Boundary rejected: %v", err)
+	}
+	job.Boundary = sim.DefaultBoundaryWarm()
+	if _, err := sweepd.Spec(job); err == nil || !strings.Contains(err.Error(), "retired") {
+		t.Fatalf("non-zero Boundary converted: err = %v", err)
+	}
+}
+
 // TestIdempotentResubmit submits the same spec after completion and
 // requires the same ID back with the result served from the memo tier
 // (no second execution).

@@ -1,7 +1,9 @@
 package tpar_test
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ucp/internal/ckpt"
@@ -12,9 +14,9 @@ import (
 	"ucp/internal/trace"
 )
 
-// testArena decodes prof into an arena budgeted for end + slack; every
-// segment draws a fresh cursor from it, like runq does.
-func testArena(t *testing.T, profName string, end uint64) (*trace.Arena, *trace.Program) {
+// testArena decodes prof into an arena of exactly n instructions; every
+// interval draws a fresh cursor from it, like runq does.
+func testArena(t *testing.T, profName string, n uint64) (*trace.Arena, *trace.Program) {
 	t.Helper()
 	prof, ok := trace.ProfileByName(profName)
 	if !ok {
@@ -24,11 +26,52 @@ func testArena(t *testing.T, profName string, end uint64) (*trace.Arena, *trace.
 	if err != nil {
 		t.Fatalf("building %s: %v", profName, err)
 	}
-	return trace.ArenaFromSource(trace.NewWalker(prog), int(end)+200_000), prog
+	return trace.ArenaFromSource(trace.NewWalker(prog), int(n)), prog
 }
 
-func testWarm() sim.BoundaryWarm {
-	return sim.BoundaryWarm{DetailedInsts: 2_000, FFInsts: 8_000}
+// slack covers the detailed engine's read-ahead past a run's end.
+const slack = 200_000
+
+// sampledCfg is a cheap 4-window sampled geometry: 20K warmup, 40K
+// measured, one 2K window per 10K period.
+func sampledCfg() sim.Config {
+	cfg := sim.WithUCP(core.DefaultConfig())
+	cfg.WarmupInsts, cfg.MeasureInsts = 20_000, 40_000
+	cfg.Sampling = sim.SamplingConfig{
+		Enabled:       true,
+		PeriodInsts:   10_000,
+		DetailedInsts: 2_000,
+		WarmInsts:     2_000,
+		FFWarmInsts:   5_000,
+	}
+	return cfg
+}
+
+// mode is one kind of interval the executor runs: full-detail segments
+// or sampled windows, each with a 4-interval plan over 20K+40K insts.
+type mode struct {
+	name     string
+	unit     string // what errors call one interval
+	cfg      sim.Config
+	sections []string // digest sections the parallel result must carry
+}
+
+func modes() []mode {
+	fd := sim.WithUCP(core.DefaultConfig())
+	fd.WarmupInsts, fd.MeasureInsts = 20_000, 40_000
+	return []mode{
+		{"segments", "segment", fd, []string{"timepar segments=4", "timepar s0 ", "timepar s3 "}},
+		{"windows", "window", sampledCfg(), []string{"sampled windows=4", "sampled w0 ipc=", "timepar segments=4", "timepar s3 "}},
+	}
+}
+
+// run executes m's config through the executor over a.
+func (m mode) run(t *testing.T, a *trace.Arena, prog *trace.Program, opts tpar.Options) (sim.Result, error) {
+	t.Helper()
+	if opts.Segments == 0 {
+		opts.Segments = 4
+	}
+	return tpar.Run(m.cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01", opts)
 }
 
 // TestPlan pins the segment geometry: contiguous coverage of exactly
@@ -82,7 +125,7 @@ func TestPlan(t *testing.T) {
 func TestSegmentsOneMatchesSerial(t *testing.T) {
 	cfg := sim.WithUCP(core.DefaultConfig())
 	cfg.WarmupInsts, cfg.MeasureInsts = 20_000, 40_000
-	a, prog := testArena(t, "crypto01", 60_000)
+	a, prog := testArena(t, "crypto01", 60_000+slack)
 
 	serial, err := sim.Run(cfg, a.Cursor(), prog, "crypto01")
 	if err != nil {
@@ -102,31 +145,36 @@ func TestSegmentsOneMatchesSerial(t *testing.T) {
 }
 
 // TestWorkerCountInvariance is the tentpole determinism bar: the same
-// segmented run must produce byte-identical digests at any worker
-// count, including a TimePar section describing every segment.
+// parallel run must produce byte-identical digests at any worker count,
+// including the sections describing every interval — and a sampled
+// block exactly when the config is sampled.
 func TestWorkerCountInvariance(t *testing.T) {
-	cfg := sim.WithUCP(core.DefaultConfig())
-	cfg.WarmupInsts, cfg.MeasureInsts = 20_000, 40_000
-	a, prog := testArena(t, "srv203", 60_000)
-
-	run := func(workers int) sim.Result {
-		r, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "srv203",
-			tpar.Options{Segments: 4, Workers: workers, Warm: testWarm()})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return r
-	}
-	d1 := run(1).DeterminismDigest()
-	for _, w := range []int{2, 8} {
-		if dw := run(w).DeterminismDigest(); dw != d1 {
-			t.Fatalf("digest differs between workers=1 and workers=%d:\n%s\n---\n%s", w, d1, dw)
-		}
-	}
-	for _, want := range []string{"timepar segments=4", "timepar s0 ", "timepar s3 "} {
-		if !strings.Contains(d1, want) {
-			t.Errorf("digest missing %q section:\n%s", want, d1)
-		}
+	a, prog := testArena(t, "crypto01", 60_000+slack)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			run := func(workers int) sim.Result {
+				r, err := m.run(t, a, prog, tpar.Options{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				return r
+			}
+			r1 := run(1)
+			d1 := r1.DeterminismDigest()
+			for _, w := range []int{2, 8} {
+				if dw := run(w).DeterminismDigest(); dw != d1 {
+					t.Fatalf("digest differs between workers=1 and workers=%d:\n%s\n---\n%s", w, d1, dw)
+				}
+			}
+			for _, want := range m.sections {
+				if !strings.Contains(d1, want) {
+					t.Errorf("digest missing %q section:\n%s", want, d1)
+				}
+			}
+			if sampled := r1.Sampled != nil; sampled != m.cfg.Sampling.Enabled {
+				t.Errorf("Sampled block present = %v for a config with Sampling.Enabled = %v", sampled, m.cfg.Sampling.Enabled)
+			}
+		})
 	}
 }
 
@@ -134,36 +182,98 @@ func TestWorkerCountInvariance(t *testing.T) {
 // checkpoints captured by an earlier run must be byte-identical to the
 // cold run — and actually hit the store.
 func TestCheckpointRestoredRunIdentical(t *testing.T) {
-	cfg := sim.WithUCP(core.DefaultConfig())
-	cfg.WarmupInsts, cfg.MeasureInsts = 20_000, 40_000
-	a, prog := testArena(t, "crypto01", 60_000)
-	store := ckpt.NewStore("")
+	a, prog := testArena(t, "crypto01", 60_000+slack)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			store := ckpt.NewStore("")
+			run := func(st *ckpt.Store) sim.Result {
+				r, err := m.run(t, a, prog, tpar.Options{Workers: 2, Checkpoints: st, TraceID: "test:" + a.ID()})
+				if err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				return r
+			}
+			cold := run(nil)
+			captured := run(store)
+			if store.Len() == 0 {
+				t.Fatal("capturing run published no boundary checkpoints")
+			}
+			hitsBefore := store.Hits()
+			restored := run(store)
+			if store.Hits() <= hitsBefore {
+				t.Fatal("restore run never hit the checkpoint store")
+			}
+			cd := cold.DeterminismDigest()
+			if d := captured.DeterminismDigest(); d != cd {
+				t.Fatalf("capturing run digest differs from cold:\n%s\n---\n%s", d, cd)
+			}
+			if d := restored.DeterminismDigest(); d != cd {
+				t.Fatalf("checkpoint-restored run digest differs from cold:\n%s\n---\n%s", d, cd)
+			}
+		})
+	}
+}
 
-	run := func(st *ckpt.Store) sim.Result {
-		r, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-			tpar.Options{Segments: 4, Workers: 2, Warm: testWarm(),
-				Checkpoints: st, TraceID: "test:" + a.ID()})
-		if err != nil {
-			t.Fatalf("tpar run: %v", err)
-		}
-		return r
+// TestErrorSelection: over an arena truncated inside interval 2,
+// intervals 2 and 3 both fail; the run must report interval 2 — the
+// failure a serial run would hit first — with the same error at every
+// worker count, whatever order the failures complete in.
+func TestErrorSelection(t *testing.T) {
+	a, prog := testArena(t, "crypto01", 49_000) // inside segment [40K, 50K) and window [48K, 50K)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			var first string
+			for _, w := range []int{1, 2, 8} {
+				_, err := m.run(t, a, prog, tpar.Options{Workers: w})
+				if err == nil {
+					t.Fatalf("workers=%d: run over a truncated trace succeeded", w)
+				}
+				if want := m.unit + " 2:"; !strings.Contains(err.Error(), want) {
+					t.Fatalf("workers=%d: error %q does not name %q", w, err, want)
+				}
+				if first == "" {
+					first = err.Error()
+				} else if err.Error() != first {
+					t.Fatalf("error differs between worker counts:\n%s\n---\n%s", first, err)
+				}
+			}
+		})
 	}
-	cold := run(nil)
-	captured := run(store)
-	if store.Len() == 0 {
-		t.Fatal("capturing run published no boundary checkpoints")
-	}
-	hitsBefore := store.Hits()
-	restored := run(store)
-	if store.Hits() <= hitsBefore {
-		t.Fatal("restore run never hit the checkpoint store")
-	}
-	cd := cold.DeterminismDigest()
-	if d := captured.DeterminismDigest(); d != cd {
-		t.Fatalf("capturing run digest differs from cold:\n%s\n---\n%s", d, cd)
-	}
-	if d := restored.DeterminismDigest(); d != cd {
-		t.Fatalf("checkpoint-restored run digest differs from cold:\n%s\n---\n%s", d, cd)
+}
+
+// TestHookSequence pins the progress contract at 8 workers: exactly one
+// warming event, then one event per interval with WindowsDone counting
+// 1..N against a constant WindowsTotal.
+func TestHookSequence(t *testing.T) {
+	a, prog := testArena(t, "crypto01", 60_000+slack)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			var (
+				mu     sync.Mutex
+				events []sim.Progress
+			)
+			hook := func(p sim.Progress) {
+				mu.Lock()
+				defer mu.Unlock()
+				events = append(events, p)
+			}
+			if _, err := m.run(t, a, prog, tpar.Options{Workers: 8, Hook: hook}); err != nil {
+				t.Fatal(err)
+			}
+			const n = 4
+			if len(events) != n+1 {
+				t.Fatalf("got %d events, want %d: %+v", len(events), n+1, events)
+			}
+			if events[0] != (sim.Progress{Stage: sim.StageWarming, WindowsTotal: n}) {
+				t.Errorf("first event = %+v, want warming 0/%d", events[0], n)
+			}
+			for i, e := range events[1:] {
+				want := sim.Progress{Stage: sim.StageMeasuring, WindowsDone: i + 1, WindowsTotal: n}
+				if e != want {
+					t.Errorf("event %d = %+v, want %+v", i+1, e, want)
+				}
+			}
+		})
 	}
 }
 
@@ -172,9 +282,9 @@ func TestCheckpointRestoredRunIdentical(t *testing.T) {
 func TestMoreSegmentsThanInsts(t *testing.T) {
 	cfg := sim.Baseline()
 	cfg.WarmupInsts, cfg.MeasureInsts = 2_000, 5
-	a, prog := testArena(t, "crypto01", 2_005)
+	a, prog := testArena(t, "crypto01", 2_005+slack)
 	r, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-		tpar.Options{Segments: 64, Workers: 4, Warm: testWarm()})
+		tpar.Options{Segments: 64, Workers: 4})
 	if err != nil {
 		t.Fatalf("clamped run failed: %v", err)
 	}
@@ -188,48 +298,163 @@ func TestMoreSegmentsThanInsts(t *testing.T) {
 
 // TestAccumMergeCommutes backs Accum.Merge's //ucplint:commutative
 // annotation with the dynamic shuffle-merge harness: per-worker accums
-// holding disjoint segment sets must reduce to byte-identical digests
+// holding disjoint interval sets must reduce to byte-identical digests
 // under any merge order. Registered in ucplint's verified set
 // (TestCommutativeAnnotationsAreShuffleTested).
 func TestAccumMergeCommutes(t *testing.T) {
-	cfg := sim.WithUCP(core.DefaultConfig())
-	cfg.WarmupInsts, cfg.MeasureInsts = 10_000, 24_000
-	a, prog := testArena(t, "srv203", 34_000)
-	specs := tpar.Plan(cfg.WarmupInsts, cfg.MeasureInsts, 6)
-	parts := make([]*tpar.Accum, len(specs))
-	for i, spec := range specs {
-		res, err := sim.RunSegment(cfg, a.Cursor(), prog, spec, testWarm(), nil)
-		if err != nil {
-			t.Fatalf("segment %d: %v", i, err)
-		}
-		parts[i] = tpar.NewAccum(len(specs))
-		parts[i].AddSegment(res)
-	}
-	err := stats.CheckCommutative(
-		func() *tpar.Accum { return tpar.NewAccum(len(specs)) },
-		func(dst, src *tpar.Accum) { dst.Merge(src) },
-		func(acc *tpar.Accum) string {
-			r, err := acc.Result(cfg, "srv203")
-			if err != nil {
-				t.Fatalf("Result after full merge: %v", err)
+	a, prog := testArena(t, "crypto01", 60_000+slack)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			segCfg, specs, warm := m.cfg, tpar.Plan(m.cfg.WarmupInsts, m.cfg.MeasureInsts, 6), sim.DefaultBoundaryWarm()
+			if m.cfg.Sampling.Enabled {
+				segCfg.Sampling = sim.SamplingConfig{}
+				specs, warm = m.cfg.SampleWindows(), m.cfg.Sampling.BoundaryWarm()
 			}
-			return r.DeterminismDigest()
-		},
-		parts, 0xBEEF, 64,
-	)
-	if err != nil {
-		t.Fatal(err)
+			parts := make([]*tpar.Accum, len(specs))
+			for i, spec := range specs {
+				res, err := sim.RunSegment(segCfg, a.Cursor(), prog, spec, warm, nil)
+				if err != nil {
+					t.Fatalf("interval %d: %v", i, err)
+				}
+				parts[i] = tpar.NewAccum(len(specs))
+				parts[i].Add(res)
+			}
+			err := stats.CheckCommutative(
+				func() *tpar.Accum { return tpar.NewAccum(len(specs)) },
+				func(dst, src *tpar.Accum) { dst.Merge(src) },
+				func(acc *tpar.Accum) string {
+					r, err := acc.Result(m.cfg, "crypto01", len(specs), len(specs), false)
+					if err != nil {
+						t.Fatalf("Result after full merge: %v", err)
+					}
+					return r.DeterminismDigest()
+				},
+				parts, 0xBEEF, 64,
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
-// TestResultMissingSegment: reducing an accumulator with a hole must
-// fail loudly — a silently short merge would report wrong numbers with
-// a valid-looking digest.
+// TestResultMissingSegment: reducing an accumulator with a hole in the
+// included prefix must fail loudly — a silently short merge would
+// report wrong numbers with a valid-looking digest — while intervals
+// past the include point (speculation beyond an adaptive stop) must not
+// be required.
 func TestResultMissingSegment(t *testing.T) {
-	acc := tpar.NewAccum(3)
-	acc.AddSegment(sim.SegmentResult{Index: 0, Start: 0, End: 10, Insts: 10, Cycles: 20})
-	acc.AddSegment(sim.SegmentResult{Index: 2, Start: 20, End: 30, Insts: 10, Cycles: 20})
-	if _, err := acc.Result(sim.Baseline(), "x"); err == nil || !strings.Contains(err.Error(), "missing segment 1") {
-		t.Fatalf("hole not detected: err = %v", err)
+	for _, m := range modes() {
+		t.Run(m.name, func(t *testing.T) {
+			acc := tpar.NewAccum(3)
+			acc.Add(sim.SegmentResult{Index: 0, Start: 0, End: 10, Insts: 10, Cycles: 20})
+			acc.Add(sim.SegmentResult{Index: 2, Start: 20, End: 30, Insts: 10, Cycles: 20})
+			want := fmt.Sprintf("missing %s 1", m.unit)
+			if _, err := acc.Result(m.cfg, "x", 3, 3, false); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("hole not detected: err = %v, want %q", err, want)
+			}
+			if _, err := acc.Result(m.cfg, "x", 1, 3, false); err != nil {
+				t.Fatalf("include=1 reduction failed: %v", err)
+			}
+		})
+	}
+}
+
+// TestMatchesSerialSampledGeometry: the parallel run must measure
+// exactly the windows the serial sampled controller measures — same
+// count, same measured instruction total — and estimate a close IPC
+// (the residual is the window-independence error, bounded loosely here
+// and measured precisely by the check.sh gate).
+func TestMatchesSerialSampledGeometry(t *testing.T) {
+	cfg := sampledCfg()
+	a, prog := testArena(t, "crypto01", 60_000+slack)
+
+	serial, err := sim.Run(cfg, a.Cursor(), prog, "crypto01")
+	if err != nil {
+		t.Fatalf("serial sampled run: %v", err)
+	}
+	par, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
+		tpar.Options{Segments: 4, Workers: 2})
+	if err != nil {
+		t.Fatalf("parallel run: %v", err)
+	}
+	if par.Sampled.Windows != serial.Sampled.Windows {
+		t.Errorf("windows: parallel %d, serial %d", par.Sampled.Windows, serial.Sampled.Windows)
+	}
+	// Window ends are commit-granular (runUntil overshoots by up to one
+	// commit window, deterministically but state-dependently), so the
+	// totals may differ by a few instructions per window — never more.
+	diff := int64(par.Sampled.MeasuredInsts) - int64(serial.Sampled.MeasuredInsts)
+	if diff < 0 {
+		diff = -diff
+	}
+	if diff > int64(16*par.Sampled.Windows) {
+		t.Errorf("measured insts: parallel %d, serial %d (beyond commit-width overshoot)",
+			par.Sampled.MeasuredInsts, serial.Sampled.MeasuredInsts)
+	}
+	if serial.IPC <= 0 {
+		t.Fatalf("serial IPC = %g", serial.IPC)
+	}
+	if relErr := (par.IPC - serial.IPC) / serial.IPC; relErr > 0.10 || relErr < -0.10 {
+		t.Errorf("window-independence IPC error %.4f exceeds the loose 10%% test bound (parallel %.4f, serial %.4f)",
+			relErr, par.IPC, serial.IPC)
+	}
+}
+
+// TestAdaptiveStopInvariant: adaptive+parallel must stop at exactly the
+// same window at every worker count — speculative windows dispatched
+// past the stop point are discarded deterministically, so the digests
+// (which include the per-window list and the adaptive provenance line)
+// are byte-identical too.
+func TestAdaptiveStopInvariant(t *testing.T) {
+	cfg := sampledCfg()
+	cfg.MeasureInsts = 120_000 // 12-window budget
+	cfg.Sampling.TargetCI = 0.10
+	a, prog := testArena(t, "crypto01", 140_000+slack)
+
+	run := func(workers int) sim.Result {
+		r, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
+			tpar.Options{Segments: 4, Workers: workers})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		return r
+	}
+	r1 := run(1)
+	d1 := r1.DeterminismDigest()
+	for _, w := range []int{3, 8} {
+		rw := run(w)
+		if rw.Sampled.Windows != r1.Sampled.Windows {
+			t.Fatalf("adaptive stop window differs: workers=1 measured %d, workers=%d measured %d",
+				r1.Sampled.Windows, w, rw.Sampled.Windows)
+		}
+		if dw := rw.DeterminismDigest(); dw != d1 {
+			t.Fatalf("adaptive digest differs between workers=1 and workers=%d:\n%s\n---\n%s", w, d1, dw)
+		}
+	}
+	if r1.Sampled.TargetCI != cfg.Sampling.TargetCI || r1.Sampled.WindowBudget != 12 {
+		t.Errorf("adaptive provenance = %+v, want TargetCI=%g budget=12", r1.Sampled, cfg.Sampling.TargetCI)
+	}
+	if !strings.Contains(d1, "sampled adaptive target=") {
+		t.Errorf("digest missing adaptive line:\n%s", d1)
+	}
+}
+
+// TestTrailingRemainderWindow: a period-unaligned MeasureInsts gets a
+// trailing window over the remainder, in parallel exactly as in serial.
+func TestTrailingRemainderWindow(t *testing.T) {
+	cfg := sampledCfg()
+	cfg.MeasureInsts = 45_000 // 4 full periods + 5K remainder >= warm+measure
+	a, prog := testArena(t, "crypto01", 65_000+slack)
+	r, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
+		tpar.Options{Segments: 4, Workers: 4})
+	if err != nil {
+		t.Fatalf("parallel run: %v", err)
+	}
+	if r.Sampled.Windows != 5 {
+		t.Fatalf("windows = %d, want 4 full + 1 trailing", r.Sampled.Windows)
+	}
+	if got := r.TimePar.Boundaries[4]; got != 20_000+45_000-2_000 {
+		t.Errorf("trailing window starts at %d, want measure end - DetailedInsts", got)
 	}
 }
