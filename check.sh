@@ -16,6 +16,11 @@
 # Each gate's wall-clock time is printed when the next gate starts, and
 # a per-gate timing summary table is printed at the end.
 #
+# The sampling, tpar, wpar, sweepreuse, autopilot and sweepd gates each
+# run `experiments -gate <id>` with the same id as here. It runs that
+# gate's passes, applies its bounds, writes BENCH_<id>.json, prints any
+# violations, and exits nonzero on one (cmd/experiments/gate.go).
+#
 # Runs, in order:
 #   1. gofmt -l            (no unformatted files)
 #   2. go vet ./...        (stdlib vet)
@@ -291,11 +296,8 @@ step "hotpath benchmark (BenchmarkSimQuick)"
 go test -run '^$' -bench '^BenchmarkSimQuick$' -benchtime=1x . | tee "$RUNQ_TMP/bench.txt"
 grep -q '^BenchmarkSimQuick' "$RUNQ_TMP/bench.txt" || {
 	echo "hotpath: BenchmarkSimQuick produced no result line" >&2; exit 1; }
-# seed_serial_ms is the quick-sweep serial wall clock of the
-# pre-optimization tree (commit 4e3b42d), measured interleaved with the
-# optimized build on the same machine to cancel thermal drift.
 # sweep_serial_ms is 0 when the runq gate did not run this invocation.
-awk -v s="$SERIAL_MS" -v j="$CORES" -v seed=28645 '
+awk -v s="$SERIAL_MS" -v j="$CORES" '
 	/^BenchmarkSimQuick/ {
 		for (i = 2; i <= NF; i++) {
 			if ($i == "insts/s")     ips = $(i-1)
@@ -309,9 +311,7 @@ awk -v s="$SERIAL_MS" -v j="$CORES" -v seed=28645 '
 		printf "  \"cores\": %d,\n", j
 		printf "  \"simulated_insts_per_sec\": %.0f,\n", ips
 		printf "  \"allocs_per_inst\": %.5f,\n", api
-		printf "  \"sweep_serial_ms\": %d,\n", s
-		printf "  \"seed_serial_ms\": %d,\n", seed
-		printf "  \"speedup_vs_seed\": %.2f\n", (s > 0 ? seed / s : 0)
+		printf "  \"sweep_serial_ms\": %d\n", s
 		printf "}\n"
 	}' "$RUNQ_TMP/bench.txt" > BENCH_hotpath.json
 echo "hotpath: $(tr -d '\n' < BENCH_hotpath.json | tr -s ' ')"
@@ -323,7 +323,7 @@ step "sampling gate"
 # 25M measured insts) in one process so the wall-clock ratio is
 # thermally comparable. Gated: per-point IPC error < 2%, aggregate
 # speedup >= 10x, sampled runs digest-identical across two passes.
-"$RUNQ_TMP/experiments" -sample-gate -sample-bench BENCH_sampling.json
+"$RUNQ_TMP/experiments" -gate sampling
 fi
 
 if want tpar; then
@@ -334,7 +334,7 @@ step "time-parallel gate"
 # and across the capture/restore cycle, 4 boundaries captured + 4
 # restored, boundary-warming IPC error < 2%. Scaling is gated only on
 # multi-core hosts; single-core runs carry a note in BENCH_tpar.json.
-"$RUNQ_TMP/experiments" -tpar-gate -tpar-bench BENCH_tpar.json
+"$RUNQ_TMP/experiments" -gate tpar
 
 # End-to-end half: ucpsim itself, segmented, at two pool worker counts —
 # the whole digest file (which includes the per-segment timepar lines)
@@ -364,7 +364,7 @@ step "window-parallel gate"
 # counts, window-independence IPC error < 2%, and scaling >= 0.7 x
 # min(cores, windows) on multi-core hosts. Single-core runs carry a
 # note in BENCH_wpar.json.
-"$RUNQ_TMP/experiments" -wpar-gate -wpar-bench BENCH_wpar.json
+"$RUNQ_TMP/experiments" -gate wpar
 
 # End-to-end half: ucpsim itself, sampled + segmented, at two pool
 # worker counts — the whole digest file (sampled window lines, adaptive
@@ -392,7 +392,7 @@ if [ "$FAST" -eq 0 ]; then
 	# over one warm-key-sharing sampled sweep, in one process. Gated:
 	# digests byte-identical cold vs warm, one checkpoint captured + N-1
 	# restored, wall-clock speedup >= 3x.
-	"$RUNQ_TMP/experiments" -sweepreuse-gate -sweepreuse-bench BENCH_sweepreuse.json
+	"$RUNQ_TMP/experiments" -gate sweepreuse
 else
 	echo "skipped (-fast)"
 fi
@@ -409,7 +409,7 @@ if [ "$FAST" -eq 0 ]; then
 	# simulated instructions, and a repeat search must reproduce winner,
 	# rounds, spend, and winning digest. The Pareto table is regenerated
 	# in EXPERIMENTS_RESULTS.md between its markers.
-	"$RUNQ_TMP/experiments" -autopilot-gate -autopilot-bench BENCH_autopilot.json
+	"$RUNQ_TMP/experiments" -gate autopilot
 else
 	echo "skipped (-fast)"
 fi
@@ -423,7 +423,7 @@ if [ "$FAST" -eq 0 ]; then
 	# byte-identical over the wire, the server executes each distinct job
 	# exactly once, the whole second pass coalesces, and its checkpoint
 	# tier captures once + restores N-1 times.
-	"$RUNQ_TMP/experiments" -sweepd-gate -sweepd-bench BENCH_sweepd.json
+	"$RUNQ_TMP/experiments" -gate sweepd
 
 	# End-to-end half: the real sweepd binary serving a real ucpsim
 	# client. The remote digest file must be byte-identical to the local

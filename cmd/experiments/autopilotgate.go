@@ -5,14 +5,12 @@ import (
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"strings"
 
 	"ucp/internal/autopilot"
 	"ucp/internal/harness"
 	"ucp/internal/runq"
 	"ucp/internal/sim"
-	"ucp/internal/trace"
 )
 
 // The autopilot gate has two halves, both documented in EXPERIMENTS.md.
@@ -65,9 +63,10 @@ const (
 	autopilotMinSpendRatio = 2.0
 )
 
-// autopilotResultsMarkers delimit the generated Pareto section in
-// EXPERIMENTS_RESULTS.md.
+// The gate regenerates the Pareto section of autopilotResultsPath
+// between these markers.
 const (
+	autopilotResultsPath = "EXPERIMENTS_RESULTS.md"
 	autopilotBeginMarker = "<!-- BEGIN GENERATED: autopilot-pareto -->"
 	autopilotEndMarker   = "<!-- END GENERATED: autopilot-pareto -->"
 )
@@ -80,18 +79,7 @@ const (
 // of the exhaustive spend the search avoids without changing the
 // answer.
 func autopilotGrid() ([]runq.Job, *runq.Job, error) {
-	prof, ok := trace.ProfileByName(autopilotGateTrace)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown profile %q", autopilotGateTrace)
-	}
-	sc := sim.SamplingConfig{
-		Enabled:       true,
-		PeriodInsts:   250_000,
-		DetailedInsts: 5_000,
-		WarmInsts:     5_000,
-		FFWarmInsts:   25_000,
-	}
-	cfgs := []sim.Config{
+	jobs, err := sampledSweep(autopilotGateTrace, autopilotGateWarmup, autopilotGateMeasure, []sim.Config{
 		harness.NoUop(),
 		harness.BaselineCfg(),
 		harness.IdealUop(),
@@ -102,108 +90,111 @@ func autopilotGrid() ([]runq.Job, *runq.Job, error) {
 		harness.UCPThreshold(2000, false),
 		harness.UCPNoInd(),
 		harness.UCPTageConf(),
-	}
-	jobs := make([]runq.Job, len(cfgs))
-	for i, cfg := range cfgs {
-		cfg.Sampling = sc
-		jobs[i] = runq.Job{Config: cfg, Profile: prof,
-			Warmup: autopilotGateWarmup, Measure: autopilotGateMeasure}
-	}
-	baseCfg := harness.BaselineCfg()
-	baseCfg.Sampling = sc
-	baseline := &runq.Job{Config: baseCfg, Profile: prof,
-		Warmup: autopilotGateWarmup, Measure: autopilotGateMeasure}
-	return jobs, baseline, nil
-}
-
-// adaptiveGateResult carries Part A's measurements into the bench record.
-type adaptiveGateResult struct {
-	fullIPC         float64
-	ipcMean, ipcCI  float64
-	relHalf         float64
-	fixedWindows    int
-	adaptiveWindows int
-	windowBudget    int
-	targetMet       bool
-}
-
-// runAdaptiveSoundness executes Part A and appends violations.
-func runAdaptiveSoundness(w io.Writer, violations *[]string) (adaptiveGateResult, error) {
-	var out adaptiveGateResult
-	prof, ok := trace.ProfileByName(adaptiveGateTrace)
-	if !ok {
-		return out, fmt.Errorf("unknown profile %q", adaptiveGateTrace)
-	}
-	prog, err := trace.BuildProgram(prof)
+	})
 	if err != nil {
-		return out, fmt.Errorf("building %s: %v", adaptiveGateTrace, err)
+		return nil, nil, err
 	}
-	newSrc := func() trace.Source {
-		return trace.NewLimit(trace.NewWalker(prog), adaptiveGateWarmup+adaptiveGateMeasure+200_000)
+	baseline := jobs[1] // the Δ reference: grid point 1, harness.BaselineCfg()
+	return jobs, &baseline, nil
+}
+
+// autopilotPasses holds both halves' outcomes.
+type autopilotPasses struct {
+	cores int
+	// Part A: the full-detail reference, the fixed-geometry sampled run,
+	// and the adaptive run twice.
+	full, fixed, adaptive, again sim.Result
+	// Part B: the search, the exhaustive reference, and the repeat
+	// search, each on a fresh pool.
+	search, exhaustive, searchAgain *autopilot.Report
+}
+
+// adaptiveRecord is Part A of the BENCH record.
+type adaptiveRecord struct {
+	Trace           string  `json:"trace"`
+	TargetCI        float64 `json:"target_ci"`
+	FullIPC         float64 `json:"full_ipc"`
+	AdaptiveIPCMean float64 `json:"adaptive_ipc_mean"`
+	AdaptiveIPCCI95 float64 `json:"adaptive_ipc_ci95"`
+	AchievedRelHalf float64 `json:"achieved_rel_half"`
+	FixedWindows    int     `json:"fixed_windows"`
+	AdaptiveWindows int     `json:"adaptive_windows"`
+	WindowBudget    int     `json:"window_budget"`
+	TargetMet       bool    `json:"target_met"`
+}
+
+// searchRecord is Part B of the BENCH record.
+type searchRecord struct {
+	Trace                string  `json:"trace"`
+	Configs              int     `json:"configs"`
+	CoarseTargetCI       float64 `json:"coarse_target_ci"`
+	FinalTargetCI        float64 `json:"final_target_ci"`
+	Winner               string  `json:"winner"`
+	Rounds               int     `json:"rounds"`
+	Pruned               int     `json:"pruned"`
+	SearchSpentInsts     uint64  `json:"search_spent_insts"`
+	ExhaustiveSpentInsts uint64  `json:"exhaustive_spent_insts"`
+	SpendRatio           float64 `json:"spend_ratio"`
+	MinSpendRatioBound   float64 `json:"min_spend_ratio_bound"`
+}
+
+// autopilotBench is the gate's BENCH record.
+type autopilotBench struct {
+	benchEnvelope
+	Adaptive  adaptiveRecord `json:"adaptive"`
+	Autopilot searchRecord   `json:"autopilot"`
+}
+
+// runAutopilotPasses executes both halves.
+func runAutopilotPasses(w io.Writer, cores int) (autopilotPasses, error) {
+	p := autopilotPasses{cores: cores}
+	fmt.Fprintf(w, "autopilot gate: adaptive soundness (%s, %d+%d insts, FastSampling + ±%.0f%% target)\n",
+		adaptiveGateTrace, adaptiveGateWarmup, adaptiveGateMeasure, adaptiveGateTarget*100)
+	run, err := simRunner(adaptiveGateTrace, adaptiveGateWarmup+adaptiveGateMeasure+200_000)
+	if err != nil {
+		return p, err
 	}
 	cfg := harness.BaselineCfg()
 	cfg.WarmupInsts, cfg.MeasureInsts = adaptiveGateWarmup, adaptiveGateMeasure
-
-	full, err := sim.Run(cfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("full-detail reference: %v", err)
-	}
-
 	fixedCfg := cfg
 	fixedCfg.Sampling = sim.FastSampling()
-	fixed, err := sim.Run(fixedCfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("fixed-geometry run: %v", err)
-	}
-
 	adCfg := fixedCfg
 	adCfg.Sampling.TargetCI = adaptiveGateTarget
-	adaptive, err := sim.Run(adCfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("adaptive run: %v", err)
+	if p.full, err = run(cfg); err != nil {
+		return p, fmt.Errorf("full-detail reference: %v", err)
 	}
-	again, err := sim.Run(adCfg, newSrc(), prog, adaptiveGateTrace)
-	if err != nil {
-		return out, fmt.Errorf("adaptive repeat: %v", err)
+	if p.fixed, err = run(fixedCfg); err != nil {
+		return p, fmt.Errorf("fixed-geometry run: %v", err)
 	}
-	if adaptive.DeterminismDigest() != again.DeterminismDigest() {
-		*violations = append(*violations, "adaptive: two passes digest differently")
+	if p.adaptive, err = run(adCfg); err != nil {
+		return p, fmt.Errorf("adaptive run: %v", err)
+	}
+	if p.again, err = run(adCfg); err != nil {
+		return p, fmt.Errorf("adaptive repeat: %v", err)
 	}
 
-	s := adaptive.Sampled
-	out = adaptiveGateResult{
-		fullIPC: full.IPC, ipcMean: s.IPCMean, ipcCI: s.IPCCI95,
-		fixedWindows: fixed.Sampled.Windows, adaptiveWindows: s.Windows,
-		windowBudget: s.WindowBudget, targetMet: s.TargetMet,
+	grid, baseline, err := autopilotGrid()
+	if err != nil {
+		return p, err
 	}
-	if s.IPCMean > 0 {
-		out.relHalf = s.IPCCI95 / s.IPCMean
+	fmt.Fprintf(w, "autopilot gate: confidence-pruned search (%s, %d configs, ±%.0f%%→±%.0f%% targets)\n",
+		autopilotGateTrace, len(grid), autopilotGateCoarse*100, autopilotGateFinal*100)
+	// Each strategy runs on a fresh serial arena+checkpoint pool, so no
+	// pass reuses another's memo (spend is read from results, but
+	// executed-once semantics keep the determinism comparison honest).
+	opts := func() autopilot.Options {
+		return autopilotOpts(runq.New(runq.Options{Workers: 1, UseArena: true, Checkpoints: true}), grid, baseline)
 	}
-	if !s.TargetMet {
-		*violations = append(*violations, fmt.Sprintf(
-			"adaptive: target ±%.1f%% unmet within the %d-window budget", adaptiveGateTarget*100, s.WindowBudget))
+	if p.search, err = autopilot.Search(opts()); err != nil {
+		return p, fmt.Errorf("search: %v", err)
 	}
-	if s.Windows >= fixed.Sampled.Windows {
-		*violations = append(*violations, fmt.Sprintf(
-			"adaptive: %d windows, no fewer than the fixed geometry's %d", s.Windows, fixed.Sampled.Windows))
+	if p.exhaustive, err = autopilot.Exhaustive(opts()); err != nil {
+		return p, fmt.Errorf("exhaustive: %v", err)
 	}
-	if bias := math.Abs(s.IPCMean - full.IPC); bias > s.IPCCI95 {
-		*violations = append(*violations, fmt.Sprintf(
-			"adaptive: full-detail IPC %.4f outside the claimed interval %.4f ± %.4f",
-			full.IPC, s.IPCMean, s.IPCCI95))
+	if p.searchAgain, err = autopilot.Search(opts()); err != nil {
+		return p, fmt.Errorf("search repeat: %v", err)
 	}
-	fmt.Fprintf(w, "  adaptive: %s full IPC %.4f; fixed %d windows; adaptive %d/%d windows, IPC %.4f ±%.4f (±%.2f%%, target ±%.0f%%, met=%v)\n",
-		adaptiveGateTrace, full.IPC, fixed.Sampled.Windows, s.Windows, s.WindowBudget,
-		s.IPCMean, s.IPCCI95, out.relHalf*100, adaptiveGateTarget*100, s.TargetMet)
-	return out, nil
-}
-
-// newAutopilotPool builds a fresh serial arena+checkpoint pool — fresh
-// so neither search pass nor the exhaustive reference reuses another
-// pass's memo (spend is read from results, but executed-once semantics
-// keep the determinism comparison honest).
-func newAutopilotPool() *runq.Pool {
-	return runq.New(runq.Options{Workers: 1, UseArena: true, Checkpoints: true})
+	return p, nil
 }
 
 func autopilotOpts(exec runq.Runner, grid []runq.Job, baseline *runq.Job) autopilot.Options {
@@ -256,92 +247,114 @@ func runAutopilotSweep(w io.Writer, hopts harness.Options, finalTarget float64) 
 	return nil
 }
 
-// runAutopilotGate executes both halves, writes benchPath, regenerates
-// the EXPERIMENTS_RESULTS.md Pareto section, and returns an error when
-// any bound is violated.
-func runAutopilotGate(w io.Writer, benchPath, resultsPath string) error {
+// checkAutopilot applies every bound, returning the violations and the record.
+func checkAutopilot(p autopilotPasses) ([]string, autopilotBench) {
 	var violations []string
-
-	fmt.Fprintf(w, "autopilot gate: adaptive soundness (%s, %d+%d insts, FastSampling + ±%.0f%% target)\n",
-		adaptiveGateTrace, adaptiveGateWarmup, adaptiveGateMeasure, adaptiveGateTarget*100)
-	ad, err := runAdaptiveSoundness(w, &violations)
-	if err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
+	s, fixed := p.adaptive.Sampled, p.fixed.Sampled
+	if p.adaptive.DeterminismDigest() != p.again.DeterminismDigest() {
+		violations = append(violations, "adaptive: two passes digest differently")
 	}
-
-	grid, baseline, err := autopilotGrid()
-	if err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
-	}
-	fmt.Fprintf(w, "autopilot gate: confidence-pruned search (%s, %d configs, ±%.0f%%→±%.0f%% targets)\n",
-		autopilotGateTrace, len(grid), autopilotGateCoarse*100, autopilotGateFinal*100)
-
-	search, err := autopilot.Search(autopilotOpts(newAutopilotPool(), grid, baseline))
-	if err != nil {
-		return fmt.Errorf("autopilot gate: search: %v", err)
-	}
-	exhaustive, err := autopilot.Exhaustive(autopilotOpts(newAutopilotPool(), grid, baseline))
-	if err != nil {
-		return fmt.Errorf("autopilot gate: exhaustive: %v", err)
-	}
-	searchAgain, err := autopilot.Search(autopilotOpts(newAutopilotPool(), grid, baseline))
-	if err != nil {
-		return fmt.Errorf("autopilot gate: search repeat: %v", err)
-	}
-
-	winner := search.Candidates[search.WinnerIndex].Job.Config.Name
-	exWinner := exhaustive.Candidates[exhaustive.WinnerIndex].Job.Config.Name
-	if search.WinnerIndex != exhaustive.WinnerIndex {
+	if !s.TargetMet {
 		violations = append(violations, fmt.Sprintf(
-			"search winner %s differs from exhaustive winner %s", winner, exWinner))
+			"adaptive: target ±%.1f%% unmet within the %d-window budget", adaptiveGateTarget*100, s.WindowBudget))
 	}
-	ratio := 0.0
+	if s.Windows >= fixed.Windows {
+		violations = append(violations, fmt.Sprintf(
+			"adaptive: %d windows, no fewer than the fixed geometry's %d", s.Windows, fixed.Windows))
+	}
+	if bias := math.Abs(s.IPCMean - p.full.IPC); bias > s.IPCCI95 {
+		violations = append(violations, fmt.Sprintf(
+			"adaptive: full-detail IPC %.4f outside the claimed interval %.4f ± %.4f",
+			p.full.IPC, s.IPCMean, s.IPCCI95))
+	}
+	relHalf := 0.0
+	if s.IPCMean > 0 {
+		relHalf = s.IPCCI95 / s.IPCMean
+	}
+
+	search, exhaustive, again := p.search, p.exhaustive, p.searchAgain
+	winner := search.Candidates[search.WinnerIndex].Job.Config.Name
+	if search.WinnerIndex != exhaustive.WinnerIndex {
+		violations = append(violations, fmt.Sprintf("search winner %s differs from exhaustive winner %s",
+			winner, exhaustive.Candidates[exhaustive.WinnerIndex].Job.Config.Name))
+	}
+	spend := 0.0
 	if search.TotalSpentInsts > 0 {
-		ratio = float64(exhaustive.TotalSpentInsts) / float64(search.TotalSpentInsts)
+		spend = float64(exhaustive.TotalSpentInsts) / float64(search.TotalSpentInsts)
 	}
-	if ratio < autopilotMinSpendRatio {
+	if spend < autopilotMinSpendRatio {
 		violations = append(violations, fmt.Sprintf(
 			"spend ratio %.2fx below the %.1fx bound (search %d vs exhaustive %d insts)",
-			ratio, autopilotMinSpendRatio, search.TotalSpentInsts, exhaustive.TotalSpentInsts))
+			spend, autopilotMinSpendRatio, search.TotalSpentInsts, exhaustive.TotalSpentInsts))
 	}
 	switch {
-	case searchAgain.WinnerIndex != search.WinnerIndex:
+	case again.WinnerIndex != search.WinnerIndex:
 		violations = append(violations, "second search names a different winner")
-	case searchAgain.Rounds != search.Rounds || searchAgain.TotalSpentInsts != search.TotalSpentInsts:
+	case again.Rounds != search.Rounds || again.TotalSpentInsts != search.TotalSpentInsts:
 		violations = append(violations, fmt.Sprintf(
 			"second search spent differently (%d rounds / %d insts vs %d / %d)",
-			searchAgain.Rounds, searchAgain.TotalSpentInsts, search.Rounds, search.TotalSpentInsts))
-	case searchAgain.Candidates[searchAgain.WinnerIndex].Result.DeterminismDigest() !=
+			again.Rounds, again.TotalSpentInsts, search.Rounds, search.TotalSpentInsts))
+	case again.Candidates[again.WinnerIndex].Result.DeterminismDigest() !=
 		search.Candidates[search.WinnerIndex].Result.DeterminismDigest():
 		violations = append(violations, "second search's winning digest diverges")
 	}
 	pruned := 0
-	for i := range search.Candidates {
-		if search.Candidates[i].PrunedRound > 0 {
+	for _, c := range search.Candidates {
+		if c.PrunedRound > 0 {
 			pruned++
 		}
 	}
+	return violations, autopilotBench{
+		benchEnvelope: newEnvelope(fmt.Sprintf(
+			"autopilot gate (adaptive sampling on %s; pruned vs exhaustive %d-config search on %s)",
+			adaptiveGateTrace, len(search.Candidates), autopilotGateTrace), p.cores),
+		Adaptive: adaptiveRecord{
+			Trace:           adaptiveGateTrace,
+			TargetCI:        adaptiveGateTarget,
+			FullIPC:         roundTo(p.full.IPC, 4),
+			AdaptiveIPCMean: roundTo(s.IPCMean, 4),
+			AdaptiveIPCCI95: roundTo(s.IPCCI95, 4),
+			AchievedRelHalf: roundTo(relHalf, 4),
+			FixedWindows:    fixed.Windows,
+			AdaptiveWindows: s.Windows,
+			WindowBudget:    s.WindowBudget,
+			TargetMet:       s.TargetMet,
+		},
+		Autopilot: searchRecord{
+			Trace:                autopilotGateTrace,
+			Configs:              len(search.Candidates),
+			CoarseTargetCI:       autopilotGateCoarse,
+			FinalTargetCI:        autopilotGateFinal,
+			Winner:               winner,
+			Rounds:               search.Rounds,
+			Pruned:               pruned,
+			SearchSpentInsts:     search.TotalSpentInsts,
+			ExhaustiveSpentInsts: exhaustive.TotalSpentInsts,
+			SpendRatio:           roundTo(spend, 2),
+			MinSpendRatioBound:   autopilotMinSpendRatio,
+		},
+	}
+}
+
+// reportAutopilot prints the summary and regenerates the Pareto section of
+// EXPERIMENTS_RESULTS.md.
+func reportAutopilot(w io.Writer, p autopilotPasses, b autopilotBench) error {
+	ad, ap := b.Adaptive, b.Autopilot
+	fmt.Fprintf(w, "  adaptive: %s full IPC %.4f; fixed %d windows; adaptive %d/%d windows, IPC %.4f ±%.4f (±%.2f%%, target ±%.0f%%, met=%v)\n",
+		adaptiveGateTrace, ad.FullIPC, ad.FixedWindows, ad.AdaptiveWindows, ad.WindowBudget,
+		ad.AdaptiveIPCMean, ad.AdaptiveIPCCI95, ad.AchievedRelHalf*100, adaptiveGateTarget*100, ad.TargetMet)
 	fmt.Fprintf(w, "  search: winner %s after %d rounds, %d/%d pruned, %.1f Minsts spent\n",
-		winner, search.Rounds, pruned, len(search.Candidates), float64(search.TotalSpentInsts)/1e6)
+		ap.Winner, ap.Rounds, ap.Pruned, ap.Configs, float64(ap.SearchSpentInsts)/1e6)
 	fmt.Fprintf(w, "  exhaustive: winner %s, %.1f Minsts spent — search spends %.2fx less (bound: ≥%.1fx)\n",
-		exWinner, float64(exhaustive.TotalSpentInsts)/1e6, ratio, autopilotMinSpendRatio)
+		p.exhaustive.Candidates[p.exhaustive.WinnerIndex].Job.Config.Name,
+		float64(ap.ExhaustiveSpentInsts)/1e6, ap.SpendRatio, autopilotMinSpendRatio)
 
 	var table strings.Builder
-	search.WriteMarkdown(&table)
-	if err := spliceAutopilotResults(resultsPath, table.String()); err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
-	}
-	fmt.Fprintf(w, "  Pareto table regenerated in %s\n", resultsPath)
-
-	if err := writeAutopilotBench(benchPath, ad, winner, search, exhaustive, ratio, pruned); err != nil {
+	p.search.WriteMarkdown(&table)
+	if err := spliceAutopilotResults(autopilotResultsPath, table.String()); err != nil {
 		return err
 	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "autopilot gate: %s\n", v)
-		}
-		return fmt.Errorf("autopilot gate: %d bound violation(s)", len(violations))
-	}
+	fmt.Fprintf(w, "  Pareto table regenerated in %s\n", autopilotResultsPath)
 	return nil
 }
 
@@ -373,47 +386,4 @@ func spliceAutopilotResults(path, table string) error {
 		text += "\n## Autopilot — confidence-pruned ablation search\n\n" + section + "\n"
 	}
 	return os.WriteFile(path, []byte(text), 0o644)
-}
-
-// writeAutopilotBench records both halves' measurements in the shared
-// BENCH_*.json schema (schema_version / bench / cores + payload).
-func writeAutopilotBench(path string, ad adaptiveGateResult, winner string,
-	search, exhaustive *autopilot.Report, ratio float64, pruned int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("autopilot gate: %v", err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"schema_version\": 1,\n")
-	fmt.Fprintf(f, "  \"bench\": \"autopilot gate (adaptive sampling on %s; pruned vs exhaustive %d-config search on %s)\",\n",
-		adaptiveGateTrace, len(search.Candidates), autopilotGateTrace)
-	fmt.Fprintf(f, "  \"cores\": %d,\n", runtime.NumCPU())
-	fmt.Fprintf(f, "  \"adaptive\": {\n")
-	fmt.Fprintf(f, "    \"trace\": %q,\n", adaptiveGateTrace)
-	fmt.Fprintf(f, "    \"target_ci\": %.3f,\n", adaptiveGateTarget)
-	fmt.Fprintf(f, "    \"full_ipc\": %.4f,\n", ad.fullIPC)
-	fmt.Fprintf(f, "    \"adaptive_ipc_mean\": %.4f,\n", ad.ipcMean)
-	fmt.Fprintf(f, "    \"adaptive_ipc_ci95\": %.4f,\n", ad.ipcCI)
-	fmt.Fprintf(f, "    \"achieved_rel_half\": %.4f,\n", ad.relHalf)
-	fmt.Fprintf(f, "    \"fixed_windows\": %d,\n", ad.fixedWindows)
-	fmt.Fprintf(f, "    \"adaptive_windows\": %d,\n", ad.adaptiveWindows)
-	fmt.Fprintf(f, "    \"window_budget\": %d,\n", ad.windowBudget)
-	fmt.Fprintf(f, "    \"target_met\": %v\n", ad.targetMet)
-	fmt.Fprintf(f, "  },\n")
-	fmt.Fprintf(f, "  \"autopilot\": {\n")
-	fmt.Fprintf(f, "    \"trace\": %q,\n", autopilotGateTrace)
-	fmt.Fprintf(f, "    \"configs\": %d,\n", len(search.Candidates))
-	fmt.Fprintf(f, "    \"coarse_target_ci\": %.3f,\n", autopilotGateCoarse)
-	fmt.Fprintf(f, "    \"final_target_ci\": %.3f,\n", autopilotGateFinal)
-	fmt.Fprintf(f, "    \"winner\": %q,\n", winner)
-	fmt.Fprintf(f, "    \"rounds\": %d,\n", search.Rounds)
-	fmt.Fprintf(f, "    \"pruned\": %d,\n", pruned)
-	fmt.Fprintf(f, "    \"search_spent_insts\": %d,\n", search.TotalSpentInsts)
-	fmt.Fprintf(f, "    \"exhaustive_spent_insts\": %d,\n", exhaustive.TotalSpentInsts)
-	fmt.Fprintf(f, "    \"spend_ratio\": %.2f,\n", ratio)
-	fmt.Fprintf(f, "    \"min_spend_ratio_bound\": %.1f\n", autopilotMinSpendRatio)
-	fmt.Fprintf(f, "  }\n")
-	fmt.Fprintf(f, "}\n")
-	return nil
 }

@@ -24,7 +24,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"time"
 
 	"ucp/internal/buildinfo"
 	"ucp/internal/harness"
@@ -52,20 +51,8 @@ func main() {
 		adaptive = flag.Float64("adaptive", 0, "with -sample: adaptive stop — end each run once the relative 95% CI half-width of its window IPC mean drops below this")
 		pilot    = flag.Bool("autopilot", false, "run the confidence-pruned ablation search (see EXPERIMENTS.md) and print its Pareto table")
 		segments = flag.Int("segments", 0, "run every sweep time-parallel: split each run's measured region into this many boundary-warmed segments; with -sample, any value > 1 runs the sampled windows in parallel instead (0/1: serial)")
-		tpGate   = flag.Bool("tpar-gate", false, "run the serial-vs-time-parallel gate, write -tpar-bench, and exit")
-		tpOut    = flag.String("tpar-bench", "BENCH_tpar.json", "where -tpar-gate records its measurements")
-		wpGate   = flag.Bool("wpar-gate", false, "run the serial-vs-window-parallel sampled gate, write -wpar-bench, and exit")
-		wpOut    = flag.String("wpar-bench", "BENCH_wpar.json", "where -wpar-gate records its measurements")
-		gate     = flag.Bool("sample-gate", false, "run the paired full-vs-sampled gate sweep, write -sample-bench, and exit")
-		gateOut  = flag.String("sample-bench", "BENCH_sampling.json", "where -sample-gate records its measurements")
-		srGate   = flag.Bool("sweepreuse-gate", false, "run the cold-vs-warm sweep-reuse gate, write -sweepreuse-bench, and exit")
-		srOut    = flag.String("sweepreuse-bench", "BENCH_sweepreuse.json", "where -sweepreuse-gate records its measurements")
-		apGate   = flag.Bool("autopilot-gate", false, "run the adaptive-soundness + pruned-vs-exhaustive gate, write -autopilot-bench, and exit")
-		apOut    = flag.String("autopilot-bench", "BENCH_autopilot.json", "where -autopilot-gate records its measurements")
-		apTable  = flag.String("autopilot-results", "EXPERIMENTS_RESULTS.md", "where -autopilot-gate splices the generated Pareto section")
 		server   = flag.String("server", "", "run sweeps against a sweepd server at this URL instead of in-process (reports are byte-identical)")
-		sdGate   = flag.Bool("sweepd-gate", false, "run the local-vs-remote sweepd gate, write -sweepd-bench, and exit")
-		sdOut    = flag.String("sweepd-bench", "BENCH_sweepd.json", "where -sweepd-gate records its measurements")
+		gateID   = flag.String("gate", "", "run one check.sh gate by id ("+gateIDs()+"), write BENCH_<id>.json, and exit")
 		version  = flag.Bool("version", false, "print model/schema/protocol versions and exit")
 	)
 	flag.Parse()
@@ -75,49 +62,11 @@ func main() {
 		return
 	}
 	if *numCPU {
-		// GOMAXPROCS, not NumCPU: a container CPU quota caps what the
-		// worker pool actually schedules on, and the benchmark records
-		// should describe that machine, not the host's package count.
-		fmt.Println(runtime.GOMAXPROCS(0))
+		fmt.Println(hostCores())
 		return
 	}
-	if *sdGate {
-		if err := runSweepdGate(os.Stdout, *sdOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *apGate {
-		if err := runAutopilotGate(os.Stdout, *apOut, *apTable); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *gate {
-		if err := runSampleGate(os.Stdout, *gateOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *srGate {
-		if err := runSweepReuseGate(os.Stdout, *srOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tpGate {
-		if err := tparGate().run(os.Stdout, *tpOut); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *wpGate {
-		if err := wparGate().run(os.Stdout, *wpOut); err != nil {
+	if *gateID != "" {
+		if err := runGate(os.Stdout, *gateID); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
@@ -169,10 +118,7 @@ func main() {
 	if *progress {
 		// Progress goes to stderr, never the report writer, so timing
 		// noise can't leak into the deterministic output.
-		start := time.Now() //ucplint:ignore wallclock
-		opts.Clock = func() time.Duration {
-			return time.Since(start) //ucplint:ignore wallclock
-		}
+		opts.Clock = wallClock()
 		opts.Progress = os.Stderr
 	}
 	if *quick {

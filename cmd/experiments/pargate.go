@@ -1,12 +1,10 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"ucp/internal/harness"
@@ -49,7 +47,7 @@ const (
 
 // parGate is one gate's geometry and labels.
 type parGate struct {
-	name     string // message prefix: "tpar gate", "wpar gate"
+	name     string // console header: "tpar gate", "wpar gate"
 	bench    string // the BENCH record's description
 	cfg      sim.Config
 	warmup   uint64
@@ -128,12 +126,9 @@ type parPasses struct {
 	adaptDur                             time.Duration
 }
 
-// parBench is the gate's BENCH record: the shared schema_version /
-// bench / cores envelope plus the measurements.
+// parBench is the gate's BENCH record.
 type parBench struct {
-	SchemaVersion       int     `json:"schema_version"`
-	Bench               string  `json:"bench"`
-	Cores               int     `json:"cores"`
+	benchEnvelope
 	Units               int     `json:"units"`
 	WarmupInsts         uint64  `json:"warmup_insts"`
 	MeasureInsts        uint64  `json:"measure_insts"`
@@ -151,21 +146,6 @@ type parBench struct {
 	AdaptiveStopWindows int     `json:"adaptive_stop_windows,omitempty"`
 	CheckpointsCaptured int     `json:"checkpoints_captured"`
 	CheckpointsRestored int     `json:"checkpoints_restored"`
-}
-
-// ratio returns a/b, or 0 when b is zero.
-func ratio(a, b time.Duration) float64 {
-	if b <= 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// roundTo rounds x to the given number of decimal places, so the BENCH
-// record carries the same precision the console report prints.
-func roundTo(x float64, places int) float64 {
-	p := math.Pow(10, float64(places))
-	return math.Round(x*p) / p
 }
 
 // check applies every bound to the passes and returns the violations
@@ -220,10 +200,7 @@ func (g parGate) check(p parPasses) ([]string, parBench) {
 		}
 	}
 
-	ipcErr := 1.0 // a reference without IPC cannot vouch for anything
-	if p.ref.IPC > 0 {
-		ipcErr = math.Abs(p.wN.IPC-p.ref.IPC) / p.ref.IPC
-	}
+	ipcErr := relIPCErr(p.ref.IPC, p.wN.IPC)
 	if ipcErr >= parGateMaxIPCErr {
 		violations = append(violations, fmt.Sprintf("%s IPC error %.2f%% at or above the %.0f%% bound",
 			g.errName, ipcErr*100, parGateMaxIPCErr*100))
@@ -232,9 +209,7 @@ func (g parGate) check(p parPasses) ([]string, parBench) {
 	scaling := ratio(p.w1Dur, p.wNDur)
 	scaleBound := parGateScaleFrac * math.Min(float64(p.cores), float64(g.units))
 	b := parBench{
-		SchemaVersion:       1,
-		Bench:               g.bench,
-		Cores:               p.cores,
+		benchEnvelope:       newEnvelope(g.bench, p.cores),
 		Units:               g.units,
 		WarmupInsts:         g.warmup,
 		MeasureInsts:        g.measure,
@@ -263,14 +238,14 @@ func (g parGate) check(p parPasses) ([]string, parBench) {
 	return violations, b
 }
 
-// run executes the gate's passes, writes benchPath, and returns an
-// error when any bound is violated.
-func (g parGate) run(w io.Writer, benchPath string) error {
+// runPasses executes the gate's passes, the parallel ones on cores
+// workers.
+func (g parGate) runPasses(w io.Writer, cores int) (parPasses, error) {
+	p := parPasses{cores: cores}
 	prof, ok := trace.ProfileByName(parGateTrace)
 	if !ok {
-		return fmt.Errorf("%s: unknown profile %q", g.name, parGateTrace)
+		return p, fmt.Errorf("unknown profile %q", parGateTrace)
 	}
-	p := parPasses{cores: runtime.GOMAXPROCS(0)}
 	refJob := runq.Job{Config: g.cfg, Profile: prof, Warmup: g.warmup, Measure: g.measure}
 	parJob := refJob
 	parJob.Segments = g.segments
@@ -282,7 +257,7 @@ func (g parGate) run(w io.Writer, benchPath string) error {
 	// them — and both must be byte-identical to the cold runs.
 	ckptDir, err := os.MkdirTemp("", "ucp-pargate-")
 	if err != nil {
-		return fmt.Errorf("%s: %v", g.name, err)
+		return p, err
 	}
 	defer os.RemoveAll(ckptDir)
 	// pass runs one job on a fresh pool, recording its result and
@@ -293,11 +268,10 @@ func (g parGate) run(w io.Writer, benchPath string) error {
 			return nil
 		}
 		pool := runq.New(opts)
-		t0 := time.Now() //ucplint:ignore wallclock
-		jr := pool.RunAll([]runq.Job{job})[0]
-		*dur = time.Since(t0) //ucplint:ignore wallclock
+		var jr runq.JobResult
+		*dur = timed(func() { jr = pool.RunAll([]runq.Job{job})[0] })
 		if jr.Err != nil {
-			runErr = fmt.Errorf("%s: %s pass: %v", g.name, label, jr.Err)
+			runErr = fmt.Errorf("%s pass: %v", label, jr.Err)
 		}
 		*res = jr.Result
 		return pool
@@ -317,12 +291,18 @@ func (g parGate) run(w io.Writer, benchPath string) error {
 		pass("adaptive "+wN, runq.Options{Workers: p.cores}, adaptJob, &p.adaptN, &p.adaptDur)
 	}
 	if runErr != nil {
-		return runErr
+		return p, runErr
 	}
 	p.captured, _ = capPool.CheckpointStats()
 	_, p.restored = resPool.CheckpointStats()
+	return p, nil
+}
 
-	violations, b := g.check(p)
+// gate assembles the gate's runner.
+func (g parGate) gate() gate { return gateOf(g.runPasses, g.check, g.report) }
+
+// report prints the summary.
+func (g parGate) report(w io.Writer, p parPasses, b parBench) error {
 	fmt.Fprintf(w, "  %s %dms  parallel w1 %dms  w%d %dms  capture %dms  restore %dms\n",
 		g.refName, b.ReferenceMs, b.ParallelW1Ms, p.cores, b.ParallelWNMs, b.CaptureMs, b.RestoreMs)
 	fmt.Fprintf(w, "  %s IPC %.4f  parallel IPC %.4f — %s error %.3f%% (bound: <%.0f%%)\n",
@@ -337,26 +317,6 @@ func (g parGate) run(w io.Writer, benchPath string) error {
 		fmt.Fprintf(w, "  adaptive: stopped at %d/%d windows at both worker counts (w%d %dms)\n",
 			b.AdaptiveStopWindows, g.units, p.cores, p.adaptDur.Milliseconds())
 	}
-	fmt.Fprintf(w, "  checkpoints: %d captured, %d restored; %d bound violation(s)\n",
-		p.captured, p.restored, len(violations))
-
-	if err := writeParBench(benchPath, b); err != nil {
-		return fmt.Errorf("%s: %v", g.name, err)
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "%s: %s\n", g.name, v)
-		}
-		return fmt.Errorf("%s: %d bound violation(s)", g.name, len(violations))
-	}
+	fmt.Fprintf(w, "  checkpoints: %d captured, %d restored\n", p.captured, p.restored)
 	return nil
-}
-
-// writeParBench writes b as indented JSON.
-func writeParBench(path string, b parBench) error {
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -3,14 +3,10 @@ package main
 import (
 	"fmt"
 	"io"
-	"math"
-	"os"
-	"runtime"
 	"time"
 
 	"ucp/internal/harness"
 	"ucp/internal/sim"
-	"ucp/internal/trace"
 )
 
 // The sampled-simulation gate: a paired full-vs-sampled sweep over the
@@ -34,161 +30,136 @@ const (
 	sampleGateMinSpd  = 10.0
 )
 
-type samplePoint struct {
+var sampleGatePoints = []struct {
 	label string
 	cfg   sim.Config
+}{
+	{"no-uop-cache", harness.NoUop()},
+	{"baseline", harness.BaselineCfg()},
+	{"UCP", harness.UCP()},
 }
 
-// sampleRow is one measured gate point.
+// samplePasses holds every point's runs and the core count they ran on.
+type samplePasses struct {
+	cores  int
+	points []samplePass
+}
+
+// samplePass is one point's runs: full detail, sampled, and the
+// sampled repeat that must digest identically.
+type samplePass struct {
+	label                string
+	full, sampled, again sim.Result
+	fullDur, sampledDur  time.Duration
+}
+
+// sampleRow is one point of the BENCH record.
 type sampleRow struct {
-	label               string
-	fullIPC, sampledIPC float64
-	relErr              float64
-	fullMS, sampledMS   int64
-	windows             int
-	ipcCI95             float64
-	skipped, ff, detail uint64
+	Config          string  `json:"config"`
+	FullIPC         float64 `json:"full_ipc"`
+	SampledIPC      float64 `json:"sampled_ipc"`
+	IPCErr          float64 `json:"ipc_err"`
+	IPCCI95         float64 `json:"ipc_ci95"`
+	Windows         int     `json:"windows"`
+	FullMs          int64   `json:"full_ms"`
+	SampledMs       int64   `json:"sampled_ms"`
+	SkippedInsts    uint64  `json:"skipped_insts"`
+	FunctionalInsts uint64  `json:"functional_insts"`
+	DetailedInsts   uint64  `json:"detailed_insts"`
 }
 
-func sampleGatePoints() []samplePoint {
-	return []samplePoint{
-		{"no-uop-cache", harness.NoUop()},
-		{"baseline", harness.BaselineCfg()},
-		{"UCP", harness.UCP()},
-	}
+// sampleBench is the gate's BENCH record.
+type sampleBench struct {
+	benchEnvelope
+	MaxIPCErrBound  float64     `json:"max_ipc_err_bound"`
+	MinSpeedupBound float64     `json:"min_speedup_bound"`
+	Points          []sampleRow `json:"points"`
+	MaxIPCErr       float64     `json:"max_ipc_err"`
+	FullTotalMs     int64       `json:"full_total_ms"`
+	SampledTotalMs  int64       `json:"sampled_total_ms"`
+	Speedup         float64     `json:"speedup"`
 }
 
-// runSampleGate executes the paired sweep, writes benchPath, and
-// returns an error when any bound is violated.
-func runSampleGate(w io.Writer, benchPath string) error {
-	prof, ok := trace.ProfileByName(sampleGateTrace)
-	if !ok {
-		return fmt.Errorf("sample gate: unknown profile %q", sampleGateTrace)
-	}
-	prog, err := trace.BuildProgram(prof)
+// runSamplePasses executes every point's runs.
+func runSamplePasses(w io.Writer, cores int) (samplePasses, error) {
+	passes := samplePasses{cores: cores}
+	run, err := simRunner(sampleGateTrace, sampleGateWarmup+sampleGateMeasure+200_000)
 	if err != nil {
-		return fmt.Errorf("sample gate: building %s: %v", sampleGateTrace, err)
+		return passes, err
 	}
-	newSrc := func() trace.Source {
-		return trace.NewLimit(trace.NewWalker(prog), sampleGateWarmup+sampleGateMeasure+200_000)
-	}
-
-	var (
-		rows                   []sampleRow
-		totalFull, totalSample time.Duration
-		violations             []string
-	)
-	fmt.Fprintf(w, "sample gate: %s, %d warmup + %d measured insts, FastSampling geometry\n",
+	fmt.Fprintf(w, "sampling gate: %s, %d warmup + %d measured insts, FastSampling geometry\n",
 		sampleGateTrace, sampleGateWarmup, sampleGateMeasure)
-	for _, pt := range sampleGatePoints() {
+	for _, pt := range sampleGatePoints {
 		cfg := pt.cfg
 		cfg.WarmupInsts, cfg.MeasureInsts = sampleGateWarmup, sampleGateMeasure
-
-		t0 := time.Now() //ucplint:ignore wallclock
-		full, err := sim.Run(cfg, newSrc(), prog, sampleGateTrace)
-		if err != nil {
-			return fmt.Errorf("sample gate: full %s: %v", pt.label, err)
-		}
-		fullDur := time.Since(t0) //ucplint:ignore wallclock
-
 		scfg := cfg
 		scfg.Sampling = sim.FastSampling()
-		t1 := time.Now() //ucplint:ignore wallclock
-		sampled, err := sim.Run(scfg, newSrc(), prog, sampleGateTrace)
+		p := samplePass{label: pt.label}
+		p.fullDur = timed(func() { p.full, err = run(cfg) })
 		if err != nil {
-			return fmt.Errorf("sample gate: sampled %s: %v", pt.label, err)
+			return passes, fmt.Errorf("full %s: %v", pt.label, err)
 		}
-		sampledDur := time.Since(t1) //ucplint:ignore wallclock
-
-		// Determinism: a second sampled pass must digest identically.
-		again, err := sim.Run(scfg, newSrc(), prog, sampleGateTrace)
+		p.sampledDur = timed(func() { p.sampled, err = run(scfg) })
 		if err != nil {
-			return fmt.Errorf("sample gate: sampled repeat %s: %v", pt.label, err)
+			return passes, fmt.Errorf("sampled %s: %v", pt.label, err)
 		}
-		if a, b := sampled.DeterminismDigest(), again.DeterminismDigest(); a != b {
-			violations = append(violations,
-				fmt.Sprintf("%s: two sampled passes digest differently", pt.label))
+		if p.again, err = run(scfg); err != nil {
+			return passes, fmt.Errorf("sampled repeat %s: %v", pt.label, err)
 		}
+		passes.points = append(passes.points, p)
+	}
+	return passes, nil
+}
 
-		relErr := math.Abs(sampled.IPC-full.IPC) / full.IPC
-		totalFull += fullDur
-		totalSample += sampledDur
-		s := sampled.Sampled
-		rows = append(rows, sampleRow{
-			label: pt.label, fullIPC: full.IPC, sampledIPC: sampled.IPC,
-			relErr: relErr, fullMS: fullDur.Milliseconds(), sampledMS: sampledDur.Milliseconds(),
-			windows: s.Windows, ipcCI95: s.IPCCI95,
-			skipped: s.SkippedInsts, ff: s.FFInsts, detail: s.DetailedInsts,
-		})
-		status := "ok"
+// checkSample applies every bound, returning the violations and the record.
+func checkSample(passes samplePasses) ([]string, sampleBench) {
+	var violations []string
+	b := sampleBench{
+		benchEnvelope: newEnvelope(fmt.Sprintf("sampled-simulation gate (%s, %d+%d insts, full vs FastSampling)",
+			sampleGateTrace, sampleGateWarmup, sampleGateMeasure), passes.cores),
+		MaxIPCErrBound:  sampleGateMaxErr,
+		MinSpeedupBound: sampleGateMinSpd,
+	}
+	var totalFull, totalSampled time.Duration
+	maxErr := 0.0
+	for _, p := range passes.points {
+		if p.sampled.DeterminismDigest() != p.again.DeterminismDigest() {
+			violations = append(violations, fmt.Sprintf("%s: two sampled passes digest differently", p.label))
+		}
+		relErr := relIPCErr(p.full.IPC, p.sampled.IPC)
 		if relErr >= sampleGateMaxErr {
-			status = "FAIL"
 			violations = append(violations, fmt.Sprintf(
-				"%s: IPC error %.2f%% exceeds the %.0f%% bound", pt.label, relErr*100, sampleGateMaxErr*100))
+				"%s: IPC error %.2f%% exceeds the %.0f%% bound", p.label, relErr*100, sampleGateMaxErr*100))
 		}
-		fmt.Fprintf(w, "  %-14s full IPC %.4f (%5dms)  sampled IPC %.4f ±%.4f (%4dms, %d windows)  err %.2f%%  %s\n",
-			pt.label, full.IPC, fullDur.Milliseconds(), sampled.IPC, s.IPCCI95,
-			sampledDur.Milliseconds(), s.Windows, relErr*100, status)
+		maxErr = max(maxErr, relErr)
+		totalFull += p.fullDur
+		totalSampled += p.sampledDur
+		s := p.sampled.Sampled
+		b.Points = append(b.Points, sampleRow{
+			Config: p.label, FullIPC: roundTo(p.full.IPC, 4), SampledIPC: roundTo(p.sampled.IPC, 4),
+			IPCErr: roundTo(relErr, 4), IPCCI95: roundTo(s.IPCCI95, 4), Windows: s.Windows,
+			FullMs: p.fullDur.Milliseconds(), SampledMs: p.sampledDur.Milliseconds(),
+			SkippedInsts: s.SkippedInsts, FunctionalInsts: s.FFInsts, DetailedInsts: s.DetailedInsts,
+		})
 	}
-
-	speedup := 0.0
-	if totalSample > 0 {
-		speedup = float64(totalFull) / float64(totalSample)
-	}
+	speedup := ratio(totalFull, totalSampled)
 	if speedup < sampleGateMinSpd {
 		violations = append(violations, fmt.Sprintf(
 			"aggregate speedup %.1fx below the %.0fx bound", speedup, sampleGateMinSpd))
 	}
-	fmt.Fprintf(w, "  aggregate: full %dms, sampled %dms — %.1fx speedup (bound: ≥%.0fx, err <%.0f%%)\n",
-		totalFull.Milliseconds(), totalSample.Milliseconds(), speedup,
-		sampleGateMinSpd, sampleGateMaxErr*100)
-
-	if err := writeSampleBench(benchPath, rows, totalFull, totalSample, speedup); err != nil {
-		return err
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "sample gate: %s\n", v)
-		}
-		return fmt.Errorf("sample gate: %d bound violation(s)", len(violations))
-	}
-	return nil
+	b.MaxIPCErr = roundTo(maxErr, 4)
+	b.FullTotalMs, b.SampledTotalMs = totalFull.Milliseconds(), totalSampled.Milliseconds()
+	b.Speedup = roundTo(speedup, 2)
+	return violations, b
 }
 
-// writeSampleBench records the gate's measurements in the shared
-// BENCH_*.json schema (schema_version / bench / cores + payload).
-func writeSampleBench(path string, rows []sampleRow, totalFull, totalSample time.Duration, speedup float64) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sample gate: %v", err)
+// reportSample prints the summary.
+func reportSample(w io.Writer, _ samplePasses, b sampleBench) error {
+	for _, r := range b.Points {
+		fmt.Fprintf(w, "  %-14s full IPC %.4f (%5dms)  sampled IPC %.4f ±%.4f (%4dms, %d windows)  err %.2f%%\n",
+			r.Config, r.FullIPC, r.FullMs, r.SampledIPC, r.IPCCI95, r.SampledMs, r.Windows, r.IPCErr*100)
 	}
-	defer f.Close()
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"schema_version\": 1,\n")
-	fmt.Fprintf(f, "  \"bench\": \"sampled-simulation gate (%s, %d+%d insts, full vs FastSampling)\",\n",
-		sampleGateTrace, sampleGateWarmup, sampleGateMeasure)
-	fmt.Fprintf(f, "  \"cores\": %d,\n", runtime.NumCPU())
-	fmt.Fprintf(f, "  \"max_ipc_err_bound\": %.2f,\n", sampleGateMaxErr)
-	fmt.Fprintf(f, "  \"min_speedup_bound\": %.1f,\n", sampleGateMinSpd)
-	maxErr := 0.0
-	fmt.Fprintf(f, "  \"points\": [\n")
-	for i, r := range rows {
-		if r.relErr > maxErr {
-			maxErr = r.relErr
-		}
-		comma := ","
-		if i == len(rows)-1 {
-			comma = ""
-		}
-		fmt.Fprintf(f, "    {\"config\": %q, \"full_ipc\": %.4f, \"sampled_ipc\": %.4f, \"ipc_err\": %.4f, \"ipc_ci95\": %.4f, \"windows\": %d, \"full_ms\": %d, \"sampled_ms\": %d, \"skipped_insts\": %d, \"functional_insts\": %d, \"detailed_insts\": %d}%s\n",
-			r.label, r.fullIPC, r.sampledIPC, r.relErr, r.ipcCI95, r.windows,
-			r.fullMS, r.sampledMS, r.skipped, r.ff, r.detail, comma)
-	}
-	fmt.Fprintf(f, "  ],\n")
-	fmt.Fprintf(f, "  \"max_ipc_err\": %.4f,\n", maxErr)
-	fmt.Fprintf(f, "  \"full_total_ms\": %d,\n", totalFull.Milliseconds())
-	fmt.Fprintf(f, "  \"sampled_total_ms\": %d,\n", totalSample.Milliseconds())
-	fmt.Fprintf(f, "  \"speedup\": %.2f\n", speedup)
-	fmt.Fprintf(f, "}\n")
+	fmt.Fprintf(w, "  aggregate: full %dms, sampled %dms — %.1fx speedup (bound: ≥%.0fx, err <%.0f%%)\n",
+		b.FullTotalMs, b.SampledTotalMs, b.Speedup, sampleGateMinSpd, sampleGateMaxErr*100)
 	return nil
 }

@@ -5,8 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
-	"runtime"
 	"time"
 
 	"ucp/internal/runq"
@@ -31,44 +29,54 @@ import (
 //     served from its caches;
 //   - the server's checkpoint tier behaves like the local one:
 //     exactly one capture, every other execution restored from it.
-const sweepdGateTrace = sweepReuseTrace
 
-// runSweepdGate executes the three passes, writes benchPath, and
-// returns an error when any bound is violated.
-func runSweepdGate(w io.Writer, benchPath string) error {
+// sweepdPasses holds the three passes' outcomes.
+type sweepdPasses struct {
+	cores                      int
+	jobs                       []runq.Job
+	local, cold, warm          []string // per-config digests
+	localDur, coldDur, warmDur time.Duration
+	st                         sweepd.Statz // the server's counters after both remote passes
+}
+
+// sweepdBench is the gate's BENCH record.
+type sweepdBench struct {
+	benchEnvelope
+	Configs          int    `json:"configs"`
+	Protocol         string `json:"protocol"`
+	LocalMs          int64  `json:"local_ms"`
+	RemoteColdMs     int64  `json:"remote_cold_ms"`
+	RemoteWarmMs     int64  `json:"remote_warm_ms"`
+	ServerRuns       int    `json:"server_runs"`
+	JobsSubmitted    int    `json:"jobs_submitted"`
+	JobsCoalesced    int    `json:"jobs_coalesced"`
+	CkptCaptured     int    `json:"ckpt_captured"`
+	CkptRestored     int    `json:"ckpt_restored"`
+	DigestsIdentical bool   `json:"digests_identical"`
+}
+
+// runSweepdPasses executes the local pass and both remote passes.
+func runSweepdPasses(w io.Writer, cores int) (sweepdPasses, error) {
 	jobs, err := sweepReuseJobs()
+	p := sweepdPasses{cores: cores, jobs: jobs}
 	if err != nil {
-		return fmt.Errorf("sweepd gate: %v", err)
+		return p, err
 	}
 	fmt.Fprintf(w, "sweepd gate: %s, %d configs, local pool vs loopback sweepd server\n",
-		sweepdGateTrace, len(jobs))
+		sweepReuseTrace, len(jobs))
 
 	tiers := runq.Options{UseArena: true, Checkpoints: true}
-
 	// Local pass: the reference digests.
-	localStart := time.Now() //ucplint:ignore wallclock
-	localRes := runq.New(tiers).RunAll(jobs)
-	localDur := time.Since(localStart) //ucplint:ignore wallclock
-	local := make([]string, len(localRes))
-	for i, jr := range localRes {
-		if jr.Err != nil {
-			return fmt.Errorf("sweepd gate: local pass: %s: %v", jobs[i].Config.Name, jr.Err)
-		}
-		local[i] = jr.Result.DeterminismDigest()
+	if p.local, p.localDur, err = runSweepPass(runq.New(tiers), jobs); err != nil {
+		return p, fmt.Errorf("local pass: %v", err)
 	}
 
 	// The server, on a real loopback listener — the same HTTP path any
 	// remote client takes, minus only the physical network.
-	clockStart := time.Now() //ucplint:ignore wallclock
-	srv := sweepd.New(sweepd.Config{
-		Pool: tiers,
-		Clock: func() time.Duration {
-			return time.Since(clockStart) //ucplint:ignore wallclock
-		},
-	})
+	srv := sweepd.New(sweepd.Config{Pool: tiers, Clock: wallClock()})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return fmt.Errorf("sweepd gate: %v", err)
+		return p, err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
 	go hs.Serve(ln)
@@ -76,102 +84,63 @@ func runSweepdGate(w io.Writer, benchPath string) error {
 	defer srv.Shutdown(nil)
 	cl := client.New("http://" + ln.Addr().String())
 
-	remotePass := func() ([]string, time.Duration, error) {
-		t0 := time.Now() //ucplint:ignore wallclock
-		res := cl.RunAll(jobs)
-		dur := time.Since(t0) //ucplint:ignore wallclock
-		digests := make([]string, len(res))
-		for i, jr := range res {
-			if jr.Err != nil {
-				return nil, 0, fmt.Errorf("%s: %v", jobs[i].Config.Name, jr.Err)
-			}
-			digests[i] = jr.Result.DeterminismDigest()
-		}
-		return digests, dur, nil
+	if p.cold, p.coldDur, err = runSweepPass(cl, jobs); err != nil {
+		return p, fmt.Errorf("remote cold pass: %v", err)
 	}
-	cold, coldDur, err := remotePass()
-	if err != nil {
-		return fmt.Errorf("sweepd gate: remote cold pass: %v", err)
+	if p.warm, p.warmDur, err = runSweepPass(cl, jobs); err != nil {
+		return p, fmt.Errorf("remote warm pass: %v", err)
 	}
-	warm, warmDur, err := remotePass()
-	if err != nil {
-		return fmt.Errorf("sweepd gate: remote warm pass: %v", err)
+	if p.st, err = cl.Statz(); err != nil {
+		return p, fmt.Errorf("statz: %v", err)
 	}
+	return p, nil
+}
 
-	st, err := cl.Statz()
-	if err != nil {
-		return fmt.Errorf("sweepd gate: statz: %v", err)
-	}
-
+// checkSweepd applies every bound, returning the violations and the record.
+func checkSweepd(p sweepdPasses) ([]string, sweepdBench) {
 	var violations []string
-	identical := true
-	for i := range jobs {
-		if cold[i] != local[i] || warm[i] != local[i] {
-			identical = false
-			violations = append(violations, fmt.Sprintf(
-				"%s: remote digest diverges from local digest", jobs[i].Config.Name))
-		}
+	diverged := diverging(p.jobs, p.local, p.cold, p.warm)
+	for _, name := range diverged {
+		violations = append(violations, fmt.Sprintf("%s: remote digest diverges from local digest", name))
 	}
-	if st.Pool.Runs != len(jobs) {
+	n, st := len(p.jobs), p.st
+	if st.Pool.Runs != n {
 		violations = append(violations, fmt.Sprintf(
-			"server executed %d jobs across both passes, want exactly %d (dedup broken)",
-			st.Pool.Runs, len(jobs)))
+			"server executed %d jobs across both passes, want exactly %d (dedup broken)", st.Pool.Runs, n))
 	}
-	if st.JobsCoalesced < len(jobs) {
+	if st.JobsCoalesced < n {
 		violations = append(violations, fmt.Sprintf(
-			"only %d submissions coalesced, want >= %d (the whole warm pass)",
-			st.JobsCoalesced, len(jobs)))
+			"only %d submissions coalesced, want >= %d (the whole warm pass)", st.JobsCoalesced, n))
 	}
 	if st.JobsFailed != 0 {
 		violations = append(violations, fmt.Sprintf("%d job(s) failed server-side", st.JobsFailed))
 	}
-	if st.CkptCaptured != 1 || st.CkptRestored != len(jobs)-1 {
+	if st.CkptCaptured != 1 || st.CkptRestored != n-1 {
 		violations = append(violations, fmt.Sprintf(
-			"server checkpoint tier captured %d / restored %d, want 1 and %d",
-			st.CkptCaptured, st.CkptRestored, len(jobs)-1))
+			"server checkpoint tier captured %d / restored %d, want 1 and %d", st.CkptCaptured, st.CkptRestored, n-1))
 	}
-
-	fmt.Fprintf(w, "  local %dms  remote cold %dms  remote warm %dms (all %d resubmissions coalesced)\n",
-		localDur.Milliseconds(), coldDur.Milliseconds(), warmDur.Milliseconds(), len(jobs))
-	fmt.Fprintf(w, "  digests: %d/%d byte-identical local vs remote; server ran %d jobs, captured %d ckpt, restored %d\n",
-		identicalCount(local, cold), len(local), st.Pool.Runs, st.CkptCaptured, st.CkptRestored)
-
-	if err := writeSweepdBench(benchPath, len(jobs), localDur, coldDur, warmDur, st, identical); err != nil {
-		return err
+	return violations, sweepdBench{
+		benchEnvelope: newEnvelope(fmt.Sprintf(
+			"sweepd gate (%s, %d-config ablation, local pool vs loopback server, cold+warm remote passes)", sweepReuseTrace, n), p.cores),
+		Configs:          n,
+		Protocol:         sweepd.ProtocolVersion,
+		LocalMs:          p.localDur.Milliseconds(),
+		RemoteColdMs:     p.coldDur.Milliseconds(),
+		RemoteWarmMs:     p.warmDur.Milliseconds(),
+		ServerRuns:       st.Pool.Runs,
+		JobsSubmitted:    st.JobsSubmitted,
+		JobsCoalesced:    st.JobsCoalesced,
+		CkptCaptured:     st.CkptCaptured,
+		CkptRestored:     st.CkptRestored,
+		DigestsIdentical: len(diverged) == 0,
 	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "sweepd gate: %s\n", v)
-		}
-		return fmt.Errorf("sweepd gate: %d bound violation(s)", len(violations))
-	}
-	return nil
 }
 
-// writeSweepdBench records the gate's measurements in the shared
-// BENCH_*.json schema (schema_version / bench / cores + payload).
-func writeSweepdBench(path string, configs int, localDur, coldDur, warmDur time.Duration, st sweepd.Statz, identical bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sweepd gate: %v", err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"schema_version\": 1,\n")
-	fmt.Fprintf(f, "  \"bench\": \"sweepd gate (%s, %d-config ablation, local pool vs loopback server, cold+warm remote passes)\",\n",
-		sweepdGateTrace, configs)
-	fmt.Fprintf(f, "  \"cores\": %d,\n", runtime.NumCPU())
-	fmt.Fprintf(f, "  \"configs\": %d,\n", configs)
-	fmt.Fprintf(f, "  \"protocol\": %q,\n", sweepd.ProtocolVersion)
-	fmt.Fprintf(f, "  \"local_ms\": %d,\n", localDur.Milliseconds())
-	fmt.Fprintf(f, "  \"remote_cold_ms\": %d,\n", coldDur.Milliseconds())
-	fmt.Fprintf(f, "  \"remote_warm_ms\": %d,\n", warmDur.Milliseconds())
-	fmt.Fprintf(f, "  \"server_runs\": %d,\n", st.Pool.Runs)
-	fmt.Fprintf(f, "  \"jobs_submitted\": %d,\n", st.JobsSubmitted)
-	fmt.Fprintf(f, "  \"jobs_coalesced\": %d,\n", st.JobsCoalesced)
-	fmt.Fprintf(f, "  \"ckpt_captured\": %d,\n", st.CkptCaptured)
-	fmt.Fprintf(f, "  \"ckpt_restored\": %d,\n", st.CkptRestored)
-	fmt.Fprintf(f, "  \"digests_identical\": %v\n", identical)
-	fmt.Fprintf(f, "}\n")
+// reportSweepd prints the summary.
+func reportSweepd(w io.Writer, _ sweepdPasses, b sweepdBench) error {
+	fmt.Fprintf(w, "  local %dms  remote cold %dms  remote warm %dms (%d resubmissions coalesced)\n",
+		b.LocalMs, b.RemoteColdMs, b.RemoteWarmMs, b.JobsCoalesced)
+	fmt.Fprintf(w, "  digests byte-identical local vs remote across all %d configs: %v; server ran %d jobs, captured %d ckpt, restored %d\n",
+		b.Configs, b.DigestsIdentical, b.ServerRuns, b.CkptCaptured, b.CkptRestored)
 	return nil
 }

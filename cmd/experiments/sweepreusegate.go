@@ -3,8 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"ucp/internal/harness"
@@ -42,137 +40,133 @@ var sweepReuseThresholds = []int{125, 250, 375, 500, 750, 1000, 1500, 2000, 3000
 
 // sweepReuseJobs builds the ablation sweep.
 func sweepReuseJobs() ([]runq.Job, error) {
-	prof, ok := trace.ProfileByName(sweepReuseTrace)
-	if !ok {
-		return nil, fmt.Errorf("unknown profile %q", sweepReuseTrace)
-	}
-	sc := sim.SamplingConfig{
-		Enabled:       true,
-		PeriodInsts:   250_000,
-		DetailedInsts: 5_000,
-		WarmInsts:     5_000,
-		FFWarmInsts:   25_000,
-	}
-	jobs := make([]runq.Job, len(sweepReuseThresholds))
+	cfgs := make([]sim.Config, len(sweepReuseThresholds))
 	for i, t := range sweepReuseThresholds {
-		cfg := harness.UCPThreshold(t, false)
-		cfg.Sampling = sc
-		jobs[i] = runq.Job{Config: cfg, Profile: prof,
-			Warmup: sweepReuseWarmup, Measure: sweepReuseMeasure}
+		cfgs[i] = harness.UCPThreshold(t, false)
+	}
+	return sampledSweep(sweepReuseTrace, sweepReuseWarmup, sweepReuseMeasure, cfgs)
+}
+
+// sampledSweep builds one job per config on the named trace, every one
+// at the sampling geometry the sweep gates (sweep reuse, sweepd,
+// autopilot) share.
+func sampledSweep(traceName string, warmup, measure uint64, cfgs []sim.Config) ([]runq.Job, error) {
+	prof, ok := trace.ProfileByName(traceName)
+	if !ok {
+		return nil, fmt.Errorf("unknown profile %q", traceName)
+	}
+	jobs := make([]runq.Job, len(cfgs))
+	for i, cfg := range cfgs {
+		cfg.Sampling = sim.SamplingConfig{
+			Enabled:       true,
+			PeriodInsts:   250_000,
+			DetailedInsts: 5_000,
+			WarmInsts:     5_000,
+			FFWarmInsts:   25_000,
+		}
+		jobs[i] = runq.Job{Config: cfg, Profile: prof, Warmup: warmup, Measure: measure}
 	}
 	return jobs, nil
 }
 
-// runSweepPass executes jobs serially on a fresh pool built from opts
-// and returns the per-job digests plus the pass wall-clock.
-func runSweepPass(opts runq.Options, jobs []runq.Job) (*runq.Pool, []string, time.Duration, error) {
-	opts.Workers = 1
-	pool := runq.New(opts)
-	t0 := time.Now() //ucplint:ignore wallclock
-	results := pool.RunAll(jobs)
-	dur := time.Since(t0) //ucplint:ignore wallclock
+// runSweepPass executes jobs through exec and returns the per-job
+// digests plus the pass wall-clock.
+func runSweepPass(exec runq.Runner, jobs []runq.Job) ([]string, time.Duration, error) {
+	var results []runq.JobResult
+	dur := timed(func() { results = exec.RunAll(jobs) })
 	digests := make([]string, len(results))
 	for i, jr := range results {
 		if jr.Err != nil {
-			return nil, nil, 0, fmt.Errorf("%s: %v", jobs[i].Config.Name, jr.Err)
+			return nil, 0, fmt.Errorf("%s: %v", jobs[i].Config.Name, jr.Err)
 		}
 		digests[i] = jr.Result.DeterminismDigest()
 	}
-	return pool, digests, dur, nil
+	return digests, dur, nil
 }
 
-// runSweepReuseGate executes the paired cold/warm sweep, writes
-// benchPath, and returns an error when any bound is violated.
-func runSweepReuseGate(w io.Writer, benchPath string) error {
+// sweepReusePasses holds both passes' outcomes.
+type sweepReusePasses struct {
+	cores              int
+	jobs               []runq.Job
+	cold, warm         []string // per-config digests
+	coldDur, warmDur   time.Duration
+	captured, restored int // the warm pass's checkpoint traffic
+}
+
+// sweepReuseBench is the gate's BENCH record.
+type sweepReuseBench struct {
+	benchEnvelope
+	Configs             int     `json:"configs"`
+	WarmupInsts         uint64  `json:"warmup_insts"`
+	MeasureInsts        uint64  `json:"measure_insts"`
+	MinSpeedupBound     float64 `json:"min_speedup_bound"`
+	ColdMs              int64   `json:"cold_ms"`
+	WarmMs              int64   `json:"warm_ms"`
+	Speedup             float64 `json:"speedup"`
+	CheckpointsCaptured int     `json:"checkpoints_captured"`
+	CheckpointsRestored int     `json:"checkpoints_restored"`
+	DigestsIdentical    bool    `json:"digests_identical"`
+}
+
+// runSweepReusePasses executes the cold and the warm pass, each on a
+// fresh single-worker pool.
+func runSweepReusePasses(w io.Writer, cores int) (sweepReusePasses, error) {
 	jobs, err := sweepReuseJobs()
+	p := sweepReusePasses{cores: cores, jobs: jobs}
 	if err != nil {
-		return fmt.Errorf("sweep-reuse gate: %v", err)
+		return p, err
 	}
-	fmt.Fprintf(w, "sweep-reuse gate: %s, %d configs (stop-threshold ablation), %d warmup + %d sampled insts per run\n",
+	fmt.Fprintf(w, "sweepreuse gate: %s, %d configs (stop-threshold ablation), %d warmup + %d sampled insts per run\n",
 		sweepReuseTrace, len(jobs), sweepReuseWarmup, sweepReuseMeasure)
-
-	_, cold, coldDur, err := runSweepPass(runq.Options{}, jobs)
-	if err != nil {
-		return fmt.Errorf("sweep-reuse gate: cold pass: %v", err)
+	if p.cold, p.coldDur, err = runSweepPass(runq.New(runq.Options{Workers: 1}), jobs); err != nil {
+		return p, fmt.Errorf("cold pass: %v", err)
 	}
-	warmPool, warm, warmDur, err := runSweepPass(
-		runq.Options{UseArena: true, Checkpoints: true}, jobs)
-	if err != nil {
-		return fmt.Errorf("sweep-reuse gate: warm pass: %v", err)
+	warmPool := runq.New(runq.Options{Workers: 1, UseArena: true, Checkpoints: true})
+	if p.warm, p.warmDur, err = runSweepPass(warmPool, jobs); err != nil {
+		return p, fmt.Errorf("warm pass: %v", err)
 	}
+	p.captured, p.restored = warmPool.CheckpointStats()
+	return p, nil
+}
 
+// checkSweepReuse applies every bound, returning the violations and the record.
+func checkSweepReuse(p sweepReusePasses) ([]string, sweepReuseBench) {
 	var violations []string
-	identical := true
-	for i := range cold {
-		if cold[i] != warm[i] {
-			identical = false
-			violations = append(violations, fmt.Sprintf(
-				"%s: warm digest diverges from cold digest", jobs[i].Config.Name))
-		}
+	diverged := diverging(p.jobs, p.cold, p.warm)
+	for _, name := range diverged {
+		violations = append(violations, fmt.Sprintf("%s: warm digest diverges from cold digest", name))
 	}
-	captured, restored := warmPool.CheckpointStats()
-	if captured != 1 || restored != len(jobs)-1 {
+	n := len(p.jobs)
+	if p.captured != 1 || p.restored != n-1 {
 		violations = append(violations, fmt.Sprintf(
 			"warm pass captured %d checkpoint(s) and restored %d job(s), want 1 and %d",
-			captured, restored, len(jobs)-1))
+			p.captured, p.restored, n-1))
 	}
-	speedup := 0.0
-	if warmDur > 0 {
-		speedup = float64(coldDur) / float64(warmDur)
-	}
+	speedup := ratio(p.coldDur, p.warmDur)
 	if speedup < sweepReuseMinSpd {
 		violations = append(violations, fmt.Sprintf(
 			"speedup %.1fx below the %.0fx bound", speedup, sweepReuseMinSpd))
 	}
+	return violations, sweepReuseBench{
+		benchEnvelope: newEnvelope(fmt.Sprintf(
+			"sweep-reuse gate (%s, %d-config threshold ablation, cold vs arena+checkpoint pool)", sweepReuseTrace, n), p.cores),
+		Configs:             n,
+		WarmupInsts:         sweepReuseWarmup,
+		MeasureInsts:        sweepReuseMeasure,
+		MinSpeedupBound:     sweepReuseMinSpd,
+		ColdMs:              p.coldDur.Milliseconds(),
+		WarmMs:              p.warmDur.Milliseconds(),
+		Speedup:             roundTo(speedup, 2),
+		CheckpointsCaptured: p.captured,
+		CheckpointsRestored: p.restored,
+		DigestsIdentical:    len(diverged) == 0,
+	}
+}
+
+// reportSweepReuse prints the summary.
+func reportSweepReuse(w io.Writer, _ sweepReusePasses, b sweepReuseBench) error {
 	fmt.Fprintf(w, "  cold %dms (per-job fast-forward)  warm %dms (1 capture + %d restores, shared arena) — %.1fx speedup (bound: ≥%.0fx)\n",
-		coldDur.Milliseconds(), warmDur.Milliseconds(), restored, speedup, sweepReuseMinSpd)
-	fmt.Fprintf(w, "  digests: %d/%d byte-identical cold vs warm\n", identicalCount(cold, warm), len(cold))
-
-	if err := writeSweepReuseBench(benchPath, len(jobs), coldDur, warmDur, speedup, captured, restored, identical); err != nil {
-		return err
-	}
-	if len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "sweep-reuse gate: %s\n", v)
-		}
-		return fmt.Errorf("sweep-reuse gate: %d bound violation(s)", len(violations))
-	}
-	return nil
-}
-
-func identicalCount(a, b []string) int {
-	n := 0
-	for i := range a {
-		if a[i] == b[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// writeSweepReuseBench records the gate's measurements in the shared
-// BENCH_*.json schema (schema_version / bench / cores + payload).
-func writeSweepReuseBench(path string, configs int, coldDur, warmDur time.Duration, speedup float64, captured, restored int, identical bool) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("sweep-reuse gate: %v", err)
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "{\n")
-	fmt.Fprintf(f, "  \"schema_version\": 1,\n")
-	fmt.Fprintf(f, "  \"bench\": \"sweep-reuse gate (%s, %d-config threshold ablation, cold vs arena+checkpoint pool)\",\n",
-		sweepReuseTrace, configs)
-	fmt.Fprintf(f, "  \"cores\": %d,\n", runtime.NumCPU())
-	fmt.Fprintf(f, "  \"configs\": %d,\n", configs)
-	fmt.Fprintf(f, "  \"warmup_insts\": %d,\n", sweepReuseWarmup)
-	fmt.Fprintf(f, "  \"measure_insts\": %d,\n", sweepReuseMeasure)
-	fmt.Fprintf(f, "  \"min_speedup_bound\": %.1f,\n", sweepReuseMinSpd)
-	fmt.Fprintf(f, "  \"cold_ms\": %d,\n", coldDur.Milliseconds())
-	fmt.Fprintf(f, "  \"warm_ms\": %d,\n", warmDur.Milliseconds())
-	fmt.Fprintf(f, "  \"speedup\": %.2f,\n", speedup)
-	fmt.Fprintf(f, "  \"checkpoints_captured\": %d,\n", captured)
-	fmt.Fprintf(f, "  \"checkpoints_restored\": %d,\n", restored)
-	fmt.Fprintf(f, "  \"digests_identical\": %v\n", identical)
-	fmt.Fprintf(f, "}\n")
+		b.ColdMs, b.WarmMs, b.CheckpointsRestored, b.Speedup, sweepReuseMinSpd)
+	fmt.Fprintf(w, "  digests byte-identical cold vs warm across all %d configs: %v\n", b.Configs, b.DigestsIdentical)
 	return nil
 }
