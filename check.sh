@@ -42,7 +42,10 @@
 #                           match testdata/hotpath_digest.golden — every
 #                           optimization is provably outcome-neutral —
 #                           and a BenchmarkSimQuick smoke records
-#                           insts/s + allocs/inst into BENCH_hotpath.json)
+#                           insts/s + allocs/inst into BENCH_hotpath.json;
+#                           a -benchtime=1x smoke of the internal/trace
+#                           generator-vs-arena benchmarks prints their
+#                           per-instruction costs, ungated)
 #  10. sampling gate       (paired full-vs-sampled sweep in one process:
 #                           per-point IPC error must stay under 2% and
 #                           the aggregate wall-clock speedup at or above
@@ -75,7 +78,7 @@
 #                           and the digest files must cmp-equal each
 #                           other and the trailing part of
 #                           testdata/parallel_digest.golden)
-#  12. sweep-reuse gate    (cold vs arena+checkpoint pool over a
+#  12. sweep-reuse gate    (cold vs warm-checkpoint pool over a
 #                           10-config sampled threshold ablation: every
 #                           digest byte-identical, exactly one warm
 #                           checkpoint captured and N-1 restored, and
@@ -315,6 +318,17 @@ awk -v s="$SERIAL_MS" -v j="$CORES" '
 		printf "}\n"
 	}' "$RUNQ_TMP/bench.txt" > BENCH_hotpath.json
 echo "hotpath: $(tr -d '\n' < BENCH_hotpath.json | tr -s ' ')"
+# Trace-layer smoke: the generator-versus-arena break-even benchmarks
+# (walker skip and warm-skip, arena build, cursor warm-skip, on srv203
+# and crypto01) must each produce a result. Printed, never gated.
+go test -run '^$' -bench '^Benchmark(WalkerSkip|WalkerSkipWarm|ArenaBuild|ArenaSkipWarm|ArenaSkip|ArenaCursor)$' \
+	-benchtime=1x ./internal/trace | tee "$RUNQ_TMP/trace_bench.txt"
+for b in WalkerSkip WalkerSkipWarm ArenaBuild ArenaSkipWarm; do
+	for p in srv203 crypto01; do
+		grep -q "^Benchmark$b/$p" "$RUNQ_TMP/trace_bench.txt" || {
+			echo "hotpath: Benchmark$b/$p produced no result line" >&2; exit 1; }
+	done
+done
 fi
 
 if want sampling; then
@@ -388,7 +402,7 @@ fi
 if want sweepreuse; then
 step "sweep-reuse gate"
 if [ "$FAST" -eq 0 ]; then
-	# Cold pool (per-job fast-forward) vs a fresh arena+checkpoint pool
+	# Cold pool (per-job fast-forward) vs a fresh checkpoint pool
 	# over one warm-key-sharing sampled sweep, in one process. Gated:
 	# digests byte-identical cold vs warm, one checkpoint captured + N-1
 	# restored, wall-clock speedup >= 3x.

@@ -179,11 +179,11 @@ func runAutopilotPasses(w io.Writer, cores int) (autopilotPasses, error) {
 	}
 	fmt.Fprintf(w, "autopilot gate: confidence-pruned search (%s, %d configs, ±%.0f%%→±%.0f%% targets)\n",
 		autopilotGateTrace, len(grid), autopilotGateCoarse*100, autopilotGateFinal*100)
-	// Each strategy runs on a fresh serial arena+checkpoint pool, so no
+	// Each strategy runs on a fresh serial checkpoint pool, so no
 	// pass reuses another's memo (spend is read from results, but
 	// executed-once semantics keep the determinism comparison honest).
 	opts := func() autopilot.Options {
-		return autopilotOpts(runq.New(runq.Options{Workers: 1, UseArena: true, Checkpoints: true}), grid, baseline)
+		return autopilotOpts(runq.New(runq.Options{Workers: 1, Checkpoints: true}), grid, baseline)
 	}
 	if p.search, err = autopilot.Search(opts()); err != nil {
 		return p, fmt.Errorf("search: %v", err)
@@ -221,10 +221,11 @@ func runAutopilotSweep(w io.Writer, hopts harness.Options, finalTarget float64) 
 	exec := hopts.Exec
 	if exec == nil {
 		exec = runq.New(runq.Options{
-			Workers:  hopts.Jobs,
-			CacheDir: hopts.CacheDir,
-			UseArena: true, Checkpoints: true,
-			Clock: hopts.Clock, Progress: hopts.Progress,
+			Workers:     hopts.Jobs,
+			CacheDir:    hopts.CacheDir,
+			Checkpoints: true,
+			Clock:       hopts.Clock,
+			Progress:    hopts.Progress,
 		})
 	}
 	opts := autopilotOpts(exec, grid, baseline)

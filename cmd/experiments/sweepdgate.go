@@ -18,7 +18,7 @@ import (
 // loopback listener (cold: the server executes every job), and
 // remotely again (warm: every submission coalesces onto the server's
 // finished jobs, nothing re-executes). Local and remote passes use
-// identical pool tiers (shared arena + warm checkpoints).
+// identical pool tiers (warm checkpoints).
 //
 // Gated bounds, also documented in EXPERIMENTS.md:
 //   - wire neutrality: every config's determinism digest must be
@@ -65,7 +65,7 @@ func runSweepdPasses(w io.Writer, cores int) (sweepdPasses, error) {
 	fmt.Fprintf(w, "sweepd gate: %s, %d configs, local pool vs loopback sweepd server\n",
 		sweepReuseTrace, len(jobs))
 
-	tiers := runq.Options{UseArena: true, Checkpoints: true}
+	tiers := runq.Options{Checkpoints: true}
 	// Local pass: the reference digests.
 	if p.local, p.localDur, err = runSweepPass(runq.New(tiers), jobs); err != nil {
 		return p, fmt.Errorf("local pass: %v", err)

@@ -14,10 +14,10 @@ import (
 // The sweep-reuse gate: one UCP stop-threshold ablation — the sweep
 // shape of Fig. 15, whose configurations differ only in measurement
 // phase parameters and therefore share a single functional-warm key —
-// run twice over the same trace. The cold pass is a plain pool (per-job
-// generator walk, no checkpoints), the warm pass a fresh pool with the
-// shared decoded arena and warm-checkpoint reuse enabled, so the sweep
-// pays the functional fast-forward once instead of once per config.
+// run twice over the same trace. The cold pass is a plain pool (no
+// checkpoints), the warm pass a fresh pool with warm-checkpoint reuse
+// enabled, so the sweep pays the functional fast-forward once instead
+// of once per config. Both passes stream the trace from the generator.
 // Both passes run in this one process, single-worker, back to back, so
 // the wall-clock ratio compares serial work against serial work.
 //
@@ -121,7 +121,7 @@ func runSweepReusePasses(w io.Writer, cores int) (sweepReusePasses, error) {
 	if p.cold, p.coldDur, err = runSweepPass(runq.New(runq.Options{Workers: 1}), jobs); err != nil {
 		return p, fmt.Errorf("cold pass: %v", err)
 	}
-	warmPool := runq.New(runq.Options{Workers: 1, UseArena: true, Checkpoints: true})
+	warmPool := runq.New(runq.Options{Workers: 1, Checkpoints: true})
 	if p.warm, p.warmDur, err = runSweepPass(warmPool, jobs); err != nil {
 		return p, fmt.Errorf("warm pass: %v", err)
 	}
@@ -149,7 +149,7 @@ func checkSweepReuse(p sweepReusePasses) ([]string, sweepReuseBench) {
 	}
 	return violations, sweepReuseBench{
 		benchEnvelope: newEnvelope(fmt.Sprintf(
-			"sweep-reuse gate (%s, %d-config threshold ablation, cold vs arena+checkpoint pool)", sweepReuseTrace, n), p.cores),
+			"sweep-reuse gate (%s, %d-config threshold ablation, cold vs checkpoint pool)", sweepReuseTrace, n), p.cores),
 		Configs:             n,
 		WarmupInsts:         sweepReuseWarmup,
 		MeasureInsts:        sweepReuseMeasure,
@@ -165,7 +165,7 @@ func checkSweepReuse(p sweepReusePasses) ([]string, sweepReuseBench) {
 
 // reportSweepReuse prints the summary.
 func reportSweepReuse(w io.Writer, _ sweepReusePasses, b sweepReuseBench) error {
-	fmt.Fprintf(w, "  cold %dms (per-job fast-forward)  warm %dms (1 capture + %d restores, shared arena) — %.1fx speedup (bound: ≥%.0fx)\n",
+	fmt.Fprintf(w, "  cold %dms (per-job fast-forward)  warm %dms (1 capture + %d restores) — %.1fx speedup (bound: ≥%.0fx)\n",
 		b.ColdMs, b.WarmMs, b.CheckpointsRestored, b.Speedup, sweepReuseMinSpd)
 	fmt.Fprintf(w, "  digests byte-identical cold vs warm across all %d configs: %v\n", b.Configs, b.DigestsIdentical)
 	return nil

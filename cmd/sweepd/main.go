@@ -1,6 +1,6 @@
 // Command sweepd serves simulations: one long-lived process owning a
-// single runq pool — shared decoded-trace arenas, warm-checkpoint
-// store, content-addressed result cache — behind a versioned JSON
+// single runq pool — shared trace programs, warm-checkpoint store,
+// content-addressed result cache — behind a versioned JSON
 // HTTP API, so any number of experiment clients share one set of
 // caches instead of each rebuilding its own.
 //
@@ -47,7 +47,6 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty: in-memory memo only)")
 		ckptDir  = flag.String("ckpt-dir", "", "warm-checkpoint store directory for sampled and time-parallel jobs (empty: in-memory store)")
 		ckptMax  = flag.Int64("ckpt-max-bytes", 0, "on-disk checkpoint budget; past it the least-recently-verified blobs are pruned (0: unbounded)")
-		arena    = flag.Bool("arena", true, "decode each workload once into a shared in-memory arena")
 		timeout  = flag.Duration("timeout", 30*time.Second, "per-request deadline on non-streaming endpoints")
 		retry    = flag.Duration("retry-after", 2*time.Second, "Retry-After hint sent with 503 backpressure")
 		quiet    = flag.Bool("quiet", false, "suppress per-job lifecycle log lines")
@@ -65,7 +64,6 @@ func main() {
 		Pool: runq.Options{
 			Workers:      *jobs,
 			CacheDir:     *cacheDir,
-			UseArena:     *arena,
 			Checkpoints:  true,
 			CkptDir:      *ckptDir,
 			CkptMaxBytes: *ckptMax,

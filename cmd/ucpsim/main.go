@@ -70,7 +70,6 @@ func main() {
 		hist       = flag.Bool("hist", false, "print stream-length and refill-latency distributions")
 		jobs       = flag.Int("jobs", 0, "concurrent simulations (default GOMAXPROCS); output order is unaffected")
 		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (empty: no on-disk cache)")
-		arena      = flag.Bool("arena", false, "decode each workload once into a shared in-memory arena (results are byte-identical)")
 		ckptDir    = flag.String("ckpt-dir", "", "warm-checkpoint store directory for sampled and time-parallel runs (empty: no checkpoint reuse)")
 		ckptMax    = flag.Int64("ckpt-max-bytes", 0, "bound the checkpoint directory's on-disk bytes, pruning least-recently-verified blobs (0: unbounded)")
 		digest     = flag.Bool("digest", false, "print Result.DeterminismDigest instead of the metric table (optimization-neutrality gate)")
@@ -167,7 +166,6 @@ func main() {
 	pool := runq.New(runq.Options{
 		Workers:      *jobs,
 		CacheDir:     *cacheDir,
-		UseArena:     *arena,
 		CkptDir:      *ckptDir,
 		CkptMaxBytes: *ckptMax,
 		CkptNow:      func() int64 { return time.Now().UnixNano() }, //ucplint:ignore wallclock // checkpoint-pruning clock, injected only here

@@ -47,10 +47,6 @@ type Options struct {
 	Jobs int
 	// CacheDir enables runq's content-addressed on-disk result cache.
 	CacheDir string
-	// UseArena decodes each workload once per pool into a shared
-	// trace.Arena instead of walking the generator per job (runq
-	// Options.UseArena); results are byte-identical either way.
-	UseArena bool
 	// Checkpoints enables warm-checkpoint reuse across sampled jobs
 	// sharing a warm key (runq Options.Checkpoints); CkptDir persists
 	// the checkpoints on disk and implies Checkpoints.
@@ -102,7 +98,6 @@ func NewRunner(opts Options) *Runner {
 			CacheDir:    opts.CacheDir,
 			Clock:       opts.Clock,
 			Progress:    opts.Progress,
-			UseArena:    opts.UseArena,
 			Checkpoints: opts.Checkpoints,
 			CkptDir:     opts.CkptDir,
 		}),

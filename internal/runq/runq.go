@@ -115,11 +115,13 @@ type Options struct {
 	// not alias the report writer: progress output is nondeterministic
 	// by nature (completion-ordered, timed).
 	Progress io.Writer
-	// UseArena decodes each synthetic workload once per (profile,
-	// budget) into a shared trace.Arena and runs jobs over cheap
-	// cursors, instead of walking the generator per job. Recorded-trace
-	// jobs always go through a shared arena. Results are byte-identical
-	// either way.
+	// UseArena is retired and has no effect: synthetic-profile jobs
+	// always stream from the generator, since an arena's build costs
+	// more than its seeks save (EXPERIMENTS.md, "Cross-config reuse"),
+	// and recorded-trace jobs always share one decoded arena
+	// (FileArena). The field survives only because the benchmark
+	// harness (_perfbench/workloads.go) still assigns it, and goes once
+	// that line does.
 	UseArena bool
 	// Checkpoints enables functional-warm checkpoint reuse for sampled
 	// jobs (sim.WarmCheckpoints): jobs sharing a warm key pay the
@@ -258,9 +260,9 @@ func (p *Pool) CheckpointStats() (captured, restored int) {
 }
 
 // ArenaCount reports how many shared decoded trace arenas the pool
-// holds (one per distinct recorded file or materialized synthetic
-// workload) — the sweepd statz surface exposes it as the shared-tier
-// footprint.
+// holds — one per distinct recorded file; synthetic workloads stream
+// from the generator and build none. The sweepd statz surface exposes
+// it as the shared-tier footprint.
 func (p *Pool) ArenaCount() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -294,43 +296,20 @@ func (p *Pool) Program(prof trace.Profile) (*trace.Program, error) {
 	return e.prog, e.err
 }
 
-// arena returns the once-guarded entry for an arena cache key.
-func (p *Pool) arena(key string, build func() (*trace.Arena, error)) (*trace.Arena, error) {
-	p.mu.Lock()
-	e := p.arenas[key]
-	if e == nil {
-		e = &arenaEntry{}
-		p.arenas[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.arena, e.err = build() })
-	return e.arena, e.err
-}
-
 // FileArena returns the shared decoded arena for a recorded trace file,
 // reading and decoding it at most once per pool however many jobs
 // reference it. Cursors handed out by the arena are independent, so
 // concurrent workers share one copy of the decoded stream.
 func (p *Pool) FileArena(path string) (*trace.Arena, error) {
-	return p.arena("file\x00"+path, func() (*trace.Arena, error) {
-		return trace.LoadArena(path)
-	})
-}
-
-// profileArena materializes a synthetic workload's stream into a shared
-// arena, once per (profile parameterization, budget).
-func (p *Pool) profileArena(prof trace.Profile, budget int) (*trace.Arena, error) {
-	pk, err := profileKey(prof)
-	if err != nil {
-		return nil, err
+	p.mu.Lock()
+	e := p.arenas[path]
+	if e == nil {
+		e = &arenaEntry{}
+		p.arenas[path] = e
 	}
-	return p.arena(fmt.Sprintf("prof\x00%s\x00%d", pk, budget), func() (*trace.Arena, error) {
-		prog, err := p.Program(prof)
-		if err != nil {
-			return nil, err
-		}
-		return trace.ArenaFromSource(trace.NewLimit(trace.NewWalker(prog), budget), budget), nil
-	})
+	p.mu.Unlock()
+	e.once.Do(func() { e.arena, e.err = trace.LoadArena(path) })
+	return e.arena, e.err
 }
 
 // jobKey resolves a job's cache key, reading the trace file's content
@@ -521,11 +500,12 @@ func recoverRun(run func(Job, sim.ProgressFunc) (sim.Result, error), job Job, ho
 	return run(job, hook)
 }
 
-// simulate is the real job body: resolve the workload stream (shared
-// arena or per-job walker), apply the instruction budgets, and run the
-// machine — serially, or through the interval executor when
-// Job.Segments > 1 — with warm-checkpoint reuse when the pool has a
-// store.
+// simulate is the real job body: resolve the workload stream (a
+// generator walk for synthetic profiles, a cursor over the shared arena
+// for recorded files — one fresh stream per job or interval), apply the
+// instruction budgets, and run the machine — serially, or through the
+// interval executor when Job.Segments > 1 — with warm-checkpoint reuse
+// when the pool has a store.
 func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 	cfg := job.Config
 	cfg.WarmupInsts, cfg.MeasureInsts = job.Warmup, job.Measure
@@ -557,20 +537,7 @@ func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
 		// budget: the stream prefix a checkpoint replays is independent
 		// of where the run's limit lies.
 		traceID = "profile:" + pk
-		if p.opts.UseArena || job.Segments > 1 {
-			// Parallel jobs (segment- or window-sharded) always run over
-			// the shared arena, whatever Options.UseArena says: interval
-			// boundaries lean on the cursor's O(1) seek, and per-interval
-			// generator walks would turn every boundary placement into an
-			// O(position) replay.
-			a, err := p.profileArena(job.Profile, budget)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			newSource = func() trace.Source { return a.Cursor() }
-		} else {
-			newSource = func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
-		}
+		newSource = func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
 	}
 	if job.Segments > 1 {
 		return tpar.Run(cfg, newSource, code, job.traceLabel(), tpar.Options{

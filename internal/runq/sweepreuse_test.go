@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ucp/internal/sim"
+	"ucp/internal/tpar"
 	"ucp/internal/trace"
 )
 
@@ -44,23 +45,64 @@ func digests(t *testing.T, p *Pool, jobs []Job) []string {
 	return out
 }
 
-// TestArenaResultsMatchWalker pins that routing synthetic workloads
-// through a shared arena is outcome-neutral: every digest matches the
-// per-job walker path, for full-detail and sampled jobs alike.
+// TestArenaResultsMatchWalker pins the equivalence recorded-trace jobs
+// rely on: a cursor over an arena materialized from a profile's stream
+// and the profile's own generator walk are interchangeable sources.
+// Every run shape through tpar.Run — serial full-detail and sampled,
+// time-parallel segments, window-parallel sampled windows — gives
+// byte-identical digests over either.
 func TestArenaResultsMatchWalker(t *testing.T) {
-	jobs := append(quickJobs(20_000, 20_000), sampledJobs(2)...)
-	walked := digests(t, New(Options{Workers: 2}), jobs)
-	arena := New(Options{Workers: 2, UseArena: true})
-	for i, d := range digests(t, arena, jobs) {
-		if d != walked[i] {
-			t.Errorf("job %d: arena digest diverges from walker digest", i)
+	const warm, meas = 10_000, 40_000
+	full := quickJobs(warm, meas)[0]
+	sampled := sampledQuickJobs(warm, meas)[0]
+	prog, err := trace.BuildProgram(full.Profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := warm + meas + 200_000
+	a := trace.ArenaFromSource(trace.NewLimit(trace.NewWalker(prog), budget), budget)
+	walker := func() trace.Source { return trace.NewLimit(trace.NewWalker(prog), budget) }
+	cursor := func() trace.Source { return a.Cursor() }
+
+	for _, c := range []struct {
+		name     string
+		job      Job
+		segments int
+	}{
+		{"serial", full, 1},
+		{"serial-sampled", sampled, 1},
+		{"segmented", full, 2},
+		{"windowed", sampled, 2},
+	} {
+		cfg := c.job.Config
+		cfg.WarmupInsts, cfg.MeasureInsts = warm, meas
+		run := func(newSource func() trace.Source) string {
+			res, err := tpar.Run(cfg, newSource, prog, c.job.traceLabel(), tpar.Options{Segments: c.segments, Workers: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			return res.DeterminismDigest()
+		}
+		if run(cursor) != run(walker) {
+			t.Errorf("%s: arena-cursor digest diverges from generator digest", c.name)
 		}
 	}
-	// The two sampled jobs share (profile, budget), and the full-detail
-	// quick jobs cover distinct profiles: one arena per distinct stream.
-	want := len(trace.QuickProfiles()) + 1
-	if got := len(arena.arenas); got != want {
-		t.Errorf("pool built %d arenas, want %d (one per distinct stream)", got, want)
+}
+
+// TestSyntheticJobsBuildNoArena pins the pool's source policy:
+// synthetic-profile jobs stream from the generator whatever their shape,
+// so a serial job with the retired UseArena set, a time-parallel job
+// and a window-parallel sampled job leave the pool without an arena.
+func TestSyntheticJobsBuildNoArena(t *testing.T) {
+	serial := quickJobs(10_000, 20_000)[0]
+	segmented := serial
+	segmented.Segments = 2
+	windowed := sampledQuickJobs(10_000, 20_000)[0]
+	windowed.Segments = 2
+	p := New(Options{Workers: 2, UseArena: true})
+	digests(t, p, []Job{serial, segmented, windowed})
+	if got := p.ArenaCount(); got != 0 {
+		t.Errorf("synthetic jobs built %d arenas, want 0", got)
 	}
 }
 
@@ -71,7 +113,7 @@ func TestArenaResultsMatchWalker(t *testing.T) {
 func TestCheckpointReuseAcrossJobs(t *testing.T) {
 	jobs := sampledJobs(3)
 	cold := digests(t, New(Options{Workers: 2}), jobs)
-	p := New(Options{Workers: 2, UseArena: true, Checkpoints: true})
+	p := New(Options{Workers: 2, Checkpoints: true})
 	for i, d := range digests(t, p, jobs) {
 		if d != cold[i] {
 			t.Errorf("job %d: checkpointed digest diverges from cold digest", i)

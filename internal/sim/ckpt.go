@@ -128,7 +128,8 @@ func (m *Machine) captureWarm(skipped, ffTotal uint64) []byte {
 // restoreWarm rebuilds the capture-point state on a freshly constructed
 // machine: it replays the trace to the captured position (relearning
 // LearnedCode through the observing wrapper on recorded traces — an
-// arena cursor or generator fast path makes this a seek), then loads
+// arena cursor seeks through its index, a generator skips without
+// materializing instructions), then loads
 // every serialized structure. The restored machine is bit-equal to one
 // that ran the fast-forward itself, so all downstream results are
 // byte-identical.

@@ -169,8 +169,8 @@ func BoundaryKey(cfg Config, traceID string, start uint64, warm BoundaryWarm) st
 // boundary state at spec.Start (restoring a cached checkpoint when the
 // store has one, capturing one for the next run otherwise), then
 // measure [Start, End) in detailed mode. src must be a fresh stream at
-// position zero, not shared with any other segment (arena cursors are
-// the intended source). The result is deterministic for a given
+// position zero, not shared with any other segment (its own generator
+// walk, or its own cursor over a recorded trace's arena). The result is deterministic for a given
 // (cfg, trace, spec, warm) regardless of worker placement, and a
 // checkpoint-restored boundary is byte-identical to a cold one.
 func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSpec, warm BoundaryWarm, wc *WarmCheckpoints) (SegmentResult, error) {

@@ -1,15 +1,16 @@
 // Package sweepd is the long-lived multi-tenant simulation service:
 // one process owning a single runq.Pool — and through it the shared
-// decoded-trace arenas, the warm-checkpoint store, and the
-// content-addressed result cache — serving simulation jobs to any
-// number of concurrent clients over a versioned JSON HTTP API.
+// trace programs, the warm-checkpoint store, and the content-addressed
+// result cache — serving simulation jobs to any number of concurrent
+// clients over a versioned JSON HTTP API.
 //
 // The serving economics mirror what the content-addressed tiers
 // already bought a single process, promoted fleet-wide: most requests
 // are cache hits, and the expensive misses are scheduled on a bounded
 // queue, deduplicated across clients (concurrent submissions of the
 // same job key coalesce onto one in-flight execution), and reused by
-// every later tenant. One decode, one warm checkpoint, many tenants.
+// every later tenant. One program build, one warm checkpoint, many
+// tenants.
 //
 // API surface (all under /v1; see DESIGN.md for semantics):
 //
@@ -184,7 +185,9 @@ type Statz struct {
 	// Checkpoint tier: functional-warm blobs captured and restored.
 	CkptCaptured int `json:"ckpt_captured"`
 	CkptRestored int `json:"ckpt_restored"`
-	// Arenas counts shared decoded trace arenas held by the pool.
+	// Arenas counts shared decoded trace arenas held by the pool. Only
+	// recorded-trace jobs build one, and the server refuses those, so
+	// a server reads 0.
 	Arenas int `json:"arenas"`
 
 	// Per-stage latency distributions (milliseconds on the injected

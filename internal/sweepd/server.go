@@ -19,10 +19,9 @@ import (
 // Config configures a Server.
 type Config struct {
 	// Pool configures the one shared runq pool (result cache dir,
-	// checkpoint dir, arena sharing, worker bound). The server turns
-	// UseArena and Checkpoints on by default semantics of its own: the
-	// whole point of serving is tier sharing, so leave them set unless
-	// you are debugging the tiers themselves.
+	// checkpoint dir, worker bound). The server uses it as given and
+	// enables no tier itself; cmd/sweepd turns Checkpoints on, since
+	// the point of serving is tier sharing.
 	Pool runq.Options
 	// QueueDepth bounds jobs admitted but not yet executing; past it,
 	// submissions bounce with 503 + Retry-After (default 256).

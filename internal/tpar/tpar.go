@@ -14,9 +14,11 @@
 //     (sim.SamplingConfig.BoundaryWarm) — window-parallel mode.
 //
 // Either way every interval is one sim.RunSegment on a fresh machine
-// over its own arena cursor, whose boundary state is rebuilt by the
-// warming pyramid or restored from a content-addressed internal/ckpt
-// checkpoint captured on an earlier run. Completed intervals feed one
+// over its own stream from position zero (a generator walk for a
+// synthetic profile, an arena cursor for a recorded trace), whose
+// boundary state is rebuilt by the warming pyramid or restored from a
+// content-addressed internal/ckpt checkpoint captured on an earlier
+// run. Completed intervals feed one
 // in-order consumer running the shared stop rule (sim.AdaptiveStop),
 // which never stops for non-adaptive configs. An adaptive sampled run
 // therefore speculates: workers run ahead of the pinned stop schedule
@@ -114,8 +116,9 @@ func unitName(cfg sim.Config) string {
 }
 
 // Run executes cfg over the trace. newSource must return a fresh,
-// independent stream at position zero on every call (arena cursors:
-// each interval gets its own); it is called from multiple goroutines.
+// independent stream at position zero on every call (a fresh generator
+// walk or arena cursor: each interval gets its own); it is called from
+// multiple goroutines.
 // With Segments <= 1 (or a full-detail measured region too short to
 // split) the run goes through the serial engine and is byte-identical
 // to sim.Run.

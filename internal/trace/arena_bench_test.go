@@ -83,3 +83,123 @@ func BenchmarkArenaSkip(b *testing.B) {
 		}
 	}
 }
+
+// The generator-versus-arena break-even. A synthetic workload can be
+// streamed from its generator (Walker) or materialized once into an
+// Arena and replayed through cursors; the arena only pays when its
+// one-time build is recovered by cheaper skips. These benchmarks price
+// each side per instruction on one large-footprint profile (srv203) and
+// one small one (crypto01):
+//
+//	go test -run '^$' -bench 'Walker|ArenaBuild|ArenaSkipWarm' -benchtime 5x ./internal/trace
+
+// profileBenchInsts is the skip length and arena size of the
+// per-profile benchmarks: long enough that per-instruction costs
+// dominate, short enough for a -benchtime=1x smoke.
+const profileBenchInsts = 1_000_000
+
+// breakEvenProfiles are the benchmarked profiles: srv203's code and data
+// footprints are among the largest in the default set, crypto01's among
+// the smallest.
+var breakEvenProfiles = []string{"srv203", "crypto01"}
+
+// benchProgram builds the named default profile's program.
+func benchProgram(b *testing.B, name string) *Program {
+	b.Helper()
+	prof, ok := ProfileByName(name)
+	if !ok {
+		b.Fatalf("no profile %q", name)
+	}
+	prog, err := BuildProgram(prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return prog
+}
+
+// forEachProfile runs body as one sub-benchmark per break-even profile
+// and reports its per-instruction cost, body handling profileBenchInsts
+// instructions per iteration.
+func forEachProfile(b *testing.B, body func(b *testing.B, prog *Program)) {
+	for _, name := range breakEvenProfiles {
+		b.Run(name, func(b *testing.B) {
+			prog := benchProgram(b, name)
+			b.ReportAllocs()
+			b.ResetTimer()
+			body(b, prog)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*profileBenchInsts), "ns/inst")
+		})
+	}
+}
+
+// countWarmer receives a warming skip's footprint and only counts it,
+// so the warm-skip benchmarks price the trace layer alone.
+type countWarmer struct{ fetch, mem, cond int }
+
+func (w *countWarmer) WarmFetch(uint64)      { w.fetch++ }
+func (w *countWarmer) WarmMem(uint64)        { w.mem++ }
+func (w *countWarmer) WarmCond(uint64, bool) { w.cond++ }
+
+// BenchmarkWalkerSkip measures the generator's plain fast-forward: the
+// walk state advances, no instruction is materialized.
+func BenchmarkWalkerSkip(b *testing.B) {
+	forEachProfile(b, func(b *testing.B, prog *Program) {
+		const n = profileBenchInsts
+		w := NewWalker(prog)
+		for i := 0; i < b.N; i++ {
+			w.Reset()
+			if got := w.Skip(n); got != n {
+				b.Fatalf("Skip = %d, want %d", got, n)
+			}
+		}
+	})
+}
+
+// BenchmarkWalkerSkipWarm measures the generator's warming skip, the
+// sampled and boundary fast-forward tier: the skip also reports every
+// fetch line, memory address and conditional outcome.
+func BenchmarkWalkerSkipWarm(b *testing.B) {
+	forEachProfile(b, func(b *testing.B, prog *Program) {
+		const n = profileBenchInsts
+		w := NewWalker(prog)
+		var wm countWarmer
+		for i := 0; i < b.N; i++ {
+			w.Reset()
+			if got := w.SkipWarm(n, &wm); got != n {
+				b.Fatalf("SkipWarm = %d, want %d", got, n)
+			}
+		}
+	})
+}
+
+// BenchmarkArenaSkipWarm is BenchmarkWalkerSkipWarm's arena
+// counterpart: the same warming skip decoded from a prebuilt arena
+// (its build is BenchmarkArenaBuild).
+func BenchmarkArenaSkipWarm(b *testing.B) {
+	forEachProfile(b, func(b *testing.B, prog *Program) {
+		const n = profileBenchInsts
+		b.StopTimer()
+		c := ArenaFromSource(NewWalker(prog), n).Cursor()
+		b.StartTimer()
+		var wm countWarmer
+		for i := 0; i < b.N; i++ {
+			c.Reset()
+			if got := c.SkipWarm(n, &wm); got != n {
+				b.Fatalf("SkipWarm = %d, want %d", got, n)
+			}
+		}
+	})
+}
+
+// BenchmarkArenaBuild measures materializing a generated stream into an
+// arena: one walk with every instruction delivered and encoded.
+func BenchmarkArenaBuild(b *testing.B) {
+	forEachProfile(b, func(b *testing.B, prog *Program) {
+		const n = profileBenchInsts
+		for i := 0; i < b.N; i++ {
+			if a := ArenaFromSource(NewWalker(prog), n); a.Len() != n {
+				b.Fatalf("arena holds %d insts, want %d", a.Len(), n)
+			}
+		}
+	})
+}
