@@ -33,7 +33,9 @@
 #                           clean, 1 findings, 2 load error)
 #   5. ucplint -determinism (two seeded runs must byte-match)
 #   6. go test -race ./... (full suite under the race detector)
-#   7. fuzz smoke          (each internal/trace fuzz target, 5s)
+#   7. fuzz smoke          (each fuzz target, 5s: the internal/trace
+#                           readers, ckpt.Open, and the warm-checkpoint
+#                           restore in internal/sim)
 #   8. runq determinism    (quick sweep at -jobs 1 vs -jobs 8 vs a warm
 #                           cache must be byte-identical; wall-clock
 #                           ratios are recorded in BENCH_runq.json but
@@ -50,7 +52,11 @@
 #                           per-point IPC error must stay under 2% and
 #                           the aggregate wall-clock speedup at or above
 #                           10x; measurements land in BENCH_sampling.json;
-#                           the sampled side must digest identically twice)
+#                           the sampled side must digest identically twice;
+#                           then ucpsim's serial sampled chain — fast,
+#                           conservative and adaptive geometries, baseline
+#                           and UCP — must byte-match
+#                           testdata/sampled_digest.golden)
 #  11. time-parallel gate  (one full-detail UCP run executed serial,
 #                           segmented at two worker counts, and through
 #                           a capture+restore checkpoint cycle — every
@@ -218,10 +224,12 @@ fi
 
 # `go test -fuzz` accepts a single target at a time, so smoke each one.
 if want fuzz; then
-step "fuzz smoke (internal/trace)"
+step "fuzz smoke"
 if [ "$FAST" -eq 0 ]; then
 	go test -fuzz=FuzzReadAny -fuzztime=5s -run='^$' ./internal/trace
 	go test -fuzz=FuzzValidate -fuzztime=5s -run='^$' ./internal/trace
+	go test -fuzz=FuzzOpen -fuzztime=5s -run='^$' ./internal/ckpt
+	go test -fuzz=FuzzRestoreWarm -fuzztime=5s -run='^$' ./internal/sim
 else
 	echo "skipped (-fast)"
 fi
@@ -338,6 +346,24 @@ step "sampling gate"
 # thermally comparable. Gated: per-point IPC error < 2%, aggregate
 # speedup >= 10x, sampled runs digest-identical across two passes.
 "$RUNQ_TMP/experiments" -gate sampling
+
+# Cross-commit half: the serial sampled chain (warming skip, functional
+# warm, detailed windows) on every zone kind of the warming pyramid —
+# -sample-fast engages the pure, predictor-only and cache-warm zones —
+# must reproduce testdata/sampled_digest.golden byte for byte.
+for u in "" -ucp; do
+	"$RUNQ_TMP/ucpsim" -trace crypto01 $u -digest -warmup 200000 -measure 1666000 -sample -sample-fast
+done > "$RUNQ_TMP/sampled_digest.txt"
+for u in "" -ucp; do
+	"$RUNQ_TMP/ucpsim" -trace srv203 $u -digest -warmup 400000 -measure 1500000 -sample
+done >> "$RUNQ_TMP/sampled_digest.txt"
+for u in "" -ucp; do
+	"$RUNQ_TMP/ucpsim" -trace crypto01 $u -digest -warmup 50000 -measure 2400000 -sample \
+		-sample-period 100000 -sample-window 2000 -adaptive 0.05
+done >> "$RUNQ_TMP/sampled_digest.txt"
+cmp "$RUNQ_TMP/sampled_digest.txt" testdata/sampled_digest.golden || {
+	echo "sampling: sampled ucpsim digest differs from testdata/sampled_digest.golden" >&2; exit 1; }
+echo "sampling: sampled ucpsim digests match golden"
 fi
 
 if want tpar; then

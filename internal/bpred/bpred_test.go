@@ -323,8 +323,8 @@ func TestFoldedHistoryConsistency(t *testing.T) {
 	// folded state is a pure function of the last origLen bits.
 	if err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
-		shape := &histShape{lens: []int{7}, idxBits: []int{5}, tagBits: []int{6}}
-		a, b := newHist(shape), newHist(shape)
+		shape := newHistShape([]int{7}, []int{5}, []int{6})
+		a, b := newHist(&shape), newHist(&shape)
 		// Warm a with random prefix; b gets a different prefix.
 		for i := 0; i < 200; i++ {
 			a.Push(uint64(i*4), r.Bool(0.5))
@@ -339,8 +339,8 @@ func TestFoldedHistoryConsistency(t *testing.T) {
 			a.Push(0x100, bit)
 			b.Push(0x100, bit)
 		}
-		return a.folds[0].idx.comp == b.folds[0].idx.comp &&
-			a.folds[0].tag1.comp == b.folds[0].tag1.comp
+		return a.folds[0].idx == b.folds[0].idx &&
+			a.folds[0].tag1 == b.folds[0].tag1
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}

@@ -143,12 +143,13 @@ func (h *Hist) SaveState(w *ckpt.Writer) {
 	w.Uvarint(uint64(h.pos))
 	w.Uvarint(h.path)
 	w.Uvarint(h.ghr)
-	w.Uvarint(uint64(len(h.folds)))
-	for i := range h.folds {
-		f := &h.folds[i]
-		w.Uvarint(uint64(f.idx.comp))
-		w.Uvarint(uint64(f.tag1.comp))
-		w.Uvarint(uint64(f.tag2.comp))
+	folds := h.folds[:len(h.shape.tables)]
+	w.Uvarint(uint64(len(folds)))
+	for i := range folds {
+		f := &folds[i]
+		w.Uvarint(uint64(f.idx))
+		w.Uvarint(uint64(f.tag1))
+		w.Uvarint(uint64(f.tag2))
 	}
 }
 
@@ -163,14 +164,15 @@ func (h *Hist) LoadState(r *ckpt.Reader) {
 	if r.Err() != nil {
 		return
 	}
-	if n != uint64(len(h.folds)) {
-		r.Failf("hist: %d fold sets, want %d", n, len(h.folds))
+	folds := h.folds[:len(h.shape.tables)]
+	if n != uint64(len(folds)) {
+		r.Failf("hist: %d fold sets, want %d", n, len(folds))
 		return
 	}
-	for i := range h.folds {
-		f := &h.folds[i]
-		f.idx.comp = uint32(r.Uvarint())
-		f.tag1.comp = uint32(r.Uvarint())
-		f.tag2.comp = uint32(r.Uvarint())
+	for i := range folds {
+		f := &folds[i]
+		f.idx = uint32(r.Uvarint())
+		f.tag1 = uint32(r.Uvarint())
+		f.tag2 = uint32(r.Uvarint())
 	}
 }

@@ -17,47 +17,68 @@ package bpred
 // longest usable TAGE history length.
 const maxHistBits = 1024
 
-// folded is a cyclically-folded history register (Michaud/Seznec CSR),
-// maintaining hash(h[0:origLen]) incrementally in compLen bits. The
-// out-shift (origLen mod compLen) and width mask are precomputed at
-// construction: update runs ~36 times per history push in the shipped
-// configurations, and the integer division dominated it.
-type folded struct {
-	comp     uint32
+// foldShape holds the construction constants of one cyclically-folded
+// history register (Michaud/Seznec CSR), which maintains
+// hash(h[0:origLen]) incrementally in compLen bits. The out-shift
+// (origLen mod compLen) and width mask are precomputed: update runs ~36
+// times per history push in the shipped configurations, and the integer
+// division dominated it.
+type foldShape struct {
 	compLen  uint32
 	outShift uint32 // origLen % compLen
 	mask     uint32 // (1 << compLen) - 1
 }
 
-func newFolded(origLen, compLen int) folded {
-	return folded{
+func newFoldShape(origLen, compLen int) foldShape {
+	return foldShape{
 		compLen:  uint32(compLen),
 		outShift: uint32(origLen % compLen),
 		mask:     (1 << uint(compLen)) - 1,
 	}
 }
 
-// update shifts in newBit and removes oldBit (the bit leaving the
-// origLen-deep window).
-func (f *folded) update(newBit, oldBit uint32) {
-	c := (f.comp << 1) | newBit
-	c ^= oldBit << f.outShift
-	c ^= c >> f.compLen
-	f.comp = c & f.mask
+// update returns comp with newBit shifted in and oldBit (the bit
+// leaving the origLen-deep window) removed.
+func (s foldShape) update(comp, newBit, oldBit uint32) uint32 {
+	c := (comp << 1) | newBit
+	c ^= oldBit << s.outShift
+	c ^= c >> s.compLen
+	return c & s.mask
+}
+
+// tableShape is one tagged table's history length and the shapes of its
+// three folded registers: the index fold, the tag fold of width
+// tagBits, and the tag fold of width tagBits-1.
+type tableShape struct {
+	len             int
+	idx, tag1, tag2 foldShape
 }
 
 // histShape describes the folded registers a predictor needs; it is
-// derived from the table configuration and shared by all Hist clones.
+// derived from the table configuration and shared by all Hist clones,
+// which carry only the register values.
 type histShape struct {
-	lens     []int // history length per tagged table
-	idxBits  []int // log2(table entries)
-	tagBits  []int
-	scGEHLen []int // statistical corrector history lengths
+	tables []tableShape
+}
+
+// newHistShape builds the shape of tables with the given history
+// lengths, index widths and tag widths.
+func newHistShape(lens, idxBits, tagBits []int) histShape {
+	s := histShape{tables: make([]tableShape, len(lens))}
+	for i, l := range lens {
+		s.tables[i] = tableShape{
+			len:  l,
+			idx:  newFoldShape(l, idxBits[i]),
+			tag1: newFoldShape(l, tagBits[i]),
+			tag2: newFoldShape(l, tagBits[i]-1),
+		}
+	}
+	return s
 }
 
 // Hist is a branch history context: the global direction history ring,
 // a path history, and the folded registers for every tagged table. It
-// is a value-copyable snapshot: Clone returns an independent context.
+// is a plain value: Clone and CopyFrom are struct copies.
 type Hist struct {
 	shape *histShape
 
@@ -69,49 +90,28 @@ type Hist struct {
 	// ghr mirrors the youngest 64 direction bits for cheap SC indexing.
 	ghr uint64
 
-	// folds holds each table's three folded registers contiguously:
-	// Push and the TAGE index/tag hashes touch all three per table, so
-	// interleaving keeps each table's working set on one cache line
-	// (three parallel slices cost three lines per table).
-	folds []tableFolds
+	// folds holds each table's three folded-register values
+	// contiguously (the first len(shape.tables) entries are live): Push
+	// and the TAGE index/tag hashes touch all three per table.
+	folds [maxTables]tableFolds
 }
 
-// tableFolds groups one tagged table's folded registers (index fold,
-// tag fold of width tagBits, tag fold of width tagBits-1).
+// tableFolds groups one tagged table's folded-register values, shaped
+// by the matching tableShape.
 type tableFolds struct {
-	idx, tag1, tag2 folded
+	idx, tag1, tag2 uint32
 }
 
-func newHist(shape *histShape) *Hist {
-	h := &Hist{shape: shape}
-	n := len(shape.lens)
-	h.folds = make([]tableFolds, n)
-	for i := 0; i < n; i++ {
-		l := shape.lens[i]
-		h.folds[i] = tableFolds{
-			idx:  newFolded(l, shape.idxBits[i]),
-			tag1: newFolded(l, shape.tagBits[i]),
-			tag2: newFolded(l, shape.tagBits[i]-1),
-		}
-	}
-	return h
-}
+func newHist(shape *histShape) *Hist { return &Hist{shape: shape} }
 
-// Clone returns an independent deep copy of the history context.
+// Clone returns an independent copy of the history context.
 func (h *Hist) Clone() *Hist {
-	c := &Hist{shape: h.shape, ring: h.ring, pos: h.pos, path: h.path, ghr: h.ghr}
-	c.folds = append([]tableFolds(nil), h.folds...)
-	return c
+	c := *h
+	return &c
 }
 
 // CopyFrom overwrites this context with src (both must share a shape).
-func (h *Hist) CopyFrom(src *Hist) {
-	h.ring = src.ring
-	h.pos = src.pos
-	h.path = src.path
-	h.ghr = src.ghr
-	copy(h.folds, src.folds)
-}
+func (h *Hist) CopyFrom(src *Hist) { *h = *src }
 
 // bitAt returns the direction bit written `age` updates ago (age 0 is
 // the most recent).
@@ -129,17 +129,19 @@ func (h *Hist) Push(pc uint64, taken bool) {
 	}
 	// Collect outgoing bits before overwriting. bitAt is inlined with
 	// pos and ring hoisted: the folds writes below cannot alias them,
-	// but the compiler cannot prove that across the slice.
-	folds := h.folds
+	// but the compiler cannot prove that.
+	tables := h.shape.tables
+	folds := h.folds[:len(tables)]
 	pos := h.pos
 	ring := &h.ring
-	for i, l := range h.shape.lens {
-		bi := (pos - l) & (maxHistBits - 1)
+	for i := range tables {
+		s := &tables[i]
+		bi := (pos - s.len) & (maxHistBits - 1)
 		ob := uint32(ring[bi/64]>>(uint(bi)%64)) & 1
 		f := &folds[i]
-		f.idx.update(nb, ob)
-		f.tag1.update(nb, ob)
-		f.tag2.update(nb, ob)
+		f.idx = s.idx.update(f.idx, nb, ob)
+		f.tag1 = s.tag1.update(f.tag1, nb, ob)
+		f.tag2 = s.tag2.update(f.tag2, nb, ob)
 	}
 	idx := h.pos & (maxHistBits - 1)
 	if nb == 1 {

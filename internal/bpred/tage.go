@@ -201,7 +201,7 @@ func NewTAGE(cfg TageConfig) *TAGE {
 		}
 		idxBits[i] = cfg.IdxBits
 	}
-	t.shape = histShape{lens: t.lens, idxBits: idxBits, tagBits: t.tagBits}
+	t.shape = newHistShape(t.lens, idxBits, t.tagBits)
 	t.idxMask = uint64(1<<cfg.IdxBits) - 1
 	for i := 0; i < cfg.Tables; i++ {
 		t.pcShifts[i] = uint(2 + ((i + 3) % 7))
@@ -236,14 +236,14 @@ func (t *TAGE) bimIndex(pc uint64) int32 {
 }
 
 func (t *TAGE) tableIndex(h *Hist, pc uint64, i int) int32 {
-	v := (pc >> 2) ^ (pc >> t.pcShifts[i]) ^ uint64(h.folds[i].idx.comp)
+	v := (pc >> 2) ^ (pc >> t.pcShifts[i]) ^ uint64(h.folds[i].idx)
 	v ^= h.path & t.pathMasks[i]
 	return int32(v & t.idxMask)
 }
 
 func (t *TAGE) tableTag(h *Hist, pc uint64, i int) uint16 {
 	f := &h.folds[i]
-	v := (pc >> 2) ^ uint64(f.tag1.comp) ^ (uint64(f.tag2.comp) << 1)
+	v := (pc >> 2) ^ uint64(f.tag1) ^ (uint64(f.tag2) << 1)
 	return uint16(v & t.tagMasks[i])
 }
 

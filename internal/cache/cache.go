@@ -43,7 +43,6 @@ type mshrEntry struct {
 // Cache is one set-associative level backed by a lower Level.
 type Cache struct {
 	cfg  Config
-	sets int
 	ways int
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
 	// invalid), with the LRU stamps in a parallel array: the hit loop
@@ -53,12 +52,7 @@ type Cache struct {
 	lower Level
 	clock uint64
 	stats Stats
-
-	// Set/tag extraction constants: when sets is a power of two (every
-	// shipped configuration) the per-access divisions reduce to masks.
-	setsPow2 bool
-	setMask  uint64
-	tagShift uint
+	index setIndex
 
 	// OnEvict, when set, observes every line eviction (used to keep the
 	// µ-op cache inclusive of the L1I, §IV-G2).
@@ -103,39 +97,76 @@ func New(cfg Config, lower Level) *Cache {
 	}
 	c := &Cache{
 		cfg:   cfg,
-		sets:  sets,
 		ways:  cfg.Ways,
 		tags:  make([]uint64, sets*cfg.Ways),
 		lrus:  make([]uint64, sets*cfg.Ways),
 		lower: lower,
 		mshr:  make([]mshrEntry, 0, cfg.MSHRs+1),
-	}
-	if sets&(sets-1) == 0 {
-		c.setsPow2 = true
-		c.setMask = uint64(sets - 1)
-		shift := uint(0)
-		for 1<<shift < sets {
-			shift++
-		}
-		c.tagShift = 6 + shift // log2(LineBytes) + log2(sets)
+		index: newSetIndex(sets),
 	}
 	return c
 }
 
-func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
-
-func (c *Cache) setOf(la uint64) int {
-	if c.setsPow2 {
-		return int((la >> 6) & c.setMask)
-	}
-	return int((la / LineBytes) % uint64(c.sets))
+// setIndex maps a block number (a line address over LineBytes, or a
+// page number) to its set and tag. Every shipped TLB and every cache
+// but the 30 MiB LLC (40 960 sets) has a power-of-two set count, where
+// the mapping is a mask and a shift; otherwise it costs one division,
+// whose remainder is recovered by a multiply.
+type setIndex struct {
+	sets  uint64
+	pow2  bool
+	mask  uint64
+	shift uint
 }
 
-func (c *Cache) tagOf(la uint64) uint64 {
-	if c.setsPow2 {
-		return la >> c.tagShift
+func newSetIndex(sets int) setIndex {
+	x := setIndex{sets: uint64(sets)}
+	if sets&(sets-1) == 0 {
+		x.pow2 = true
+		x.mask = uint64(sets - 1)
+		for 1<<x.shift < sets {
+			x.shift++
+		}
 	}
-	return la / LineBytes / uint64(c.sets)
+	return x
+}
+
+// split returns block's set and tag.
+func (x setIndex) split(block uint64) (set int, tag uint64) {
+	if x.pow2 {
+		return int(block & x.mask), block >> x.shift
+	}
+	tag = block / x.sets
+	return int(block - tag*x.sets), tag
+}
+
+// join is split's inverse: the block number of tag in set.
+func (x setIndex) join(set int, tag uint64) uint64 { return tag*x.sets + uint64(set) }
+
+// firstMin returns the index of the first smallest LRU stamp: the LRU
+// victim of a set. Invalid ways keep stamp 0 and live ways carry stamps
+// of at least 1 (the clock advances before every stamp), so when a set
+// has an empty way the first minimum is its first empty way. The scan
+// is branch-free: stamps stay below 2^63, so the sign bit of l-oldest
+// is the comparison, and it masks both selects.
+func firstMin(lrus []uint64) int {
+	victim, oldest := uint64(0), lrus[0]
+	for w := 1; w < len(lrus); w++ {
+		l := lrus[w]
+		lt := -((l - oldest) >> 63) // all ones when l < oldest
+		victim ^= (victim ^ uint64(w)) & lt
+		oldest ^= (oldest ^ l) & lt
+	}
+	return int(victim)
+}
+
+func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
+
+// locate returns la's set base index into tags/lrus and its tag with
+// the valid bit set.
+func (c *Cache) locate(la uint64) (base int, want uint64) {
+	set, tag := c.index.split(la / LineBytes)
+	return set * c.ways, validBit | tag
 }
 
 // purge drops completed MSHR entries, preserving allocation order.
@@ -167,9 +198,7 @@ func (c *Cache) mshrDelete(i int) {
 // Contains reports whether the line holding addr is resident (no state
 // update, no timing effect). Used by the L1I-Hits ideal configuration.
 func (c *Cache) Contains(addr uint64) bool {
-	la := c.lineAddr(addr)
-	base := c.setOf(la) * c.ways
-	want := validBit | c.tagOf(la)
+	base, want := c.locate(c.lineAddr(addr))
 	for _, tv := range c.tags[base : base+c.ways] {
 		if tv == want {
 			return true
@@ -201,8 +230,7 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 	if !isPrefetch {
 		c.stats.Accesses++
 	}
-	base := c.setOf(la) * c.ways
-	want := validBit | c.tagOf(la)
+	base, want := c.locate(la)
 	for w, tv := range c.tags[base : base+c.ways] {
 		if tv == want {
 			c.lrus[base+w] = c.clock
@@ -250,42 +278,31 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 	}
 	ready := c.lower.FetchLine(la, issue+c.cfg.HitLatency)
 	c.mshr = append(c.mshr, mshrEntry{la: la, ready: ready})
-	c.fill(la)
+	c.fill(base, want)
 	return ready
 }
 
-// fill installs la, evicting LRU. (The timing of availability is carried
-// by the returned ready cycle; the directory state updates eagerly,
-// which is the standard trace-simulator simplification.)
-func (c *Cache) fill(la uint64) {
-	base := c.setOf(la) * c.ways
-	victim, oldest := 0, ^uint64(0)
-	for w, tv := range c.tags[base : base+c.ways] {
-		if tv == 0 {
-			victim, oldest = w, 0
-			break
-		}
-		if l := c.lrus[base+w]; l < oldest {
-			victim, oldest = w, l
-		}
-	}
-	if tv := c.tags[base+victim]; tv != 0 {
+// fill installs the line whose tag is want into the set at base,
+// evicting its LRU way. (The timing of availability is carried by the
+// returned ready cycle; the directory state updates eagerly, which is
+// the standard trace-simulator simplification.)
+func (c *Cache) fill(base int, want uint64) {
+	w := base + firstMin(c.lrus[base:base+c.ways])
+	if tv := c.tags[w]; tv != 0 {
 		c.stats.Evictions++
 		if c.OnEvict != nil {
-			set := c.setOf(la)
-			evicted := ((tv&^validBit)*uint64(c.sets) + uint64(set)) * LineBytes
-			c.OnEvict(evicted)
+			c.OnEvict(c.index.join(base/c.ways, tv&^validBit) * LineBytes)
 		}
 	}
-	c.tags[base+victim] = validBit | c.tagOf(la)
-	c.lrus[base+victim] = c.clock
+	c.tags[w] = want
+	c.lrus[w] = c.clock
 }
 
 // Stats returns a copy of the traffic counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
 // Sets returns the number of sets (for bank interleaving by consumers).
-func (c *Cache) Sets() int { return c.sets }
+func (c *Cache) Sets() int { return int(c.index.sets) }
 
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() uint64 { return c.cfg.HitLatency }

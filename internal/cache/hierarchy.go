@@ -1,5 +1,7 @@
 package cache
 
+import "fmt"
+
 // Hierarchy wires the Table II memory system: split L1s over a shared
 // L2, LLC, and DRAM, plus the TLBs. Instruction fetches go through
 // ITLB→(STLB)→L1I→L2→LLC→DRAM; data accesses through DTLB and L1D.
@@ -51,6 +53,21 @@ func DefaultHierarchyConfig() HierarchyConfig {
 		WalkLatency:  120,
 		L1IPQEntries: 32,
 	}
+}
+
+// Validate rejects TLB pages smaller than a cache line: the warming
+// skip records references as line addresses (RefBuf), which select the
+// right page only when a page holds whole lines.
+func (c HierarchyConfig) Validate() error {
+	for _, t := range []struct {
+		name string
+		cfg  TLBConfig
+	}{{"ITLB", c.ITLB}, {"DTLB", c.DTLB}, {"STLB", c.STLB}} {
+		if t.cfg.PageBits < 6 {
+			return fmt.Errorf("cache: %s PageBits must be at least 6 (a page holds whole 64-byte lines), got %d", t.name, t.cfg.PageBits)
+		}
+	}
+	return nil
 }
 
 // NewHierarchy builds the memory system from cfg.
@@ -135,8 +152,8 @@ type TLBConfig struct {
 // TLB is a set-associative translation cache. A miss consults the STLB
 // (when present), and an STLB miss pays the page-walk latency.
 type TLB struct {
-	cfg  TLBConfig
-	sets int
+	cfg   TLBConfig
+	index setIndex
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
 	// invalid), LRU stamps parallel — same layout as Cache, so the hit
 	// loop reads one cache line per set.
@@ -154,7 +171,7 @@ func NewTLB(cfg TLBConfig, stlb *TLB) *TLB {
 	if sets < 1 {
 		sets = 1
 	}
-	return &TLB{cfg: cfg, sets: sets,
+	return &TLB{cfg: cfg, index: newSetIndex(sets),
 		tags: make([]uint64, sets*cfg.Ways),
 		lrus: make([]uint64, sets*cfg.Ways), stlb: stlb}
 }
@@ -165,8 +182,9 @@ func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	page := addr >> uint(t.cfg.PageBits)
 	t.clock++
 	t.stats.Accesses++
-	base := int(page%uint64(t.sets)) * t.cfg.Ways
-	want := validBit | page/uint64(t.sets)
+	set, tag := t.index.split(page)
+	base := set * t.cfg.Ways
+	want := validBit | tag
 	for w, tv := range t.tags[base : base+t.cfg.Ways] {
 		if tv == want {
 			t.lrus[base+w] = t.clock
@@ -181,24 +199,11 @@ func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	} else {
 		ready += t.walkLatency
 	}
-	t.insert(page)
+	// Install over the set's LRU way (firstMin: an empty way first).
+	w := base + firstMin(t.lrus[base:base+t.cfg.Ways])
+	t.tags[w] = want
+	t.lrus[w] = t.clock
 	return ready
-}
-
-func (t *TLB) insert(page uint64) {
-	base := int(page%uint64(t.sets)) * t.cfg.Ways
-	victim, oldest := 0, ^uint64(0)
-	for w, tv := range t.tags[base : base+t.cfg.Ways] {
-		if tv == 0 {
-			victim, oldest = w, 0
-			break
-		}
-		if l := t.lrus[base+w]; l < oldest {
-			victim, oldest = w, l
-		}
-	}
-	t.tags[base+victim] = validBit | page/uint64(t.sets)
-	t.lrus[base+victim] = t.clock
 }
 
 // Stats returns a copy of the TLB counters.

@@ -9,47 +9,25 @@ package cache
 // machine could sustain; routing it through FetchLine would grow an
 // unbounded MSHR backlog that stalls the next detailed window.
 
-// WarmLine implements Level: residency and recency update only. Unlike
-// the access/fill demand pair it resolves the hit and the victim in a
-// single pass over the set — the warm path runs once per skipped memory
-// reference, so the second scan is measurable.
+// WarmLine implements Level: residency and recency update only. A hit
+// scan runs first; a miss warms the lower level and then takes the
+// set's LRU way exactly as a demand fill does (fill), with no MSHR and
+// no ready cycle.
 func (c *Cache) WarmLine(addr uint64) {
 	la := c.lineAddr(addr)
 	c.clock++
 	c.stats.Accesses++
-	base := c.setOf(la) * c.ways
-	want := validBit | c.tagOf(la)
-	empty, victim, oldest := -1, 0, ^uint64(0)
+	base, want := c.locate(la)
 	for w, tv := range c.tags[base : base+c.ways] {
 		if tv == want {
 			c.lrus[base+w] = c.clock
 			c.stats.Hits++
 			return
 		}
-		if tv == 0 {
-			if empty < 0 {
-				empty = w
-			}
-			continue
-		}
-		if l := c.lrus[base+w]; l < oldest {
-			victim, oldest = w, l
-		}
 	}
 	c.stats.Misses++
 	c.lower.WarmLine(la)
-	if empty >= 0 {
-		victim = empty
-	} else {
-		c.stats.Evictions++
-		if c.OnEvict != nil {
-			tv := c.tags[base+victim]
-			evicted := ((tv&^validBit)*uint64(c.sets) + uint64(c.setOf(la))) * LineBytes
-			c.OnEvict(evicted)
-		}
-	}
-	c.tags[base+victim] = want
-	c.lrus[base+victim] = c.clock
+	c.fill(base, want)
 }
 
 // WarmLine implements Level for the DRAM backend.
@@ -82,4 +60,43 @@ func (h *Hierarchy) WarmData(addr uint64, now uint64) {
 		h.DTLB.Translate(addr, now)
 	}
 	h.L1D.WarmLine(la)
+}
+
+// RefBuf records a warming skip's memory references in program order
+// for WarmRefs to replay. Fetch lines and data lines share one stream
+// because the L1I and L1D share the L2 and the LLC. A reference is kept
+// as its line address, which selects the same cache line and, since a
+// page holds whole lines (HierarchyConfig.Validate), the same TLB page
+// as the full address; the freed low bit tags instruction fetches.
+type RefBuf struct{ refs []uint64 }
+
+// ifetchRef tags an instruction-fetch line in a RefBuf.
+const ifetchRef = 1
+
+// NewRefBuf returns an empty buffer with room for n references.
+func NewRefBuf(n int) *RefBuf { return &RefBuf{refs: make([]uint64, 0, n)} }
+
+// Reset empties the buffer, keeping its storage.
+func (b *RefBuf) Reset() { b.refs = b.refs[:0] }
+
+// AddFetch records an instruction fetch from addr's line.
+func (b *RefBuf) AddFetch(addr uint64) {
+	b.refs = append(b.refs, addr&^(LineBytes-1)|ifetchRef)
+}
+
+// AddData records a data access to addr's line.
+func (b *RefBuf) AddData(addr uint64) {
+	b.refs = append(b.refs, addr&^(LineBytes-1))
+}
+
+// WarmRefs replays b in order: each fetch through WarmFetchInst, each
+// data access through WarmData.
+func (h *Hierarchy) WarmRefs(b *RefBuf, now uint64) {
+	for _, r := range b.refs {
+		if r&ifetchRef != 0 {
+			h.WarmFetchInst(r&^ifetchRef, now)
+		} else {
+			h.WarmData(r, now)
+		}
+	}
 }

@@ -57,13 +57,16 @@ type SamplingConfig struct {
 	// FFWarmInsts bounds the functional-warming horizon: only the last
 	// FFWarmInsts instructions before each detailed segment run through
 	// the functional path, and everything earlier in the gap goes
-	// through the warming skip (trace.SkipWarmN) — the direction
-	// predictor trains on every conditional outcome, cache/TLB demand
-	// state advances inside the CacheWarmInsts horizon, and the BTB,
-	// RAS, ITTAGE, and µ-op cache do not advance at all. 0 means no
-	// skipping: the entire gap is functionally warmed (most accurate,
-	// but bounded to ~2× over full detail since the functional path
-	// still materializes and trains on every instruction).
+	// through the warming skip (trace.SkipWarmN, batched per chunk in
+	// warmskip.go) — the direction predictor trains on every
+	// conditional outcome, cache/TLB demand state advances inside the
+	// CacheWarmInsts horizon, and the BTB, RAS and ITTAGE do not
+	// advance at all. The µ-op cache is not filled during the skip, but
+	// under InclusiveUop every L1I line the skip evicts also invalidates
+	// its µ-op cache lines. 0 means no skipping: the entire gap is
+	// functionally warmed (most accurate, but bounded to ~2× over full
+	// detail since the functional path still materializes and trains on
+	// every instruction).
 	FFWarmInsts uint64
 
 	// CacheWarmInsts bounds the cache-warming horizon of the skip: only
@@ -352,7 +355,9 @@ type SampledStats struct {
 	Windows int
 	// SkippedInsts went through the warming skip (cache/TLB residency
 	// and predictor training advance per the CacheWarmInsts/BPWarmInsts
-	// horizons, no µ-op or BTB updates); FFInsts were functionally
+	// horizons; no BTB updates and no µ-op cache fills, though an
+	// InclusiveUop machine drops the µ-op lines of every L1I line the
+	// skip evicts); FFInsts were functionally
 	// committed; DetailedInsts were cycle-accurately committed (warm +
 	// measured + inter-window drain); MeasuredInsts is the measured
 	// subset of DetailedInsts.
@@ -410,45 +415,6 @@ func (s *SampledStats) Finish(sc SamplingConfig, budget int, targetMet bool) {
 		s.MPKICI95 = 0
 	}
 }
-
-// machineWarmer adapts the machine's memory hierarchy to trace.Warmer
-// for the warming-skip tier. Ideal always-hit frontends never touch the
-// L1I on the demand path, so the I-side warm is gated the same way.
-type machineWarmer struct{ m *Machine }
-
-func (w machineWarmer) WarmFetch(lineAddr uint64) {
-	if !w.m.cfg.Ideal.UopAlwaysHit {
-		w.m.mem.WarmFetchInst(lineAddr, w.m.cycle)
-	}
-}
-
-func (w machineWarmer) WarmMem(addr uint64) { w.m.mem.WarmData(addr, w.m.cycle) }
-
-// WarmCond implements trace.BranchWarmer: the demand direction
-// predictor (and, on UCP machines, the alternate-path shadow predictor)
-// trains on every skipped conditional branch. Predictor accuracy
-// converges over tens of millions of instructions — truncating its
-// training to the functional+detailed duty cycle measures an early-run
-// predictor and biases IPC low.
-func (w machineWarmer) WarmCond(pc uint64, taken bool) {
-	predTaken := w.m.fe.WarmCond(pc, taken)
-	if w.m.ucp != nil {
-		w.m.ucp.WarmCond(pc, taken, predTaken)
-	}
-}
-
-// condWarmer is the far-zone warmer: beyond the CacheWarmInsts horizon
-// only the direction predictor trains (its accuracy converges over tens
-// of millions of instructions and cannot be rebuilt by any bounded
-// horizon), while the memory footprint is dropped — caches rebuild well
-// inside the cache-warm + functional-warm horizons.
-type condWarmer struct{ m *Machine }
-
-func (condWarmer) WarmFetch(uint64) {}
-
-func (condWarmer) WarmMem(uint64) {}
-
-func (w condWarmer) WarmCond(pc uint64, taken bool) { machineWarmer(w).WarmCond(pc, taken) }
 
 // runSampled is the sampling controller. Position accounting: skipped
 // instructions never reach the backend, so the absolute stream position
@@ -652,19 +618,14 @@ func (m *Machine) fastForward(to, ffW, cacheW, bpW uint64, skipped, ffTotal *uin
 		}
 		pure := skip - cacheZ - bpZ
 		zones := [3]struct {
-			n uint64
-			w trace.Warmer
-		}{{pure, nil}, {bpZ, condWarmer{m}}, {cacheZ, machineWarmer{m}}}
+			n    uint64
+			kind zoneKind
+		}{{pure, zonePure}, {bpZ, zoneBP}, {cacheZ, zoneCache}}
 		for _, z := range zones {
 			if z.n == 0 {
 				continue
 			}
-			var n uint64
-			if z.w == nil {
-				n = uint64(trace.SkipN(m.src, int(z.n)))
-			} else {
-				n = uint64(trace.SkipWarmN(m.src, int(z.n), z.w))
-			}
+			n := m.skipZone(z.n, z.kind, warmChunk)
 			*skipped += n
 			m.cycle += n
 			if n != z.n {

@@ -117,6 +117,9 @@ var validL1IPrefetchers = map[string]bool{
 // Validate rejects machine configurations whose structures could not be
 // built in hardware, delegating to each sub-config's own Validate.
 func (c Config) Validate() error {
+	if err := c.Memory.Validate(); err != nil {
+		return err
+	}
 	if err := c.Pred.Validate(); err != nil {
 		return err
 	}
@@ -268,6 +271,7 @@ type Machine struct {
 	uop   *uopcache.UopCache
 	src   trace.Source // post-wrapping stream, shared with the frontend
 	cycle uint64
+	warm  *warmBuf // warming-skip chunk buffer, allocated on first skip
 
 	mrcPending uint64 // corrected target of the stalled misprediction
 }

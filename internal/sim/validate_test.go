@@ -33,6 +33,7 @@ func TestConfigValidate(t *testing.T) {
 		{"unknown prefetcher", func(c *Config) { c.L1IPrefetcher = "mystery" }, "prefetcher"},
 		{"zero measurement", func(c *Config) { c.MeasureInsts = 0 }, "MeasureInsts"},
 		{"broken ITTAGE", func(c *Config) { c.Ind.Tables = 0 }, "Tables"},
+		{"sub-line DTLB page", func(c *Config) { c.Memory.DTLB.PageBits = 4 }, "PageBits"},
 		{"broken TAGE bimodal", func(c *Config) { c.Pred.Tage.BimodalBits = 0 }, "BimodalBits"},
 		{"broken UCP sub-config", func(c *Config) {
 			u := core.DefaultConfig()
