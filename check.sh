@@ -168,7 +168,6 @@ step "tool build"
 go build -o "$RUNQ_TMP/ucplint" ./cmd/ucplint
 go build -o "$RUNQ_TMP/experiments" ./cmd/experiments
 go build -o "$RUNQ_TMP/ucpsim" ./cmd/ucpsim
-CORES=$("$RUNQ_TMP/experiments" -numcpu)
 SERIAL_MS=0
 
 if want fmt; then
@@ -257,27 +256,10 @@ cmp "$RUNQ_TMP/serial.md" "$RUNQ_TMP/warm.md" || {
 	echo "runq: cache-warm report differs from cold" >&2; exit 1; }
 
 SERIAL_MS=$((T1 - T0)); PARALLEL_MS=$((T2 - T1)); WARM_MS=$((T3 - T2))
-# Cores come from the Go runtime — GOMAXPROCS, what the worker pool
-# actually schedules on, which a container CPU quota can pin below
-# nproc. On a single-core box -jobs 8 time-slices one CPU, so no
-# speedup is expected; the record says so in a note instead of
-# presenting the ratio as a regression.
-awk -v s="$SERIAL_MS" -v p="$PARALLEL_MS" -v w="$WARM_MS" -v j="$CORES" 'BEGIN {
-	printf "{\n"
-	printf "  \"schema_version\": 1,\n"
-	printf "  \"bench\": \"runq quick sweep (-all -quick, 60k+60k insts)\",\n"
-	printf "  \"cores\": %d,\n", j
-	printf "  \"serial_ms\": %d,\n", s
-	printf "  \"parallel8_ms\": %d,\n", p
-	printf "  \"warm_cache_ms\": %d,\n", w
-	printf "  \"parallel_speedup\": %.2f,\n", (p > 0 ? s / p : 0)
-	if (j < 2) {
-		printf "  \"note\": \"single-core host (GOMAXPROCS=%d): parallel_speedup is time-slicing, no speedup expected\",\n", j
-	}
-	printf "  \"warm_fraction_of_cold\": %.3f\n", (s > 0 ? w / s : 0)
-	printf "}\n"
-}' > BENCH_runq.json
-echo "runq: serial=${SERIAL_MS}ms parallel8=${PARALLEL_MS}ms warm=${WARM_MS}ms cores=${CORES} (BENCH_runq.json)"
+# The typed record stamps GOMAXPROCS as its cores and, on one core,
+# notes that the 8-worker speedup is time-slicing (cmd/experiments/record.go).
+"$RUNQ_TMP/experiments" -record runq "$SERIAL_MS" "$PARALLEL_MS" "$WARM_MS"
+echo "runq: $(tr -d '\n' < BENCH_runq.json | tr -s ' ')"
 fi
 
 if want hotpath; then
@@ -308,23 +290,7 @@ go test -run '^$' -bench '^BenchmarkSimQuick$' -benchtime=1x . | tee "$RUNQ_TMP/
 grep -q '^BenchmarkSimQuick' "$RUNQ_TMP/bench.txt" || {
 	echo "hotpath: BenchmarkSimQuick produced no result line" >&2; exit 1; }
 # sweep_serial_ms is 0 when the runq gate did not run this invocation.
-awk -v s="$SERIAL_MS" -v j="$CORES" '
-	/^BenchmarkSimQuick/ {
-		for (i = 2; i <= NF; i++) {
-			if ($i == "insts/s")     ips = $(i-1)
-			if ($i == "allocs/inst") api = $(i-1)
-		}
-	}
-	END {
-		printf "{\n"
-		printf "  \"schema_version\": 1,\n"
-		printf "  \"bench\": \"BenchmarkSimQuick (quick set, baseline+UCP, 30k+30k insts each)\",\n"
-		printf "  \"cores\": %d,\n", j
-		printf "  \"simulated_insts_per_sec\": %.0f,\n", ips
-		printf "  \"allocs_per_inst\": %.5f,\n", api
-		printf "  \"sweep_serial_ms\": %d\n", s
-		printf "}\n"
-	}' "$RUNQ_TMP/bench.txt" > BENCH_hotpath.json
+"$RUNQ_TMP/experiments" -record hotpath "$RUNQ_TMP/bench.txt" "$SERIAL_MS"
 echo "hotpath: $(tr -d '\n' < BENCH_hotpath.json | tr -s ' ')"
 # Trace-layer smoke: the generator-versus-arena break-even benchmarks
 # (walker skip and warm-skip, arena build, cursor warm-skip, on srv203

@@ -97,8 +97,8 @@ type benchEnvelope struct {
 
 // hostCores is the core count a gate run sees and its record carries:
 // GOMAXPROCS, not NumCPU, since a container CPU quota caps what the
-// worker pools actually schedule on. `experiments -numcpu` prints the
-// same count for check.sh's own records.
+// worker pools actually schedule on. check.sh's own records
+// (`experiments -record`, record.go) carry the same count.
 func hostCores() int { return runtime.GOMAXPROCS(0) }
 
 // newEnvelope builds a record head for a run on the given core count.

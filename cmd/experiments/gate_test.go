@@ -190,7 +190,7 @@ func TestSweepdGateCheck(t *testing.T) {
 // TestParBenchRecord pins every gate's BENCH record as writeBench
 // writes it: the shared envelope check.sh's schema step greps for, with
 // cores taken from the passes (a real run stamps the host's GOMAXPROCS,
-// like `experiments -numcpu`), the gate's bench description, and each
+// as `experiments -record` does), the gate's bench description, and each
 // payload's key names. The parallel records also pin how they state the
 // host's core count: a note and no scaling bound on one core, a scaling
 // bound and no note on more.

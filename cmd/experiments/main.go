@@ -46,7 +46,7 @@ func main() {
 		progress = flag.Bool("progress", true, "print scheduler progress/ETA lines to stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memProf  = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
-		numCPU   = flag.Bool("numcpu", false, "print the worker pool's core count (GOMAXPROCS) and exit (used by check.sh to stamp BENCH_runq.json)")
+		recordID = flag.String("record", "", "write BENCH_<id>.json from check.sh readings given as arguments (runq <serial_ms> <parallel8_ms> <warm_cache_ms>, hotpath <bench output file> <sweep_serial_ms>) and exit")
 		sample   = flag.Bool("sample", false, "run sweeps in sampled mode (conservative geometry; see EXPERIMENTS.md)")
 		adaptive = flag.Float64("adaptive", 0, "with -sample: adaptive stop — end each run once the relative 95% CI half-width of its window IPC mean drops below this")
 		pilot    = flag.Bool("autopilot", false, "run the confidence-pruned ablation search (see EXPERIMENTS.md) and print its Pareto table")
@@ -61,8 +61,11 @@ func main() {
 		buildinfo.Fprint(os.Stdout, "experiments")
 		return
 	}
-	if *numCPU {
-		fmt.Println(hostCores())
+	if *recordID != "" {
+		if err := runRecord(*recordID, flag.Args()); err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(1)
+		}
 		return
 	}
 	if *gateID != "" {

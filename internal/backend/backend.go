@@ -6,6 +6,17 @@
 // branch), a "flush" reduces to resolving the branch and releasing the
 // frontend — the refill cost UCP targets is then paid entirely in the
 // frontend, which is exactly the effect under study.
+//
+// Known deviation: the scoreboard tracks registers, not producers.
+// issue reads regReady[src], which only an issued producer writes, and
+// Dispatch marks nothing pending. So a consumer whose producer is still
+// waiting in the ROB sees the previous writer's ready time and can
+// issue first. Tracking each source's producer per ROB entry lowered
+// baseline IPC by 17–20% on srv207, srv203 and int03, left crypto01
+// unchanged, and lowered UCP's speedup on those three traces from
+// +11.8/+10.7/+5.1% to +8.5/+7.6/+3.8% (`ucpsim -compare`, 400K+2M;
+// EXPERIMENTS.md "Methodology deltas"). Fixing it is a model change
+// that moves every golden digest.
 package backend
 
 import (

@@ -45,12 +45,11 @@ type Cache struct {
 	cfg  Config
 	ways int
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
-	// invalid), with the LRU stamps in a parallel array: the hit loop
-	// then scans one cache line per 8-way set instead of three.
+	// invalid). Each set is kept in recency order (toFront), so the
+	// array is the whole LRU state and the hit loop scans one cache
+	// line per 8-way set.
 	tags  []uint64 // sets × ways
-	lrus  []uint64 // sets × ways
 	lower Level
-	clock uint64
 	stats Stats
 	index setIndex
 
@@ -99,7 +98,6 @@ func New(cfg Config, lower Level) *Cache {
 		cfg:   cfg,
 		ways:  cfg.Ways,
 		tags:  make([]uint64, sets*cfg.Ways),
-		lrus:  make([]uint64, sets*cfg.Ways),
 		lower: lower,
 		mshr:  make([]mshrEntry, 0, cfg.MSHRs+1),
 		index: newSetIndex(sets),
@@ -143,27 +141,21 @@ func (x setIndex) split(block uint64) (set int, tag uint64) {
 // join is split's inverse: the block number of tag in set.
 func (x setIndex) join(set int, tag uint64) uint64 { return tag*x.sets + uint64(set) }
 
-// firstMin returns the index of the first smallest LRU stamp: the LRU
-// victim of a set. Invalid ways keep stamp 0 and live ways carry stamps
-// of at least 1 (the clock advances before every stamp), so when a set
-// has an empty way the first minimum is its first empty way. The scan
-// is branch-free: stamps stay below 2^63, so the sign bit of l-oldest
-// is the comparison, and it masks both selects.
-func firstMin(lrus []uint64) int {
-	victim, oldest := uint64(0), lrus[0]
-	for w := 1; w < len(lrus); w++ {
-		l := lrus[w]
-		lt := -((l - oldest) >> 63) // all ones when l < oldest
-		victim ^= (victim ^ uint64(w)) & lt
-		oldest ^= (oldest ^ l) & lt
-	}
-	return int(victim)
+// toFront makes way w of a recency-ordered set its most recent way,
+// holding tag: the ways in front of it move back one slot. A hit passes
+// its own way; a fill passes the last way, the LRU victim. Ways are
+// never invalidated, so a set's empty ways trail its valid ones and the
+// last way is empty whenever any is — the victim is an empty way first,
+// else the least recently used line, as with per-way LRU stamps.
+func toFront(set []uint64, w int, tag uint64) {
+	copy(set[1:w+1], set[:w])
+	set[0] = tag
 }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
 
-// locate returns la's set base index into tags/lrus and its tag with
-// the valid bit set.
+// locate returns la's set base index into tags and its tag with the
+// valid bit set.
 func (c *Cache) locate(la uint64) (base int, want uint64) {
 	set, tag := c.index.split(la / LineBytes)
 	return set * c.ways, validBit | tag
@@ -226,14 +218,14 @@ func (c *Cache) Prefetch(addr uint64, now uint64) (done uint64, resident bool) {
 
 func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 	la := c.lineAddr(addr)
-	c.clock++
 	if !isPrefetch {
 		c.stats.Accesses++
 	}
 	base, want := c.locate(la)
-	for w, tv := range c.tags[base : base+c.ways] {
+	set := c.tags[base : base+c.ways]
+	for w, tv := range set {
 		if tv == want {
-			c.lrus[base+w] = c.clock
+			toFront(set, w, want)
 			if !isPrefetch {
 				c.stats.Hits++
 			}
@@ -282,20 +274,19 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 	return ready
 }
 
-// fill installs the line whose tag is want into the set at base,
-// evicting its LRU way. (The timing of availability is carried by the
-// returned ready cycle; the directory state updates eagerly, which is
-// the standard trace-simulator simplification.)
+// fill installs the line whose tag is want at the front of the set at
+// base, evicting its last (LRU) way. (The timing of availability is
+// carried by the returned ready cycle; the directory state updates
+// eagerly, which is the standard trace-simulator simplification.)
 func (c *Cache) fill(base int, want uint64) {
-	w := base + firstMin(c.lrus[base:base+c.ways])
-	if tv := c.tags[w]; tv != 0 {
+	set := c.tags[base : base+c.ways]
+	if tv := set[c.ways-1]; tv != 0 {
 		c.stats.Evictions++
 		if c.OnEvict != nil {
 			c.OnEvict(c.index.join(base/c.ways, tv&^validBit) * LineBytes)
 		}
 	}
-	c.tags[w] = want
-	c.lrus[w] = c.clock
+	toFront(set, c.ways-1, want)
 }
 
 // Stats returns a copy of the traffic counters.

@@ -1,15 +1,19 @@
 package cache
 
-import "ucp/internal/ckpt"
+import (
+	"slices"
+
+	"ucp/internal/ckpt"
+)
 
 // Checkpoint hooks: the sampled fast-forward routes every fetch line
 // and data reference through the WarmLine path (warm.go), mutating
-// tags, LRU stamps, recency clocks, and stats at every level plus the
-// TLBs and the DRAM access counter. The MSHR files are deliberately not
-// serialized: warming never allocates an MSHR, so at the capture point
-// — the end of the initial fast-forward, before any detailed window —
-// they are empty in the running machine and empty in a freshly
-// constructed one alike.
+// tags (whose order within a set is its recency state) and stats at
+// every level plus the TLBs and the DRAM access counter. The MSHR files
+// are deliberately not serialized: warming never allocates an MSHR, so
+// at the capture point — the end of the initial fast-forward, before
+// any detailed window — they are empty in the running machine and empty
+// in a freshly constructed one alike.
 
 func saveStats(w *ckpt.Writer, s *Stats) {
 	w.Uvarint(s.Accesses)
@@ -31,12 +35,37 @@ func loadStats(r *ckpt.Reader, s *Stats) {
 	s.MSHRStalls = r.Uvarint()
 }
 
+// loadSets reads a tag array of recency-ordered sets of the given
+// associativity and rejects any set that toFront could not have
+// produced: a valid tag after an empty way, or one valid tag twice.
+func loadSets(r *ckpt.Reader, tags []uint64, ways int) {
+	r.U64sInto(tags)
+	if r.Err() != nil {
+		return
+	}
+	for base := 0; base < len(tags); base += ways {
+		set, empty := tags[base:base+ways], -1
+		for w, tv := range set {
+			switch {
+			case tv == 0:
+				if empty < 0 {
+					empty = w
+				}
+			case empty >= 0:
+				r.Failf("set %d: valid way %d after empty way %d", base/ways, w, empty)
+				return
+			case slices.Contains(set[:w], tv):
+				r.Failf("set %d: tag %#x held twice", base/ways, tv&^validBit)
+				return
+			}
+		}
+	}
+}
+
 // SaveState serializes one cache level's warm-mutable state.
 func (c *Cache) SaveState(w *ckpt.Writer) {
 	w.Section("cache")
 	w.U64s(c.tags)
-	w.U64s(c.lrus)
-	w.Uvarint(c.clock)
 	saveStats(w, &c.stats)
 }
 
@@ -44,9 +73,7 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 // configured level. Errors surface on the reader.
 func (c *Cache) LoadState(r *ckpt.Reader) {
 	r.Section("cache")
-	r.U64sInto(c.tags)
-	r.U64sInto(c.lrus)
-	c.clock = r.Uvarint()
+	loadSets(r, c.tags, c.ways)
 	loadStats(r, &c.stats)
 }
 
@@ -54,17 +81,13 @@ func (c *Cache) LoadState(r *ckpt.Reader) {
 func (t *TLB) SaveState(w *ckpt.Writer) {
 	w.Section("tlb")
 	w.U64s(t.tags)
-	w.U64s(t.lrus)
-	w.Uvarint(t.clock)
 	saveStats(w, &t.stats)
 }
 
 // LoadState restores state saved by SaveState.
 func (t *TLB) LoadState(r *ckpt.Reader) {
 	r.Section("tlb")
-	r.U64sInto(t.tags)
-	r.U64sInto(t.lrus)
-	t.clock = r.Uvarint()
+	loadSets(r, t.tags, t.cfg.Ways)
 	loadStats(r, &t.stats)
 }
 

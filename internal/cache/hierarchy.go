@@ -155,11 +155,8 @@ type TLB struct {
 	cfg   TLBConfig
 	index setIndex
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
-	// invalid), LRU stamps parallel — same layout as Cache, so the hit
-	// loop reads one cache line per set.
+	// invalid), each set in recency order — same layout as Cache.
 	tags        []uint64
-	lrus        []uint64
-	clock       uint64
 	stlb        *TLB
 	walkLatency uint64
 	stats       Stats
@@ -172,22 +169,20 @@ func NewTLB(cfg TLBConfig, stlb *TLB) *TLB {
 		sets = 1
 	}
 	return &TLB{cfg: cfg, index: newSetIndex(sets),
-		tags: make([]uint64, sets*cfg.Ways),
-		lrus: make([]uint64, sets*cfg.Ways), stlb: stlb}
+		tags: make([]uint64, sets*cfg.Ways), stlb: stlb}
 }
 
 // Translate returns the cycle at which the translation of addr is
 // available.
 func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	page := addr >> uint(t.cfg.PageBits)
-	t.clock++
 	t.stats.Accesses++
-	set, tag := t.index.split(page)
-	base := set * t.cfg.Ways
+	s, tag := t.index.split(page)
+	set := t.tags[s*t.cfg.Ways : (s+1)*t.cfg.Ways]
 	want := validBit | tag
-	for w, tv := range t.tags[base : base+t.cfg.Ways] {
+	for w, tv := range set {
 		if tv == want {
-			t.lrus[base+w] = t.clock
+			toFront(set, w, want)
 			t.stats.Hits++
 			return now + t.cfg.HitLatency
 		}
@@ -199,10 +194,8 @@ func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	} else {
 		ready += t.walkLatency
 	}
-	// Install over the set's LRU way (firstMin: an empty way first).
-	w := base + firstMin(t.lrus[base:base+t.cfg.Ways])
-	t.tags[w] = want
-	t.lrus[w] = t.clock
+	// Install at the front over the set's LRU (last) way.
+	toFront(set, len(set)-1, want)
 	return ready
 }
 

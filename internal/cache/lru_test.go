@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"testing"
@@ -8,33 +9,182 @@ import (
 	"ucp/internal/rng"
 )
 
-// refLRU is a reference set-associative LRU directory over block
-// numbers: set = block mod sets, each set an LRU-ordered list (least
-// recent first). It shares no code with Cache or TLB.
-type refLRU struct {
-	sets, ways uint64
-	lists      [][]uint64
+// refSets is a reference set-associative LRU directory over block
+// numbers (set = block mod sets), kept only in this test. Every way
+// holds a block and an LRU stamp from a clock that advances on every
+// lookup; stamp 0 marks an empty way. A fill takes the first empty way,
+// else the way with the oldest stamp. It shares no code with Cache or
+// TLB, whose sets keep the same state as a recency order instead.
+type refSets struct {
+	sets, ways     int
+	blocks, stamps []uint64 // sets × ways
+	clock          uint64
 }
 
-func newRefLRU(sets, ways int) *refLRU {
-	return &refLRU{sets: uint64(sets), ways: uint64(ways), lists: make([][]uint64, sets)}
+func newRefSets(sets, ways int) *refSets {
+	return &refSets{sets: sets, ways: ways,
+		blocks: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
 }
 
-// access touches block and reports whether it hit, and which block it
-// evicted (evicted is valid only when ok).
-func (r *refLRU) access(block uint64) (hit bool, evicted uint64, ok bool) {
-	s := block % r.sets
-	l := r.lists[s]
-	if i := slices.Index(l, block); i >= 0 {
-		r.lists[s] = append(slices.Delete(l, i, i+1), block)
-		return true, 0, false
+func (r *refSets) base(block uint64) int { return int(block%uint64(r.sets)) * r.ways }
+
+// find returns the way holding block, or -1.
+func (r *refSets) find(block uint64) int {
+	for w := r.base(block); w < r.base(block)+r.ways; w++ {
+		if r.stamps[w] != 0 && r.blocks[w] == block {
+			return w
+		}
 	}
-	if uint64(len(l)) == r.ways {
-		evicted, ok = l[0], true
-		l = l[1:]
+	return -1
+}
+
+// touch advances the clock and looks block up, restamping it on a hit.
+func (r *refSets) touch(block uint64) bool {
+	r.clock++
+	w := r.find(block)
+	if w >= 0 {
+		r.stamps[w] = r.clock
 	}
-	r.lists[s] = append(l, block)
-	return false, evicted, ok
+	return w >= 0
+}
+
+// fill installs block, stamped with the current clock, and returns the
+// block it evicted, if any.
+func (r *refSets) fill(block uint64) (evicted uint64, ok bool) {
+	victim := r.base(block)
+	for w := victim + 1; w < r.base(block)+r.ways; w++ {
+		if r.stamps[w] < r.stamps[victim] {
+			victim = w
+		}
+	}
+	evicted, ok = r.blocks[victim], r.stamps[victim] != 0
+	r.blocks[victim], r.stamps[victim] = block, r.clock
+	return evicted, ok
+}
+
+// recency returns the resident blocks of block's set, most recently
+// used first.
+func (r *refSets) recency(block uint64) []uint64 {
+	b := r.base(block)
+	ways := make([]int, 0, r.ways)
+	for w := b; w < b+r.ways; w++ {
+		if r.stamps[w] != 0 {
+			ways = append(ways, w)
+		}
+	}
+	slices.SortFunc(ways, func(x, y int) int { return cmp.Compare(r.stamps[y], r.stamps[x]) })
+	out := make([]uint64, len(ways))
+	for i, w := range ways {
+		out[i] = r.blocks[w]
+	}
+	return out
+}
+
+// checkSet requires the set of tags holding block (under index) to list
+// exactly the reference's resident blocks in recency order, followed
+// only by empty ways.
+func checkSet(t *testing.T, step int, tags []uint64, ways int, index setIndex, ref *refSets, block uint64) {
+	t.Helper()
+	set, _ := index.split(block)
+	want := ref.recency(block)
+	for w, tv := range tags[set*ways : (set+1)*ways] {
+		var got uint64
+		if tv != 0 {
+			got = index.join(set, tv&^validBit)
+		}
+		switch {
+		case w < len(want) && (tv == 0 || got != want[w]):
+			t.Fatalf("step %d: set %d way %d holds %#x (valid=%v), reference recency order %#x", step, set, w, got, tv != 0, want)
+		case w >= len(want) && tv != 0:
+			t.Fatalf("step %d: set %d way %d holds %#x past the reference's %d resident blocks", step, set, w, got, len(want))
+		}
+	}
+}
+
+// refMSHR is one in-flight miss in refCache's MSHR file.
+type refMSHR struct{ la, ready uint64 }
+
+// refCache is a reference cache level over refSets: the same demand,
+// prefetch and warm accounting as Cache, an MSHR file that merges
+// in-flight misses, frees completed entries once full, and stalls on
+// the earliest fill when still full, and a fixed-latency lower level.
+type refCache struct {
+	dir              *refSets
+	hitLat, lowerLat uint64
+	mshrs            int
+	mshr             []refMSHR
+	stats            Stats
+	lowerAccesses    uint64
+	evicted          []uint64 // line addresses, in eviction order
+	merges           uint64
+}
+
+func (m *refCache) fill(la uint64) {
+	if ev, ok := m.dir.fill(la / LineBytes); ok {
+		m.stats.Evictions++
+		m.evicted = append(m.evicted, ev*LineBytes)
+	}
+}
+
+func (m *refCache) warm(la uint64) {
+	m.stats.Accesses++
+	if m.dir.touch(la / LineBytes) {
+		m.stats.Hits++
+		return
+	}
+	m.stats.Misses++
+	m.lowerAccesses++
+	m.fill(la)
+}
+
+func (m *refCache) access(la, now uint64, prefetch bool) uint64 {
+	if !prefetch {
+		m.stats.Accesses++
+	}
+	if m.dir.touch(la / LineBytes) {
+		if !prefetch {
+			m.stats.Hits++
+		}
+		return now + m.hitLat
+	}
+	if !prefetch {
+		m.stats.Misses++
+	}
+	if i := slices.IndexFunc(m.mshr, func(e refMSHR) bool { return e.la == la }); i >= 0 {
+		if ready := m.mshr[i].ready; ready > now {
+			m.merges++
+			return max(ready, now+m.hitLat)
+		}
+		m.mshr = slices.Delete(m.mshr, i, i+1)
+	}
+	issue := now
+	if len(m.mshr) >= m.mshrs {
+		m.mshr = slices.DeleteFunc(m.mshr, func(e refMSHR) bool { return e.ready <= now })
+	}
+	if len(m.mshr) >= m.mshrs {
+		i := 0
+		for j, e := range m.mshr {
+			if e.ready < m.mshr[i].ready {
+				i = j
+			}
+		}
+		m.stats.MSHRStalls++
+		issue = max(issue, m.mshr[i].ready)
+		m.mshr = slices.Delete(m.mshr, i, i+1)
+	}
+	m.lowerAccesses++
+	ready := issue + m.hitLat + m.lowerLat
+	m.mshr = append(m.mshr, refMSHR{la, ready})
+	m.fill(la)
+	return ready
+}
+
+func (m *refCache) prefetch(la, now uint64) (uint64, bool) {
+	if m.dir.find(la/LineBytes) >= 0 {
+		return now, true
+	}
+	m.stats.Prefetches++
+	return m.access(la, now, true), false
 }
 
 // refStream draws block numbers from a footprint a few times the
@@ -51,71 +201,139 @@ func refStream(seed uint64, capacity, n int) []uint64 {
 	return out
 }
 
-// TestWarmLineMatchesReferenceLRU pins WarmLine's set mapping, hit
-// detection and branch-free victim choice (an empty way first, then the
-// least recently used) against the reference directory, on power-of-two
-// and non-power-of-two set counts. Every access must agree on hit or
-// miss, every eviction on the evicted line (through OnEvict), and the
-// lower level must see exactly the misses.
+// Operations a model-checked stream mixes.
+const (
+	opWarm = iota
+	opFetch
+	opPrefetch
+	opContains
+	numOps
+)
+
+// runCacheModel drives one stream of accesses through a Cache and the
+// reference, issuing only WarmLine when warmOnly is set and otherwise a
+// mix of WarmLine, FetchLine, Prefetch and Contains with a slowly
+// advancing clock and a four-entry MSHR file, so misses merge with
+// in-flight ones and fill the file. After every access the two must
+// agree on the returned cycle or residency, the stats, the OnEvict
+// sequence, the lower level's traffic and the touched set's recency
+// order. It returns the reference.
+func runCacheModel(t *testing.T, sets, ways int, warmOnly bool) *refCache {
+	const hitLat, lowerLat, mshrs = 3, 100, 4
+	dram := &FixedLatency{Latency: lowerLat}
+	c := New(Config{Name: "T", SizeBytes: sets * ways * LineBytes, Ways: ways, HitLatency: hitLat, MSHRs: mshrs}, dram)
+	if c.Sets() != sets {
+		t.Fatalf("built %d sets, want %d", c.Sets(), sets)
+	}
+	var evicted []uint64
+	c.OnEvict = func(la uint64) { evicted = append(evicted, la) }
+	m := &refCache{dir: newRefSets(sets, ways), hitLat: hitLat, lowerLat: lowerLat, mshrs: mshrs}
+	r := rng.New(uint64(sets*100+ways) ^ 0x9e3779b97f4a7c15) // op stream, independent of the blocks
+	now := uint64(0)
+	for i, block := range refStream(uint64(sets*100+ways), sets*ways, 20_000) {
+		la := block * LineBytes
+		addr := la + uint64(i%LineBytes)
+		evicted, m.evicted = evicted[:0], m.evicted[:0]
+		op := opWarm
+		if !warmOnly {
+			op = r.Intn(numOps)
+			now += r.Uint64n(4)
+		}
+		switch op {
+		case opWarm:
+			c.WarmLine(addr)
+			m.warm(la)
+		case opFetch:
+			if got, want := c.FetchLine(addr, now), m.access(la, now, false); got != want {
+				t.Fatalf("step %d: FetchLine(%#x, %d) = %d, reference %d", i, la, now, got, want)
+			}
+		case opPrefetch:
+			gotDone, gotRes := c.Prefetch(addr, now)
+			wantDone, wantRes := m.prefetch(la, now)
+			if gotDone != wantDone || gotRes != wantRes {
+				t.Fatalf("step %d: Prefetch(%#x, %d) = %d,%v, reference %d,%v", i, la, now, gotDone, gotRes, wantDone, wantRes)
+			}
+		case opContains:
+			if got, want := c.Contains(addr), m.dir.find(block) >= 0; got != want {
+				t.Fatalf("step %d: Contains(%#x) = %v, reference %v", i, la, got, want)
+			}
+		}
+		if c.Stats() != m.stats || dram.Accesses != m.lowerAccesses {
+			t.Fatalf("step %d: stats %+v with %d lower accesses, reference %+v with %d", i, c.Stats(), dram.Accesses, m.stats, m.lowerAccesses)
+		}
+		if !slices.Equal(evicted, m.evicted) {
+			t.Fatalf("step %d: evicted %#x, reference %#x", i, evicted, m.evicted)
+		}
+		checkSet(t, i, c.tags, ways, c.index, m.dir, block)
+	}
+	return m
+}
+
+// TestWarmLineMatchesReferenceLRU checks WarmLine alone against the
+// stamp-based reference, on power-of-two and non-power-of-two set
+// counts.
 func TestWarmLineMatchesReferenceLRU(t *testing.T) {
 	for _, g := range []struct{ sets, ways int }{
 		{8, 2}, {64, 8}, {5, 3}, {12, 12}, {40, 12}, {1, 4}, {7, 1},
 	} {
 		t.Run(fmt.Sprintf("sets=%d/ways=%d", g.sets, g.ways), func(t *testing.T) {
-			dram := &FixedLatency{Latency: 100}
-			c := New(Config{Name: "T", SizeBytes: g.sets * g.ways * LineBytes, Ways: g.ways, HitLatency: 1, MSHRs: 4}, dram)
-			if c.Sets() != g.sets {
-				t.Fatalf("built %d sets, want %d", c.Sets(), g.sets)
-			}
-			var evicted []uint64
-			c.OnEvict = func(la uint64) { evicted = append(evicted, la) }
-			ref := newRefLRU(g.sets, g.ways)
-			for i, block := range refStream(uint64(g.sets*100+g.ways), g.sets*g.ways, 20_000) {
-				la := block * LineBytes
-				before := c.Stats().Hits
-				evicted = evicted[:0]
-				c.WarmLine(la + uint64(i%LineBytes))
-				hit, ev, evOK := ref.access(block)
-				if gotHit := c.Stats().Hits > before; gotHit != hit {
-					t.Fatalf("access %d (line %#x): hit=%v, reference %v", i, la, gotHit, hit)
-				}
-				if evOK != (len(evicted) == 1) || len(evicted) > 1 || (evOK && evicted[0] != ev*LineBytes) {
-					t.Fatalf("access %d (line %#x): evicted %#x, reference %#x (ok=%v)", i, la, evicted, ev*LineBytes, evOK)
-				}
-			}
-			st := c.Stats()
-			if dram.Accesses != st.Misses || st.Hits+st.Misses != st.Accesses {
-				t.Fatalf("stats %+v with %d lower-level warms", st, dram.Accesses)
-			}
-			for s, l := range ref.lists {
-				for _, block := range l {
-					if !c.Contains(block * LineBytes) {
-						t.Fatalf("set %d: reference-resident line %#x missing", s, block*LineBytes)
-					}
-				}
-			}
+			runCacheModel(t, g.sets, g.ways, true)
 		})
 	}
 }
 
-// TestTLBMatchesReferenceLRU pins the TLB's set and tag mapping (mask
-// and shift on power-of-two set counts, one division otherwise) and its
-// victim choice against the reference directory over page numbers.
+// TestCacheMatchesReferenceLRU checks mixed WarmLine, FetchLine,
+// Prefetch and Contains streams against the stamp-based reference on
+// 1-, 8-, 12- and 20-way geometries with power-of-two and
+// non-power-of-two set counts, and requires the streams to have reached
+// the MSHR-merge and MSHR-full paths.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	var merges, stalls uint64
+	for _, g := range []struct{ sets, ways int }{
+		{8, 1}, {7, 1}, {16, 8}, {5, 8}, {32, 12}, {40, 12}, {4, 20}, {3, 20},
+	} {
+		t.Run(fmt.Sprintf("sets=%d/ways=%d", g.sets, g.ways), func(t *testing.T) {
+			m := runCacheModel(t, g.sets, g.ways, false)
+			merges, stalls = merges+m.merges, stalls+m.stats.MSHRStalls
+		})
+	}
+	if merges == 0 || stalls == 0 {
+		t.Errorf("streams merged %d misses with in-flight ones and stalled %d on a full MSHR file, want both > 0", merges, stalls)
+	}
+}
+
+// TestTLBMatchesReferenceLRU checks Translate against the stamp-based
+// reference over page numbers: the returned cycle (hit latency, or hit
+// latency plus the walk), the stats and the touched set's recency order
+// after every translation.
 func TestTLBMatchesReferenceLRU(t *testing.T) {
 	const walk = 100
 	for _, g := range []struct{ entries, ways int }{
-		{256, 8}, {96, 6}, {2048, 16}, {96, 8}, {40, 4}, {12, 12}, {7, 1},
+		{256, 8}, {96, 6}, {2048, 16}, {96, 8}, {40, 4}, {12, 12}, {7, 1}, {80, 20}, {60, 20},
 	} {
 		t.Run(fmt.Sprintf("entries=%d/ways=%d", g.entries, g.ways), func(t *testing.T) {
 			tlb := NewTLB(TLBConfig{Entries: g.entries, Ways: g.ways, HitLatency: 1, PageBits: 12}, nil)
 			tlb.walkLatency = walk
-			ref := newRefLRU(g.entries/g.ways, g.ways)
+			ref := newRefSets(g.entries/g.ways, g.ways)
+			var want Stats
 			for i, page := range refStream(uint64(g.entries*10+g.ways), g.entries, 20_000) {
-				ready := tlb.Translate(page<<12|uint64(i%4096), 0)
-				hit, _, _ := ref.access(page)
-				if gotHit := ready == 1; gotHit != hit {
-					t.Fatalf("access %d (page %#x): hit=%v, reference %v", i, page, gotHit, hit)
+				now := uint64(i)
+				wantReady := now + 1
+				want.Accesses++
+				if ref.touch(page) {
+					want.Hits++
+				} else {
+					want.Misses++
+					wantReady += walk
+					ref.fill(page)
 				}
+				if got := tlb.Translate(page<<12|uint64(i%4096), now); got != wantReady {
+					t.Fatalf("step %d (page %#x): ready %d, reference %d", i, page, got, wantReady)
+				}
+				if tlb.Stats() != want {
+					t.Fatalf("step %d: stats %+v, reference %+v", i, tlb.Stats(), want)
+				}
+				checkSet(t, i, tlb.tags, g.ways, tlb.index, ref, page)
 			}
 		})
 	}
@@ -153,8 +371,8 @@ func TestWarmRefsMatchesDirectWarms(t *testing.T) {
 			t.Errorf("%s: direct %+v, replayed %+v", p.name, p.a, p.b)
 		}
 	}
-	if !slices.Equal(direct.LLC.tags, replayed.LLC.tags) || !slices.Equal(direct.LLC.lrus, replayed.LLC.lrus) {
-		t.Error("LLC tag/LRU arrays differ between direct and replayed warms")
+	if !slices.Equal(direct.LLC.tags, replayed.LLC.tags) {
+		t.Error("LLC tag arrays differ between direct and replayed warms")
 	}
 	buf.Reset()
 	if len(buf.refs) != 0 {

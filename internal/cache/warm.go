@@ -1,7 +1,7 @@
 package cache
 
 // Functional warming for the sampled simulation mode: WarmLine performs
-// a demand fill's *state* effects — tag/LRU update on a hit, fill with
+// a demand fill's *state* effects — recency update on a hit, fill with
 // LRU eviction (and the OnEvict inclusive-µ-op-cache callback) on a
 // miss, recursing into lower levels — without touching the MSHR file or
 // producing a ready cycle. The fast-forward path issues memory traffic
@@ -15,12 +15,12 @@ package cache
 // no ready cycle.
 func (c *Cache) WarmLine(addr uint64) {
 	la := c.lineAddr(addr)
-	c.clock++
 	c.stats.Accesses++
 	base, want := c.locate(la)
-	for w, tv := range c.tags[base : base+c.ways] {
+	set := c.tags[base : base+c.ways]
+	for w, tv := range set {
 		if tv == want {
-			c.lrus[base+w] = c.clock
+			toFront(set, w, want)
 			c.stats.Hits++
 			return
 		}

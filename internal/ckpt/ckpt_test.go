@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -289,6 +290,36 @@ func TestStoreDisk(t *testing.T) {
 	}
 	if len(entries) != 0 {
 		t.Fatalf("temp files left behind: %v", entries)
+	}
+}
+
+// TestStoreStaleVersionHeals leaves a blob sealed by the previous
+// envelope version where a key's checkpoint lives: a store must treat
+// it as a miss, and the leader's publish must overwrite it so the next
+// store hits.
+func TestStoreStaleVersionHeals(t *testing.T) {
+	dir := t.TempDir()
+	key := testKey(5)
+	stale := &Writer{buf: binary.LittleEndian.AppendUint32([]byte(envMagic), envVersion-1)}
+	stale.Uvarint(99)
+	fresh := NewWriter()
+	fresh.Uvarint(99)
+	blob := fresh.Seal()
+	s := NewStore(dir)
+	if err := os.MkdirAll(filepath.Dir(s.path(key)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(s.path(key), stale.Seal(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, release := s.Acquire(key); ok {
+		t.Fatal("blob of the previous envelope version served as a hit")
+	} else {
+		release(blob)
+	}
+	got, ok, _ := NewStore(dir).Acquire(key)
+	if !ok || !bytes.Equal(got, blob) {
+		t.Fatalf("publish did not overwrite the stale blob (hit=%v)", ok)
 	}
 }
 

@@ -26,7 +26,7 @@ import (
 // folds it into every result-cache key, so cached results from an older
 // model revision are never replayed as current ones. Bump it whenever a
 // change anywhere in the model alters any measured number.
-const ModelVersion = "ucp-sim-2"
+const ModelVersion = "ucp-sim-3"
 
 // Config describes one simulated machine configuration. Run validates
 // it (and, transitively, every sub-structure's geometry) before

@@ -235,6 +235,10 @@ func (u *UopCache) Insert(pc uint64, ops, branches uint8, endsTaken, prefetched 
 	u.clock++
 	base := u.setOf(pc) * u.cfg.Ways
 	want := validBit | u.tagOf(pc)
+	// The tag scan covers the whole set: InvalidateLine can leave an
+	// empty way in front of a resident copy of want. The victim is the
+	// first empty way (an invalidated way keeps a stale stamp, read as
+	// 0), else the least recently used.
 	victim, oldest := 0, ^uint64(0)
 	for w, tv := range u.tags[base : base+u.cfg.Ways] {
 		if tv == want {
@@ -244,11 +248,11 @@ func (u *UopCache) Insert(pc uint64, ops, branches uint8, endsTaken, prefetched 
 			u.lrus[base+w] = u.clock
 			return
 		}
+		l := u.lrus[base+w]
 		if tv == 0 {
-			victim, oldest = w, 0
-			break
+			l = 0
 		}
-		if l := u.lrus[base+w]; l < oldest {
+		if l < oldest {
 			victim, oldest = w, l
 		}
 	}

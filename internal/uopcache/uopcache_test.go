@@ -113,6 +113,32 @@ func TestInsertRefreshesInPlace(t *testing.T) {
 	}
 }
 
+// TestInsertAfterInvalidateHole rebuilds an entry that sits behind a
+// way InvalidateLine emptied: the rebuild must refresh the resident
+// copy, not install a second one in the hole.
+func TestInsertAfterInvalidateHole(t *testing.T) {
+	u := New(DefaultConfig())
+	a := uint64(0x1000)
+	b := a + uint64(u.sets)*isa.EntryBytes // same set, another line
+	u.Insert(a, 4, 0, false, false)
+	u.Insert(b, 5, 0, false, false)
+	u.InvalidateLine(a)
+	u.Insert(b, 6, 1, false, false)
+	base := u.setOf(b) * u.cfg.Ways
+	set, want, copies := u.tags[base:base+u.cfg.Ways], validBit|u.tagOf(b), 0
+	for _, tv := range set {
+		if tv == want {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("set holds %d copies of %#x: %#x", copies, want, set)
+	}
+	if e, hit := u.Lookup(b); !hit || e.Ops != 6 || e.Branches != 1 {
+		t.Fatalf("rebuild did not refresh the resident entry: %+v", e)
+	}
+}
+
 // buildSeq runs a sequence through a Builder and returns the cache.
 func buildSeq(t *testing.T, seq []struct {
 	pc    uint64
