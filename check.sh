@@ -9,9 +9,9 @@
 #                 use the full gate.
 #   -only <gate>  run a single gate by id (tool binaries are still
 #                 built so every gate stays self-contained). Gate ids:
-#                 fmt vet build lint lint-determinism test fuzz runq
-#                 hotpath hotpath-bench sampling tpar wpar sweepreuse
-#                 autopilot sweepd schema
+#                 fmt vet build lint lint-determinism test fuzz
+#                 tracefile runq hotpath hotpath-bench sampling tpar
+#                 wpar sweepreuse autopilot sweepd schema
 #
 # Each gate's wall-clock time is printed when the next gate starts, and
 # a per-gate timing summary table is printed at the end.
@@ -34,8 +34,13 @@
 #   5. ucplint -determinism (two seeded runs must byte-match)
 #   6. go test -race ./... (full suite under the race detector)
 #   7. fuzz smoke          (each fuzz target, 5s: the internal/trace
-#                           readers, ckpt.Open, and the warm-checkpoint
+#                           file parser, ckpt.Open, and the warm-checkpoint
 #                           restore in internal/sim)
+#   7b. recorded trace file (tracegen writes a .ucpt file and -inspect
+#                           accepts it; two ucpsim -file runs print
+#                           cmp-equal digests; a copy with one appended
+#                           byte makes both tools exit nonzero with a
+#                           "trace:" error and no panic)
 #   8. runq determinism    (quick sweep at -jobs 1 vs -jobs 8 vs a warm
 #                           cache must be byte-identical; wall-clock
 #                           ratios are recorded in BENCH_runq.json but
@@ -114,7 +119,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-KNOWN_GATES="fmt vet build lint lint-determinism test fuzz runq hotpath hotpath-bench sampling tpar wpar sweepreuse autopilot sweepd schema"
+KNOWN_GATES="fmt vet build lint lint-determinism test fuzz tracefile runq hotpath hotpath-bench sampling tpar wpar sweepreuse autopilot sweepd schema"
 
 FAST=0
 ONLY=""
@@ -168,6 +173,7 @@ step "tool build"
 go build -o "$RUNQ_TMP/ucplint" ./cmd/ucplint
 go build -o "$RUNQ_TMP/experiments" ./cmd/experiments
 go build -o "$RUNQ_TMP/ucpsim" ./cmd/ucpsim
+go build -o "$RUNQ_TMP/tracegen" ./cmd/tracegen
 SERIAL_MS=0
 
 if want fmt; then
@@ -232,6 +238,39 @@ if [ "$FAST" -eq 0 ]; then
 else
 	echo "skipped (-fast)"
 fi
+fi
+
+if want tracefile; then
+step "recorded trace file"
+# The only path by which a trace the generator did not produce enters
+# the simulator: tracegen writes it, and every reader goes through the
+# one validating parser.
+TF="$RUNQ_TMP/crypto01.ucpt"
+"$RUNQ_TMP/tracegen" -profile crypto01 -n 300000 -o "$TF"
+"$RUNQ_TMP/tracegen" -inspect "$TF"
+for i in 1 2; do
+	"$RUNQ_TMP/ucpsim" -file "$TF" -warmup 100000 -measure 150000 -digest > "$RUNQ_TMP/tracefile_digest_$i.txt"
+done
+cmp "$RUNQ_TMP/tracefile_digest_1.txt" "$RUNQ_TMP/tracefile_digest_2.txt" || {
+	echo "tracefile: ucpsim -file digests differ between two runs" >&2; exit 1; }
+cp "$TF" "$RUNQ_TMP/appended.ucpt"
+printf '\0' >> "$RUNQ_TMP/appended.ucpt"
+# rejects <name> <cmd...>: the command must exit nonzero with a trace:
+# error on stderr and no panic.
+rejects() {
+	_name=$1
+	shift
+	if "$@" > /dev/null 2> "$RUNQ_TMP/tracefile_err.txt"; then
+		echo "tracefile: $_name accepted a file with an appended byte" >&2; exit 1
+	fi
+	if ! grep -q 'trace:' "$RUNQ_TMP/tracefile_err.txt" || grep -q 'panic' "$RUNQ_TMP/tracefile_err.txt"; then
+		cat "$RUNQ_TMP/tracefile_err.txt" >&2
+		echo "tracefile: $_name did not fail with a clean trace: error" >&2; exit 1
+	fi
+	echo "tracefile: $_name rejects it: $(cat "$RUNQ_TMP/tracefile_err.txt")"
+}
+rejects "tracegen -inspect" "$RUNQ_TMP/tracegen" -inspect "$RUNQ_TMP/appended.ucpt"
+rejects "ucpsim -file" "$RUNQ_TMP/ucpsim" -file "$RUNQ_TMP/appended.ucpt" -warmup 100000 -measure 150000 -digest
 fi
 
 if want runq; then

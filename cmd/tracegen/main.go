@@ -28,7 +28,6 @@ func main() {
 		out     = flag.String("o", "", "output file (default <profile>.ucpt)")
 		dir     = flag.String("dir", ".", "output directory for -all")
 		inspect = flag.String("inspect", "", "validate and summarize a trace file")
-		compact = flag.Bool("compact", true, "write the varint v2 format (5x smaller; -compact=false for fixed-width v1)")
 		version = flag.Bool("version", false, "print model/schema/protocol versions and exit")
 	)
 	flag.Parse()
@@ -43,7 +42,7 @@ func main() {
 	}
 	if *all {
 		for _, p := range trace.DefaultProfiles() {
-			write(p, *n, filepath.Join(*dir, p.Name+".ucpt"), *compact)
+			write(p, *n, filepath.Join(*dir, p.Name+".ucpt"))
 		}
 		return
 	}
@@ -60,10 +59,10 @@ func main() {
 	if path == "" {
 		path = p.Name + ".ucpt"
 	}
-	write(p, *n, path, *compact)
+	write(p, *n, path)
 }
 
-func write(p trace.Profile, n int, path string, compact bool) {
+func write(p trace.Profile, n int, path string) {
 	prog, err := trace.BuildProgram(p)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -75,11 +74,7 @@ func write(p trace.Profile, n int, path string, compact bool) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	enc := trace.Write
-	if compact {
-		enc = trace.WriteCompact
-	}
-	if err := enc(f, insts); err != nil {
+	if err := trace.WriteCompact(f, insts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -87,45 +82,17 @@ func write(p trace.Profile, n int, path string, compact bool) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	// v2 traces get a sidecar seek index so loaders skip the O(n)
-	// index-building pass; v1 files are re-encoded on load, which would
-	// invalidate a sidecar keyed to the file bytes.
-	if compact {
-		writeIndex(path, insts)
-	}
 	fmt.Printf("%s: %d instructions, %.1fKB static code\n",
 		path, len(insts), float64(prog.StaticInsts())*isa.InstBytes/1024)
 }
 
-// writeIndex writes the sidecar seek index next to a v2 trace file.
-func writeIndex(path string, insts []isa.Inst) {
-	idx, err := os.Create(trace.IndexPath(path))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := trace.NewArena(insts).WriteIndex(idx); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := idx.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
 func inspectFile(path string) {
-	f, err := os.Open(path)
+	a, err := trace.LoadArena(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	insts, err := trace.Read(f)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	insts := trace.Collect(a.Cursor(), a.Len())
 	if err := trace.Validate(insts); err != nil {
 		fmt.Fprintf(os.Stderr, "INVALID: %v\n", err)
 		os.Exit(1)

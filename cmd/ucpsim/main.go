@@ -180,35 +180,26 @@ func main() {
 		}
 		exec = client.New(*server)
 	}
+	var (
+		labels  []string
+		jobList []runq.Job
+	)
 	if *file != "" {
-		runFile(pool, cfg, *file, *warmup, *measure, *segments)
-		return
-	}
-	var profiles []ucp.Profile
-	switch *traceName {
-	case "all":
-		profiles = ucp.DefaultProfiles()
-	case "quick":
-		profiles = ucp.QuickProfiles()
-	default:
-		p, ok := ucp.ProfileByName(*traceName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown profile %q; available:", *traceName)
-			for _, pr := range ucp.DefaultProfiles() {
-				fmt.Fprintf(os.Stderr, " %s", pr.Name)
-			}
-			fmt.Fprintln(os.Stderr)
-			os.Exit(1)
+		// The pool decodes a recorded trace once into a shared arena,
+		// validating every record, and serves any repeat invocation
+		// from the result cache.
+		labels = []string{*file}
+		jobList = []runq.Job{{Config: cfg, TraceFile: *file, Warmup: *warmup, Measure: *measure, Segments: *segments}}
+	} else {
+		profiles := selectProfiles(*traceName)
+		if *compare {
+			runCompare(exec, profiles, *warmup, *measure, *segments)
+			return
 		}
-		profiles = []ucp.Profile{p}
-	}
-	if *compare {
-		runCompare(exec, profiles, *warmup, *measure, *segments)
-		return
-	}
-	jobList := make([]runq.Job, len(profiles))
-	for i, p := range profiles {
-		jobList[i] = runq.Job{Config: cfg, Profile: p, Warmup: *warmup, Measure: *measure, Segments: *segments}
+		for _, p := range profiles {
+			labels = append(labels, p.Name)
+			jobList = append(jobList, runq.Job{Config: cfg, Profile: p, Warmup: *warmup, Measure: *measure, Segments: *segments})
+		}
 	}
 	results := exec.RunAll(jobList)
 	if !*jsonOut && !*digest {
@@ -216,7 +207,7 @@ func main() {
 	}
 	for i, jr := range results {
 		if jr.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", profiles[i].Name, jr.Err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", labels[i], jr.Err)
 			os.Exit(1)
 		}
 		if *digest {
@@ -224,6 +215,28 @@ func main() {
 			continue
 		}
 		emit(jr.Result, *jsonOut, *hist)
+	}
+}
+
+// selectProfiles resolves -trace to its profiles, exiting on an
+// unknown name.
+func selectProfiles(name string) []ucp.Profile {
+	switch name {
+	case "all":
+		return ucp.DefaultProfiles()
+	case "quick":
+		return ucp.QuickProfiles()
+	default:
+		p, ok := ucp.ProfileByName(name)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown profile %q; available:", name)
+			for _, pr := range ucp.DefaultProfiles() {
+				fmt.Fprintf(os.Stderr, " %s", pr.Name)
+			}
+			fmt.Fprintln(os.Stderr)
+			os.Exit(1)
+		}
+		return []ucp.Profile{p}
 	}
 }
 
@@ -346,20 +359,6 @@ func safeDiv(a, b uint64) float64 {
 		return 0
 	}
 	return float64(a) / float64(b)
-}
-
-// runFile executes cfg over a recorded trace through the pool, which
-// decodes the file once into a shared arena (with O(1) sampled-mode
-// seeking via the tracegen sidecar index when present) and serves any
-// repeat invocation from the result cache.
-func runFile(pool *runq.Pool, cfg sim.Config, path string, warmup, measure uint64, segments int) {
-	rs := pool.RunAll([]runq.Job{{Config: cfg, TraceFile: path, Warmup: warmup, Measure: measure, Segments: segments}})
-	if rs[0].Err != nil {
-		fmt.Fprintln(os.Stderr, rs[0].Err)
-		os.Exit(1)
-	}
-	header()
-	row(rs[0].Result)
 }
 
 func header() {

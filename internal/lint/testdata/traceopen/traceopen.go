@@ -1,5 +1,5 @@
 // Package fixture exercises the traceopen analyzer: the raw trace
-// decoders may only be called from internal/trace itself and from
+// decoder may only be called from internal/trace itself and from
 // cmd/tracegen — sweep code shares one decoded arena per batch.
 package fixture
 
@@ -12,9 +12,6 @@ import (
 // Bad decodes a trace file directly, materializing a private []isa.Inst
 // per call — the per-job redundancy the shared arena eliminates.
 func Bad(f *os.File) error {
-	if _, err := trace.Read(f); err != nil { // want "direct trace decode via trace.Read is forbidden"
-		return err
-	}
 	_, err := trace.ReadAny(f) // want "direct trace decode via trace.ReadAny is forbidden"
 	return err
 }
@@ -28,6 +25,6 @@ func Good(path string) (*trace.Arena, error) {
 // Suppressed uses the ignore-directive escape hatch: a deliberate
 // one-off decode (e.g. a validation tool) produces no finding.
 func Suppressed(f *os.File) error {
-	_, err := trace.Read(f) //ucplint:ignore traceopen
+	_, err := trace.ReadAny(f) //ucplint:ignore traceopen
 	return err
 }

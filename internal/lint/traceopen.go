@@ -7,23 +7,23 @@ import (
 )
 
 // newTraceOpenAnalyzer keeps sweep paths on the shared-arena plan.
-// trace.Read and trace.ReadAny decode a whole trace into a fresh
-// []isa.Inst (48 bytes/inst) on every call — exactly the per-job
+// trace.ReadAny decodes a whole trace into a fresh []isa.Inst
+// (48 bytes/inst) on every call — exactly the per-job
 // redundancy the decode-once trace.Arena exists to eliminate. Sweep
 // code must go through the arena entry points (trace.LoadArena, or
 // runq's Pool.FileArena which shares one arena per batch); the raw
-// decoders are reserved for the trace codec itself and for
-// cmd/tracegen's generate/inspect tooling.
+// decoder is reserved for the trace codec itself and for cmd/tracegen's
+// generate/inspect tooling.
 func newTraceOpenAnalyzer() *Analyzer {
 	const rule = "traceopen"
-	forbidden := map[string]bool{"Read": true, "ReadAny": true}
+	forbidden := map[string]bool{"ReadAny": true}
 	allowedPkg := func(path string) bool {
 		return strings.HasSuffix(path, "internal/trace") ||
 			strings.HasSuffix(path, "cmd/tracegen")
 	}
 	return &Analyzer{
 		Name: rule,
-		Doc:  "forbid direct trace decoding (trace.Read/ReadAny) outside internal/trace and cmd/tracegen; sweep paths share a decoded arena",
+		Doc:  "forbid direct trace decoding (trace.ReadAny) outside internal/trace and cmd/tracegen; sweep paths share a decoded arena",
 		CheckPackage: func(p *Package, r *Reporter) {
 			if allowedPkg(p.Path) {
 				return

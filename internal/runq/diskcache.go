@@ -69,7 +69,7 @@ func (p *Pool) storeDisk(key string, job Job, res sim.Result) error {
 		Schema:  SchemaVersion,
 		Model:   sim.ModelVersion,
 		Config:  job.Config.Name,
-		Trace:   job.Profile.Name,
+		Trace:   job.traceLabel(),
 		Warmup:  job.Warmup,
 		Measure: job.Measure,
 		Result:  res,

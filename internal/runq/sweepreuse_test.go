@@ -1,6 +1,7 @@
 package runq
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -129,23 +130,8 @@ func TestCheckpointReuseAcrossJobs(t *testing.T) {
 // it, keys results by trace content (not path), and refuses to key such
 // jobs without the pool's arena.
 func TestFileTraceJobs(t *testing.T) {
-	prog, err := trace.BuildProgram(trace.QuickProfiles()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	insts := trace.Collect(trace.NewWalker(prog), 60_000)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.ucpt")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.WriteCompact(f, insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	path := writeTraceFile(t, 60_000)
+	dir := filepath.Dir(path)
 
 	mk := func(name string) Job {
 		cfg := sim.Baseline()
@@ -188,5 +174,51 @@ func TestFileTraceJobs(t *testing.T) {
 	}
 	if k1 != k2 {
 		t.Error("identical trace content keyed apart under different paths")
+	}
+}
+
+// writeTraceFile records n instructions of a quick profile as a trace
+// file in a fresh temp directory and returns its path.
+func writeTraceFile(t *testing.T, n int) string {
+	t.Helper()
+	prog, err := trace.BuildProgram(trace.QuickProfiles()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "t.ucpt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteCompact(f, trace.Collect(trace.NewWalker(prog), n)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestFileTraceCacheRecordNamesFile checks a recorded-trace job's disk
+// cache record names the trace file (such a job has no profile name).
+func TestFileTraceCacheRecordNamesFile(t *testing.T) {
+	path := writeTraceFile(t, 30_000)
+	job := Job{Config: sim.Baseline(), TraceFile: path, Warmup: 5_000, Measure: 10_000}
+	p := New(Options{Workers: 1, CacheDir: t.TempDir()})
+	digests(t, p, []Job{job})
+	key, err := p.jobKey(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(p.cachePath(key))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec record
+	if err := json.Unmarshal(b, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Trace != path {
+		t.Fatalf("cache record names trace %q, want %q", rec.Trace, path)
 	}
 }

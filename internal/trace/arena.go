@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -24,11 +23,10 @@ import (
 // A periodic seek index (one decoder-state snapshot every
 // ArenaIndexPeriod instructions) makes Cursor.Skip O(1) in the distance
 // skipped: a skip jumps to the nearest preceding snapshot and decodes at
-// most one period of records. File-backed traces can persist the index
-// as a sidecar (see WriteIndex / cmd/tracegen) so loading skips the
-// index-building scan.
+// most one period of records. An arena loaded from a file builds the
+// index in the same scan that validates every record.
 type Arena struct {
-	data   []byte      // v2 compact record stream (no file header)
+	data   []byte      // v2 record stream (no file header)
 	count  uint64      // total instruction count
 	snaps  []arenaSnap // snaps[i] = decoder state before record i*ArenaIndexPeriod
 	digest [sha256.Size]byte
@@ -61,10 +59,9 @@ type cursorState struct {
 	lastSrc2 uint8
 }
 
-// arenaBuilder incrementally encodes a stream into arena form. Its
-// record encoding mirrors WriteCompact byte for byte — an arena built
-// here and a v2 file written from the same instructions hold identical
-// bytes and digests — and it records a seek-index snapshot every
+// arenaBuilder incrementally encodes a stream into arena form. It is
+// the format's only encoder — WriteCompact writes its body after the
+// file header — and it records a seek-index snapshot every
 // ArenaIndexPeriod instructions as it encodes, so building an arena is
 // a single pass: no intermediate []isa.Inst (48 bytes/inst) is ever
 // materialized and no separate index scan runs.
@@ -123,24 +120,20 @@ func (b *arenaBuilder) add(in *isa.Inst) {
 	b.count++
 }
 
-// finish assembles the arena, computing the digest over the canonical
-// v2 file bytes (header + body) without concatenating them.
+// finish assembles the arena, computing the digest over the file bytes
+// (header + body) without concatenating them.
 func (b *arenaBuilder) finish() *Arena {
-	hdr := make([]byte, fileHeaderLen)
-	copy(hdr, fileMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], compactVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], b.count)
 	h := sha256.New()
-	h.Write(hdr)
+	h.Write(fileHeader(b.count))
 	h.Write(b.body)
 	a := &Arena{data: b.body, count: b.count, snaps: b.snaps}
 	copy(a.digest[:], h.Sum(nil))
 	return a
 }
 
-// NewArena encodes insts into a shared arena. The encoding is exactly
-// WriteCompact's, so an arena built from a slice and one loaded from the
-// corresponding v2 file hold identical bytes (and identical digests).
+// NewArena encodes insts into a shared arena. An arena built from a
+// slice and one loaded from the file WriteCompact writes for it hold
+// identical bytes (and identical digests).
 func NewArena(insts []isa.Inst) *Arena {
 	var b arenaBuilder
 	b.body = make([]byte, 0, 4*len(insts))
@@ -167,65 +160,64 @@ func ArenaFromSource(src Source, n int) *Arena {
 	return b.finish()
 }
 
-// fileHeaderLen is the byte length of the UCPT file header (magic +
-// version + count) shared by both trace format versions.
-const fileHeaderLen = 16
-
-// LoadArena reads a trace file (either format version) into an arena.
-// For v2 files the record bytes are adopted as-is; a valid sidecar index
-// (path + ".idx", see WriteIndex) replaces the index-building scan, and
-// a missing, stale, or corrupt sidecar silently falls back to scanning.
-// v1 files are decoded and re-encoded into the compact form, so the
-// arena digest identifies the instruction stream regardless of which
-// on-disk version carried it.
+// LoadArena reads and validates a trace file into an arena.
 func LoadArena(path string) (*Arena, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(raw) < fileHeaderLen || string(raw[:4]) != fileMagic {
+	return parseArena(raw)
+}
+
+// parseArena validates a whole trace file — header, every record, no
+// trailing bytes — and adopts its record bytes. It is the one parser
+// every file goes through (LoadArena, ReadAny).
+func parseArena(raw []byte) (*Arena, error) {
+	if len(raw) < fileHeaderLen {
+		return nil, fmt.Errorf("trace: truncated header (%d of %d bytes)", len(raw), fileHeaderLen)
+	}
+	if string(raw[:4]) != fileMagic {
 		return nil, errors.New("trace: bad magic")
 	}
-	version := binary.LittleEndian.Uint32(raw[4:8])
-	n := binary.LittleEndian.Uint64(raw[8:16])
-	switch version {
-	case fileVersion:
-		insts, err := ReadAny(bytes.NewReader(raw))
-		if err != nil {
-			return nil, err
-		}
-		return NewArena(insts), nil
-	case compactVersion:
-		const maxInsts = 1 << 30
-		if n > maxInsts {
-			return nil, fmt.Errorf("trace: implausible instruction count %d", n)
-		}
-		a := &Arena{data: raw[fileHeaderLen:], count: n, digest: sha256.Sum256(raw)}
-		if snaps, ok := readSidecar(path+indexSuffix, a.digest, n); ok {
-			a.snaps = snaps
-			return a, nil
-		}
-		if err := a.buildIndex(); err != nil {
-			return nil, err
-		}
-		return a, nil
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
+	if v := binary.LittleEndian.Uint32(raw[4:8]); v != compactVersion {
+		return nil, fmt.Errorf("trace: unsupported version %d", v)
 	}
+	n := binary.LittleEndian.Uint64(raw[8:16])
+	if n > maxInsts {
+		return nil, fmt.Errorf("trace: implausible instruction count %d", n)
+	}
+	a := &Arena{data: raw[fileHeaderLen:], count: n}
+	if err := a.buildIndex(); err != nil {
+		return nil, err
+	}
+	a.digest = sha256.Sum256(raw)
+	return a, nil
 }
 
 // buildIndex scans the record stream once, validating every record and
 // snapshotting the decoder state each ArenaIndexPeriod instructions.
-// After a successful scan cursors can decode without error checks.
+// After a successful scan cursors can decode without error checks. The
+// index grows with the records that parse, never with the header's
+// untrusted count.
 func (a *Arena) buildIndex() error {
-	a.snaps = make([]arenaSnap, 0, a.count/ArenaIndexPeriod+1)
 	var st cursorState
 	for i := uint64(0); i < a.count; i++ {
 		if i%ArenaIndexPeriod == 0 {
 			a.snaps = append(a.snaps, snapOf(&st))
 		}
+		off := st.off
 		if err := a.decode(&st, nil); err != nil {
-			return fmt.Errorf("trace: record %d: %w", i, err)
+			if errors.Is(err, io.ErrUnexpectedEOF) {
+				return fmt.Errorf("trace: truncated at record %d", i)
+			}
+			return fmt.Errorf("trace: %w at record %d", err, i)
+		}
+		// The encoder sets flagMem exactly on loads and stores; a memory
+		// delta on any other class would not survive a rewrite.
+		if flags := a.data[off]; flags&flagMem != 0 {
+			if c := isa.Class(flags & classMask); c != isa.Load && c != isa.Store {
+				return fmt.Errorf("trace: memory operand on %v at record %d", c, i)
+			}
 		}
 	}
 	if st.off != len(a.data) {
@@ -254,10 +246,9 @@ func (st *cursorState) load(s arenaSnap) {
 	st.lastSrc2 = s.lastSrc2
 }
 
-// decode advances st past one record, mirroring readCompactBody. When in
-// is non-nil the decoded instruction is stored there; a nil in skips the
-// store but performs the identical state update (used by Skip and the
-// index scan).
+// decode advances st past one record. When in is non-nil the decoded
+// instruction is stored there; a nil in skips the store but performs the
+// identical state update (used by Skip and the index scan).
 func (a *Arena) decode(st *cursorState, in *isa.Inst) error {
 	data := a.data
 	if st.off >= len(data) {
@@ -442,91 +433,4 @@ func (c *Cursor) SkipWarm(n int, w Warmer) int {
 		}
 	}
 	return n
-}
-
-// Sidecar seek-index file format (written next to v2 trace files as
-// <trace>.idx): magic, version, index period, instruction count, the
-// SHA-256 of the trace file it indexes, the snapshots, and a trailing
-// SHA-256 of everything before it. Readers verify both digests — a
-// sidecar that does not match its trace byte-for-byte, or that was
-// itself truncated or corrupted, is ignored and the index rebuilt by
-// scanning.
-const (
-	indexMagic   = "UCPI"
-	indexVersion = 1
-	indexSuffix  = ".idx"
-	snapBytes    = 27 // off u64 + expectPC u64 + lastMem u64 + 3 reg bytes
-)
-
-// IndexPath returns the sidecar index path for a trace file path.
-func IndexPath(tracePath string) string { return tracePath + indexSuffix }
-
-// WriteIndex serializes the arena's seek index in the sidecar format.
-func (a *Arena) WriteIndex(w io.Writer) error {
-	buf := make([]byte, 0, 4+4+4+8+sha256.Size+len(a.snaps)*snapBytes)
-	buf = append(buf, indexMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, indexVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, ArenaIndexPeriod)
-	buf = binary.LittleEndian.AppendUint64(buf, a.count)
-	buf = append(buf, a.digest[:]...)
-	for _, s := range a.snaps {
-		buf = binary.LittleEndian.AppendUint64(buf, s.off)
-		buf = binary.LittleEndian.AppendUint64(buf, s.expectPC)
-		buf = binary.LittleEndian.AppendUint64(buf, s.lastMem)
-		buf = append(buf, s.lastDst, s.lastSrc1, s.lastSrc2)
-	}
-	sum := sha256.Sum256(buf)
-	buf = append(buf, sum[:]...)
-	_, err := w.Write(buf)
-	return err
-}
-
-// readSidecar loads and verifies a sidecar index. ok is false — never an
-// error — when the file is missing, malformed, self-inconsistent, or
-// written for different trace bytes: the caller falls back to scanning.
-func readSidecar(path string, traceDigest [sha256.Size]byte, count uint64) ([]arenaSnap, bool) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, false
-	}
-	const fixed = 4 + 4 + 4 + 8 + sha256.Size
-	if len(raw) < fixed+sha256.Size || string(raw[:4]) != indexMagic {
-		return nil, false
-	}
-	body, tail := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
-	if sha256.Sum256(body) != [sha256.Size]byte(tail) {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[4:8]) != indexVersion {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint32(raw[8:12]) != ArenaIndexPeriod {
-		return nil, false
-	}
-	if binary.LittleEndian.Uint64(raw[12:20]) != count {
-		return nil, false
-	}
-	if [sha256.Size]byte(raw[20:20+sha256.Size]) != traceDigest {
-		return nil, false
-	}
-	snapData := body[fixed:]
-	if len(snapData)%snapBytes != 0 {
-		return nil, false
-	}
-	want := (count + ArenaIndexPeriod - 1) / ArenaIndexPeriod
-	snaps := make([]arenaSnap, 0, len(snapData)/snapBytes)
-	for o := 0; o+snapBytes <= len(snapData); o += snapBytes {
-		snaps = append(snaps, arenaSnap{
-			off:      binary.LittleEndian.Uint64(snapData[o : o+8]),
-			expectPC: binary.LittleEndian.Uint64(snapData[o+8 : o+16]),
-			lastMem:  binary.LittleEndian.Uint64(snapData[o+16 : o+24]),
-			lastDst:  snapData[o+24],
-			lastSrc1: snapData[o+25],
-			lastSrc2: snapData[o+26],
-		})
-	}
-	if uint64(len(snaps)) != want {
-		return nil, false
-	}
-	return snaps, true
 }

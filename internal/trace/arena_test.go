@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -208,50 +210,11 @@ func TestArenaConcurrentCursors(t *testing.T) {
 	}
 }
 
-// TestLoadArena checks both file versions load into identical arenas:
-// same identity, same stream.
+// TestLoadArena checks a file loads into the arena built in memory
+// from the same instructions: same identity, same stream.
 func TestLoadArena(t *testing.T) {
 	insts := arenaInsts(t, 5000)
-	dir := t.TempDir()
-	v1 := filepath.Join(dir, "t1.trace")
-	v2 := filepath.Join(dir, "t2.trace")
-	var b1, b2 bytes.Buffer
-	if err := Write(&b1, insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteCompact(&b2, insts); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v1, b1.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(v2, b2.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ref := NewArena(insts)
-	for name, path := range map[string]string{"v1": v1, "v2": v2} {
-		a, err := LoadArena(path)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if a.ID() != ref.ID() {
-			t.Fatalf("%s: ID %s differs from in-memory arena %s", name, a.ID(), ref.ID())
-		}
-		if got := drainScalar(a.Cursor(), len(insts)+10); !semSame(insts, got) {
-			t.Fatalf("%s: stream diverges", name)
-		}
-	}
-}
-
-// TestArenaSidecar pins the sidecar index round trip: a written index
-// must be accepted and produce an arena whose skips behave identically,
-// and every corruption (flipped byte, truncation, digest mismatch) must
-// fall back to scanning rather than trusting the sidecar.
-func TestArenaSidecar(t *testing.T) {
-	insts := arenaInsts(t, 2*ArenaIndexPeriod+333)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.trace")
+	path := filepath.Join(t.TempDir(), "t.trace")
 	var buf bytes.Buffer
 	if err := WriteCompact(&buf, insts); err != nil {
 		t.Fatal(err)
@@ -259,112 +222,97 @@ func TestArenaSidecar(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ref := NewArena(insts)
-	var idx bytes.Buffer
-	if err := ref.WriteIndex(&idx); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(IndexPath(path), idx.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
 
-	// Valid sidecar: must be adopted (observable as identical snaps) and
-	// skips must still match the reference.
+	ref := NewArena(insts)
 	a, err := LoadArena(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.snaps) != len(ref.snaps) {
-		t.Fatalf("sidecar arena has %d snaps, want %d", len(a.snaps), len(ref.snaps))
+	if a.ID() != ref.ID() {
+		t.Fatalf("ID %s differs from in-memory arena %s", a.ID(), ref.ID())
 	}
-	for i := range a.snaps {
-		if a.snaps[i] != ref.snaps[i] {
-			t.Fatalf("snap %d differs: %+v vs %+v", i, a.snaps[i], ref.snaps[i])
-		}
+	if got := sha256.Sum256(buf.Bytes()); a.ID() != hex.EncodeToString(got[:]) {
+		t.Fatal("ID is not the SHA-256 of the file")
 	}
-	c := a.Cursor()
-	c.Skip(ArenaIndexPeriod + 17)
-	s := NewSliceSource(insts)
-	s.Skip(ArenaIndexPeriod + 17)
-	if got := drainScalar(c, 200); !semSame(drainScalar(s, 200), got) {
-		t.Fatal("sidecar-indexed arena diverges after Skip")
-	}
-
-	// Corrupt sidecars: flip one byte at a few offsets, truncate, and
-	// pair with a different trace. All must be rejected (ok=false) while
-	// LoadArena still succeeds by scanning.
-	good := idx.Bytes()
-	for _, cut := range []int{0, 5, 10, 30, len(good) / 2, len(good) - 1} {
-		bad := append([]byte(nil), good...)
-		bad[cut] ^= 0xff
-		if _, ok := readSidecar(writeTemp(t, dir, bad), ref.digest, ref.count); ok {
-			t.Fatalf("sidecar with byte %d flipped was accepted", cut)
-		}
-	}
-	for _, cut := range []int{0, 3, 20, len(good) - 1} {
-		if _, ok := readSidecar(writeTemp(t, dir, good[:cut]), ref.digest, ref.count); ok {
-			t.Fatalf("sidecar truncated to %d bytes was accepted", cut)
-		}
-	}
-	other := NewArena(arenaInsts(t, 100))
-	if _, ok := readSidecar(writeTemp(t, dir, good), other.digest, other.count); ok {
-		t.Fatal("sidecar for a different trace was accepted")
-	}
-	bad := filepath.Join(dir, "corrupt.trace")
-	if err := os.WriteFile(bad, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 1
-	if err := os.WriteFile(IndexPath(bad), flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ac, err := LoadArena(bad)
-	if err != nil {
-		t.Fatalf("LoadArena with corrupt sidecar: %v", err)
-	}
-	if got := drainScalar(ac.Cursor(), len(insts)+10); !semSame(insts, got) {
-		t.Fatal("corrupt-sidecar fallback produced a divergent stream")
+	if got := drainScalar(a.Cursor(), len(insts)+10); !semSame(insts, got) {
+		t.Fatal("stream diverges")
 	}
 }
 
-var tempSeq int
-
-func writeTemp(t *testing.T, dir string, data []byte) string {
-	t.Helper()
-	tempSeq++
-	p := filepath.Join(dir, fmt.Sprintf("side-%d.idx", tempSeq))
-	if err := os.WriteFile(p, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// TestLoadArenaCorrupt truncates a v2 trace file at every byte: every
-// prefix must fail cleanly (the index-building scan validates records),
-// never panic or succeed.
-func TestLoadArenaCorrupt(t *testing.T) {
-	insts := corruptInsts()
+// TestLoadArenaIgnoresSeekIndexFile plants, beside a trace with one bad
+// class byte, a seek-index file in the retired <trace>.idx format that
+// matches the trace's digest. No file beside a trace may let a load
+// skip record validation: LoadArena must fail with the scan's error,
+// not return an arena whose first cursor read panics.
+func TestLoadArenaIgnoresSeekIndexFile(t *testing.T) {
+	insts := arenaInsts(t, 2*ArenaIndexPeriod+333)
 	var buf bytes.Buffer
 	if err := WriteCompact(&buf, insts); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.trace")
+	ref := NewArena(insts)
+	raw := buf.Bytes()
+	bad := fileHeaderLen + int(ref.snaps[1].off) // first record of the second period
+	raw[bad] = raw[bad]&^classMask | 0x0f
+
+	// Magic, version, period, count, trace digest, 27-byte snapshots,
+	// then the SHA-256 of everything before it.
+	idx := []byte("UCPI")
+	idx = binary.LittleEndian.AppendUint32(idx, 1)
+	idx = binary.LittleEndian.AppendUint32(idx, ArenaIndexPeriod)
+	idx = binary.LittleEndian.AppendUint64(idx, ref.count)
+	sum := sha256.Sum256(raw)
+	idx = append(idx, sum[:]...)
+	for _, s := range ref.snaps {
+		idx = binary.LittleEndian.AppendUint64(idx, s.off)
+		idx = binary.LittleEndian.AppendUint64(idx, s.expectPC)
+		idx = binary.LittleEndian.AppendUint64(idx, s.lastMem)
+		idx = append(idx, s.lastDst, s.lastSrc1, s.lastSrc2)
+	}
+	sum = sha256.Sum256(idx)
+	idx = append(idx, sum[:]...)
+
+	path := filepath.Join(t.TempDir(), "t.trace")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path+".idx", idx, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a, err := LoadArena(path)
+	want := fmt.Sprintf("bad class 15 at record %d", ArenaIndexPeriod)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadArena = %v, want an error naming %q", err, want)
+	}
+	if a != nil {
+		t.Fatal("LoadArena returned an arena with its error")
+	}
+}
+
+// TestLoadArenaCorrupt truncates a v2 trace file at every byte: every
+// prefix must fail cleanly (the index-building scan validates records),
+// never panic or succeed. LoadArena is os.ReadFile plus parseArena, so
+// the prefixes go to parseArena directly and two files check the wiring.
+func TestLoadArenaCorrupt(t *testing.T) {
+	full := compactFile(t)
 	for cut := 0; cut < len(full); cut++ {
-		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := LoadArena(path); err == nil {
+		if _, err := parseArena(full[:cut]); err == nil {
 			t.Fatalf("prefix of %d/%d bytes loaded without error", cut, len(full))
 		}
 	}
-	// Trailing garbage after the declared records must also be rejected.
-	if err := os.WriteFile(path, append(append([]byte(nil), full...), 0x00), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadArena(path); err == nil {
-		t.Fatal("trailing garbage loaded without error")
+	path := filepath.Join(t.TempDir(), "t.trace")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", full[:len(full)/2]},
+		{"trailing garbage", append(append([]byte(nil), full...), 0x00)},
+	} {
+		if err := os.WriteFile(path, tc.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadArena(path); err == nil {
+			t.Fatalf("%s file loaded without error", tc.name)
+		}
 	}
 }

@@ -1,22 +1,32 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
-	"fmt"
 	"io"
 
 	"ucp/internal/isa"
 )
 
-// Compact (version 2) trace format: sequential-PC prediction plus
-// zigzag varint deltas shrink records from the fixed 29 bytes of v1 to
-// ~2-6 bytes for typical workloads. Control-flow consistency makes the
-// PC of almost every instruction predictable from its predecessor, so
-// most records carry no PC bytes at all.
+// The trace file format (.ucpt, version 2) is a 16-byte header — magic,
+// version, little-endian instruction count — followed by one variable-
+// length record per instruction. Sequential-PC prediction plus zigzag
+// varint deltas keep a record at ~2-6 bytes: control-flow consistency
+// makes the PC of almost every instruction predictable from its
+// predecessor, so most records carry no PC bytes at all. The target of a
+// not-taken branch is not stored; the model never reads it.
+//
+// The Arena is the format's only codec: arenaBuilder.add encodes a
+// record, Arena.decode parses one, and parseArena validates a whole file.
+// WriteCompact, ReadAny and LoadArena are thin wrappers around them.
 
-const compactVersion = 2
+const (
+	fileMagic      = "UCPT"
+	compactVersion = 2
+	fileHeaderLen  = 16
+	// maxInsts bounds the header's instruction count. The count is still
+	// untrusted below it: parseArena only believes records that parse.
+	maxInsts = 1 << 30
+)
 
 // Record flag layout: bits 0-3 class, bit 4 taken, bit 5 explicit PC
 // follows, bit 6 memory address delta follows, bit 7 register triple
@@ -29,199 +39,36 @@ const (
 	classMask = 0x0f
 )
 
-// WriteCompact serializes instructions in the v2 compact format.
+// fileHeader returns the header of a trace file holding n instructions.
+func fileHeader(n uint64) []byte {
+	hdr := make([]byte, fileHeaderLen)
+	copy(hdr, fileMagic)
+	binary.LittleEndian.PutUint32(hdr[4:8], compactVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], n)
+	return hdr
+}
+
+// WriteCompact serializes instructions as a trace file. The file's
+// SHA-256 is the ID of the arena built from the same instructions.
 func WriteCompact(w io.Writer, insts []isa.Inst) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fileMagic); err != nil {
+	a := NewArena(insts)
+	if _, err := w.Write(fileHeader(a.count)); err != nil {
 		return err
 	}
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], compactVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(insts)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	putVarint := func(v int64) error {
-		n := binary.PutVarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	var expectPC, lastMem uint64
-	var lastDst, lastSrc1, lastSrc2 uint8
-	first := true
-	for i := range insts {
-		in := &insts[i]
-		flags := byte(in.Class) & classMask
-		if in.Taken {
-			flags |= flagTaken
-		}
-		explicitPC := first || in.PC != expectPC
-		if explicitPC {
-			flags |= flagPC
-		}
-		hasMem := in.Class == isa.Load || in.Class == isa.Store
-		if hasMem {
-			flags |= flagMem
-		}
-		regsChanged := first || in.Dst != lastDst || in.Src1 != lastSrc1 || in.Src2 != lastSrc2
-		if regsChanged {
-			flags |= flagRegs
-		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
-		if explicitPC {
-			if err := putVarint(int64(in.PC) - int64(expectPC)); err != nil {
-				return err
-			}
-		}
-		if in.Taken {
-			// Branch target as a delta from the branch PC.
-			if err := putVarint(int64(in.Target) - int64(in.PC)); err != nil {
-				return err
-			}
-		}
-		if hasMem {
-			if err := putVarint(int64(in.MemAddr) - int64(lastMem)); err != nil {
-				return err
-			}
-			lastMem = in.MemAddr
-		}
-		if regsChanged {
-			if _, err := bw.Write([]byte{in.Dst, in.Src1, in.Src2}); err != nil {
-				return err
-			}
-			lastDst, lastSrc1, lastSrc2 = in.Dst, in.Src1, in.Src2
-		}
-		expectPC = in.NextPC()
-		first = false
-	}
-	return bw.Flush()
+	_, err := w.Write(a.data)
+	return err
 }
 
-// ReadAny deserializes either trace format, dispatching on the header
-// version.
+// ReadAny decodes a whole trace file into a slice. It accepts exactly
+// the files LoadArena accepts.
 func ReadAny(r io.Reader) ([]isa.Inst, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, 4)
-	if _, err := io.ReadFull(br, magic); err != nil {
+	raw, err := io.ReadAll(r)
+	if err != nil {
 		return nil, err
 	}
-	if string(magic) != fileMagic {
-		return nil, errors.New("trace: bad magic")
-	}
-	hdr := make([]byte, 12)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	a, err := parseArena(raw)
+	if err != nil {
 		return nil, err
 	}
-	version := binary.LittleEndian.Uint32(hdr[0:4])
-	n := binary.LittleEndian.Uint64(hdr[4:12])
-	const maxInsts = 1 << 30
-	if n > maxInsts {
-		return nil, fmt.Errorf("trace: implausible instruction count %d", n)
-	}
-	// The count is still untrusted below maxInsts: a corrupt header can
-	// claim a billion records (~50 GB of isa.Inst) over a byte of body.
-	// Both body readers therefore grow their slice as records actually
-	// parse instead of trusting n up front (see preallocInsts).
-	switch version {
-	case fileVersion:
-		return readV1Body(br, n)
-	case compactVersion:
-		return readCompactBody(br, n)
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", version)
-	}
-}
-
-// preallocInsts caps the allocation made on the header's word alone.
-// Honest files pay one extra append-doubling pass beyond a million
-// records; a lying header costs at most this much before the first
-// truncated-record error surfaces.
-const preallocInsts = 1 << 20
-
-func preallocFor(n uint64) uint64 {
-	if n > preallocInsts {
-		return preallocInsts
-	}
-	return n
-}
-
-func readCompactBody(br *bufio.Reader, n uint64) ([]isa.Inst, error) {
-	insts := make([]isa.Inst, 0, preallocFor(n))
-	var expectPC, lastMem uint64
-	var lastDst, lastSrc1, lastSrc2 uint8
-	for i := uint64(0); i < n; i++ {
-		var rec isa.Inst
-		in := &rec
-		flags, err := br.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
-		}
-		in.Class = isa.Class(flags & classMask)
-		if int(in.Class) >= isa.NumClasses {
-			return nil, fmt.Errorf("trace: bad class %d at record %d", in.Class, i)
-		}
-		in.Taken = flags&flagTaken != 0
-		in.PC = expectPC
-		if flags&flagPC != 0 {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: truncated PC at record %d: %w", i, err)
-			}
-			in.PC = uint64(int64(expectPC) + d)
-		}
-		if in.Taken {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: truncated target at record %d: %w", i, err)
-			}
-			in.Target = uint64(int64(in.PC) + d)
-		}
-		if flags&flagMem != 0 {
-			d, err := binary.ReadVarint(br)
-			if err != nil {
-				return nil, fmt.Errorf("trace: truncated mem at record %d: %w", i, err)
-			}
-			in.MemAddr = uint64(int64(lastMem) + d)
-			lastMem = in.MemAddr
-		}
-		if flags&flagRegs != 0 {
-			var regs [3]byte
-			if _, err := io.ReadFull(br, regs[:]); err != nil {
-				return nil, fmt.Errorf("trace: truncated regs at record %d: %w", i, err)
-			}
-			lastDst, lastSrc1, lastSrc2 = regs[0], regs[1], regs[2]
-		}
-		in.Dst, in.Src1, in.Src2 = lastDst, lastSrc1, lastSrc2
-		expectPC = in.NextPC()
-		insts = append(insts, rec)
-	}
-	return insts, nil
-}
-
-// readV1Body parses the fixed-width v1 records (header already consumed).
-func readV1Body(br *bufio.Reader, n uint64) ([]isa.Inst, error) {
-	insts := make([]isa.Inst, 0, preallocFor(n))
-	rec := make([]byte, 29)
-	for i := uint64(0); i < n; i++ {
-		if _, err := io.ReadFull(br, rec); err != nil {
-			return nil, fmt.Errorf("trace: truncated at record %d: %w", i, err)
-		}
-		var in isa.Inst
-		in.PC = binary.LittleEndian.Uint64(rec[0:8])
-		in.Class = isa.Class(rec[8])
-		if int(in.Class) >= isa.NumClasses {
-			return nil, fmt.Errorf("trace: bad class %d at record %d", in.Class, i)
-		}
-		in.Taken = rec[9] != 0
-		in.Target = binary.LittleEndian.Uint64(rec[10:18])
-		in.MemAddr = binary.LittleEndian.Uint64(rec[18:26])
-		in.Dst = rec[26]
-		in.Src1 = rec[27]
-		in.Src2 = rec[28]
-		insts = append(insts, in)
-	}
-	return insts, nil
+	return Collect(a.Cursor(), a.Len()), nil
 }

@@ -45,31 +45,42 @@ func corruptInsts() []isa.Inst {
 	return insts
 }
 
-// TestReadAnyTruncated cuts valid v1 and v2 files at every byte
-// boundary; every prefix must either parse (short prefixes of the
-// record stream never do) or fail with an error — no panic, no hang.
+// compactFile is corruptInsts written as a trace file.
+func compactFile(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := WriteCompact(&buf, corruptInsts()); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadAnyTruncated cuts a valid file at every byte boundary; every
+// prefix must fail with an error — no panic, no hang.
 func TestReadAnyTruncated(t *testing.T) {
 	insts := corruptInsts()
-	var v1, v2 bytes.Buffer
-	if err := Write(&v1, insts); err != nil {
-		t.Fatal(err)
+	full := compactFile(t)
+	for cut := 0; cut < len(full); cut++ {
+		if _, err := ReadAny(bytes.NewReader(full[:cut])); err == nil {
+			t.Fatalf("prefix of %d/%d bytes parsed without error", cut, len(full))
+		}
 	}
-	if err := WriteCompact(&v2, insts); err != nil {
-		t.Fatal(err)
+	got, err := ReadAny(bytes.NewReader(full))
+	if err != nil {
+		t.Fatalf("full file: %v", err)
 	}
-	for name, full := range map[string][]byte{"v1": v1.Bytes(), "v2": v2.Bytes()} {
-		for cut := 0; cut < len(full); cut++ {
-			if _, err := ReadAny(bytes.NewReader(full[:cut])); err == nil {
-				t.Fatalf("%s: prefix of %d/%d bytes parsed without error", name, cut, len(full))
-			}
-		}
-		got, err := ReadAny(bytes.NewReader(full))
-		if err != nil {
-			t.Fatalf("%s: full file: %v", name, err)
-		}
-		if len(got) != len(insts) {
-			t.Fatalf("%s: full file decoded %d insts, want %d", name, len(got), len(insts))
-		}
+	if len(got) != len(insts) {
+		t.Fatalf("full file decoded %d insts, want %d", len(got), len(insts))
+	}
+}
+
+// TestReadAnyTrailingBytes checks ReadAny rejects bytes after the
+// declared records, as LoadArena does: the two accept the same files.
+func TestReadAnyTrailingBytes(t *testing.T) {
+	data := append(compactFile(t), 0, 0, 0)
+	_, err := ReadAny(bytes.NewReader(data))
+	if err == nil || !strings.Contains(err.Error(), "3 trailing bytes") {
+		t.Fatalf("ReadAny with 3 trailing bytes: err = %v", err)
 	}
 }
 
@@ -82,9 +93,8 @@ func TestReadAnyLyingHeader(t *testing.T) {
 		name string
 		data []byte
 	}{
-		{"v2 empty body", header(compactVersion, 1<<29)},
-		{"v1 empty body", header(fileVersion, 1<<29)},
-		{"v1 one record", append(header(fileVersion, 1_000_000), make([]byte, 29)...)},
+		{"empty body", header(compactVersion, 1<<29)},
+		{"one record", append(header(compactVersion, 1_000_000), 0x00)},
 	}
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -97,8 +107,9 @@ func TestReadAnyLyingHeader(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	// Three preallocInsts-capped slices plus noise stay far under the
-	// multi-gigabyte allocations a trusted count would trigger.
+	// The seek index grows only with records that parse, so both cases
+	// stay far under the multi-gigabyte allocations a trusted
+	// count would trigger.
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<29 {
 		t.Fatalf("lying headers allocated %d bytes — count is being trusted", grew)
 	}
@@ -107,15 +118,16 @@ func TestReadAnyLyingHeader(t *testing.T) {
 // TestReadAnyBadRecords checks malformed record payloads fail with a
 // descriptive error instead of decoding garbage.
 func TestReadAnyBadRecords(t *testing.T) {
-	badClassV2 := append(header(compactVersion, 1), 0x0f) // class 15, no optional fields
-	if _, err := ReadAny(bytes.NewReader(badClassV2)); err == nil || !strings.Contains(err.Error(), "bad class") {
-		t.Errorf("v2 bad class: err = %v", err)
+	badClass := append(header(compactVersion, 1), 0x0f) // class 15, no optional fields
+	if _, err := ReadAny(bytes.NewReader(badClass)); err == nil || !strings.Contains(err.Error(), "bad class") {
+		t.Errorf("bad class: err = %v", err)
 	}
-	recV1 := make([]byte, 29)
-	recV1[8] = 0xff // class byte
-	badClassV1 := append(header(fileVersion, 1), recV1...)
-	if _, err := ReadAny(bytes.NewReader(badClassV1)); err == nil || !strings.Contains(err.Error(), "bad class") {
-		t.Errorf("v1 bad class: err = %v", err)
+	aluWithMem := append(header(compactVersion, 1), byte(isa.ALU)|flagMem, 0x02)
+	if _, err := ReadAny(bytes.NewReader(aluWithMem)); err == nil || !strings.Contains(err.Error(), "memory operand") {
+		t.Errorf("memory delta on an ALU record: err = %v", err)
+	}
+	if _, err := ReadAny(bytes.NewReader(header(1, 0))); err == nil || !strings.Contains(err.Error(), "unsupported version") {
+		t.Errorf("retired version 1: err = %v", err)
 	}
 	if _, err := ReadAny(bytes.NewReader(header(99, 0))); err == nil || !strings.Contains(err.Error(), "unsupported version") {
 		t.Errorf("bad version: err = %v", err)

@@ -9,10 +9,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 
 	"ucp/internal/isa"
 )
@@ -163,50 +160,4 @@ func Validate(insts []isa.Inst) error {
 		}
 	}
 	return nil
-}
-
-const (
-	fileMagic   = "UCPT"
-	fileVersion = 1
-)
-
-// Write serializes instructions to w in the repository's compact binary
-// trace format (magic, version, count, then fixed-width records).
-func Write(w io.Writer, insts []isa.Inst) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(fileMagic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 12)
-	binary.LittleEndian.PutUint32(hdr[0:4], fileVersion)
-	binary.LittleEndian.PutUint64(hdr[4:12], uint64(len(insts)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	rec := make([]byte, 29)
-	for i := range insts {
-		in := &insts[i]
-		binary.LittleEndian.PutUint64(rec[0:8], in.PC)
-		rec[8] = byte(in.Class)
-		if in.Taken {
-			rec[9] = 1
-		} else {
-			rec[9] = 0
-		}
-		binary.LittleEndian.PutUint64(rec[10:18], in.Target)
-		binary.LittleEndian.PutUint64(rec[18:26], in.MemAddr)
-		rec[26] = in.Dst
-		rec[27] = in.Src1
-		rec[28] = in.Src2
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace previously written by Write or
-// WriteCompact (it dispatches on the header version).
-func Read(r io.Reader) ([]isa.Inst, error) {
-	return ReadAny(r)
 }
