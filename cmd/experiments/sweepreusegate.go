@@ -13,7 +13,7 @@ import (
 
 // The sweep-reuse gate: one UCP stop-threshold ablation — the sweep
 // shape of Fig. 15, whose configurations differ only in measurement
-// phase parameters and therefore share a single functional-warm key —
+// phase parameters and therefore share a single checkpoint key —
 // run twice over the same trace. The cold pass is a plain pool (no
 // checkpoints), the warm pass a fresh pool with warm-checkpoint reuse
 // enabled, so the sweep pays the functional fast-forward once instead
@@ -35,7 +35,7 @@ const (
 )
 
 // sweepReuseThresholds is the ablation axis. StopThreshold steers only
-// the detailed-mode prefetch walk, so all points share one warm key.
+// the detailed-mode prefetch walk, so all points share one checkpoint key.
 var sweepReuseThresholds = []int{125, 250, 375, 500, 750, 1000, 1500, 2000, 3000, 4000}
 
 // sweepReuseJobs builds the ablation sweep.

@@ -7,18 +7,15 @@
 //	ucplint ./...            lint every package of the module (default)
 //	ucplint <dir> [<dir>…]   lint standalone fixture directories
 //	ucplint -json ./...      emit findings as a JSON array on stdout
-//	ucplint -baseline <f>    drop findings recorded in the baseline file
-//	ucplint -write-baseline <f>  write current findings as the baseline
 //	ucplint -determinism     run the runtime determinism harness: the
 //	                         same seeded simulation twice, failing on
 //	                         any byte difference in the stats digest
 //
 // Exit status (stable, consumed by check.sh):
 //
-//	0  clean — no findings outside the baseline (or determinism OK)
+//	0  clean — no findings (or determinism OK)
 //	1  findings (or determinism divergence)
-//	2  operational error (unparseable source, bad baseline, unknown
-//	   trace, …)
+//	2  operational error (unparseable source, unknown trace, …)
 package main
 
 import (
@@ -43,8 +40,6 @@ func main() {
 		detInsts    = flag.Uint64("determinism-insts", 120_000, "total instructions (warmup+measure) per determinism run")
 		rulesOnly   = flag.Bool("rules", false, "print the rule names and docs, then exit")
 		jsonOut     = flag.Bool("json", false, "emit findings as a JSON array on stdout")
-		baseline    = flag.String("baseline", "", "baseline file of accepted findings to subtract")
-		writeBase   = flag.String("write-baseline", "", "write the current findings to this baseline file and exit 0")
 		version     = flag.Bool("version", false, "print model/schema/protocol versions and exit")
 	)
 	flag.Parse()
@@ -62,7 +57,7 @@ func main() {
 	if *determinism {
 		os.Exit(runDeterminism(*detTrace, *detInsts))
 	}
-	os.Exit(runLint(flag.Args(), *jsonOut, *baseline, *writeBase))
+	os.Exit(runLint(flag.Args(), *jsonOut))
 }
 
 func fatalf(format string, args ...any) {
@@ -79,15 +74,7 @@ type jsonFinding struct {
 	Msg  string `json:"msg"`
 }
 
-// baselineKey identifies a finding for baseline matching. Line and
-// column are deliberately excluded so an accepted finding survives
-// unrelated edits to the same file; file+rule+message is specific
-// enough in practice.
-func baselineKey(f jsonFinding) string {
-	return f.File + "\x00" + f.Rule + "\x00" + f.Msg
-}
-
-func runLint(args []string, jsonOut bool, baselinePath, writeBaselinePath string) int {
+func runLint(args []string, jsonOut bool) int {
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -128,32 +115,6 @@ func runLint(args []string, jsonOut bool, baselinePath, writeBaselinePath string
 		})
 	}
 
-	if writeBaselinePath != "" {
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fatalf("encoding baseline: %v", err)
-		}
-		if err := os.WriteFile(writeBaselinePath, append(data, '\n'), 0o644); err != nil {
-			fatalf("writing baseline: %v", err)
-		}
-		fmt.Fprintf(os.Stderr, "ucplint: wrote %d finding(s) to %s\n", len(out), writeBaselinePath)
-		return 0
-	}
-	if baselinePath != "" {
-		accepted, err := loadBaseline(baselinePath)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		kept := out[:0]
-		for _, f := range out {
-			if accepted[baselineKey(f)] {
-				continue
-			}
-			kept = append(kept, f)
-		}
-		out = kept
-	}
-
 	if jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -172,25 +133,6 @@ func runLint(args []string, jsonOut bool, baselinePath, writeBaselinePath string
 		return 1
 	}
 	return 0
-}
-
-// loadBaseline reads a baseline file written by -write-baseline. A
-// missing file is an operational error (exit 2), not an empty baseline:
-// silently ignoring a typoed path would re-accept every finding.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("reading baseline: %w", err)
-	}
-	var entries []jsonFinding
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	accepted := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		accepted[baselineKey(e)] = true
-	}
-	return accepted, nil
 }
 
 // runDeterminism executes the same seeded UCP simulation twice, each

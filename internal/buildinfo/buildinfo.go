@@ -21,7 +21,7 @@ func Fprint(w io.Writer, binary string) {
 	fmt.Fprintf(w, "%s (ucp)\n", binary)
 	fmt.Fprintf(w, "  model version:     %s\n", sim.ModelVersion)
 	fmt.Fprintf(w, "  result schema:     %s\n", runq.SchemaVersion)
-	fmt.Fprintf(w, "  checkpoint schema: %s\n", sim.WarmKeySchema)
+	fmt.Fprintf(w, "  checkpoint schema: %s\n", sim.BoundaryKeySchema)
 	fmt.Fprintf(w, "  sweepd protocol:   %s\n", sweepd.ProtocolVersion)
 	bi, ok := debug.ReadBuildInfo()
 	if !ok {

@@ -12,7 +12,7 @@ import (
 )
 
 // Store is a content-addressed checkpoint cache with single-flight
-// admission: when N sweep jobs sharing a warm key start together,
+// admission: when N sweep jobs sharing a checkpoint key start together,
 // exactly one runs the fast-forward and publishes the blob; the others
 // block on Acquire until it lands and then restore from it. Blobs are
 // memoized in memory for the life of the Store and, when dir is

@@ -48,7 +48,7 @@ type Options struct {
 	// CacheDir enables runq's content-addressed on-disk result cache.
 	CacheDir string
 	// Checkpoints enables warm-checkpoint reuse across sampled jobs
-	// sharing a warm key (runq Options.Checkpoints); CkptDir persists
+	// sharing a checkpoint key (runq Options.Checkpoints); CkptDir persists
 	// the checkpoints on disk and implies Checkpoints.
 	Checkpoints bool
 	CkptDir     string

@@ -1,6 +1,9 @@
 package runq
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -12,7 +15,8 @@ import (
 // record is one cached run on disk: the result plus enough identity
 // metadata to reject records written by a different schema or model
 // revision (belt-and-braces — the version stamps are already folded
-// into the file's content-addressed name).
+// into the file's content-addressed name). On disk the record's JSON
+// is sealed (sealRecord), so a damaged record is a miss, not a result.
 type record struct {
 	Key     string     `json:"key"`
 	Schema  string     `json:"schema"`
@@ -27,13 +31,28 @@ type record struct {
 // cachePath maps a key to its record file, sharding by the first byte
 // of the digest so no single directory grows unboundedly.
 func (p *Pool) cachePath(key string) string {
-	return filepath.Join(p.opts.CacheDir, key[:2], key+".json")
+	return filepath.Join(p.opts.CacheDir, key[:2], key+".rec")
+}
+
+// sealRecord prefixes a record's JSON with the hex SHA-256 of that
+// JSON and a newline (encoding/json never emits one).
+func sealRecord(js []byte) []byte {
+	sum := sha256.Sum256(js)
+	return append(append([]byte(hex.EncodeToString(sum[:])), '\n'), js...)
+}
+
+// openRecord returns the JSON of a sealed record, and false unless the
+// seal matches it.
+func openRecord(b []byte) ([]byte, bool) {
+	head, js, ok := bytes.Cut(b, []byte{'\n'})
+	sum := sha256.Sum256(js)
+	return js, ok && string(head) == hex.EncodeToString(sum[:])
 }
 
 // loadDisk returns the cached result for key, if a valid record exists.
-// Unreadable or mismatched records are treated as misses (and later
-// overwritten by storeDisk), never as errors: the cache is purely an
-// accelerator.
+// Unreadable, damaged or mismatched records are treated as misses (and
+// later overwritten by storeDisk), never as errors: the cache is purely
+// an accelerator.
 func (p *Pool) loadDisk(key string) (sim.Result, bool) {
 	if p.opts.CacheDir == "" {
 		return sim.Result{}, false
@@ -42,8 +61,12 @@ func (p *Pool) loadDisk(key string) (sim.Result, bool) {
 	if err != nil {
 		return sim.Result{}, false
 	}
+	js, ok := openRecord(b)
+	if !ok {
+		return sim.Result{}, false
+	}
 	var rec record
-	if err := json.Unmarshal(b, &rec); err != nil {
+	if err := json.Unmarshal(js, &rec); err != nil {
 		return sim.Result{}, false
 	}
 	if rec.Key != key || rec.Schema != SchemaVersion || rec.Model != sim.ModelVersion {
@@ -81,7 +104,7 @@ func (p *Pool) storeDisk(key string, job Job, res sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("runq: cache temp file: %w", err)
 	}
-	_, werr := tmp.Write(b)
+	_, werr := tmp.Write(sealRecord(b))
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())

@@ -124,7 +124,7 @@ type Options struct {
 	// that line does.
 	UseArena bool
 	// Checkpoints enables functional-warm checkpoint reuse for sampled
-	// jobs (sim.WarmCheckpoints): jobs sharing a warm key pay the
+	// jobs (sim.WarmCheckpoints): jobs sharing a checkpoint key pay the
 	// sampling fast-forward once per pool instead of once per job, with
 	// byte-identical results. In-memory unless CkptDir is also set.
 	Checkpoints bool
@@ -250,7 +250,7 @@ func (p *Pool) Stats() Stats {
 }
 
 // CheckpointStats reports warm-checkpoint store activity: blobs held
-// (one per distinct warm key exercised) and restore hits. Both are zero
+// (one per distinct checkpoint key exercised) and restore hits. Both are zero
 // when checkpoints are disabled.
 func (p *Pool) CheckpointStats() (captured, restored int) {
 	if p.ckpts == nil {

@@ -1,7 +1,9 @@
 package runq
 
 import (
+	"bytes"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -177,6 +179,52 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 	}
 	if warm[0].Result.DeterminismDigest() != cold[0].Result.DeterminismDigest() {
 		t.Fatal("disk round trip changed the result")
+	}
+}
+
+// TestDiskCacheCorruptRecordIsMiss edits one byte of a stored record —
+// the first digit of its cycle count, which still parses — and pins
+// that a fresh pool treats it as a miss: it reruns the job, returns the
+// cold digest, and heals the record for the next pool.
+func TestDiskCacheCorruptRecordIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	jobs := quickJobs(20_000, 20_000)[:1]
+	cold := New(Options{Workers: 1, CacheDir: dir}).RunAll(jobs)
+	if cold[0].Err != nil {
+		t.Fatal(cold[0].Err)
+	}
+	want := cold[0].Result.DeterminismDigest()
+
+	p := New(Options{Workers: 1, CacheDir: dir})
+	path := p.cachePath(cold[0].Key)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const field = `"Cycles":`
+	i := bytes.Index(b, []byte(field)) + len(field)
+	if i < len(field) || b[i] < '1' || b[i] > '9' {
+		t.Fatalf("record has no nonzero %s field", field)
+	}
+	b[i] = '1' + (b[i]-'1'+1)%9
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got := p.RunAll(jobs)
+	if got[0].Err != nil {
+		t.Fatal(got[0].Err)
+	}
+	if got[0].Source != SourceRun {
+		t.Fatalf("edited record: source = %q, want %q", got[0].Source, SourceRun)
+	}
+	if got[0].Result.DeterminismDigest() != want {
+		t.Fatal("rerun after an edited record changed the result")
+	}
+	healed := New(Options{Workers: 1, CacheDir: dir}).RunAll(jobs)
+	if healed[0].Source != SourceDisk || healed[0].Result.DeterminismDigest() != want {
+		t.Fatalf("healed record: source = %q, digest equal = %v", healed[0].Source,
+			healed[0].Result.DeterminismDigest() == want)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestSyntheticJobsBuildNoArena(t *testing.T) {
 }
 
 // TestCheckpointReuseAcrossJobs pins the sweep-reuse guarantee at the
-// pool level: a sweep of configs sharing a warm key produces digests
+// pool level: a sweep of configs sharing a checkpoint key produces digests
 // byte-identical to a pool without checkpoints, while capturing the
 // fast-forward exactly once.
 func TestCheckpointReuseAcrossJobs(t *testing.T) {
@@ -121,7 +121,7 @@ func TestCheckpointReuseAcrossJobs(t *testing.T) {
 		}
 	}
 	if got := p.ckpts.Len(); got != 1 {
-		t.Errorf("sweep captured %d checkpoints, want 1 (shared warm key)", got)
+		t.Errorf("sweep captured %d checkpoints, want 1 (shared checkpoint key)", got)
 	}
 }
 
@@ -214,8 +214,12 @@ func TestFileTraceCacheRecordNamesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	js, ok := openRecord(b)
+	if !ok {
+		t.Fatal("cache record fails its seal")
+	}
 	var rec record
-	if err := json.Unmarshal(b, &rec); err != nil {
+	if err := json.Unmarshal(js, &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Trace != path {

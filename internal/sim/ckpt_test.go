@@ -56,7 +56,7 @@ func TestCkptRestoredMatchesCold(t *testing.T) {
 		cfg := ckptConfig(withUCP)
 		run := func(wc *sim.WarmCheckpoints) string {
 			src, code := ckptSource(t, cfg, withUCP)
-			res, err := sim.RunCkpt(cfg, src, code, "srv203", wc)
+			res, err := sim.RunHooked(cfg, src, code, "srv203", wc, nil)
 			if err != nil {
 				t.Fatalf("ucp=%v: run failed: %v", withUCP, err)
 			}
@@ -87,8 +87,8 @@ func TestCkptDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	run := func(store *ckpt.Store) string {
 		src, code := ckptSource(t, cfg, true)
-		res, err := sim.RunCkpt(cfg, src, code, "srv203",
-			&sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"})
+		res, err := sim.RunHooked(cfg, src, code, "srv203",
+			&sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"}, nil)
 		if err != nil {
 			t.Fatalf("run failed: %v", err)
 		}
@@ -104,48 +104,84 @@ func TestCkptDiskRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmKeyNormalization pins which config fields share a warm key.
-// Measurement-phase parameters must not split keys (that is the whole
-// point of the reuse), and anything the fast-forward can observe must.
-func TestWarmKeyNormalization(t *testing.T) {
+// warmupKey is the checkpoint key of a sampled config's warmup: a
+// boundary at WarmupInsts under the sampling horizons, with no detailed
+// warm of its own.
+func warmupKey(cfg sim.Config, traceID string) string {
+	h := cfg.Sampling.BoundaryWarm()
+	h.DetailedInsts = 0
+	return sim.BoundaryKey(cfg, traceID, cfg.WarmupInsts, h)
+}
+
+// TestBoundaryKeyNormalization pins which config fields share a
+// sampled warmup's checkpoint key. Measurement-phase parameters — the
+// window geometry and the adaptive stop rule among them — must not
+// split keys (that is the whole point of the reuse), and anything the
+// fast-forward can observe must.
+func TestBoundaryKeyNormalization(t *testing.T) {
 	base := ckptConfig(true)
-	key := sim.WarmKey(base, "tr")
+	key := warmupKey(base, "tr")
 
 	shared := map[string]func(*sim.Config){
-		"Name":              func(c *sim.Config) { c.Name = "other" },
-		"MeasureInsts":      func(c *sim.Config) { c.MeasureInsts *= 2 },
-		"Backend":           func(c *sim.Config) { c.Backend = backend.Config{ROB: 1} },
-		"L1IPrefetcher":     func(c *sim.Config) { c.L1IPrefetcher = "fnlmma" },
-		"MRC":               func(c *sim.Config) { c.MRC = &prefetch.MRCConfig{} },
-		"UCP.StopThreshold": func(c *sim.Config) { u := *c.UCP; u.StopThreshold++; c.UCP = &u },
-		"UCP.Estimator":     func(c *sim.Config) { u := *c.UCP; u.Estimator = bpred.EstimatorTageConf; c.UCP = &u },
-		"Sampling.Period":   func(c *sim.Config) { c.Sampling.PeriodInsts *= 2 },
+		"Name":                   func(c *sim.Config) { c.Name = "other" },
+		"MeasureInsts":           func(c *sim.Config) { c.MeasureInsts *= 2 },
+		"Backend":                func(c *sim.Config) { c.Backend = backend.Config{ROB: 1} },
+		"L1IPrefetcher":          func(c *sim.Config) { c.L1IPrefetcher = "fnlmma" },
+		"MRC":                    func(c *sim.Config) { c.MRC = &prefetch.MRCConfig{} },
+		"UCP.StopThreshold":      func(c *sim.Config) { u := *c.UCP; u.StopThreshold++; c.UCP = &u },
+		"UCP.Estimator":          func(c *sim.Config) { u := *c.UCP; u.Estimator = bpred.EstimatorTageConf; c.UCP = &u },
+		"Sampling.PeriodInsts":   func(c *sim.Config) { c.Sampling.PeriodInsts *= 2 },
+		"Sampling.DetailedInsts": func(c *sim.Config) { c.Sampling.DetailedInsts *= 2 },
+		"Sampling.WarmInsts":     func(c *sim.Config) { c.Sampling.WarmInsts *= 2 },
+		"Sampling.TargetCI":      func(c *sim.Config) { c.Sampling.TargetCI = 0.05 },
+		"Sampling.MinWindows":    func(c *sim.Config) { c.Sampling.TargetCI, c.Sampling.MinWindows = 0.05, 4 },
+		"Sampling.MaxWindows":    func(c *sim.Config) { c.Sampling.TargetCI, c.Sampling.MaxWindows = 0.05, 9 },
 	}
 	for name, mut := range shared {
 		c := base
 		mut(&c)
-		if sim.WarmKey(c, "tr") != key {
-			t.Errorf("changing %s split the warm key; the fast-forward cannot observe it", name)
+		if warmupKey(c, "tr") != key {
+			t.Errorf("changing %s split the warmup key; the fast-forward cannot observe it", name)
 		}
 	}
 
 	split := map[string]func(*sim.Config){
-		"Pred":                 func(c *sim.Config) { c.Pred = bpred.Config8KB() },
-		"WarmupInsts":          func(c *sim.Config) { c.WarmupInsts++ },
-		"Sampling.FFWarmInsts": func(c *sim.Config) { c.Sampling.FFWarmInsts *= 2 },
-		"UCP presence":         func(c *sim.Config) { c.UCP = nil },
-		"UCP.AltBP":            func(c *sim.Config) { u := *c.UCP; u.AltBP = bpred.Config64KB(); c.UCP = &u },
-		"InclusiveUop":         func(c *sim.Config) { c.InclusiveUop = true },
+		"Pred":                    func(c *sim.Config) { c.Pred = bpred.Config8KB() },
+		"WarmupInsts":             func(c *sim.Config) { c.WarmupInsts++ },
+		"Sampling.FFWarmInsts":    func(c *sim.Config) { c.Sampling.FFWarmInsts *= 2 },
+		"Sampling.CacheWarmInsts": func(c *sim.Config) { c.Sampling.CacheWarmInsts++ },
+		"Sampling.BPWarmInsts":    func(c *sim.Config) { c.Sampling.BPWarmInsts++ },
+		"UCP presence":            func(c *sim.Config) { c.UCP = nil },
+		"UCP.AltBP":               func(c *sim.Config) { u := *c.UCP; u.AltBP = bpred.Config64KB(); c.UCP = &u },
+		"InclusiveUop":            func(c *sim.Config) { c.InclusiveUop = true },
 	}
 	for name, mut := range split {
 		c := base
 		mut(&c)
-		if sim.WarmKey(c, "tr") == key {
-			t.Errorf("changing %s kept the warm key; the fast-forward observes it", name)
+		if warmupKey(c, "tr") == key {
+			t.Errorf("changing %s kept the warmup key; the fast-forward observes it", name)
 		}
 	}
-	if sim.WarmKey(base, "other-trace") == key {
-		t.Error("different trace IDs share a warm key")
+	if warmupKey(base, "other-trace") == key {
+		t.Error("different trace IDs share a warmup key")
+	}
+	// A segment boundary at the same position with a detailed warm is a
+	// different state (the fast-forward stops DetailedInsts earlier).
+	seg := base.Sampling.BoundaryWarm()
+	if sim.BoundaryKey(base, "tr", base.WarmupInsts, seg) == key {
+		t.Error("a boundary with a detailed warm shares the warmup key")
+	}
+}
+
+// TestBoundaryKeyPinned pins one full-detail segment boundary key to
+// its hex digest, so a change to the key derivation — which would
+// orphan every on-disk boundary checkpoint — cannot land unnoticed.
+// Bump BoundaryKeySchema and update the literal together.
+func TestBoundaryKeyPinned(t *testing.T) {
+	const want = "ce59f5ce2cad92ada7ccb0e3796c1f4c711e09401b9965d7162f9de377c833a6"
+	cfg := sim.WithUCP(core.DefaultConfig())
+	if got := sim.BoundaryKey(cfg, "srv203", 300_000, sim.DefaultBoundaryWarm()); got != want {
+		t.Errorf("BoundaryKey = %s, want %s", got, want)
 	}
 }
 
@@ -158,10 +194,10 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	store := ckpt.NewStore("")
 	wcA := &sim.WarmCheckpoints{Store: store, TraceID: "srv203-test"}
 	src, code := ckptSource(t, cfgA, false)
-	if _, err := sim.RunCkpt(cfgA, src, code, "srv203", wcA); err != nil {
+	if _, err := sim.RunHooked(cfgA, src, code, "srv203", wcA, nil); err != nil {
 		t.Fatalf("capturing run failed: %v", err)
 	}
-	blobA, hit, _ := store.Acquire(sim.WarmKey(cfgA, wcA.TraceID))
+	blobA, hit, _ := store.Acquire(warmupKey(cfgA, wcA.TraceID))
 	if !hit {
 		t.Fatal("capturing run published nothing")
 	}
@@ -170,7 +206,7 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	// loading blobA must fail the length checks.
 	cfgB := ckptConfig(false)
 	cfgB.Pred = bpred.Config8KB()
-	keyB := sim.WarmKey(cfgB, wcA.TraceID)
+	keyB := warmupKey(cfgB, wcA.TraceID)
 	_, hit, release := store.Acquire(keyB)
 	if hit {
 		t.Fatal("foreign key unexpectedly present")
@@ -178,7 +214,7 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	release(blobA)
 
 	src, code = ckptSource(t, cfgB, false)
-	if _, err := sim.RunCkpt(cfgB, src, code, "srv203", wcA); err == nil {
+	if _, err := sim.RunHooked(cfgB, src, code, "srv203", wcA, nil); err == nil {
 		t.Fatal("restore from a foreign-geometry checkpoint succeeded; want geometry error")
 	}
 }

@@ -47,11 +47,10 @@ func FuzzRestoreWarm(f *testing.F) {
 	var payloads [2][]byte
 	for i, withUCP := range []bool{false, true} {
 		m := fuzzMachine(prog, withUCP)
-		var skipped, ff uint64
-		if err := m.fastForward(40_000, 2_000, 10_000, 20_000, &skipped, &ff); err != nil {
+		if err := m.fastForward(40_000, BoundaryWarm{FFInsts: 2_000, CacheInsts: 10_000, BPInsts: 20_000}); err != nil {
 			f.Fatal(err)
 		}
-		blob := m.captureWarm(skipped, ff)
+		blob := m.captureWarm()
 		payloads[i] = blob[envelope : len(blob)-sha256.Size]
 		f.Add(withUCP, uint32(0), []byte(nil), false, uint32(0))
 		f.Add(withUCP, uint32(3), []byte{0xff, 0xff, 0xff}, false, uint32(0))
@@ -79,6 +78,6 @@ func FuzzRestoreWarm(f *testing.F) {
 			w.Byte(b)
 		}
 		m := fuzzMachine(prog, withUCP)
-		_, _, _ = m.restoreWarm(w.Seal())
+		_ = m.restoreWarm(w.Seal())
 	})
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ucp/internal/ckpt"
 	"ucp/internal/core"
 	"ucp/internal/frontend"
 	"ucp/internal/stats"
@@ -416,9 +415,8 @@ func (s *SampledStats) Finish(sc SamplingConfig, budget int, targetMet bool) {
 	}
 }
 
-// runSampled is the sampling controller. Position accounting: skipped
-// instructions never reach the backend, so the absolute stream position
-// is skipped + be.Committed; drain overshoot past a window boundary
+// runSampled is the sampling controller. Position accounting lives on
+// the machine (Machine.skipped); drain overshoot past a window boundary
 // simply shortens the next period's fast-forward gap.
 func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName string, wc *WarmCheckpoints, hook ProgressFunc) (Result, error) {
 	m := NewMachine(cfg, src, code)
@@ -441,16 +439,6 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	}
 	hook.note(StageWarming, 0, maxW)
 
-	var skipped, ffTotal uint64
-
-	// ffwd advances the stream position to `to` through the warming
-	// pyramid with the sampling geometry's horizons (fastForward below;
-	// the time-parallel segment runner shares the same implementation
-	// with its own BoundaryWarm horizons).
-	ffwd := func(to uint64) error {
-		return m.fastForward(to, s.FFWarmInsts, s.CacheWarmInsts, s.BPWarmInsts, &skipped, &ffTotal)
-	}
-
 	var (
 		streamAcc, refillAcc *stats.Histogram
 		ipcs, mpkis          []float64
@@ -460,31 +448,12 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	)
 
 	// Warmup region: fast-forwarded entirely (bounded functional
-	// warming); the per-window WarmInsts restore timing state. With a
-	// checkpoint store attached (ckpt.go) the fast-forward runs at most
-	// once per warm key: the first run to finish it publishes the end
-	// state and every other run — later, or a concurrent sweep sibling
-	// blocked on the same key — restores it instead.
-	if wc != nil && wc.Store != nil && cfg.WarmupInsts > 0 {
-		key := WarmKey(cfg, wc.TraceID)
-		blob, hit, release := wc.Store.Acquire(key)
-		if hit {
-			var err error
-			if skipped, ffTotal, err = m.restoreWarm(blob); err != nil {
-				return Result{}, ckpt.KeyError(key, err)
-			}
-		} else {
-			// Leader: pay the fast-forward and publish. The deferred
-			// abort is once-guarded, so after a successful publish it is
-			// a no-op; on any error path it hands leadership to a waiter
-			// instead of deadlocking the flight.
-			defer release(nil)
-			if err := ffwd(cfg.WarmupInsts); err != nil {
-				return Result{}, err
-			}
-			release(m.captureWarm(skipped, ffTotal))
-		}
-	} else if err := ffwd(cfg.WarmupInsts); err != nil {
+	// warming), as a boundary warm with no detailed warm of its own —
+	// the per-window WarmInsts restore timing state. With a checkpoint
+	// store attached it is captured once per boundary key (ckpt.go).
+	h := s.BoundaryWarm()
+	h.DetailedInsts = 0
+	if err := m.warmTo(cfg.WarmupInsts, h, wc); err != nil {
 		return Result{}, err
 	}
 	hook.note(StageMeasuring, 0, maxW)
@@ -498,26 +467,13 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	targetMet := false
 
 	for k := 0; k < maxW; k++ {
-		measureEnd := specs[k].End
-		measureStart := specs[k].Start
-		warmStart := measureStart - s.WarmInsts
-
-		if err := ffwd(warmStart); err != nil {
+		if err := m.fastForward(specs[k].Start-s.WarmInsts, h); err != nil {
 			return Result{}, err
 		}
-
-		// Detailed warm, then the measured window. Targets are commit
-		// counts: absolute position minus what was skipped.
-		m.fe.Unpause()
-		if err := m.runUntil(measureStart - skipped); err != nil {
+		a, b, err := m.measureSpan(specs[k].Start, specs[k].End)
+		if err != nil {
 			return Result{}, err
 		}
-		a := m.snap()
-		m.fe.ResetHistograms()
-		if err := m.runUntil(measureEnd - skipped); err != nil {
-			return Result{}, err
-		}
-		b := m.snap()
 
 		wInsts := b.insts - a.insts
 		wCycles := b.cycles - a.cycles
@@ -562,9 +518,9 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 	end := m.snap()
 	sampled := &SampledStats{
 		Windows:       len(ipcs),
-		SkippedInsts:  skipped,
-		FFInsts:       ffTotal,
-		DetailedInsts: m.be.Committed - ffTotal,
+		SkippedInsts:  m.skipped,
+		FFInsts:       m.ffInsts,
+		DetailedInsts: m.be.Committed - m.ffInsts,
 		MeasuredInsts: sumInsts,
 		WindowIPC:     ipcs,
 		WindowMPKI:    mpkis,
@@ -592,29 +548,30 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 }
 
 // fastForward advances the stream position to `to` through the warming
-// pyramid: the last ffW instructions run the functional path, the
-// cacheW before that warm caches and train the predictor, the bpW
-// before that train the predictor only, and anything earlier skips at
-// trace-generator speed (a zero horizon extends the corresponding tier
-// over the whole remainder). skipped/ffTotal are the caller's position
-// accounting: *skipped counts instructions that never reached the
-// backend, so the absolute stream position is *skipped + be.Committed.
-func (m *Machine) fastForward(to, ffW, cacheW, bpW uint64, skipped, ffTotal *uint64) error {
-	cur := *skipped + m.be.Committed
+// pyramid under h's horizons (h.DetailedInsts is the caller's business):
+// the last h.FFInsts instructions run the functional path, the
+// h.CacheInsts before that warm caches and train the predictor, the
+// h.BPInsts before that train the predictor only, and anything earlier
+// skips at trace-generator speed (a zero horizon extends the
+// corresponding tier over the whole remainder). Skipped instructions
+// never reach the backend, so the absolute stream position is
+// m.skipped + be.Committed.
+func (m *Machine) fastForward(to uint64, h BoundaryWarm) error {
+	cur := m.skipped + m.be.Committed
 	if to <= cur {
 		return nil
 	}
 	warm := to - cur
-	if ffW > 0 && warm > ffW {
-		skip := warm - ffW
-		warm = ffW
+	if h.FFInsts > 0 && warm > h.FFInsts {
+		skip := warm - h.FFInsts
+		warm = h.FFInsts
 		cacheZ := skip
-		if cacheW > 0 && cacheZ > cacheW {
-			cacheZ = cacheW
+		if h.CacheInsts > 0 && cacheZ > h.CacheInsts {
+			cacheZ = h.CacheInsts
 		}
 		bpZ := skip - cacheZ
-		if bpW > 0 && bpZ > bpW-cacheZ {
-			bpZ = bpW - cacheZ
+		if h.BPInsts > 0 && bpZ > h.BPInsts-cacheZ {
+			bpZ = h.BPInsts - cacheZ
 		}
 		pure := skip - cacheZ - bpZ
 		zones := [3]struct {
@@ -626,15 +583,15 @@ func (m *Machine) fastForward(to, ffW, cacheW, bpW uint64, skipped, ffTotal *uin
 				continue
 			}
 			n := m.skipZone(z.n, z.kind, warmChunk)
-			*skipped += n
+			m.skipped += n
 			m.cycle += n
 			if n != z.n {
-				return fmt.Errorf("sim: trace ended during fast-forward at instruction %d", *skipped+m.be.Committed)
+				return fmt.Errorf("sim: trace ended during fast-forward at instruction %d", m.skipped+m.be.Committed)
 			}
 		}
 	}
 	done, err := m.ffRun(warm)
-	*ffTotal += done
+	m.ffInsts += done
 	return err
 }
 
@@ -655,6 +612,24 @@ func (m *Machine) ffRun(n uint64) (uint64, error) {
 		m.cycle++
 	}
 	return n, nil
+}
+
+// measureSpan runs the detailed engine from the current position
+// through the detailed warm up to start, then over the measured span
+// [start, end), and returns the snapshots at both ends. The frontend
+// histograms are reset at start, so they cover the span alone. Targets
+// are commit counts: absolute position minus what was skipped.
+func (m *Machine) measureSpan(start, end uint64) (a, b snapshot, err error) {
+	m.fe.Unpause()
+	if err := m.runUntil(start - m.skipped); err != nil {
+		return a, b, err
+	}
+	a = m.snap()
+	m.fe.ResetHistograms()
+	if err := m.runUntil(end - m.skipped); err != nil {
+		return a, b, err
+	}
+	return a, m.snap(), nil
 }
 
 // runUntil steps the detailed engine until the commit counter reaches

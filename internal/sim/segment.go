@@ -1,13 +1,9 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"ucp/internal/cache"
-	"ucp/internal/ckpt"
 	"ucp/internal/core"
 	"ucp/internal/frontend"
 	"ucp/internal/stats"
@@ -29,7 +25,8 @@ import (
 // BoundaryWarm is the warming geometry applied at each segment
 // boundary. All counts are instructions; the pyramid-nesting rules
 // match SamplingConfig's horizons (fastForward shares the
-// implementation).
+// implementation, and the sampled warmup is a boundary warm with a zero
+// DetailedInsts).
 //
 //ucplint:config
 type BoundaryWarm struct {
@@ -133,38 +130,6 @@ type SegmentResult struct {
 	UCPStorageKB float64
 }
 
-// BoundaryKeySchema versions the boundary-checkpoint key derivation.
-// Bump it when the normalization below changes, so old on-disk
-// checkpoints become unreachable rather than wrongly shared.
-const BoundaryKeySchema = "ucp-tpar-ckpt-1"
-
-// BoundaryKey derives the content address of the functional-warm state
-// at a segment boundary: the machine state after fast-forwarding to
-// start−warm.DetailedInsts under warm's horizons. It reuses WarmKey's
-// config normalization (the fast-forward touches the same subset) and
-// additionally drops WarmupInsts — the boundary position is keyed
-// explicitly, so runs with different warmup/segment geometry share any
-// boundary they happen to place at the same position.
-func BoundaryKey(cfg Config, traceID string, start uint64, warm BoundaryWarm) string {
-	wcfg := warmConfig(cfg)
-	wcfg.WarmupInsts = 0
-	env := struct {
-		Schema string
-		Model  string
-		Trace  string
-		Start  uint64
-		Warm   BoundaryWarm
-		Config Config
-	}{BoundaryKeySchema, ModelVersion, traceID, start, warm, wcfg}
-	b, err := json.Marshal(env)
-	if err != nil {
-		// Config is a plain data struct; Marshal cannot fail on it.
-		panic("sim: boundary key marshal: " + err.Error())
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
-
 // RunSegment simulates one segment of a full-detail run: rebuild the
 // boundary state at spec.Start (restoring a cached checkpoint when the
 // store has one, capturing one for the next run otherwise), then
@@ -198,41 +163,13 @@ func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSp
 	if spec.Start > warm.DetailedInsts {
 		warmStart = spec.Start - warm.DetailedInsts
 	}
-	var skipped, ffTotal uint64
-	if wc != nil && wc.Store != nil && warmStart > 0 {
-		key := BoundaryKey(cfg, wc.TraceID, spec.Start, warm)
-		blob, hit, release := wc.Store.Acquire(key)
-		if hit {
-			var err error
-			if skipped, ffTotal, err = m.restoreWarm(blob); err != nil {
-				return SegmentResult{}, ckpt.KeyError(key, err)
-			}
-		} else {
-			// Leader: pay the fast-forward and publish. Once-guarded, so
-			// the deferred abort is a no-op after a successful publish.
-			defer release(nil)
-			if err := m.fastForward(warmStart, warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal); err != nil {
-				return SegmentResult{}, err
-			}
-			release(m.captureWarm(skipped, ffTotal))
-		}
-	} else if err := m.fastForward(warmStart, warm.FFInsts, warm.CacheInsts, warm.BPInsts, &skipped, &ffTotal); err != nil {
+	if err := m.warmTo(warmStart, warm, wc); err != nil {
 		return SegmentResult{}, err
 	}
-
-	// Detailed warm to the segment start, then the measured span.
-	// Targets are commit counts: absolute position minus what the
-	// fast-forward skipped.
-	m.fe.Unpause()
-	if err := m.runUntil(spec.Start - skipped); err != nil {
+	a, b, err := m.measureSpan(spec.Start, spec.End)
+	if err != nil {
 		return SegmentResult{}, err
 	}
-	a := m.snap()
-	m.fe.ResetHistograms()
-	if err := m.runUntil(spec.End - skipped); err != nil {
-		return SegmentResult{}, err
-	}
-	b := m.snap()
 
 	r := SegmentResult{
 		Index:         spec.Index,
@@ -246,9 +183,9 @@ func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSp
 		L1I:           SubCounters(a.l1i, b.l1i),
 		StreamLens:    m.fe.StreamLens,
 		RefillLat:     m.fe.RefillLat,
-		SkippedInsts:  skipped,
-		FFInsts:       ffTotal,
-		DetailedInsts: b.insts - ffTotal,
+		SkippedInsts:  m.skipped,
+		FFInsts:       m.ffInsts,
+		DetailedInsts: b.insts - m.ffInsts,
 	}
 	if m.ucp != nil {
 		r.UCPStorageKB = m.ucp.StorageKB()

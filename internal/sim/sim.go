@@ -163,7 +163,7 @@ func (c Config) Validate() error {
 	}
 	if c.Sampling.Enabled {
 		// A period-unaligned MeasureInsts gets a trailing measurement
-		// window over the remainder (sampling.go windowEnd) — but only
+		// window over the remainder (SampleWindows) — but only
 		// when the remainder can hold the warm+measure tail. Anything
 		// shorter would either be silently dropped (the pre-fix
 		// behavior) or measure a window shorter than the geometry
@@ -272,6 +272,11 @@ type Machine struct {
 	src   trace.Source // post-wrapping stream, shared with the frontend
 	cycle uint64
 	warm  *warmBuf // warming-skip chunk buffer, allocated on first skip
+
+	// Position accounting of the fast-forward: skipped instructions
+	// never reached the backend (the absolute stream position is
+	// skipped + be.Committed); ffInsts were functionally committed.
+	skipped, ffInsts uint64
 
 	mrcPending uint64 // corrected target of the stalled misprediction
 }
@@ -400,21 +405,14 @@ func (m *Machine) snap() snapshot {
 
 // Run executes the configured warmup + measurement phases over src.
 func Run(cfg Config, src trace.Source, code core.CodeInfo, traceName string) (Result, error) {
-	return RunCkpt(cfg, src, code, traceName, nil)
+	return RunHooked(cfg, src, code, traceName, nil, nil)
 }
 
-// RunCkpt is Run with an optional warm-checkpoint store (ckpt.go): in
-// sampled mode the initial fast-forward is captured once per warm key
-// and restored on every later run sharing it, with byte-identical
-// results either way. A nil wc (or a full-detail config) behaves
-// exactly like Run.
-func RunCkpt(cfg Config, src trace.Source, code core.CodeInfo, traceName string, wc *WarmCheckpoints) (Result, error) {
-	return RunHooked(cfg, src, code, traceName, wc, nil)
-}
-
-// RunHooked is RunCkpt with an optional progress hook (progress.go).
-// The hook is observability only: results are byte-identical with and
-// without one.
+// RunHooked is Run with an optional warm-checkpoint store (ckpt.go) and
+// an optional progress hook (progress.go). In sampled mode the warmup
+// fast-forward is captured once per boundary key and restored on every
+// later run sharing it; a full-detail run ignores wc. Results are
+// byte-identical with and without either.
 func RunHooked(cfg Config, src trace.Source, code core.CodeInfo, traceName string, wc *WarmCheckpoints, hook ProgressFunc) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err

@@ -30,15 +30,15 @@ func BenchmarkWarmSkip(b *testing.B) {
 			cfg.Sampling = ConservativeSampling()
 			b.Run(name+"/"+label, func(b *testing.B) {
 				m := NewMachine(cfg, trace.NewWalker(prog), prog)
-				var skipped, ff uint64
+				h := BoundaryWarm{FFInsts: 1}
 				// One untimed span first, so the tables are past their
 				// cold start.
-				if err := m.fastForward(span+1, 1, 0, 0, &skipped, &ff); err != nil {
+				if err := m.fastForward(span+1, h); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := m.fastForward(skipped+m.be.Committed+span+1, 1, 0, 0, &skipped, &ff); err != nil {
+					if err := m.fastForward(m.skipped+m.be.Committed+span+1, h); err != nil {
 						b.Fatal(err)
 					}
 				}

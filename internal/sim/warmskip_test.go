@@ -109,7 +109,7 @@ func TestWarmSkipMatchesReference(t *testing.T) {
 		// captured warm state, the next instruction, and the µ-op
 		// invalidations the skips themselves caused.
 		run := func(m *Machine, skip func(n uint64, kind zoneKind) uint64) ([]byte, isa.Inst, uint64) {
-			var skipped, ff, inval uint64
+			var inval uint64
 			for _, z := range zones {
 				before := m.uop.Stats().Invalidations
 				n := skip(z.n, z.kind)
@@ -117,16 +117,16 @@ func TestWarmSkipMatchesReference(t *testing.T) {
 					t.Fatalf("%s: zone skipped %d of %d", tc.name, n, z.n)
 				}
 				inval += m.uop.Stats().Invalidations - before
-				skipped += n
+				m.skipped += n
 				m.cycle += n
 				done, err := m.ffRun(z.ff)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ff += done
+				m.ffInsts += done
 			}
 			next, _ := m.src.Next()
-			return m.captureWarm(skipped, ff), next, inval
+			return m.captureWarm(), next, inval
 		}
 		ref := build()
 		want, wantNext, inval := run(ref, ref.refSkipZone)
