@@ -104,7 +104,7 @@ func passingSweepReuse() sweepReusePasses {
 		jobs:  sweepJobs(10),
 		cold:  digests(10), warm: digests(10),
 		coldDur: 4 * time.Second, warmDur: time.Second,
-		captured: 1, restored: 9,
+		captured: 1, restored: 9, ckptBytes: 540_000,
 	}
 }
 
@@ -224,7 +224,7 @@ func TestParBenchRecord(t *testing.T) {
 		{"sweepreuse", "sweepreuse", record(checkSweepReuse(passingSweepReuse())), gateCores,
 			[]string{`"bench": "sweep-reuse gate (`}, nil, []string{
 				"configs", "warmup_insts", "measure_insts", "min_speedup_bound", "cold_ms", "warm_ms",
-				"speedup", "checkpoints_captured", "checkpoints_restored", "digests_identical"}},
+				"speedup", "checkpoints_captured", "checkpoints_restored", "checkpoint_bytes", "digests_identical"}},
 		{"autopilot", "autopilot", record(checkAutopilot(passingAutopilot())), gateCores,
 			[]string{`"bench": "autopilot gate (`}, nil, []string{
 				"adaptive", "trace", "target_ci", "full_ipc", "adaptive_ipc_mean", "adaptive_ipc_ci95",

@@ -91,6 +91,7 @@ type sweepReusePasses struct {
 	cold, warm         []string // per-config digests
 	coldDur, warmDur   time.Duration
 	captured, restored int // the warm pass's checkpoint traffic
+	ckptBytes          int // and the bytes its store holds
 }
 
 // sweepReuseBench is the gate's BENCH record.
@@ -105,6 +106,7 @@ type sweepReuseBench struct {
 	Speedup             float64 `json:"speedup"`
 	CheckpointsCaptured int     `json:"checkpoints_captured"`
 	CheckpointsRestored int     `json:"checkpoints_restored"`
+	CheckpointBytes     int     `json:"checkpoint_bytes"`
 	DigestsIdentical    bool    `json:"digests_identical"`
 }
 
@@ -126,6 +128,7 @@ func runSweepReusePasses(w io.Writer, cores int) (sweepReusePasses, error) {
 		return p, fmt.Errorf("warm pass: %v", err)
 	}
 	p.captured, p.restored = warmPool.CheckpointStats()
+	p.ckptBytes = warmPool.CheckpointBytes()
 	return p, nil
 }
 
@@ -159,14 +162,15 @@ func checkSweepReuse(p sweepReusePasses) ([]string, sweepReuseBench) {
 		Speedup:             roundTo(speedup, 2),
 		CheckpointsCaptured: p.captured,
 		CheckpointsRestored: p.restored,
+		CheckpointBytes:     p.ckptBytes,
 		DigestsIdentical:    len(diverged) == 0,
 	}
 }
 
 // reportSweepReuse prints the summary.
 func reportSweepReuse(w io.Writer, _ sweepReusePasses, b sweepReuseBench) error {
-	fmt.Fprintf(w, "  cold %dms (per-job fast-forward)  warm %dms (1 capture + %d restores) — %.1fx speedup (bound: ≥%.0fx)\n",
-		b.ColdMs, b.WarmMs, b.CheckpointsRestored, b.Speedup, sweepReuseMinSpd)
+	fmt.Fprintf(w, "  cold %dms (per-job fast-forward)  warm %dms (1 capture + %d restores, %d checkpoint bytes) — %.1fx speedup (bound: ≥%.0fx)\n",
+		b.ColdMs, b.WarmMs, b.CheckpointsRestored, b.CheckpointBytes, b.Speedup, sweepReuseMinSpd)
 	fmt.Fprintf(w, "  digests byte-identical cold vs warm across all %d configs: %v\n", b.Configs, b.DigestsIdentical)
 	return nil
 }

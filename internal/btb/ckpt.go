@@ -1,12 +1,19 @@
 package btb
 
-import "ucp/internal/ckpt"
+import (
+	"math"
+
+	"ucp/internal/ckpt"
+)
 
 // Checkpoint hooks: the sampled fast-forward inserts every taken
 // branch's target (FunctionalCommit), so tags, payloads, LRU clocks,
 // and traffic stats all carry across a checkpoint. Both organizations
 // serialize behind the TargetBuffer interface so the frontend and UCP
-// stay agnostic of which one is configured.
+// stay agnostic of which one is configured. The instruction BTB fills
+// each set's ways in order and never invalidates one, so its tags go
+// through ckpt's set codec (only the valid prefix of each set), and
+// only valid ways carry a payload; the block BTB writes every entry.
 
 func saveStats(w *ckpt.Writer, s *Stats) {
 	w.Uvarint(s.Lookups)
@@ -25,36 +32,56 @@ func loadStats(r *ckpt.Reader, s *Stats) {
 // SaveState implements TargetBuffer.
 func (b *BTB) SaveState(w *ckpt.Writer) {
 	w.Section("btb")
-	w.U64s(b.tags)
-	w.Uvarint(uint64(len(b.data)))
-	for i := range b.data {
-		w.Uvarint(b.data[i].target)
-		w.Byte(byte(b.data[i].kind))
-		w.Uvarint(uint64(b.data[i].lru))
+	w.Sets(b.tags, b.cfg.Ways, validBit)
+	for i, tv := range b.tags {
+		if tv == 0 {
+			continue
+		}
+		e := &b.data[i]
+		w.Uvarint(e.target)
+		w.Byte(byte(e.kind))
+		w.Uvarint(uint64(e.lru))
 	}
 	w.Uvarint(uint64(b.clock))
 	saveStats(w, &b.stats)
 }
 
-// LoadState implements TargetBuffer.
+// LoadState implements TargetBuffer. Empty ways get a zero payload,
+// as in a freshly constructed BTB.
 func (b *BTB) LoadState(r *ckpt.Reader) {
 	r.Section("btb")
-	r.U64sInto(b.tags)
-	n := r.Uvarint()
+	r.SetsInto(b.tags, b.cfg.Ways, validBit)
 	if r.Err() != nil {
 		return
 	}
-	if n != uint64(len(b.data)) {
-		r.Failf("btb: %d entries, want %d", n, len(b.data))
-		return
+	for i, tv := range b.tags {
+		if tv == 0 {
+			b.data[i] = entry{}
+			continue
+		}
+		b.data[i] = entry{target: r.Uvarint(), kind: loadKind(r), lru: loadU32(r)}
 	}
-	for i := range b.data {
-		b.data[i].target = r.Uvarint()
-		b.data[i].kind = BranchKind(r.Byte())
-		b.data[i].lru = uint32(r.Uvarint())
-	}
-	b.clock = uint32(r.Uvarint())
+	b.clock = loadU32(r)
 	loadStats(r, &b.stats)
+}
+
+// loadKind reads a BranchKind, rejecting bytes outside the four
+// branch classes.
+func loadKind(r *ckpt.Reader) BranchKind {
+	k := BranchKind(r.Byte())
+	if r.Err() == nil && k > KindReturn {
+		r.Failf("btb: branch kind %d", k)
+	}
+	return k
+}
+
+// loadU32 reads a 32-bit LRU stamp or clock, rejecting wider values.
+func loadU32(r *ckpt.Reader) uint32 {
+	v := r.Uvarint()
+	if v > math.MaxUint32 {
+		r.Failf("btb: stamp %d exceeds 32 bits", v)
+	}
+	return uint32(v)
 }
 
 // SaveState implements TargetBuffer.
@@ -99,7 +126,7 @@ func (b *BlockBTB) LoadState(r *ckpt.Reader) {
 			br.valid = r.Bool()
 			br.offset = r.Byte()
 			br.target = r.Uvarint()
-			br.kind = BranchKind(r.Byte())
+			br.kind = loadKind(r)
 		}
 	}
 	b.clock = r.Uvarint()

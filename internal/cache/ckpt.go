@@ -1,15 +1,15 @@
 package cache
 
-import (
-	"slices"
-
-	"ucp/internal/ckpt"
-)
+import "ucp/internal/ckpt"
 
 // Checkpoint hooks: the sampled fast-forward routes every fetch line
 // and data reference through the WarmLine path (warm.go), mutating
 // tags (whose order within a set is its recency state) and stats at
-// every level plus the TLBs and the DRAM access counter. The MSHR files
+// every level plus the TLBs and the DRAM access counter. Tag arrays go
+// through ckpt's set codec (Writer.Sets / Reader.SetsInto): a set's
+// valid ways are its prefix (toFront fills front to back and no way is
+// ever invalidated), so only their tags are written, and a set order
+// toFront could not produce fails to load. The MSHR files
 // are deliberately not serialized: warming never allocates an MSHR, so
 // at the capture point — the end of the initial fast-forward, before
 // any detailed window — they are empty in the running machine and empty
@@ -35,37 +35,10 @@ func loadStats(r *ckpt.Reader, s *Stats) {
 	s.MSHRStalls = r.Uvarint()
 }
 
-// loadSets reads a tag array of recency-ordered sets of the given
-// associativity and rejects any set that toFront could not have
-// produced: a valid tag after an empty way, or one valid tag twice.
-func loadSets(r *ckpt.Reader, tags []uint64, ways int) {
-	r.U64sInto(tags)
-	if r.Err() != nil {
-		return
-	}
-	for base := 0; base < len(tags); base += ways {
-		set, empty := tags[base:base+ways], -1
-		for w, tv := range set {
-			switch {
-			case tv == 0:
-				if empty < 0 {
-					empty = w
-				}
-			case empty >= 0:
-				r.Failf("set %d: valid way %d after empty way %d", base/ways, w, empty)
-				return
-			case slices.Contains(set[:w], tv):
-				r.Failf("set %d: tag %#x held twice", base/ways, tv&^validBit)
-				return
-			}
-		}
-	}
-}
-
 // SaveState serializes one cache level's warm-mutable state.
 func (c *Cache) SaveState(w *ckpt.Writer) {
 	w.Section("cache")
-	w.U64s(c.tags)
+	w.Sets(c.tags, c.ways, validBit)
 	saveStats(w, &c.stats)
 }
 
@@ -73,21 +46,21 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 // configured level. Errors surface on the reader.
 func (c *Cache) LoadState(r *ckpt.Reader) {
 	r.Section("cache")
-	loadSets(r, c.tags, c.ways)
+	r.SetsInto(c.tags, c.ways, validBit)
 	loadStats(r, &c.stats)
 }
 
 // SaveState serializes one TLB's warm-mutable state.
 func (t *TLB) SaveState(w *ckpt.Writer) {
 	w.Section("tlb")
-	w.U64s(t.tags)
+	w.Sets(t.tags, t.cfg.Ways, validBit)
 	saveStats(w, &t.stats)
 }
 
 // LoadState restores state saved by SaveState.
 func (t *TLB) LoadState(r *ckpt.Reader) {
 	r.Section("tlb")
-	loadSets(r, t.tags, t.cfg.Ways)
+	r.SetsInto(t.tags, t.cfg.Ways, validBit)
 	loadStats(r, &t.stats)
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,11 +23,16 @@ func sealed(t *testing.T) []byte {
 	w.Bool(true)
 	w.I8(-3)
 	w.U64s([]uint64{0, 1, 1 << 62, 12345})
+	w.Sets(testSets, 2, 1<<63)
 	w.U8s([]uint8{9, 8, 7})
 	w.I8s([]int8{-1, 0, 1})
 	w.Section("tail")
 	return w.Seal()
 }
+
+// testSets is a three-set, two-way tag array with valid bit 1<<63: one
+// full set, one half-full set, one empty set.
+var testSets = []uint64{1<<63 | 5, 1 << 63, 1<<63 | 1<<40, 0, 0, 0}
 
 func TestCodecRoundTrip(t *testing.T) {
 	blob := sealed(t)
@@ -54,6 +60,11 @@ func TestCodecRoundTrip(t *testing.T) {
 	r.U64sInto(u64)
 	if u64[2] != 1<<62 || u64[3] != 12345 {
 		t.Fatalf("U64sInto = %v", u64)
+	}
+	sets := []uint64{7, 7, 7, 7, 7, 7}
+	r.SetsInto(sets, 2, 1<<63)
+	if !slices.Equal(sets, testSets) {
+		t.Fatalf("SetsInto = %#x, want %#x", sets, testSets)
 	}
 	u8 := make([]uint8, 3)
 	r.U8sInto(u8)
@@ -110,6 +121,49 @@ func TestOpenRejectsVersionSkew(t *testing.T) {
 	_, err := Open(reSealed)
 	if err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("version-skewed blob: err = %v", err)
+	}
+}
+
+// TestSetsEncoding pins what the set codec costs: each set is its
+// valid-way count plus its stripped tags, so an empty way takes no
+// bytes and a valid one takes its tag's uvarint, not the 10 bytes a
+// word carrying bit 63 would. The callers' tests (internal/cache,
+// internal/btb) feed SetsInto the sections Sets cannot write; here a
+// tag above a low valid bit and a truncated section must fail too.
+func TestSetsEncoding(t *testing.T) {
+	w := &Writer{}
+	w.Sets(testSets, 2, 1<<63)
+	// entries 6; set 0: count 2, tags 5 and 0; set 1: count 1, tag
+	// 1<<40 (6 bytes); set 2: count 0.
+	if want := 1 + 3 + 7 + 1; w.Len() != want {
+		t.Errorf("three sets encode to %d bytes, want %d", w.Len(), want)
+	}
+	for _, tc := range []struct {
+		name string
+		sets [][]uint64
+		want string
+	}{
+		{"higher bit", [][]uint64{{}, {1 << 41}}, "set 1: tag 0x20000000000 carries the valid bit 0x100000000"},
+		{"truncated", [][]uint64{{1}}, "truncated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := NewWriter()
+			w.Uvarint(4)
+			for _, set := range tc.sets {
+				w.Uvarint(uint64(len(set)))
+				for _, tag := range set {
+					w.Uvarint(tag)
+				}
+			}
+			r, err := Open(w.Seal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.SetsInto(make([]uint64, 4), 2, 1<<32)
+			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+				t.Fatalf("err %v, want one containing %q", r.Err(), tc.want)
+			}
+		})
 	}
 }
 
@@ -234,6 +288,9 @@ func TestStoreAbortHandsOver(t *testing.T) {
 	if b, ok3, _ := s.Acquire(key); !ok3 || !bytes.Equal(b, blob) {
 		t.Fatal("successor's blob was not published")
 	}
+	if s.Bytes() != len(blob) {
+		t.Fatalf("Bytes %d, want the published blob's %d (an abort holds nothing)", s.Bytes(), len(blob))
+	}
 
 	// Double release must be a no-op, not a double-close panic.
 	release(nil)
@@ -254,12 +311,18 @@ func TestStoreDisk(t *testing.T) {
 	} else {
 		release(blob)
 	}
+	if _, ok, _ := s1.Acquire(key); !ok || s1.Bytes() != len(blob) {
+		t.Fatalf("memo hit %v, Bytes %d after one %d-byte capture", ok, s1.Bytes(), len(blob))
+	}
 
 	// A new store over the same dir must hit from disk.
 	s2 := NewStore(dir)
 	got, ok, _ := s2.Acquire(key)
 	if !ok || !bytes.Equal(got, blob) {
 		t.Fatal("persisted blob not served to a second store")
+	}
+	if s2.Bytes() != len(blob) {
+		t.Fatalf("Bytes %d after a %d-byte disk hit", s2.Bytes(), len(blob))
 	}
 
 	// Corrupt the file: a third store must miss, not serve garbage.

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -26,7 +27,7 @@ const (
 	// structure's field order or meaning changes; stale blobs are then
 	// rejected at Open instead of silently misread. (Model-level changes
 	// are already keyed out by sim.ModelVersion in the checkpoint key.)
-	envVersion = 2
+	envVersion = 3
 )
 
 // Writer accumulates a checkpoint payload. The zero value is ready to
@@ -72,12 +73,43 @@ func (w *Writer) Bool(b bool) {
 // I8 appends a signed 8-bit counter as one raw byte.
 func (w *Writer) I8(v int8) { w.buf = append(w.buf, byte(v)) }
 
-// U64s appends a length-prefixed []uint64 (each element a uvarint —
-// tag and valid-bit words compress well, dense bitmaps stay bounded).
+// U64s appends a length-prefixed []uint64, each element a uvarint:
+// small values (counters, short histories, stamps) take a byte or two.
+// A word with a high bit set costs up to 10 bytes, so packed valid|tag
+// arrays go through Sets instead.
 func (w *Writer) U64s(s []uint64) {
 	w.Uvarint(uint64(len(s)))
 	for _, v := range s {
 		w.Uvarint(v)
+	}
+}
+
+// Sets appends a set-associative tag array (len(tags)/ways sets of
+// ways entries each) whose ways pack a valid bit and a tag as valid|tag,
+// zero meaning empty. The valid ways of every set must form a prefix —
+// recency-ordered sets fill front to back and fill-in-order structures
+// never open a hole — so a set is written as its valid-way count, then
+// each valid way's tag with the valid bit stripped: an empty way costs
+// nothing and a valid one costs its tag, not the valid bit's worst-case
+// uvarint. A valid way after an empty one would be dropped silently, so
+// it panics instead.
+func (w *Writer) Sets(tags []uint64, ways int, valid uint64) {
+	w.Uvarint(uint64(len(tags)))
+	for base := 0; base < len(tags); base += ways {
+		set := tags[base : base+ways]
+		n := 0
+		for n < len(set) && set[n] != 0 {
+			n++
+		}
+		for _, tv := range set[n:] {
+			if tv != 0 {
+				panic(fmt.Sprintf("ckpt: set %d: valid way after empty way %d", base/ways, n))
+			}
+		}
+		w.Uvarint(uint64(n))
+		for _, tv := range set[:n] {
+			w.Uvarint(tv &^ valid)
+		}
 	}
 }
 
@@ -246,23 +278,84 @@ func (r *Reader) U64sInto(dst []uint64) {
 		r.fail(fmt.Errorf("ckpt: []uint64 length %d, want %d", n, len(dst)))
 		return
 	}
-	// Restore-path hot loop (large tag/target arrays): decode in place
-	// with a single-byte fast path instead of one sticky-error method
-	// call per element.
+	// Restore-path loop (the history ring, the RAS, the ITTAGE base
+	// table, µ-op cache tags and stamps): decode in place instead of
+	// one sticky-error method call per element.
 	data, off := r.data, r.off
 	for i := range dst {
-		if off < len(data) && data[off] < 0x80 {
-			dst[i] = uint64(data[off])
-			off++
-			continue
-		}
-		v, w := binary.Uvarint(data[off:])
-		if w <= 0 {
+		v, next := uvarintAt(data, off)
+		if next < 0 {
 			r.fail(errors.New("ckpt: truncated uvarint"))
 			return
 		}
-		dst[i] = v
-		off += w
+		dst[i], off = v, next
+	}
+	r.off = off
+}
+
+// uvarintAt decodes the uvarint at data[off:], returning it and the
+// offset just past it, or a negative offset if it is truncated or
+// overflows. Single-byte values take a fast path.
+func uvarintAt(data []byte, off int) (uint64, int) {
+	if off < len(data) && data[off] < 0x80 {
+		return uint64(data[off]), off + 1
+	}
+	v, w := binary.Uvarint(data[off:])
+	if w <= 0 {
+		return 0, -1
+	}
+	return v, off + w
+}
+
+// SetsInto fills dst, a set-associative tag array of the given
+// associativity, from a Sets encoding. It rejects any encoding Sets
+// could not have written from a valid array: a total entry count other
+// than len(dst) (the blob belongs to another geometry), a set with more
+// than ways valid ways, a tag that already carries the valid bit or any
+// higher bit, and one tag held twice within a set. Each set's valid
+// ways land at its front with the valid bit restored, and the rest of
+// the set is cleared.
+func (r *Reader) SetsInto(dst []uint64, ways int, valid uint64) {
+	n := r.Uvarint()
+	if r.err != nil {
+		return
+	}
+	if n != uint64(len(dst)) {
+		r.fail(fmt.Errorf("ckpt: %d set entries, want %d", n, len(dst)))
+		return
+	}
+	data, off := r.data, r.off
+	for base := 0; base < len(dst); base += ways {
+		set := dst[base : base+ways]
+		cnt, next := uvarintAt(data, off)
+		if next < 0 {
+			r.fail(errors.New("ckpt: truncated uvarint"))
+			return
+		}
+		off = next
+		if cnt > uint64(ways) {
+			r.fail(fmt.Errorf("ckpt: set %d: %d valid ways, want at most %d", base/ways, cnt, ways))
+			return
+		}
+		for i := range int(cnt) {
+			tag, next := uvarintAt(data, off)
+			if next < 0 {
+				r.fail(errors.New("ckpt: truncated uvarint"))
+				return
+			}
+			off = next
+			if tag >= valid {
+				r.fail(fmt.Errorf("ckpt: set %d: tag %#x carries the valid bit %#x or above", base/ways, tag, valid))
+				return
+			}
+			tv := valid | tag
+			if slices.Contains(set[:i], tv) {
+				r.fail(fmt.Errorf("ckpt: set %d: tag %#x held twice", base/ways, tag))
+				return
+			}
+			set[i] = tv
+		}
+		clear(set[cnt:])
 	}
 	r.off = off
 }

@@ -14,6 +14,7 @@ func FuzzOpen(f *testing.F) {
 	w.Bool(true)
 	w.I8(-3)
 	w.U64s([]uint64{0, 1, 1 << 62, 12345})
+	w.Sets(testSets, 2, 1<<63)
 	w.U8s([]uint8{9, 8, 7})
 	w.I8s([]int8{-1, 0, 1})
 	w.Section("tail")
@@ -34,6 +35,7 @@ func FuzzOpen(f *testing.F) {
 		r.Bool()
 		r.I8()
 		r.U64sInto(make([]uint64, 4))
+		r.SetsInto(make([]uint64, len(testSets)), 2, 1<<63)
 		r.U8sInto(make([]uint8, 3))
 		r.I8sInto(make([]int8, 3))
 		r.Section("tail")

@@ -34,6 +34,7 @@ type Store struct {
 
 	mu      sync.Mutex
 	mem     map[string][]byte
+	bytes   int // sum of the memoized blobs' lengths
 	flights map[string]chan struct{}
 	hits    int
 	misses  int
@@ -95,7 +96,7 @@ func (s *Store) Acquire(key string) (blob []byte, ok bool, release func([]byte))
 			return b, true, nil
 		}
 		if b, hit := s.loadDisk(key); hit {
-			s.mem[key] = b
+			s.memoize(key, b)
 			s.hits++
 			s.mu.Unlock()
 			return b, true, nil
@@ -122,7 +123,7 @@ func (s *Store) Acquire(key string) (blob []byte, ok bool, release func([]byte))
 func (s *Store) release(key string, done chan struct{}, blob []byte) {
 	s.mu.Lock()
 	if blob != nil {
-		s.mem[key] = blob
+		s.memoize(key, blob)
 	}
 	delete(s.flights, key)
 	s.mu.Unlock()
@@ -133,6 +134,14 @@ func (s *Store) release(key string, done chan struct{}, blob []byte) {
 		// memo already serves this process.
 		s.storeDisk(key, blob)
 	}
+}
+
+// memoize holds blob in memory under key. Called with s.mu held; a key
+// is memoized at most once (Acquire only elects a leader or loads from
+// disk on a memo miss).
+func (s *Store) memoize(key string, blob []byte) {
+	s.mem[key] = blob
+	s.bytes += len(blob)
 }
 
 // loadDisk fetches a persisted blob, verifying the envelope; corrupt or
@@ -252,6 +261,15 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.mem)
+}
+
+// Bytes reports the total length of the blobs memoized in memory: the
+// store's in-process footprint, which grows by one blob per distinct
+// checkpoint key for the life of the Store.
+func (s *Store) Bytes() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bytes
 }
 
 // Hits reports how many Acquire calls resolved to an existing blob

@@ -259,6 +259,15 @@ func (p *Pool) CheckpointStats() (captured, restored int) {
 	return p.ckpts.Len(), p.ckpts.Hits()
 }
 
+// CheckpointBytes reports the total size of the warm-checkpoint blobs
+// the pool's store holds in memory; zero when checkpoints are disabled.
+func (p *Pool) CheckpointBytes() int {
+	if p.ckpts == nil {
+		return 0
+	}
+	return p.ckpts.Bytes()
+}
+
 // ArenaCount reports how many shared decoded trace arenas the pool
 // holds — one per distinct recorded file; synthetic workloads stream
 // from the generator and build none. The sweepd statz surface exposes

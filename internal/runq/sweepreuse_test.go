@@ -123,6 +123,12 @@ func TestCheckpointReuseAcrossJobs(t *testing.T) {
 	if got := p.ckpts.Len(); got != 1 {
 		t.Errorf("sweep captured %d checkpoints, want 1 (shared checkpoint key)", got)
 	}
+	if got := p.CheckpointBytes(); got <= 0 || got != p.ckpts.Bytes() {
+		t.Errorf("CheckpointBytes %d, want the store's %d (positive)", got, p.ckpts.Bytes())
+	}
+	if got := New(Options{}).CheckpointBytes(); got != 0 {
+		t.Errorf("pool without checkpoints reports %d checkpoint bytes", got)
+	}
 }
 
 // TestFileTraceJobs covers recorded-trace jobs end to end: the pool

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"testing"
 
 	"ucp/internal/bpred"
@@ -27,6 +29,24 @@ func fuzzMachine(prog *trace.Program, withUCP bool) *Machine {
 	cfg.BTB.Entries = 1024
 	cfg.Sampling = ConservativeSampling()
 	return NewMachine(cfg, trace.NewLimit(trace.NewWalker(prog), 100_000), prog)
+}
+
+// sectionOffset returns the payload offset of the first set count in
+// the nth section named name: the marker (length byte and name), then
+// the set codec's entry-count uvarint.
+func sectionOffset(f *testing.F, payload []byte, name string, nth int) int {
+	marker := append([]byte{byte(len(name))}, name...)
+	off := -len(marker)
+	for range nth {
+		i := bytes.Index(payload[off+len(marker):], marker)
+		if i < 0 {
+			f.Fatalf("payload has fewer than %d %q sections", nth, name)
+		}
+		off += len(marker) + i
+	}
+	off += len(marker)
+	_, n := binary.Uvarint(payload[off:])
+	return off + n
 }
 
 // FuzzRestoreWarm decodes fuzzed warm checkpoints through the full
@@ -56,6 +76,20 @@ func FuzzRestoreWarm(f *testing.F) {
 		f.Add(withUCP, uint32(3), []byte{0xff, 0xff, 0xff}, false, uint32(0))
 		f.Add(withUCP, uint32(len(payloads[i])/2), []byte{0x80}, true, uint32(0))
 		f.Add(withUCP, uint32(0), []byte(nil), false, uint32(len(payloads[i])-1))
+	}
+	// Start edits inside the set codec's two biggest users: the LLC (the
+	// fourth "cache" section, after L1I, L1D and L2) and the BTB. Each
+	// seed lands on the first set's valid-way count, one raising it past
+	// the associativity, one inserting a byte that shifts every tag.
+	for i, withUCP := range []bool{false, true} {
+		for _, sec := range []struct {
+			name string
+			nth  int
+		}{{"cache", 4}, {"btb", 1}} {
+			off := sectionOffset(f, payloads[i], sec.name, sec.nth)
+			f.Add(withUCP, uint32(off), []byte{0x7f}, false, uint32(0))
+			f.Add(withUCP, uint32(off+1), []byte{0x01}, true, uint32(0))
+		}
 	}
 	f.Fuzz(func(t *testing.T, withUCP bool, off uint32, patch []byte, insert bool, keep uint32) {
 		base := payloads[0]

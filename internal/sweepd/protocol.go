@@ -182,9 +182,11 @@ type Statz struct {
 
 	// Pool is the shared result tier: runs executed, memo/disk hits.
 	Pool runq.Stats `json:"pool"`
-	// Checkpoint tier: functional-warm blobs captured and restored.
+	// Checkpoint tier: functional-warm blobs captured and restored, and
+	// the bytes of the captured blobs the pool holds in memory.
 	CkptCaptured int `json:"ckpt_captured"`
 	CkptRestored int `json:"ckpt_restored"`
+	CkptBytes    int `json:"ckpt_bytes"`
 	// Arenas counts shared decoded trace arenas held by the pool. Only
 	// recorded-trace jobs build one, and the server refuses those, so
 	// a server reads 0.

@@ -568,6 +568,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 //ucplint:guarded
 func (s *Server) statzJSON() ([]byte, error) {
 	captured, restored := s.pool.CheckpointStats()
+	ckptBytes := s.pool.CheckpointBytes()
 	arenas := s.pool.ArenaCount()
 	pool := s.pool.Stats()
 	s.mu.Lock()
@@ -588,6 +589,7 @@ func (s *Server) statzJSON() ([]byte, error) {
 		Pool:          pool,
 		CkptCaptured:  captured,
 		CkptRestored:  restored,
+		CkptBytes:     ckptBytes,
 		Arenas:        arenas,
 		QueueWaitMS:   s.qwaitH,
 		RunMS:         s.runH,

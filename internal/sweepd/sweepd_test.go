@@ -168,6 +168,29 @@ func TestRemoteMatchesLocalByteIdentical(t *testing.T) {
 	}
 }
 
+// TestStatzReportsCheckpointBytes runs one sampled job for real on a
+// checkpointing server: /v1/statz must report the one capture and the
+// bytes of the blob the pool now holds.
+func TestStatzReportsCheckpointBytes(t *testing.T) {
+	srv, _, cl := startServer(t, sweepd.Config{Executors: 1, Pool: runq.Options{Checkpoints: true}})
+	cfg := sim.Baseline()
+	cfg.Sampling = sim.SamplingConfig{
+		Enabled: true, PeriodInsts: 25_000, DetailedInsts: 2_000,
+		WarmInsts: 4_000, FFWarmInsts: 8_000,
+	}
+	job := runq.Job{Config: cfg, Profile: trace.QuickProfiles()[0], Warmup: 50_000, Measure: 50_000}
+	if r := cl.RunAll([]runq.Job{job}); r[0].Err != nil {
+		t.Fatal(r[0].Err)
+	}
+	st, err := cl.Statz()
+	if err != nil {
+		t.Fatalf("statz: %v", err)
+	}
+	if want := srv.Pool().CheckpointBytes(); st.CkptCaptured != 1 || st.CkptBytes <= 0 || st.CkptBytes != want {
+		t.Fatalf("statz captured %d, ckpt_bytes %d; want 1 and the pool's %d", st.CkptCaptured, st.CkptBytes, want)
+	}
+}
+
 // TestKilledClientMidStream kills one tenant's event stream while its
 // job is in flight and requires the job, the server, and a second
 // tenant's stream to be unaffected.
