@@ -36,7 +36,8 @@
 #   7. fuzz smoke          (each fuzz target, 5s: the internal/trace
 #                           file parser, ckpt.Open, the warm-checkpoint
 #                           restore in internal/sim, runq's disk-cache
-#                           record load, and sweepd's job submission)
+#                           record load, sweepd's job submission and
+#                           its ?after= event-stream resume)
 #   7b. recorded trace file (tracegen writes a .ucpt file and -inspect
 #                           accepts it; two ucpsim -file runs print
 #                           cmp-equal digests; a copy with one appended
@@ -237,7 +238,11 @@ if [ "$FAST" -eq 0 ]; then
 	go test -fuzz=FuzzOpen -fuzztime=5s -run='^$' ./internal/ckpt
 	go test -fuzz=FuzzRestoreWarm -fuzztime=5s -run='^$' ./internal/sim
 	go test -fuzz=FuzzLoadRecord -fuzztime=5s -run='^$' ./internal/runq
-	go test -fuzz=FuzzSubmit -fuzztime=5s -run='^$' ./internal/sweepd
+	# The sweepd targets cap minimization: the engine minimizes every new
+	# interesting input (up to 60s each by default) without counting
+	# those runs, and for these targets that stalled the smoke after ~3s.
+	go test -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=50x -run='^$' ./internal/sweepd
+	go test -fuzz=FuzzEventsAfter -fuzztime=5s -fuzzminimizetime=50x -run='^$' ./internal/sweepd
 else
 	echo "skipped (-fast)"
 fi

@@ -1,5 +1,12 @@
 package btb
 
+import (
+	"fmt"
+	"slices"
+
+	"ucp/internal/lru"
+)
+
 // Block-based BTB (Perais & Sheikh, MICRO'23 — discussed in §IV-C as an
 // alternative organization): one entry covers an aligned code *block*
 // and records up to N taken-at-least-once branches inside it, so a
@@ -10,6 +17,8 @@ package btb
 // benchmarks quantify that claim.
 
 // BlockConfig sizes a block-based BTB.
+//
+//ucplint:config
 type BlockConfig struct {
 	// Blocks is the total number of block entries (power of two).
 	Blocks int
@@ -23,12 +32,34 @@ type BlockConfig struct {
 	Banks int
 }
 
+// Validate rejects geometries the indexing and the entry cannot hold:
+// BankOf masks with Banks-1, a branch's offset is a uint8 count of
+// 4-byte slots, and an entry has 16 branch slots.
+func (c BlockConfig) Validate() error {
+	switch {
+	case !isPow2(c.Blocks):
+		return fmt.Errorf("btb: block Blocks must be a positive power of two, got %d", c.Blocks)
+	case c.Ways <= 0 || c.Ways > c.Blocks:
+		return fmt.Errorf("btb: block Ways must be in [1,Blocks=%d], got %d", c.Blocks, c.Ways)
+	case !isPow2(c.BlockBytes) || c.BlockBytes < 4 || c.BlockBytes > 1024:
+		return fmt.Errorf("btb: BlockBytes must be a power of two in [4,1024], got %d", c.BlockBytes)
+	case c.BranchesPerBlock <= 0 || c.BranchesPerBlock > len(blockEntry{}):
+		return fmt.Errorf("btb: BranchesPerBlock must be in [1,16], got %d", c.BranchesPerBlock)
+	case !isPow2(c.Banks):
+		return fmt.Errorf("btb: block Banks must be a positive power of two, got %d", c.Banks)
+	}
+	return nil
+}
+
 // DefaultBlockConfig matches the reach of the 64K-entry instruction BTB
 // with 8K 64-byte blocks × up to 8 branches.
 func DefaultBlockConfig() BlockConfig {
 	return BlockConfig{Blocks: 8192, Ways: 4, BlockBytes: 64, BranchesPerBlock: 8, Banks: 4}
 }
 
+// blockBranch is one recorded branch. A block's valid branches are a
+// prefix of its slots: Insert fills the first free one, and a full
+// block drops its oldest branch by shifting the rest forward.
 type blockBranch struct {
 	valid  bool
 	offset uint8 // (pc - blockBase) / 4
@@ -36,39 +67,42 @@ type blockBranch struct {
 	kind   BranchKind // nbits:2
 }
 
-type blockEntry struct {
-	valid    bool
-	tag      uint64
-	lru      uint64
-	branches [16]blockBranch
-}
+type blockEntry [16]blockBranch
 
-// BlockBTB is a block-organized branch target buffer.
+// blockValid marks a live way in the packed tag array. Block tags are
+// PCs over at least 4 bytes, so bit 63 is never part of one.
+const blockValid = uint64(1) << 63
+
+// BlockBTB is a block-organized branch target buffer. Its tags pack
+// each way's valid bit and tag as blockValid|tag (zero = invalid), and
+// each set is kept in recency order (lru.ToFront), its entries moving
+// with their tags.
 type BlockBTB struct {
 	cfg   BlockConfig
 	sets  int
-	data  []blockEntry
-	clock uint64
+	tags  []uint64     // sets × ways
+	data  []blockEntry // sets × ways
 	stats Stats
 }
 
-// NewBlock constructs a block-based BTB.
+// NewBlock constructs a block-based BTB of a validated geometry.
 func NewBlock(cfg BlockConfig) *BlockBTB {
-	if cfg.BranchesPerBlock > 16 {
-		cfg.BranchesPerBlock = 16
-	}
 	sets := cfg.Blocks / cfg.Ways
-	if sets < 1 {
-		sets = 1
-	}
-	return &BlockBTB{cfg: cfg, sets: sets, data: make([]blockEntry, sets*cfg.Ways)}
+	return &BlockBTB{cfg: cfg, sets: sets,
+		tags: make([]uint64, sets*cfg.Ways), data: make([]blockEntry, sets*cfg.Ways)}
 }
 
 func (b *BlockBTB) blockOf(pc uint64) uint64 { return pc / uint64(b.cfg.BlockBytes) }
 
 func (b *BlockBTB) setOf(pc uint64) int { return int(b.blockOf(pc) % uint64(b.sets)) }
 
-func (b *BlockBTB) tagOf(pc uint64) uint64 { return b.blockOf(pc) / uint64(b.sets) }
+func (b *BlockBTB) tagOf(pc uint64) uint64 { return blockValid | b.blockOf(pc)/uint64(b.sets) }
+
+// set returns the tags and entries of pc's set.
+func (b *BlockBTB) set(pc uint64) ([]uint64, []blockEntry) {
+	base := b.setOf(pc) * b.cfg.Ways
+	return b.tags[base : base+b.cfg.Ways], b.data[base : base+b.cfg.Ways]
+}
 
 // BankOf returns the lookup bank for pc's block.
 func (b *BlockBTB) BankOf(pc uint64) int { return b.setOf(pc) & (b.cfg.Banks - 1) }
@@ -76,28 +110,27 @@ func (b *BlockBTB) BankOf(pc uint64) int { return b.setOf(pc) & (b.cfg.Banks - 1
 // Banks returns the bank count.
 func (b *BlockBTB) Banks() int { return b.cfg.Banks }
 
+// find returns pc's block entry and branch, either nil if absent. touch
+// makes a found block its set's most recent way.
 func (b *BlockBTB) find(pc uint64, touch bool) (*blockEntry, *blockBranch) {
-	set := b.setOf(pc)
-	tag := b.tagOf(pc)
-	base := set * b.cfg.Ways
+	tags, data := b.set(pc)
+	w := slices.Index(tags, b.tagOf(pc))
+	if w < 0 {
+		return nil, nil
+	}
+	if touch {
+		lru.ToFront(tags, w, tags[w])
+		lru.ToFront(data, w, data[w])
+		w = 0
+	}
+	e := &data[w]
 	off := uint8((pc % uint64(b.cfg.BlockBytes)) / 4)
-	for w := 0; w < b.cfg.Ways; w++ {
-		e := &b.data[base+w]
-		if e.valid && e.tag == tag {
-			if touch {
-				b.clock++
-				e.lru = b.clock
-			}
-			for i := 0; i < b.cfg.BranchesPerBlock; i++ {
-				br := &e.branches[i]
-				if br.valid && br.offset == off {
-					return e, br
-				}
-			}
-			return e, nil
+	for i := range e[:b.cfg.BranchesPerBlock] {
+		if br := &e[i]; br.valid && br.offset == off {
+			return e, br
 		}
 	}
-	return nil, nil
+	return e, nil
 }
 
 // Lookup returns the target and kind of a branch at pc.
@@ -120,7 +153,9 @@ func (b *BlockBTB) Probe(pc uint64) (target uint64, kind BranchKind, hit bool) {
 	return br.target, br.kind, true
 }
 
-// Insert installs or refreshes the branch at pc.
+// Insert installs or refreshes the branch at pc. A new block takes its
+// set's last way (empty if any is, else the least recently used) and
+// moves it to the front.
 func (b *BlockBTB) Insert(pc, target uint64, kind BranchKind) {
 	b.stats.Inserts++
 	e, br := b.find(pc, true)
@@ -130,40 +165,25 @@ func (b *BlockBTB) Insert(pc, target uint64, kind BranchKind) {
 		return
 	}
 	if e == nil {
-		e = b.allocateBlock(pc)
+		tags, data := b.set(pc)
+		if tags[len(tags)-1] != 0 {
+			b.stats.Evictions++
+		}
+		lru.ToFront(tags, len(tags)-1, b.tagOf(pc))
+		lru.ToFront(data, len(data)-1, blockEntry{})
+		e = &data[0]
 	}
-	off := uint8((pc % uint64(b.cfg.BlockBytes)) / 4)
+	nb := blockBranch{valid: true, offset: uint8((pc % uint64(b.cfg.BlockBytes)) / 4), target: target, kind: kind}
 	// Free slot, else replace the first branch (FIFO within the block).
-	for i := 0; i < b.cfg.BranchesPerBlock; i++ {
-		if !e.branches[i].valid {
-			e.branches[i] = blockBranch{valid: true, offset: off, target: target, kind: kind}
+	slots := e[:b.cfg.BranchesPerBlock]
+	for i := range slots {
+		if !slots[i].valid {
+			slots[i] = nb
 			return
 		}
 	}
-	copy(e.branches[:b.cfg.BranchesPerBlock-1], e.branches[1:b.cfg.BranchesPerBlock])
-	e.branches[b.cfg.BranchesPerBlock-1] = blockBranch{valid: true, offset: off, target: target, kind: kind}
-}
-
-func (b *BlockBTB) allocateBlock(pc uint64) *blockEntry {
-	set := b.setOf(pc)
-	base := set * b.cfg.Ways
-	victim, oldest := 0, ^uint64(0)
-	for w := 0; w < b.cfg.Ways; w++ {
-		e := &b.data[base+w]
-		if !e.valid {
-			victim, oldest = w, 0
-			break
-		}
-		if e.lru < oldest {
-			victim, oldest = w, e.lru
-		}
-	}
-	if b.data[base+victim].valid {
-		b.stats.Evictions++
-	}
-	b.clock++
-	b.data[base+victim] = blockEntry{valid: true, tag: b.tagOf(pc), lru: b.clock}
-	return &b.data[base+victim]
+	copy(slots, slots[1:])
+	slots[len(slots)-1] = nb
 }
 
 // Stats returns a copy of the traffic counters.

@@ -9,9 +9,11 @@ package btb
 
 import (
 	"fmt"
+	"slices"
 
 	"ucp/internal/ckpt"
 	"ucp/internal/isa"
+	"ucp/internal/lru"
 )
 
 // BranchKind compresses the branch classes a BTB entry distinguishes.
@@ -103,7 +105,6 @@ func UCPConfig() Config { return Config{Entries: 64 * 1024, Ways: 8, Banks: 32} 
 type entry struct {
 	target uint64
 	kind   BranchKind // one of the four branch classes. nbits:2
-	lru    uint32
 }
 
 // BTB is a set-associative, banked branch target buffer.
@@ -115,10 +116,10 @@ type BTB struct {
 	// invalid), separate from the payload entries: a whole 8-way set's
 	// tag match then reads one cache line, and Probe — which runs every
 	// alternate-path walk step and usually misses — never touches the
-	// payload array at all.
+	// payload array at all. Sets are in recency order (package lru),
+	// payloads moving with their tags.
 	tags  []uint64 // sets × ways
 	data  []entry  // sets × ways
-	clock uint32
 	stats Stats
 }
 
@@ -170,13 +171,14 @@ func (b *BTB) Banks() int { return b.cfg.Banks }
 // Lookup returns the predicted target and kind for a branch at pc.
 func (b *BTB) Lookup(pc uint64) (target uint64, kind BranchKind, hit bool) {
 	b.stats.Lookups++
-	b.clock++
 	base := b.setOf(pc) * b.cfg.Ways
+	tags, data := b.tags[base:base+b.cfg.Ways], b.data[base:base+b.cfg.Ways]
 	want := validBit | uint64(b.tagOf(pc))
-	for w, tv := range b.tags[base : base+b.cfg.Ways] {
+	for w, tv := range tags {
 		if tv == want {
-			e := &b.data[base+w]
-			e.lru = b.clock
+			e := data[w]
+			lru.ToFront(tags, w, want)
+			lru.ToFront(data, w, e)
 			b.stats.Hits++
 			return e.target, e.kind, true
 		}
@@ -199,34 +201,22 @@ func (b *BTB) Probe(pc uint64) (target uint64, kind BranchKind, hit bool) {
 	return 0, 0, false
 }
 
-// Insert installs or refreshes the entry for a taken branch at pc.
+// Insert installs or refreshes the entry for a taken branch at pc as
+// its set's most recent way, a new one over the last (LRU) way.
 func (b *BTB) Insert(pc, target uint64, kind BranchKind) {
 	b.stats.Inserts++
-	b.clock++
 	base := b.setOf(pc) * b.cfg.Ways
+	tags, data := b.tags[base:base+b.cfg.Ways], b.data[base:base+b.cfg.Ways]
 	want := validBit | uint64(b.tagOf(pc))
-	victim, oldest := 0, ^uint32(0)
-	for w, tv := range b.tags[base : base+b.cfg.Ways] {
-		if tv == want {
-			e := &b.data[base+w]
-			e.target = target
-			e.kind = kind
-			e.lru = b.clock
-			return
-		}
-		if tv == 0 {
-			victim, oldest = w, 0
-			break
-		}
-		if e := &b.data[base+w]; e.lru < oldest {
-			victim, oldest = w, e.lru
+	w := slices.Index(tags, want)
+	if w < 0 {
+		w = len(tags) - 1
+		if tags[w] != 0 {
+			b.stats.Evictions++
 		}
 	}
-	if b.tags[base+victim] != 0 {
-		b.stats.Evictions++
-	}
-	b.tags[base+victim] = want
-	b.data[base+victim] = entry{target: target, kind: kind, lru: b.clock}
+	lru.ToFront(tags, w, want)
+	lru.ToFront(data, w, entry{target: target, kind: kind})
 }
 
 // Stats returns a copy of the traffic counters.

@@ -1,19 +1,15 @@
 package btb
 
-import (
-	"math"
-
-	"ucp/internal/ckpt"
-)
+import "ucp/internal/ckpt"
 
 // Checkpoint hooks: the sampled fast-forward inserts every taken
-// branch's target (FunctionalCommit), so tags, payloads, LRU clocks,
-// and traffic stats all carry across a checkpoint. Both organizations
-// serialize behind the TargetBuffer interface so the frontend and UCP
-// stay agnostic of which one is configured. The instruction BTB fills
-// each set's ways in order and never invalidates one, so its tags go
-// through ckpt's set codec (only the valid prefix of each set), and
-// only valid ways carry a payload; the block BTB writes every entry.
+// branch's target (FunctionalCommit), so tags, payloads and traffic
+// stats all carry across a checkpoint; a set's order is its recency
+// state. Both organizations serialize behind the TargetBuffer interface
+// so the frontend and UCP stay agnostic of which one is configured.
+// Each keeps its sets' valid ways as a prefix, so its tags go through
+// ckpt's set codec (only the valid prefix of each set), followed by the
+// payloads of the valid ways only.
 
 func saveStats(w *ckpt.Writer, s *Stats) {
 	w.Uvarint(s.Lookups)
@@ -40,9 +36,7 @@ func (b *BTB) SaveState(w *ckpt.Writer) {
 		e := &b.data[i]
 		w.Uvarint(e.target)
 		w.Byte(byte(e.kind))
-		w.Uvarint(uint64(e.lru))
 	}
-	w.Uvarint(uint64(b.clock))
 	saveStats(w, &b.stats)
 }
 
@@ -59,9 +53,8 @@ func (b *BTB) LoadState(r *ckpt.Reader) {
 			b.data[i] = entry{}
 			continue
 		}
-		b.data[i] = entry{target: r.Uvarint(), kind: loadKind(r), lru: loadU32(r)}
+		b.data[i] = entry{target: r.Uvarint(), kind: loadKind(r)}
 	}
-	b.clock = loadU32(r)
 	loadStats(r, &b.stats)
 }
 
@@ -75,60 +68,52 @@ func loadKind(r *ckpt.Reader) BranchKind {
 	return k
 }
 
-// loadU32 reads a 32-bit LRU stamp or clock, rejecting wider values.
-func loadU32(r *ckpt.Reader) uint32 {
-	v := r.Uvarint()
-	if v > math.MaxUint32 {
-		r.Failf("btb: stamp %d exceeds 32 bits", v)
-	}
-	return uint32(v)
-}
-
-// SaveState implements TargetBuffer.
+// SaveState implements TargetBuffer. Each valid block writes its
+// branch count, then each branch's offset, target and kind.
 func (b *BlockBTB) SaveState(w *ckpt.Writer) {
 	w.Section("blockbtb")
-	w.Uvarint(uint64(len(b.data)))
-	for i := range b.data {
+	w.Sets(b.tags, b.cfg.Ways, blockValid)
+	for i, tv := range b.tags {
+		if tv == 0 {
+			continue
+		}
 		e := &b.data[i]
-		w.Bool(e.valid)
-		w.Uvarint(e.tag)
-		w.Uvarint(e.lru)
-		for j := range e.branches {
-			br := &e.branches[j]
-			w.Bool(br.valid)
+		n := 0
+		for n < b.cfg.BranchesPerBlock && e[n].valid {
+			n++
+		}
+		w.Uvarint(uint64(n))
+		for _, br := range e[:n] {
 			w.Byte(br.offset)
 			w.Uvarint(br.target)
 			w.Byte(byte(br.kind))
 		}
 	}
-	w.Uvarint(b.clock)
 	saveStats(w, &b.stats)
 }
 
 // LoadState implements TargetBuffer.
 func (b *BlockBTB) LoadState(r *ckpt.Reader) {
 	r.Section("blockbtb")
-	n := r.Uvarint()
+	r.SetsInto(b.tags, b.cfg.Ways, blockValid)
 	if r.Err() != nil {
 		return
 	}
-	if n != uint64(len(b.data)) {
-		r.Failf("blockbtb: %d entries, want %d", n, len(b.data))
-		return
-	}
-	for i := range b.data {
-		e := &b.data[i]
-		e.valid = r.Bool()
-		e.tag = r.Uvarint()
-		e.lru = r.Uvarint()
-		for j := range e.branches {
-			br := &e.branches[j]
-			br.valid = r.Bool()
-			br.offset = r.Byte()
-			br.target = r.Uvarint()
-			br.kind = loadKind(r)
+	for i, tv := range b.tags {
+		b.data[i] = blockEntry{}
+		if tv == 0 {
+			continue
+		}
+		n := r.Uvarint()
+		if r.Err() == nil && n > uint64(b.cfg.BranchesPerBlock) {
+			r.Failf("blockbtb: %d branches in a block, want at most %d", n, b.cfg.BranchesPerBlock)
+		}
+		if r.Err() != nil {
+			return
+		}
+		for j := range n {
+			b.data[i][j] = blockBranch{valid: true, offset: r.Byte(), target: r.Uvarint(), kind: loadKind(r)}
 		}
 	}
-	b.clock = r.Uvarint()
 	loadStats(r, &b.stats)
 }

@@ -22,7 +22,7 @@ func smallBTB() *BTB {
 }
 
 // TestBTBStateRoundTrip restores a saved BTB into one holding other
-// entries: tags, payloads, clock and stats must match the saved BTB,
+// entries: tags, payloads and stats must match the saved BTB,
 // empty ways included, and a recapture must give the same bytes.
 func TestBTBStateRoundTrip(t *testing.T) {
 	saved := smallBTB()
@@ -53,9 +53,8 @@ func TestBTBStateRoundTrip(t *testing.T) {
 
 // TestBTBLoadStateRejects feeds hand-encoded btb sections the BTB could
 // not have written — more valid ways than a set has, a tag carrying the
-// valid bit, one tag in two ways, a different set count, a branch kind
-// outside the four classes, and an LRU stamp wider than 32 bits — and
-// requires a reader error. A tag array with a valid way after an empty
+// valid bit, one tag in two ways, a different set count, and a branch
+// kind outside the four classes — and requires a reader error. A tag array with a valid way after an empty
 // one must not be written.
 func TestBTBLoadStateRejects(t *testing.T) {
 	for _, tc := range []struct {
@@ -63,15 +62,13 @@ func TestBTBLoadStateRejects(t *testing.T) {
 		entries uint64
 		sets    [][]uint64
 		kind    byte
-		lru     uint64
 		want    string
 	}{
-		{"count above ways", 16, [][]uint64{{1, 2, 3, 4, 5}, {}, {}, {}}, 0, 1, "set 0: 5 valid ways, want at most 4"},
-		{"valid bit", 16, [][]uint64{{validBit | 1}, {}, {}, {}}, 0, 1, "carries the valid bit"},
-		{"tag twice", 16, [][]uint64{{}, {}, {7, 7}, {}}, 0, 1, "set 2: tag 0x7 held twice"},
-		{"wrong set count", 12, [][]uint64{{1}, {}, {}}, 0, 1, "12 set entries, want 16"},
-		{"bad kind", 16, [][]uint64{{1}, {}, {}, {}}, byte(KindReturn) + 1, 1, "branch kind 4"},
-		{"wide stamp", 16, [][]uint64{{}, {1}, {}, {}}, 0, 1 << 32, "stamp 4294967296 exceeds 32 bits"},
+		{"count above ways", 16, [][]uint64{{1, 2, 3, 4, 5}, {}, {}, {}}, 0, "set 0: 5 valid ways, want at most 4"},
+		{"valid bit", 16, [][]uint64{{validBit | 1}, {}, {}, {}}, 0, "carries the valid bit"},
+		{"tag twice", 16, [][]uint64{{}, {}, {7, 7}, {}}, 0, "set 2: tag 0x7 held twice"},
+		{"wrong set count", 12, [][]uint64{{1}, {}, {}}, 0, "12 set entries, want 16"},
+		{"bad kind", 16, [][]uint64{{1}, {}, {}, {}}, byte(KindReturn) + 1, "branch kind 4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			w := ckpt.NewWriter()
@@ -88,9 +85,7 @@ func TestBTBLoadStateRejects(t *testing.T) {
 			for range valid {
 				w.Uvarint(0x4000) // target
 				w.Byte(tc.kind)
-				w.Uvarint(tc.lru)
 			}
-			w.Uvarint(1) // clock
 			saveStats(w, &Stats{})
 			r, err := ckpt.Open(w.Seal())
 			if err != nil {
@@ -112,4 +107,108 @@ func TestBTBLoadStateRejects(t *testing.T) {
 		}()
 		b.SaveState(ckpt.NewWriter())
 	})
+}
+
+// TestBlockBTBStateRoundTrip restores a saved block BTB, with a full
+// block whose oldest branch was dropped, into one holding other
+// blocks: tags, branches and stats must match, and a recapture must
+// give the same bytes.
+func TestBlockBTBStateRoundTrip(t *testing.T) {
+	cfg := BlockConfig{Blocks: 8, Ways: 2, BlockBytes: 64, BranchesPerBlock: 2, Banks: 2}
+	saved := NewBlock(cfg)
+	for i, pc := range []uint64{0x1000, 0x1004, 0x1008, 0x1040, 0x1100} {
+		saved.Insert(pc, pc+0x100, BranchKind(i%4))
+	}
+	saved.Lookup(0x1040)
+	w := ckpt.NewWriter()
+	saved.SaveState(w)
+	blob := w.Seal()
+	r, err := ckpt.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewBlock(cfg)
+	for pc := uint64(0x8000); pc < 0x8400; pc += 0x24 {
+		restored.Insert(pc, pc, KindIndirect)
+	}
+	restored.LoadState(r)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restored, saved) {
+		t.Fatalf("restored %+v, saved %+v", restored, saved)
+	}
+	w = ckpt.NewWriter()
+	restored.SaveState(w)
+	if !bytes.Equal(w.Seal(), blob) {
+		t.Fatal("recapture after restore differs from the capture")
+	}
+}
+
+// TestBlockBTBLoadStateRejects feeds a blockbtb section whose block
+// holds more branches than BranchesPerBlock, then one with a branch
+// kind outside the four classes.
+func TestBlockBTBLoadStateRejects(t *testing.T) {
+	cfg := BlockConfig{Blocks: 4, Ways: 4, BlockBytes: 64, BranchesPerBlock: 2, Banks: 1}
+	for _, tc := range []struct {
+		name     string
+		branches int
+		kind     byte
+		want     string
+	}{
+		{"too many branches", 3, 0, "3 branches in a block, want at most 2"},
+		{"bad kind", 1, byte(KindReturn) + 1, "branch kind 4"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := ckpt.NewWriter()
+			w.Section("blockbtb")
+			w.Sets([]uint64{blockValid | 5, 0, 0, 0}, cfg.Ways, blockValid)
+			w.Uvarint(uint64(tc.branches))
+			for i := range tc.branches {
+				w.Byte(byte(i))
+				w.Uvarint(0x4000)
+				w.Byte(tc.kind)
+			}
+			saveStats(w, &Stats{})
+			r, err := ckpt.Open(w.Seal())
+			if err != nil {
+				t.Fatal(err)
+			}
+			NewBlock(cfg).LoadState(r)
+			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
+				t.Fatalf("err %v, want one containing %q", r.Err(), tc.want)
+			}
+		})
+	}
+}
+
+// TestBlockConfigValidate rejects each geometry the indexing or the
+// entry encoding cannot hold and accepts the default.
+func TestBlockConfigValidate(t *testing.T) {
+	if err := DefaultBlockConfig().Validate(); err != nil {
+		t.Fatalf("default rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*BlockConfig)
+		want   string
+	}{
+		{"zero ways", func(c *BlockConfig) { c.Ways = 0 }, "Ways"},
+		{"ways exceed blocks", func(c *BlockConfig) { c.Blocks, c.Ways = 2, 4 }, "Ways"},
+		{"non-power-of-two blocks", func(c *BlockConfig) { c.Blocks = 6000 }, "Blocks"},
+		{"zero block bytes", func(c *BlockConfig) { c.BlockBytes = 0 }, "BlockBytes"},
+		{"block bytes overflow the offset", func(c *BlockConfig) { c.BlockBytes = 2048 }, "BlockBytes"},
+		{"non-power-of-two block bytes", func(c *BlockConfig) { c.BlockBytes = 48 }, "BlockBytes"},
+		{"zero branches", func(c *BlockConfig) { c.BranchesPerBlock = 0 }, "BranchesPerBlock"},
+		{"too many branches", func(c *BlockConfig) { c.BranchesPerBlock = 40 }, "BranchesPerBlock"},
+		{"non-power-of-two banks", func(c *BlockConfig) { c.Banks = 3 }, "Banks"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultBlockConfig()
+			tc.mutate(&c)
+			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
 }

@@ -8,6 +8,8 @@
 // per-bank DRAM timing.
 package cache
 
+import "ucp/internal/lru"
+
 // LineBytes is the cache line size throughout the hierarchy.
 const LineBytes = 64
 
@@ -45,7 +47,7 @@ type Cache struct {
 	cfg  Config
 	ways int
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
-	// invalid). Each set is kept in recency order (toFront), so the
+	// invalid). Each set is kept in recency order (lru.ToFront), so the
 	// array is the whole LRU state and the hit loop scans one cache
 	// line per 8-way set.
 	tags  []uint64 // sets × ways
@@ -141,17 +143,6 @@ func (x setIndex) split(block uint64) (set int, tag uint64) {
 // join is split's inverse: the block number of tag in set.
 func (x setIndex) join(set int, tag uint64) uint64 { return tag*x.sets + uint64(set) }
 
-// toFront makes way w of a recency-ordered set its most recent way,
-// holding tag: the ways in front of it move back one slot. A hit passes
-// its own way; a fill passes the last way, the LRU victim. Ways are
-// never invalidated, so a set's empty ways trail its valid ones and the
-// last way is empty whenever any is — the victim is an empty way first,
-// else the least recently used line, as with per-way LRU stamps.
-func toFront(set []uint64, w int, tag uint64) {
-	copy(set[1:w+1], set[:w])
-	set[0] = tag
-}
-
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
 
 // locate returns la's set base index into tags and its tag with the
@@ -225,7 +216,7 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 	set := c.tags[base : base+c.ways]
 	for w, tv := range set {
 		if tv == want {
-			toFront(set, w, want)
+			lru.ToFront(set, w, want)
 			if !isPrefetch {
 				c.stats.Hits++
 			}
@@ -286,7 +277,7 @@ func (c *Cache) fill(base int, want uint64) {
 			c.OnEvict(c.index.join(base/c.ways, tv&^validBit) * LineBytes)
 		}
 	}
-	toFront(set, c.ways-1, want)
+	lru.ToFront(set, c.ways-1, want)
 }
 
 // Stats returns a copy of the traffic counters.

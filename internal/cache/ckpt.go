@@ -7,9 +7,9 @@ import "ucp/internal/ckpt"
 // tags (whose order within a set is its recency state) and stats at
 // every level plus the TLBs and the DRAM access counter. Tag arrays go
 // through ckpt's set codec (Writer.Sets / Reader.SetsInto): a set's
-// valid ways are its prefix (toFront fills front to back and no way is
+// valid ways are its prefix (lru.ToFront fills front to back and no way is
 // ever invalidated), so only their tags are written, and a set order
-// toFront could not produce fails to load. The MSHR files
+// lru.ToFront could not produce fails to load. The MSHR files
 // are deliberately not serialized: warming never allocates an MSHR, so
 // at the capture point — the end of the initial fast-forward, before
 // any detailed window — they are empty in the running machine and empty

@@ -11,7 +11,7 @@ import (
 
 // TestLoadStateRejectsImpossibleSets restores cache and TLB states of
 // two four-way sets. The unedited state restores as saved. A set order
-// toFront could not produce cannot be written — a valid way after an
+// lru.ToFront could not produce cannot be written — a valid way after an
 // empty one panics at capture — and hand-encoded sections the set codec
 // could not have written must fail to load: more valid ways than the
 // set has, a tag carrying the valid bit, one tag in two ways, and a

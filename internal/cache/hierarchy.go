@@ -1,6 +1,10 @@
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"ucp/internal/lru"
+)
 
 // Hierarchy wires the Table II memory system: split L1s over a shared
 // L2, LLC, and DRAM, plus the TLBs. Instruction fetches go through
@@ -182,7 +186,7 @@ func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	want := validBit | tag
 	for w, tv := range set {
 		if tv == want {
-			toFront(set, w, want)
+			lru.ToFront(set, w, want)
 			t.stats.Hits++
 			return now + t.cfg.HitLatency
 		}
@@ -195,7 +199,7 @@ func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 		ready += t.walkLatency
 	}
 	// Install at the front over the set's LRU (last) way.
-	toFront(set, len(set)-1, want)
+	lru.ToFront(set, len(set)-1, want)
 	return ready
 }
 

@@ -1,115 +1,37 @@
 package cache
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"testing"
 
+	"ucp/internal/lru/lrutest"
 	"ucp/internal/rng"
 )
-
-// refSets is a reference set-associative LRU directory over block
-// numbers (set = block mod sets), kept only in this test. Every way
-// holds a block and an LRU stamp from a clock that advances on every
-// lookup; stamp 0 marks an empty way. A fill takes the first empty way,
-// else the way with the oldest stamp. It shares no code with Cache or
-// TLB, whose sets keep the same state as a recency order instead.
-type refSets struct {
-	sets, ways     int
-	blocks, stamps []uint64 // sets × ways
-	clock          uint64
-}
-
-func newRefSets(sets, ways int) *refSets {
-	return &refSets{sets: sets, ways: ways,
-		blocks: make([]uint64, sets*ways), stamps: make([]uint64, sets*ways)}
-}
-
-func (r *refSets) base(block uint64) int { return int(block%uint64(r.sets)) * r.ways }
-
-// find returns the way holding block, or -1.
-func (r *refSets) find(block uint64) int {
-	for w := r.base(block); w < r.base(block)+r.ways; w++ {
-		if r.stamps[w] != 0 && r.blocks[w] == block {
-			return w
-		}
-	}
-	return -1
-}
-
-// touch advances the clock and looks block up, restamping it on a hit.
-func (r *refSets) touch(block uint64) bool {
-	r.clock++
-	w := r.find(block)
-	if w >= 0 {
-		r.stamps[w] = r.clock
-	}
-	return w >= 0
-}
-
-// fill installs block, stamped with the current clock, and returns the
-// block it evicted, if any.
-func (r *refSets) fill(block uint64) (evicted uint64, ok bool) {
-	victim := r.base(block)
-	for w := victim + 1; w < r.base(block)+r.ways; w++ {
-		if r.stamps[w] < r.stamps[victim] {
-			victim = w
-		}
-	}
-	evicted, ok = r.blocks[victim], r.stamps[victim] != 0
-	r.blocks[victim], r.stamps[victim] = block, r.clock
-	return evicted, ok
-}
-
-// recency returns the resident blocks of block's set, most recently
-// used first.
-func (r *refSets) recency(block uint64) []uint64 {
-	b := r.base(block)
-	ways := make([]int, 0, r.ways)
-	for w := b; w < b+r.ways; w++ {
-		if r.stamps[w] != 0 {
-			ways = append(ways, w)
-		}
-	}
-	slices.SortFunc(ways, func(x, y int) int { return cmp.Compare(r.stamps[y], r.stamps[x]) })
-	out := make([]uint64, len(ways))
-	for i, w := range ways {
-		out[i] = r.blocks[w]
-	}
-	return out
-}
 
 // checkSet requires the set of tags holding block (under index) to list
 // exactly the reference's resident blocks in recency order, followed
 // only by empty ways.
-func checkSet(t *testing.T, step int, tags []uint64, ways int, index setIndex, ref *refSets, block uint64) {
+func checkSet(t *testing.T, step int, tags []uint64, ways int, index setIndex, ref *lrutest.Sets, block uint64) {
 	t.Helper()
 	set, _ := index.split(block)
-	want := ref.recency(block)
-	for w, tv := range tags[set*ways : (set+1)*ways] {
-		var got uint64
-		if tv != 0 {
-			got = index.join(set, tv&^validBit)
-		}
-		switch {
-		case w < len(want) && (tv == 0 || got != want[w]):
-			t.Fatalf("step %d: set %d way %d holds %#x (valid=%v), reference recency order %#x", step, set, w, got, tv != 0, want)
-		case w >= len(want) && tv != 0:
-			t.Fatalf("step %d: set %d way %d holds %#x past the reference's %d resident blocks", step, set, w, got, len(want))
-		}
+	err := ref.Check(block, tags[set*ways:(set+1)*ways], func(tv uint64) (uint64, bool) {
+		return index.join(set, tv&^validBit), tv != 0
+	})
+	if err != nil {
+		t.Fatalf("step %d: %v", step, err)
 	}
 }
 
 // refMSHR is one in-flight miss in refCache's MSHR file.
 type refMSHR struct{ la, ready uint64 }
 
-// refCache is a reference cache level over refSets: the same demand,
+// refCache is a reference cache level over lrutest.Sets: the same demand,
 // prefetch and warm accounting as Cache, an MSHR file that merges
 // in-flight misses, frees completed entries once full, and stalls on
 // the earliest fill when still full, and a fixed-latency lower level.
 type refCache struct {
-	dir              *refSets
+	dir              *lrutest.Sets
 	hitLat, lowerLat uint64
 	mshrs            int
 	mshr             []refMSHR
@@ -120,7 +42,7 @@ type refCache struct {
 }
 
 func (m *refCache) fill(la uint64) {
-	if ev, ok := m.dir.fill(la / LineBytes); ok {
+	if ev, ok := m.dir.Fill(la / LineBytes); ok {
 		m.stats.Evictions++
 		m.evicted = append(m.evicted, ev*LineBytes)
 	}
@@ -128,7 +50,7 @@ func (m *refCache) fill(la uint64) {
 
 func (m *refCache) warm(la uint64) {
 	m.stats.Accesses++
-	if m.dir.touch(la / LineBytes) {
+	if m.dir.Touch(la / LineBytes) {
 		m.stats.Hits++
 		return
 	}
@@ -141,7 +63,7 @@ func (m *refCache) access(la, now uint64, prefetch bool) uint64 {
 	if !prefetch {
 		m.stats.Accesses++
 	}
-	if m.dir.touch(la / LineBytes) {
+	if m.dir.Touch(la / LineBytes) {
 		if !prefetch {
 			m.stats.Hits++
 		}
@@ -180,7 +102,7 @@ func (m *refCache) access(la, now uint64, prefetch bool) uint64 {
 }
 
 func (m *refCache) prefetch(la, now uint64) (uint64, bool) {
-	if m.dir.find(la/LineBytes) >= 0 {
+	if m.dir.Resident(la / LineBytes) {
 		return now, true
 	}
 	m.stats.Prefetches++
@@ -227,7 +149,7 @@ func runCacheModel(t *testing.T, sets, ways int, warmOnly bool) *refCache {
 	}
 	var evicted []uint64
 	c.OnEvict = func(la uint64) { evicted = append(evicted, la) }
-	m := &refCache{dir: newRefSets(sets, ways), hitLat: hitLat, lowerLat: lowerLat, mshrs: mshrs}
+	m := &refCache{dir: lrutest.New(sets, ways, nil), hitLat: hitLat, lowerLat: lowerLat, mshrs: mshrs}
 	r := rng.New(uint64(sets*100+ways) ^ 0x9e3779b97f4a7c15) // op stream, independent of the blocks
 	now := uint64(0)
 	for i, block := range refStream(uint64(sets*100+ways), sets*ways, 20_000) {
@@ -254,7 +176,7 @@ func runCacheModel(t *testing.T, sets, ways int, warmOnly bool) *refCache {
 				t.Fatalf("step %d: Prefetch(%#x, %d) = %d,%v, reference %d,%v", i, la, now, gotDone, gotRes, wantDone, wantRes)
 			}
 		case opContains:
-			if got, want := c.Contains(addr), m.dir.find(block) >= 0; got != want {
+			if got, want := c.Contains(addr), m.dir.Resident(block); got != want {
 				t.Fatalf("step %d: Contains(%#x) = %v, reference %v", i, la, got, want)
 			}
 		}
@@ -314,18 +236,18 @@ func TestTLBMatchesReferenceLRU(t *testing.T) {
 		t.Run(fmt.Sprintf("entries=%d/ways=%d", g.entries, g.ways), func(t *testing.T) {
 			tlb := NewTLB(TLBConfig{Entries: g.entries, Ways: g.ways, HitLatency: 1, PageBits: 12}, nil)
 			tlb.walkLatency = walk
-			ref := newRefSets(g.entries/g.ways, g.ways)
+			ref := lrutest.New(g.entries/g.ways, g.ways, nil)
 			var want Stats
 			for i, page := range refStream(uint64(g.entries*10+g.ways), g.entries, 20_000) {
 				now := uint64(i)
 				wantReady := now + 1
 				want.Accesses++
-				if ref.touch(page) {
+				if ref.Touch(page) {
 					want.Hits++
 				} else {
 					want.Misses++
 					wantReady += walk
-					ref.fill(page)
+					ref.Fill(page)
 				}
 				if got := tlb.Translate(page<<12|uint64(i%4096), now); got != wantReady {
 					t.Fatalf("step %d (page %#x): ready %d, reference %d", i, page, got, wantReady)

@@ -1,5 +1,7 @@
 package cache
 
+import "ucp/internal/lru"
+
 // Functional warming for the sampled simulation mode: WarmLine performs
 // a demand fill's *state* effects — recency update on a hit, fill with
 // LRU eviction (and the OnEvict inclusive-µ-op-cache callback) on a
@@ -20,7 +22,7 @@ func (c *Cache) WarmLine(addr uint64) {
 	set := c.tags[base : base+c.ways]
 	for w, tv := range set {
 		if tv == want {
-			toFront(set, w, want)
+			lru.ToFront(set, w, want)
 			c.stats.Hits++
 			return
 		}

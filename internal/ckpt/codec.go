@@ -27,7 +27,7 @@ const (
 	// structure's field order or meaning changes; stale blobs are then
 	// rejected at Open instead of silently misread. (Model-level changes
 	// are already keyed out by sim.ModelVersion in the checkpoint key.)
-	envVersion = 3
+	envVersion = 4
 )
 
 // Writer accumulates a checkpoint payload. The zero value is ready to

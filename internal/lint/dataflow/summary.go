@@ -521,6 +521,9 @@ func (g *Graph) noteBoxing(n *Node, call *ast.CallExpr, callee *types.Func, add 
 		default:
 			continue
 		}
+		if _, ok := pt.(*types.TypeParam); ok {
+			continue // a type parameter's argument is passed as itself, never boxed
+		}
 		if _, ok := pt.Underlying().(*types.Interface); !ok {
 			continue
 		}

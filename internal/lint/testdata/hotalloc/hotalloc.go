@@ -35,6 +35,17 @@ func Boxes(b boxer, key int) {
 	b.accept(key) // want "boxes a int into an interface argument"
 }
 
+// put stores v at index i of s.
+func put[T any](s []T, i int, v T) { s[i] = v }
+
+// Generic hands a concrete value to a type parameter whose constraint
+// is any: it is passed as itself, not boxed.
+//
+//ucplint:hotpath
+func Generic(s []uint64, i int) {
+	put(s, 0, s[i])
+}
+
 // Closes returns a capturing closure.
 //
 //ucplint:hotpath

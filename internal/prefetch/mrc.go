@@ -1,6 +1,11 @@
 package prefetch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+
+	"ucp/internal/lru"
+)
 
 // MRC is the Misprediction Recovery Cache baseline (Nanda et al.,
 // §VI-F): a fully-associative cache of decoded-µ-op streams tagged by
@@ -12,11 +17,10 @@ import "fmt"
 // their accelerated delivery needs modeling (frontend fast-deliver
 // credit).
 type MRC struct {
-	cfg   MRCConfig
-	lru   map[uint64]uint64
-	clock uint64
-	hits  uint64
-	looks uint64
+	cfg MRCConfig
+	// tags is the one fully-associative set, in recency order
+	// (lru.ToFront), up to cfg.Entries long.
+	tags []uint64
 }
 
 // MRCConfig sizes the MRC. The paper evaluates 64 µ-ops per entry at
@@ -49,56 +53,35 @@ func MRCConfigKB(kb float64) MRCConfig {
 	return MRCConfig{Entries: entries, OpsPerEntry: 64}
 }
 
-// NewMRC constructs an MRC.
+// NewMRC constructs an MRC of a validated geometry.
 func NewMRC(cfg MRCConfig) *MRC {
-	if cfg.OpsPerEntry == 0 {
-		cfg.OpsPerEntry = 64
-	}
-	return &MRC{cfg: cfg, lru: make(map[uint64]uint64, cfg.Entries)}
+	return &MRC{cfg: cfg, tags: make([]uint64, 0, cfg.Entries)}
 }
 
 // Lookup checks for a stream tagged with the corrected target.
 func (m *MRC) Lookup(tag uint64) bool {
-	m.looks++
-	m.clock++
-	if _, ok := m.lru[tag]; ok {
-		m.lru[tag] = m.clock
-		m.hits++
-		return true
+	i := slices.Index(m.tags, tag)
+	if i >= 0 {
+		lru.ToFront(m.tags, i, tag)
 	}
-	return false
+	return i >= 0
 }
 
-// Record installs (or refreshes) the stream for the corrected target.
+// Record installs (or refreshes) the stream for the corrected target;
+// a full MRC evicts its least recently used stream.
 func (m *MRC) Record(tag uint64) {
-	m.clock++
-	if _, ok := m.lru[tag]; ok {
-		m.lru[tag] = m.clock
-		return
-	}
-	if len(m.lru) >= m.cfg.Entries {
-		var victim uint64
-		oldest := ^uint64(0)
-		for t, at := range m.lru {
-			if at < oldest {
-				victim, oldest = t, at
-			}
+	i := slices.Index(m.tags, tag)
+	if i < 0 {
+		if len(m.tags) < m.cfg.Entries {
+			m.tags = append(m.tags, tag)
 		}
-		delete(m.lru, victim)
+		i = len(m.tags) - 1
 	}
-	m.lru[tag] = m.clock
+	lru.ToFront(m.tags, i, tag)
 }
 
 // OpsPerEntry returns the streamable µ-ops per hit.
 func (m *MRC) OpsPerEntry() int { return m.cfg.OpsPerEntry }
-
-// HitRate returns hits over lookups.
-func (m *MRC) HitRate() float64 {
-	if m.looks == 0 {
-		return 0
-	}
-	return float64(m.hits) / float64(m.looks)
-}
 
 // StorageKB returns the modeled hardware budget.
 func (m *MRC) StorageKB() float64 {

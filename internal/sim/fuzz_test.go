@@ -77,15 +77,16 @@ func FuzzRestoreWarm(f *testing.F) {
 		f.Add(withUCP, uint32(len(payloads[i])/2), []byte{0x80}, true, uint32(0))
 		f.Add(withUCP, uint32(0), []byte(nil), false, uint32(len(payloads[i])-1))
 	}
-	// Start edits inside the set codec's two biggest users: the LLC (the
-	// fourth "cache" section, after L1I, L1D and L2) and the BTB. Each
+	// Start edits inside the set codec's users whose ways carry
+	// payloads or are most numerous: the LLC (the fourth "cache"
+	// section, after L1I, L1D and L2), the BTB and the µ-op cache. Each
 	// seed lands on the first set's valid-way count, one raising it past
 	// the associativity, one inserting a byte that shifts every tag.
 	for i, withUCP := range []bool{false, true} {
 		for _, sec := range []struct {
 			name string
 			nth  int
-		}{{"cache", 4}, {"btb", 1}} {
+		}{{"cache", 4}, {"btb", 1}, {"uopcache", 1}} {
 			off := sectionOffset(f, payloads[i], sec.name, sec.nth)
 			f.Add(withUCP, uint32(off), []byte{0x7f}, false, uint32(0))
 			f.Add(withUCP, uint32(off+1), []byte{0x01}, true, uint32(0))

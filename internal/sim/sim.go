@@ -145,6 +145,11 @@ func (c Config) Validate() error {
 			return err
 		}
 	}
+	if c.BlockBTB != nil {
+		if err := c.BlockBTB.Validate(); err != nil {
+			return err
+		}
+	}
 	if !validL1IPrefetchers[c.L1IPrefetcher] {
 		return fmt.Errorf("sim: unknown L1I prefetcher %q", c.L1IPrefetcher)
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"ucp/internal/btb"
 	"ucp/internal/runq"
 	"ucp/internal/sim"
 	"ucp/internal/sweepd"
@@ -605,6 +606,37 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestInvalidBlockBTBRejected posts a job whose block-BTB geometry
+// has zero ways. Admission validates the config, so the POST gets a
+// 400 and no job reaches the pool (where it would divide by zero).
+func TestInvalidBlockBTBRejected(t *testing.T) {
+	var execs atomic.Int32
+	_, hs, _ := startServer(t, sweepd.Config{
+		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
+			execs.Add(1)
+			return sim.Result{}, nil
+		}},
+	})
+	spec := testSpec(t, "blockbtb")
+	bb := btb.DefaultBlockConfig()
+	bb.Ways = 0
+	spec.Config.BlockBTB = &bb
+	body, _ := json.Marshal(sweepd.SubmitRequest{
+		Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion, Jobs: []sweepd.JobSpec{spec},
+	})
+	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("rejected job ran %d times", n)
 	}
 }
 

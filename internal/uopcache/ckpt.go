@@ -3,17 +3,21 @@ package uopcache
 import "ucp/internal/ckpt"
 
 // Checkpoint hooks: the fast-forward's functional commit path feeds the
-// demand entry builder, which inserts into the µ-op cache — so tags,
-// LRU stamps, entry payloads, stats, and the builder's open-entry
-// accumulator all carry across a checkpoint.
+// demand entry builder, which inserts into the µ-op cache — so tags
+// (whose order within a set is its recency state), entry payloads,
+// stats, and the builder's open-entry accumulator all carry across a
+// checkpoint. A set's valid ways are its prefix (InvalidateLine
+// compacts), so the tags go through ckpt's set codec and only valid
+// ways write a payload.
 
 // SaveState serializes all mutable cache state.
 func (u *UopCache) SaveState(w *ckpt.Writer) {
 	w.Section("uopcache")
-	w.U64s(u.tags)
-	w.U64s(u.lrus)
-	w.Uvarint(uint64(len(u.data)))
-	for i := range u.data {
+	w.Sets(u.tags, u.cfg.Ways, validBit)
+	for i, tv := range u.tags {
+		if tv == 0 {
+			continue
+		}
 		e := &u.data[i]
 		w.Byte(e.Ops)
 		w.Byte(e.Branches)
@@ -21,7 +25,6 @@ func (u *UopCache) SaveState(w *ckpt.Writer) {
 		w.Bool(e.Prefetched)
 		w.Bool(e.Used)
 	}
-	w.Uvarint(u.clock)
 	w.Uvarint(u.stats.Lookups)
 	w.Uvarint(u.stats.Hits)
 	w.Uvarint(u.stats.Inserts)
@@ -33,28 +36,22 @@ func (u *UopCache) SaveState(w *ckpt.Writer) {
 }
 
 // LoadState restores state saved by SaveState into an identically
-// configured cache. Errors surface on the reader.
+// configured cache. Empty ways get a zero payload, as in a freshly
+// constructed cache. Errors surface on the reader.
 func (u *UopCache) LoadState(r *ckpt.Reader) {
 	r.Section("uopcache")
-	r.U64sInto(u.tags)
-	r.U64sInto(u.lrus)
-	n := r.Uvarint()
+	r.SetsInto(u.tags, u.cfg.Ways, validBit)
 	if r.Err() != nil {
 		return
 	}
-	if n != uint64(len(u.data)) {
-		r.Failf("uopcache: %d entries, want %d", n, len(u.data))
-		return
+	for i, tv := range u.tags {
+		if tv == 0 {
+			u.data[i] = Entry{}
+			continue
+		}
+		u.data[i] = Entry{Ops: r.Byte(), Branches: r.Byte(),
+			EndsTaken: r.Bool(), Prefetched: r.Bool(), Used: r.Bool()}
 	}
-	for i := range u.data {
-		e := &u.data[i]
-		e.Ops = r.Byte()
-		e.Branches = r.Byte()
-		e.EndsTaken = r.Bool()
-		e.Prefetched = r.Bool()
-		e.Used = r.Bool()
-	}
-	u.clock = r.Uvarint()
 	u.stats.Lookups = r.Uvarint()
 	u.stats.Hits = r.Uvarint()
 	u.stats.Inserts = r.Uvarint()

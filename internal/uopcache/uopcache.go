@@ -12,8 +12,10 @@ package uopcache
 
 import (
 	"fmt"
+	"slices"
 
 	"ucp/internal/isa"
+	"ucp/internal/lru"
 )
 
 // Config sizes the µ-op cache.
@@ -113,14 +115,13 @@ type UopCache struct {
 	cfg  Config
 	sets int
 	// tags packs each way's valid bit and tag (region tag ⧺ start
-	// offset) as validBit|tag (zero = invalid), with LRU stamps in a
-	// parallel array: tag checks — which run several times per cycle on
-	// both the demand and alternate paths and usually miss — scan one
-	// cache line per set without touching the entry payloads.
+	// offset) as validBit|tag (zero = invalid), apart from the payloads:
+	// tag checks — which run several times per cycle on both the demand
+	// and alternate paths and usually miss — scan one cache line per
+	// set. Sets are in recency order (package lru), payloads moving with
+	// their tags.
 	tags  []uint64 // sets × ways
-	lrus  []uint64 // sets × ways
-	data  []Entry
-	clock uint64
+	data  []Entry  // sets × ways
 	stats Stats
 
 	// Set/tag extraction constants (masks when sets is a power of two,
@@ -140,7 +141,6 @@ func New(cfg Config) *UopCache {
 	sets := cfg.Sets()
 	u := &UopCache{cfg: cfg, sets: sets,
 		tags: make([]uint64, sets*cfg.Ways),
-		lrus: make([]uint64, sets*cfg.Ways),
 		data: make([]Entry, sets*cfg.Ways)}
 	if sets&(sets-1) == 0 {
 		u.setsPow2 = true
@@ -185,18 +185,21 @@ func (u *UopCache) BankOf(pc uint64) int {
 
 // Lookup finds the entry starting exactly at pc. It updates LRU and hit
 // statistics (demand lookups only — use Probe for tag checks). It runs
-// once per fetched entry in the cycle engine's inner loop.
+// once per fetched entry in the cycle engine's inner loop. A hit moves
+// the entry to the front of its set, so the returned pointer is valid
+// only until the next Lookup, Insert or InvalidateLine.
 //
 //ucplint:hotpath
 func (u *UopCache) Lookup(pc uint64) (*Entry, bool) {
 	u.stats.Lookups++
-	u.clock++
 	base := u.setOf(pc) * u.cfg.Ways
+	tags, data := u.tags[base:base+u.cfg.Ways], u.data[base:base+u.cfg.Ways]
 	want := validBit | u.tagOf(pc)
-	for w, tv := range u.tags[base : base+u.cfg.Ways] {
+	for w, tv := range tags {
 		if tv == want {
-			e := &u.data[base+w]
-			u.lrus[base+w] = u.clock
+			lru.ToFront(tags, w, want)
+			lru.ToFront(data, w, data[w])
+			e := &data[0]
 			e.Used = true
 			if e.Prefetched {
 				u.stats.PrefetchUsed++
@@ -225,75 +228,54 @@ func (u *UopCache) Probe(pc uint64) bool {
 	return false
 }
 
-// Insert installs an entry starting at pc holding ops µ-ops. prefetched
+// Insert installs an entry starting at pc holding ops µ-ops as its
+// set's most recent way, a new one over the last (LRU) way. prefetched
 // distinguishes UCP fills from demand builds.
 func (u *UopCache) Insert(pc uint64, ops, branches uint8, endsTaken, prefetched bool) {
 	u.stats.Inserts++
 	if prefetched {
 		u.stats.PrefetchInserts++
 	}
-	u.clock++
 	base := u.setOf(pc) * u.cfg.Ways
+	tags, data := u.tags[base:base+u.cfg.Ways], u.data[base:base+u.cfg.Ways]
 	want := validBit | u.tagOf(pc)
-	// The tag scan covers the whole set: InvalidateLine can leave an
-	// empty way in front of a resident copy of want. The victim is the
-	// first empty way (an invalidated way keeps a stale stamp, read as
-	// 0), else the least recently used.
-	victim, oldest := 0, ^uint64(0)
-	for w, tv := range u.tags[base : base+u.cfg.Ways] {
-		if tv == want {
-			// Rebuild of an existing entry: refresh in place.
-			e := &u.data[base+w]
-			e.Ops, e.Branches, e.EndsTaken = ops, branches, endsTaken
-			u.lrus[base+w] = u.clock
-			return
-		}
-		l := u.lrus[base+w]
-		if tv == 0 {
-			l = 0
-		}
-		if l < oldest {
-			victim, oldest = w, l
-		}
-	}
-	v := &u.data[base+victim]
-	if u.tags[base+victim] != 0 {
+	e := Entry{Ops: ops, Branches: branches, EndsTaken: endsTaken, Prefetched: prefetched}
+	w := slices.Index(tags, want)
+	if w >= 0 {
+		// Rebuild of an existing entry: refresh it in place.
+		e.Prefetched, e.Used = data[w].Prefetched, data[w].Used
+	} else if w = len(tags) - 1; tags[w] != 0 {
 		u.stats.Evictions++
-		if v.Prefetched && !v.Used {
+		if v := data[w]; v.Prefetched && !v.Used {
 			u.stats.PrefetchEvictUnused++
 		}
 	}
-	u.tags[base+victim] = want
-	u.lrus[base+victim] = u.clock
-	*v = Entry{
-		Ops: ops, Branches: branches, EndsTaken: endsTaken,
-		Prefetched: prefetched,
-	}
+	lru.ToFront(tags, w, want)
+	lru.ToFront(data, w, e)
 }
 
 // InvalidateLine invalidates every entry whose code region lies within
 // the given 64-byte line. Used by the L1I-inclusive design point
 // (§IV-G2): when the L1I evicts a line, the µ-op cache may not keep its
-// decoded form.
+// decoded form. Each touched set is compacted in place, keeping the
+// recency order of the survivors; a way's position carries no timing
+// (the tag-check banks interleave by set, not way).
 func (u *UopCache) InvalidateLine(lineAddr uint64) {
 	for region := lineAddr &^ (isa.LineBytes - 1); region < lineAddr+isa.LineBytes; region += isa.EntryBytes {
 		base := u.setOf(region) * u.cfg.Ways
+		tags, data := u.tags[base:base+u.cfg.Ways], u.data[base:base+u.cfg.Ways]
 		regionTag := region / isa.EntryBytes / uint64(u.sets)
-		for w, tv := range u.tags[base : base+u.cfg.Ways] {
+		n := 0
+		for w, tv := range tags {
 			if tv != 0 && (tv&^validBit)>>3 == regionTag {
-				u.tags[base+w] = 0
-				u.data[base+w] = Entry{}
 				u.stats.Invalidations++
+				continue
 			}
+			tags[n], data[n] = tv, data[w]
+			n++
 		}
-	}
-}
-
-// InvalidateAll empties the cache (used between experiment phases).
-func (u *UopCache) InvalidateAll() {
-	for i := range u.data {
-		u.tags[i] = 0
-		u.data[i] = Entry{}
+		clear(tags[n:])
+		clear(data[n:])
 	}
 }
 
