@@ -37,7 +37,8 @@
 #                           file parser, ckpt.Open, the warm-checkpoint
 #                           restore in internal/sim, runq's disk-cache
 #                           record load, sweepd's job submission and
-#                           its ?after= event-stream resume)
+#                           its ?after= event-stream resume, and the
+#                           program generator over any valid profile)
 #   7b. recorded trace file (tracegen writes a .ucpt file and -inspect
 #                           accepts it; two ucpsim -file runs print
 #                           cmp-equal digests; a copy with one appended
@@ -243,6 +244,7 @@ if [ "$FAST" -eq 0 ]; then
 	# those runs, and for these targets that stalled the smoke after ~3s.
 	go test -fuzz=FuzzSubmit -fuzztime=5s -fuzzminimizetime=50x -run='^$' ./internal/sweepd
 	go test -fuzz=FuzzEventsAfter -fuzztime=5s -fuzzminimizetime=50x -run='^$' ./internal/sweepd
+	go test -fuzz=FuzzBuildProgram -fuzztime=5s -fuzzminimizetime=50x -run='^$' ./internal/trace
 else
 	echo "skipped (-fast)"
 fi

@@ -19,6 +19,10 @@ func (s *Stack) SaveState(w *ckpt.Writer) {
 func (s *Stack) LoadState(r *ckpt.Reader) {
 	r.Section("ras")
 	r.U64sInto(s.entries)
-	s.top = int(r.Uvarint())
-	s.depth = int(r.Uvarint())
+	top, depth := r.Uvarint(), r.Uvarint()
+	if n := uint64(len(s.entries)); top >= n || depth > n {
+		r.Failf("ras: top %d, depth %d in a %d-entry stack", top, depth, n)
+		return
+	}
+	s.top, s.depth = int(top), int(depth)
 }

@@ -3,6 +3,8 @@ package ras
 import (
 	"testing"
 	"testing/quick"
+
+	"ucp/internal/ckpt"
 )
 
 func TestPushPopLIFO(t *testing.T) {
@@ -151,6 +153,41 @@ func TestCopyFromMatchesPopSequence(t *testing.T) {
 		}
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadStateRejectsPositionPastStack restores hand-built sections
+// whose write position or depth lies outside the stack: each must fail
+// on the reader rather than panic on the first Push.
+func TestLoadStateRejectsPositionPastStack(t *testing.T) {
+	for _, tc := range []struct{ top, depth uint64 }{{32, 0}, {0, 33}, {1 << 40, 1}} {
+		w := ckpt.NewWriter()
+		w.Section("ras")
+		w.U64s(make([]uint64, 32))
+		w.Uvarint(tc.top)
+		w.Uvarint(tc.depth)
+		r, err := ckpt.Open(w.Seal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := New(32)
+		s.LoadState(r)
+		if r.Close() == nil {
+			t.Errorf("top %d, depth %d: restored without error", tc.top, tc.depth)
+		}
+		s.Push(1) // the rejected values were not installed
+	}
+	// The last valid write position restores.
+	full := New(32)
+	for i := range 31 {
+		full.Push(uint64(i))
+	}
+	w := ckpt.NewWriter()
+	full.SaveState(w)
+	r, _ := ckpt.Open(w.Seal())
+	New(32).LoadState(r)
+	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -56,7 +56,8 @@ func sectionOffset(f *testing.F, payload []byte, name string, nth int) int {
 // and a nonzero keep truncates the result. Edits keep inputs small
 // while reaching every field, and the edited payload is sealed before
 // restoring so it gets past the envelope digest. Malformed state must
-// surface as an error, never a panic.
+// surface as an error, never a panic — neither in the restore nor in
+// the 2,000 cycles a restored machine then runs.
 func FuzzRestoreWarm(f *testing.F) {
 	prof, _ := trace.ProfileByName("srv203")
 	prog, err := trace.BuildProgram(prof)
@@ -91,6 +92,15 @@ func FuzzRestoreWarm(f *testing.F) {
 			f.Add(withUCP, uint32(off), []byte{0x7f}, false, uint32(0))
 			f.Add(withUCP, uint32(off+1), []byte{0x01}, true, uint32(0))
 		}
+		// The RAS write position follows its entries: this seed sets it
+		// to the capacity, one past the last slot.
+		ras := fuzzMachine(prog, withUCP).fe.RAS
+		off := sectionOffset(f, payloads[i], "ras", 1)
+		for range ras.Capacity() {
+			_, n := binary.Uvarint(payloads[i][off:])
+			off += n
+		}
+		f.Add(withUCP, uint32(off), []byte{byte(ras.Capacity())}, false, uint32(0))
 	}
 	f.Fuzz(func(t *testing.T, withUCP bool, off uint32, patch []byte, insert bool, keep uint32) {
 		base := payloads[0]
@@ -113,6 +123,12 @@ func FuzzRestoreWarm(f *testing.F) {
 			w.Byte(b)
 		}
 		m := fuzzMachine(prog, withUCP)
-		_ = m.restoreWarm(w.Seal())
+		if m.restoreWarm(w.Seal()) != nil {
+			return
+		}
+		// A restore that loads must leave a machine that runs.
+		for range 2_000 {
+			m.Step()
+		}
 	})
 }

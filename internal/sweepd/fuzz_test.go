@@ -15,6 +15,7 @@ import (
 	"ucp/internal/runq"
 	"ucp/internal/sim"
 	"ucp/internal/sweepd"
+	"ucp/internal/trace"
 )
 
 // FuzzSubmit posts arbitrary bodies to /v1/jobs. Every one must get a
@@ -37,7 +38,8 @@ func FuzzSubmit(f *testing.F) {
 	})
 	h := srv.Handler()
 
-	spec := sweepd.JobSpec{Config: sim.Baseline(), Warmup: 1000, Measure: 1000}
+	crypto, _ := trace.ProfileByName("crypto01")
+	spec := sweepd.JobSpec{Config: sim.Baseline(), Profile: crypto, Warmup: 1000, Measure: 1000}
 	spec.Config.WarmupInsts, spec.Config.MeasureInsts = 1000, 1000
 	valid, err := json.Marshal(sweepd.SubmitRequest{
 		Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion, Jobs: []sweepd.JobSpec{spec}})
@@ -50,6 +52,11 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"protocol":"` + sweepd.ProtocolVersion + `","model":"` + sim.ModelVersion + `","jobs":[]}`))
 	f.Add(bytes.Replace(valid, []byte(`"RASEntries":64`), []byte(`"RASEntries":0`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"measure":1000`), []byte(`"measure":1000,"segments":4`), 1))
+	// Profile fields: a build that would exhaust memory, a trip-count
+	// range the generator cannot draw from, and a fraction past one.
+	f.Add(bytes.Replace(valid, []byte(`"Funcs":16`), []byte(`"Funcs":2000000000`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"LoopTripMean":14`), []byte(`"LoopTripMean":-5`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"StreamFrac":0.6`), []byte(`"StreamFrac":1.6`), 1))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))
@@ -85,7 +92,7 @@ func FuzzEventsAfter(f *testing.F) {
 	})
 	h := srv.Handler()
 
-	spec := sweepd.JobSpec{Config: sim.Baseline(), Warmup: 1000, Measure: 1000}
+	spec := sweepd.JobSpec{Config: sim.Baseline(), Profile: trace.QuickProfiles()[0], Warmup: 1000, Measure: 1000}
 	spec.Config.WarmupInsts, spec.Config.MeasureInsts = 1000, 1000
 	body, err := json.Marshal(sweepd.SubmitRequest{
 		Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion, Jobs: []sweepd.JobSpec{spec}})

@@ -232,13 +232,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusBadRequest, "empty job batch")
 		return
 	}
-	// Resolve keys and validate configs before taking the lock: a bad
-	// job rejects the batch with a 400 naming the offender, not a 500
-	// from the middle of execution.
+	// Resolve keys and validate configs and profiles before taking the
+	// lock: a bad job rejects the batch with a 400 naming the offender,
+	// not a 500 — or an out-of-memory program build — from the middle of
+	// execution.
 	ids := make([]string, len(req.Jobs))
 	jobs := make([]runq.Job, len(req.Jobs))
 	for i, spec := range req.Jobs {
-		if err := spec.Config.Validate(); err != nil {
+		err := spec.Config.Validate()
+		if err == nil {
+			err = spec.Profile.Validate()
+		}
+		if err != nil {
 			replyError(w, http.StatusBadRequest, fmt.Sprintf("job %d (%s): %v", i, spec.Config.Name, err))
 			return
 		}

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -637,6 +638,44 @@ func TestInvalidBlockBTBRejected(t *testing.T) {
 	}
 	if n := execs.Load(); n != 0 {
 		t.Fatalf("rejected job ran %d times", n)
+	}
+}
+
+// TestInvalidProfileRejected posts batches whose profile the generator
+// cannot build: a program far past the code cap (built, it would ask
+// the server for gigabytes) and a negative loop trip mean (its build
+// would panic drawing a trip count). Admission validates the profile,
+// so each POST gets a 400 naming the job and nothing reaches the pool.
+func TestInvalidProfileRejected(t *testing.T) {
+	var execs atomic.Int32
+	_, hs, _ := startServer(t, sweepd.Config{
+		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
+			execs.Add(1)
+			return sim.Result{}, nil
+		}},
+	})
+	for _, edit := range []func(p *trace.Profile){
+		func(p *trace.Profile) { p.Funcs = 2_000_000_000 },
+		func(p *trace.Profile) { p.LoopTripMean, p.FixedTripFrac = -4, 0.5 },
+	} {
+		spec := testSpec(t, "badprofile")
+		edit(&spec.Profile)
+		body, _ := json.Marshal(sweepd.SubmitRequest{
+			Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion,
+			Jobs: []sweepd.JobSpec{testSpec(t, "fine"), spec},
+		})
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "job 1 (badprofile)") {
+			t.Fatalf("status %d, body %s; want a 400 naming job 1", resp.StatusCode, msg)
+		}
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("rejected batches ran %d jobs", n)
 	}
 }
 

@@ -83,3 +83,56 @@ func FuzzValidate(f *testing.F) {
 		_ = Validate(insts) // must not panic
 	})
 }
+
+// fuzzCodeBudget caps the budgeted code size (Funcs×AvgFuncInsts) of a
+// fuzzed profile that is built and walked, so each input stays cheap.
+const fuzzCodeBudget = 20_000
+
+// FuzzBuildProgram draws every Profile field: a profile either fails
+// Validate, or builds and walks 10K instructions through Next and 10K
+// through SkipWarm without panicking.
+func FuzzBuildProgram(f *testing.F) {
+	add := func(p Profile) {
+		f.Add(p.Seed, p.Funcs, p.AvgFuncInsts, p.FlatFrac, p.CondPatternFrac, p.CondHistoryFrac,
+			p.CondRandomFrac, p.RandomTakenP, p.HistMaskBitsMin, p.HistMaskBitsMax, p.LoopTripMean,
+			p.FixedTripFrac, p.IndirectFrac, p.IndHistFrac, p.DataWSS, p.StreamFrac, p.LoadFrac, p.StoreFrac)
+	}
+	for _, p := range QuickProfiles() {
+		add(p)
+	}
+	crypto, _ := ProfileByName("crypto01")
+	for _, edit := range []func(p *Profile){
+		func(p *Profile) { p.Funcs = 2_000_000_000 },
+		func(p *Profile) { p.LoopTripMean, p.FixedTripFrac = -1, 0.5 },
+		func(p *Profile) { p.Funcs, p.DataWSS, p.LoopTripMean = 1, 0, 0 },
+		func(p *Profile) { p.HistMaskBitsMin, p.HistMaskBitsMax = 0, maxHistMaskBits },
+		func(p *Profile) { p.LoadFrac, p.StoreFrac, p.StreamFrac, p.DataWSS = 1, 1, 1, maxDataWSS },
+		func(p *Profile) { p.LoopTripMean, p.FixedTripFrac, p.CondRandomFrac = maxLoopTripMean, 0, 1 },
+	} {
+		p := crypto
+		edit(&p)
+		add(p)
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, funcs, avg int, flat, pat, hist, rnd, takenP float64,
+		hmin, hmax int, trip, fixed, ind, indHist float64, wss uint64, stream, load, store float64) {
+		p := Profile{
+			Name: "fuzz", Seed: seed, Funcs: funcs, AvgFuncInsts: avg, FlatFrac: flat,
+			CondPatternFrac: pat, CondHistoryFrac: hist, CondRandomFrac: rnd, RandomTakenP: takenP,
+			HistMaskBitsMin: hmin, HistMaskBitsMax: hmax, LoopTripMean: trip, FixedTripFrac: fixed,
+			IndirectFrac: ind, IndHistFrac: indHist, DataWSS: wss, StreamFrac: stream,
+			LoadFrac: load, StoreFrac: store,
+		}
+		if p.Validate() != nil || p.Funcs*p.AvgFuncInsts > fuzzCodeBudget {
+			return
+		}
+		prog, err := BuildProgram(p)
+		if err != nil {
+			t.Fatalf("valid profile %+v did not build: %v", p, err)
+		}
+		w := NewWalker(prog)
+		for range 10_000 {
+			w.Next()
+		}
+		w.SkipWarm(10_000, &countWarmer{})
+	})
+}

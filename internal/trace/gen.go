@@ -80,6 +80,72 @@ func (p *Profile) FootprintBytes() uint64 {
 	return uint64(p.Funcs*p.AvgFuncInsts) * isa.InstBytes
 }
 
+// Profile limits (README, "Custom workloads"; DESIGN.md, "Program
+// image").
+const (
+	// maxStaticInsts bounds a generated program's code: 4M
+	// instructions (16 MiB of code, 64 MiB of image), 30× the largest
+	// built-in profile. Code indices fit 32 bits far beyond it; the cap
+	// keeps one submitted profile from exhausting a server's memory.
+	maxStaticInsts = 1 << 22
+	// maxDataWSS keeps every heap page number within 32 bits.
+	maxDataWSS = 1<<(32+pageShift) - heapBase
+	// maxHistMaskBits keeps a history branch's mask window (2+2·bits
+	// positions) inside the 64-bit global history.
+	maxHistMaskBits = 31
+	// maxLoopTripMean is the cap on a geometric trip-count draw; a
+	// larger mean changes nothing, and trip counts stay int32.
+	maxLoopTripMean = 1 << 20
+)
+
+// Validate reports whether BuildProgram can generate and encode p: a
+// budgeted code size within maxStaticInsts, a data working set whose
+// page numbers fit the image, and every fraction and range the
+// generator draws from within its domain.
+func (p *Profile) Validate() error {
+	if p.Funcs < 1 || p.AvgFuncInsts < 16 {
+		return fmt.Errorf("trace: profile %q needs Funcs>=1, AvgFuncInsts>=16", p.Name)
+	}
+	// A function's body budget is below 1.5×AvgFuncInsts.
+	if p.Funcs > maxStaticInsts || p.AvgFuncInsts > maxStaticInsts ||
+		p.Funcs*(p.AvgFuncInsts+p.AvgFuncInsts/2) > maxStaticInsts {
+		return fmt.Errorf("trace: profile %q: Funcs×1.5×AvgFuncInsts (%d×%d) exceeds %d static instructions",
+			p.Name, p.Funcs, p.AvgFuncInsts, maxStaticInsts)
+	}
+	if p.DataWSS > maxDataWSS {
+		return fmt.Errorf("trace: profile %q: DataWSS %d exceeds %d", p.Name, p.DataWSS, uint64(maxDataWSS))
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"FlatFrac", p.FlatFrac},
+		{"CondPatternFrac", p.CondPatternFrac},
+		{"CondHistoryFrac", p.CondHistoryFrac},
+		{"CondRandomFrac", p.CondRandomFrac},
+		{"RandomTakenP", p.RandomTakenP},
+		{"FixedTripFrac", p.FixedTripFrac},
+		{"IndirectFrac", p.IndirectFrac},
+		{"IndHistFrac", p.IndHistFrac},
+		{"StreamFrac", p.StreamFrac},
+		{"LoadFrac", p.LoadFrac},
+		{"StoreFrac", p.StoreFrac},
+	} {
+		if !(f.v >= 0 && f.v <= 1) {
+			return fmt.Errorf("trace: profile %q: %s %v outside [0,1]", p.Name, f.name, f.v)
+		}
+	}
+	if p.HistMaskBitsMin < 0 || p.HistMaskBitsMin > maxHistMaskBits ||
+		p.HistMaskBitsMax < 0 || p.HistMaskBitsMax > maxHistMaskBits {
+		return fmt.Errorf("trace: profile %q: HistMaskBitsMin/Max %d/%d outside [0,%d]",
+			p.Name, p.HistMaskBitsMin, p.HistMaskBitsMax, maxHistMaskBits)
+	}
+	if !(p.LoopTripMean >= 0 && p.LoopTripMean <= maxLoopTripMean) {
+		return fmt.Errorf("trace: profile %q: LoopTripMean %v outside [0,%d]", p.Name, p.LoopTripMean, maxLoopTripMean)
+	}
+	return nil
+}
+
 type behaviorKind uint8
 
 const (
@@ -93,33 +159,33 @@ const (
 
 // behavior is the build-time description of a branch site's dynamic
 // policy. Runtime state lives in the Walker so Programs are immutable
-// and shareable.
+// and shareable. Fields are ordered widest first so the struct packs.
 type behavior struct {
-	kind behaviorKind
 	// p is the taken probability for biased/random branches.
 	p float64
 	// pattern/period drive bPattern.
 	pattern uint64
-	period  uint8
 	// histMask selects the global-history bits whose parity decides a
 	// bHistory branch; histPhase inverts the outcome.
-	histMask  uint64
-	histPhase bool
+	histMask uint64
 	// Loop trip behavior: tripFixed > 0 means a constant trip count;
 	// otherwise tripRange > 0 samples uniformly in
 	// [tripBase, tripBase+tripRange) (low-variance, partially
 	// predictable), and failing both, trips are geometric with mean
 	// tripMean (high-variance, an organic H2P source).
-	tripFixed int32
-	tripBase  int32
-	tripRange int32
-	tripMean  float64
+	tripMean float64
 	// cases are indirect targets; caseHist selects history-correlated
 	// target choice, caseFlat the probability of a uniform (vs Zipf)
 	// random pick.
-	cases    []uint64
-	caseHist bool
-	caseFlat float64
+	cases     []uint64
+	caseFlat  float64
+	tripFixed int32
+	tripBase  int32
+	tripRange int32
+	kind      behaviorKind
+	period    uint8
+	histPhase bool
+	caseHist  bool
 }
 
 type memMode uint8
@@ -131,31 +197,62 @@ const (
 	memStack
 )
 
-// StaticInst is one instruction of the generated code image.
+// StaticInst is one instruction of the generated code image, packed
+// into 16 bytes (DESIGN.md, "Program image"). The two 32-bit operands
+// mean what the class says:
+//   - a direct branch (conditional, jump, call) keeps its target's code
+//     index in a; a conditional or indirect branch keeps its behavior
+//     index in b; a return has neither;
+//   - a load or store keeps its base as a 4 KiB page number in a, and a
+//     streaming one its walker counter slot in b. The span follows from
+//     the mode: a stack frame is stackSpan bytes, a heap access covers
+//     the program's region.
 type StaticInst struct {
-	Class  isa.Class
-	Target uint64 // direct branch/call target
-	behav  int32  // behavior index, -1 if none
-
-	mode   memMode
-	base   uint64
-	span   uint64
-	stride uint32
-
+	Class           isa.Class
+	mode            memMode
+	stride          uint8 // streaming stride in bytes: 8, 16 or 32
 	Dst, Src1, Src2 uint8
+	a, b            uint32
+}
+
+// Program image encoding: page numbers and code indices are 32 bits.
+const (
+	pageShift = 12
+	// stackSpan is the byte span of every stack-frame access.
+	stackSpan = 256
+)
+
+// targetPC returns a direct branch's target address.
+func (si *StaticInst) targetPC() uint64 { return pcOf(si.a) }
+
+// base returns a memory instruction's base address.
+func (si *StaticInst) base() uint64 { return uint64(si.a) << pageShift }
+
+// pcOf returns the address of code index i.
+func pcOf(i uint32) uint64 { return CodeBase + uint64(i)*isa.InstBytes }
+
+// hasBehavior reports whether instructions of class c index a behavior.
+func hasBehavior(c isa.Class) bool {
+	return c == isa.CondBranch || c == isa.IndirectJump || c == isa.IndirectCall
 }
 
 // Program is an immutable generated code image.
 type Program struct {
 	Profile Profile
-	Code    []StaticInst
+	code    []StaticInst
 	// Entry is the dispatcher address where execution starts.
 	Entry     uint64
 	behaviors []behavior
+	// regionMask is the span of every heap access less one. A region
+	// is 4 or 16 KiB, a power of two, so the walker reduces offsets by
+	// masking, which yields exactly what a modulo would. streams counts
+	// the streaming memory instructions, one walker counter each.
+	regionMask uint64
+	streams    int
 }
 
 // StaticInsts returns the number of generated static instructions.
-func (p *Program) StaticInsts() int { return len(p.Code) }
+func (p *Program) StaticInsts() int { return len(p.code) }
 
 // asm accumulates code during program construction.
 type asm struct {
@@ -163,21 +260,24 @@ type asm struct {
 	r         *rng.Rand
 	code      []StaticInst
 	behaviors []behavior
-	heapBase  uint64
 	regions   int
 	regionSz  uint64
+	streams   int
 }
 
-func (a *asm) pc() uint64 { return CodeBase + uint64(len(a.code))*isa.InstBytes }
+// at returns the code index of the next emitted instruction.
+func (a *asm) at() uint32 { return uint32(len(a.code)) }
+
+func (a *asm) pc() uint64 { return pcOf(a.at()) }
 
 func (a *asm) emit(si StaticInst) int {
 	a.code = append(a.code, si)
 	return len(a.code) - 1
 }
 
-func (a *asm) addBehavior(b behavior) int32 {
+func (a *asm) addBehavior(b behavior) uint32 {
 	a.behaviors = append(a.behaviors, b)
-	return int32(len(a.behaviors) - 1)
+	return uint32(len(a.behaviors) - 1)
 }
 
 // reg returns a random architectural register in [1, isa.RegCount).
@@ -186,7 +286,7 @@ func (a *asm) reg() uint8 { return uint8(1 + a.r.Intn(isa.RegCount-1)) }
 // straight emits n non-branch instructions with the profile's class mix.
 func (a *asm) straight(n int, fnStack uint64) {
 	for i := 0; i < n; i++ {
-		si := StaticInst{behav: -1, Dst: a.reg(), Src1: a.reg(), Src2: a.reg()}
+		si := StaticInst{Dst: a.reg(), Src1: a.reg(), Src2: a.reg()}
 		u := a.r.Float64()
 		switch {
 		case u < a.prof.LoadFrac:
@@ -213,18 +313,22 @@ func (a *asm) assignMem(si *StaticInst, fnStack uint64) {
 	case u < 0.25:
 		// Stack accesses: tiny hot region, nearly always cache hits.
 		si.mode = memStack
-		si.base = fnStack
-		si.span = 256
+		si.a = uint32(fnStack >> pageShift)
 	case u < 0.25+a.prof.StreamFrac:
 		si.mode = memStream
-		si.base = a.heapBase + uint64(a.r.Intn(a.regions))*a.regionSz
-		si.span = a.regionSz
-		si.stride = uint32(8 << a.r.Intn(3)) // 8/16/32-byte strides
+		si.a = a.heapPage()
+		si.stride = uint8(8 << a.r.Intn(3)) // 8/16/32-byte strides
+		si.b = uint32(a.streams)
+		a.streams++
 	default:
 		si.mode = memRandom
-		si.base = a.heapBase + uint64(a.r.Intn(a.regions))*a.regionSz
-		si.span = a.regionSz
+		si.a = a.heapPage()
 	}
+}
+
+// heapPage draws a heap region and returns its base page number.
+func (a *asm) heapPage() uint32 {
+	return uint32((heapBase + uint64(a.r.Intn(a.regions))*a.regionSz) >> pageShift)
 }
 
 // condBehavior samples a conditional branch policy from the profile mix.
@@ -337,18 +441,18 @@ func (a *asm) buildBody(budget, depth int, fnStack uint64, inLoop bool) int {
 func (a *asm) buildIf(depth int, fnStack uint64, inLoop bool) int {
 	start := len(a.code)
 	bi := a.addBehavior(a.condBehavior())
-	condIdx := a.emit(StaticInst{Class: isa.CondBranch, behav: bi, Src1: a.reg()})
+	condIdx := a.emit(StaticInst{Class: isa.CondBranch, b: bi, Src1: a.reg()})
 	thenN := 1 + a.r.Geometric(4)
 	if depth < 3 && a.r.Bool(0.3) {
 		a.buildBody(thenN, depth+1, fnStack, inLoop)
 	} else {
 		a.straight(thenN, fnStack)
 	}
-	jmpIdx := a.emit(StaticInst{Class: isa.DirectJump, behav: -1})
-	a.code[condIdx].Target = a.pc()
+	jmpIdx := a.emit(StaticInst{Class: isa.DirectJump})
+	a.code[condIdx].a = a.at()
 	elseN := 1 + a.r.Geometric(3)
 	a.straight(elseN, fnStack)
-	a.code[jmpIdx].Target = a.pc()
+	a.code[jmpIdx].a = a.at()
 	return len(a.code) - start
 }
 
@@ -356,7 +460,7 @@ func (a *asm) buildIf(depth int, fnStack uint64, inLoop bool) int {
 // Taken means "iterate again".
 func (a *asm) buildLoop(depth int, fnStack uint64) int {
 	start := len(a.code)
-	top := a.pc()
+	top := a.at()
 	bodyN := 2 + a.r.Geometric(4)
 	if depth < 3 && a.r.Bool(0.35) {
 		a.buildBody(bodyN, depth+1, fnStack, true)
@@ -375,7 +479,7 @@ func (a *asm) buildLoop(depth int, fnStack uint64) int {
 		b.tripBase, b.tripRange = base, 3
 	}
 	bi := a.addBehavior(b)
-	a.emit(StaticInst{Class: isa.CondBranch, Target: top, behav: bi, Src1: a.reg()})
+	a.emit(StaticInst{Class: isa.CondBranch, a: top, b: bi, Src1: a.reg()})
 	return len(a.code) - start
 }
 
@@ -387,17 +491,17 @@ func (a *asm) buildSwitch(fnStack uint64) int {
 		kind:     bIndirect,
 		caseHist: a.r.Bool(a.prof.IndHistFrac),
 	})
-	a.emit(StaticInst{Class: isa.IndirectJump, behav: bi, Src1: a.reg()})
+	a.emit(StaticInst{Class: isa.IndirectJump, b: bi, Src1: a.reg()})
 	var jmps []int
 	cases := make([]uint64, 0, n)
 	for i := 0; i < n; i++ {
 		cases = append(cases, a.pc())
 		a.straight(1+a.r.Geometric(3), fnStack)
-		jmps = append(jmps, a.emit(StaticInst{Class: isa.DirectJump, behav: -1}))
+		jmps = append(jmps, a.emit(StaticInst{Class: isa.DirectJump}))
 	}
-	end := a.pc()
+	end := a.at()
 	for _, j := range jmps {
-		a.code[j].Target = end
+		a.code[j].a = end
 	}
 	a.behaviors[bi].cases = cases
 	return len(a.code) - start
@@ -418,25 +522,30 @@ func (a *asm) buildCall(callees []uint64) int {
 			cases:    cs,
 			caseHist: a.r.Bool(a.prof.IndHistFrac),
 		})
-		a.emit(StaticInst{Class: isa.IndirectCall, behav: bi, Src1: a.reg()})
+		a.emit(StaticInst{Class: isa.IndirectCall, b: bi, Src1: a.reg()})
 	} else {
 		t := callees[a.r.Zipf(len(callees))]
-		a.emit(StaticInst{Class: isa.Call, Target: t, behav: -1})
+		a.emit(StaticInst{Class: isa.Call, a: uint32((t - CodeBase) / isa.InstBytes)})
 	}
 	return len(a.code) - start
 }
 
-// stackBase is where per-function stack frames live.
-const stackBase uint64 = 1 << 40
+// Heap regions start at heapBase; per-function stack frames live one
+// page each from stackBase. Both are page-aligned, so the image stores
+// every base as a page number.
+const (
+	heapBase  uint64 = 1 << 32
+	stackBase uint64 = 1 << 40
+)
 
-// BuildProgram lowers a profile to a concrete code image.
+// BuildProgram lowers a profile to a concrete code image. It rejects a
+// profile that fails Validate.
 func BuildProgram(prof Profile) (*Program, error) {
-	if prof.Funcs < 1 || prof.AvgFuncInsts < 16 {
-		return nil, fmt.Errorf("trace: profile %q needs Funcs>=1, AvgFuncInsts>=16", prof.Name)
+	if err := prof.Validate(); err != nil {
+		return nil, err
 	}
 	r := rng.New(prof.Seed)
-	a := &asm{prof: &prof, r: r, heapBase: 1 << 32}
-	a.regionSz = 16 * 1024
+	a := &asm{prof: &prof, r: r, regionSz: 16 * 1024}
 	if prof.DataWSS < a.regionSz {
 		a.regionSz = 4096
 	}
@@ -446,18 +555,10 @@ func BuildProgram(prof Profile) (*Program, error) {
 	}
 
 	// Build functions back to front so function i can call j > i,
-	// keeping the call graph a DAG (no unbounded recursion).
+	// keeping the call graph a DAG (no unbounded recursion): function
+	// N-1 lands at CodeBase and lower-index functions at higher
+	// addresses.
 	funcAddrs := make([]uint64, prof.Funcs)
-	type pending struct {
-		idx  int
-		code []StaticInst
-		behs []behavior
-	}
-	// We emit back-to-front into a temporary asm per function, then
-	// concatenate front-to-back. Simpler: lay out functions in reverse
-	// address order is wrong; instead do two passes — first compute
-	// sizes, then emit. To stay single-pass, lay function N-1 first at
-	// CodeBase and give lower-index functions higher addresses.
 	for i := prof.Funcs - 1; i >= 0; i-- {
 		funcAddrs[i] = a.pc()
 		fnStack := stackBase + uint64(i)*4096
@@ -491,27 +592,36 @@ func BuildProgram(prof Profile) (*Program, error) {
 				a.buildCall(callees)
 			}
 		}
-		a.emit(StaticInst{Class: isa.Return, behav: -1})
+		a.emit(StaticInst{Class: isa.Return})
+		// Validate bounds the budgeted size; construct overshoot could
+		// still carry the code past the cap.
+		if len(a.code) > maxStaticInsts {
+			return nil, fmt.Errorf("trace: profile %q generated more than %d static instructions", prof.Name, maxStaticInsts)
+		}
 	}
 
 	// Dispatcher: an endless loop indirectly calling top-level functions.
-	entry := a.pc()
+	entry := a.at()
 	dispStack := stackBase + uint64(prof.Funcs)*4096
 	a.straight(3, dispStack)
 	bi := a.addBehavior(behavior{
 		kind:     bIndirect,
-		cases:    append([]uint64(nil), funcAddrs...),
+		cases:    funcAddrs,
 		caseFlat: prof.FlatFrac,
 	})
-	a.emit(StaticInst{Class: isa.IndirectCall, behav: bi, Src1: a.reg()})
+	a.emit(StaticInst{Class: isa.IndirectCall, b: bi, Src1: a.reg()})
 	a.straight(2, dispStack)
-	a.emit(StaticInst{Class: isa.DirectJump, Target: entry, behav: -1})
+	a.emit(StaticInst{Class: isa.DirectJump, a: entry})
 
+	// Copy out of the append slack: the image lives as long as the
+	// program is cached.
 	return &Program{
-		Profile:   prof,
-		Code:      a.code,
-		Entry:     entry,
-		behaviors: a.behaviors,
+		Profile:    prof,
+		code:       append(make([]StaticInst, 0, len(a.code)), a.code...),
+		Entry:      pcOf(entry),
+		behaviors:  append(make([]behavior, 0, len(a.behaviors)), a.behaviors...),
+		regionMask: a.regionSz - 1,
+		streams:    a.streams,
 	}, nil
 }
 
@@ -524,13 +634,15 @@ type branchState struct {
 // Walker interprets a Program, producing an endless instruction stream.
 // It implements Source (Next never returns ok=false; wrap in a Limit).
 type Walker struct {
-	prog   *Program
-	r      *rng.Rand
-	pc     uint64
-	stack  []uint64
-	ghist  uint64
-	st     []branchState
-	memCnt []uint32
+	prog  *Program
+	r     *rng.Rand
+	pc    uint64
+	stack []uint64
+	ghist uint64
+	st    []branchState
+	// streamCnt holds one access counter per streaming memory
+	// instruction, indexed by its slot.
+	streamCnt []uint32
 }
 
 // NewWalker returns a fresh interpreter over prog.
@@ -548,14 +660,10 @@ func (w *Walker) Reset() {
 	w.ghist = 0
 	if w.st == nil {
 		w.st = make([]branchState, len(w.prog.behaviors))
-		w.memCnt = make([]uint32, len(w.prog.Code))
+		w.streamCnt = make([]uint32, w.prog.streams)
 	} else {
-		for i := range w.st {
-			w.st[i] = branchState{}
-		}
-		for i := range w.memCnt {
-			w.memCnt[i] = 0
-		}
+		clear(w.st)
+		clear(w.streamCnt)
 	}
 }
 
@@ -579,8 +687,7 @@ func mixHash(x uint64) uint64 {
 
 // Next implements Source.
 func (w *Walker) Next() (isa.Inst, bool) {
-	idx := int((w.pc - CodeBase) / isa.InstBytes)
-	si := &w.prog.Code[idx]
+	si := &w.prog.code[(w.pc-CodeBase)/isa.InstBytes]
 	in := isa.Inst{
 		PC:    w.pc,
 		Class: si.Class,
@@ -590,21 +697,19 @@ func (w *Walker) Next() (isa.Inst, bool) {
 	}
 	switch si.Class {
 	case isa.CondBranch:
-		b := &w.prog.behaviors[si.behav]
-		st := &w.st[si.behav]
-		taken := w.evalCond(b, st)
+		taken := w.evalCond(&w.prog.behaviors[si.b], &w.st[si.b])
 		in.Taken = taken
-		in.Target = si.Target
+		in.Target = si.targetPC()
 		w.ghist = w.ghist<<1 | b2u(taken)
 	case isa.DirectJump:
 		in.Taken = true
-		in.Target = si.Target
+		in.Target = si.targetPC()
 	case isa.Call:
 		in.Taken = true
-		in.Target = si.Target
+		in.Target = si.targetPC()
 		w.stack = append(w.stack, w.pc+isa.InstBytes)
 	case isa.IndirectJump, isa.IndirectCall:
-		b := &w.prog.behaviors[si.behav]
+		b := &w.prog.behaviors[si.b]
 		in.Taken = true
 		in.Target = w.evalIndirect(b)
 		if si.Class == isa.IndirectCall {
@@ -621,7 +726,7 @@ func (w *Walker) Next() (isa.Inst, bool) {
 			in.Target = w.prog.Entry
 		}
 	case isa.Load, isa.Store:
-		in.MemAddr = w.memAddr(si, idx)
+		in.MemAddr = w.memAddr(si)
 	}
 	w.pc = in.NextPC()
 	return in, true
@@ -688,17 +793,17 @@ func (w *Walker) evalIndirect(b *behavior) uint64 {
 	return b.cases[i]
 }
 
-func (w *Walker) memAddr(si *StaticInst, idx int) uint64 {
+func (w *Walker) memAddr(si *StaticInst) uint64 {
 	switch si.mode {
 	case memStream:
-		cnt := w.memCnt[idx]
-		w.memCnt[idx]++
-		off := (uint64(cnt) * uint64(si.stride)) % si.span
-		return si.base + off
+		cnt := w.streamCnt[si.b]
+		w.streamCnt[si.b]++
+		off := (uint64(cnt) * uint64(si.stride)) & w.prog.regionMask
+		return si.base() + off
 	case memRandom:
-		return si.base + (w.r.Uint64n(si.span) &^ 7)
+		return si.base() + (w.r.Uint64()&w.prog.regionMask)&^7
 	case memStack:
-		return si.base + (w.r.Uint64n(si.span) &^ 7)
+		return si.base() + (w.r.Uint64n(stackSpan) &^ 7)
 	default:
 		return 0
 	}
@@ -717,10 +822,10 @@ func min(a, b int) int {
 // workload diagnostics.
 func (p *Program) BehaviorDescAt(pc uint64) string {
 	idx := int((pc - CodeBase) / isa.InstBytes)
-	if idx < 0 || idx >= len(p.Code) || p.Code[idx].behav < 0 {
+	if idx < 0 || idx >= len(p.code) || !hasBehavior(p.code[idx].Class) {
 		return ""
 	}
-	b := &p.behaviors[p.Code[idx].behav]
+	b := &p.behaviors[p.code[idx].b]
 	switch b.kind {
 	case bBiased:
 		return fmt.Sprintf("biased p=%.3f", b.p)
@@ -743,8 +848,8 @@ func (p *Program) BehaviorDescAt(pc uint64) string {
 // alternate fill path).
 func (p *Program) ClassAt(pc uint64) (isa.Class, bool) {
 	idx := int((pc - CodeBase) / isa.InstBytes)
-	if pc < CodeBase || idx >= len(p.Code) || pc%isa.InstBytes != 0 {
+	if pc < CodeBase || idx >= len(p.code) || pc%isa.InstBytes != 0 {
 		return isa.ALU, false
 	}
-	return p.Code[idx].Class, true
+	return p.code[idx].Class, true
 }

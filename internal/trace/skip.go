@@ -189,8 +189,7 @@ func (w *Walker) SkipWarm(n int, wm Warmer) int {
 	}
 	lastLine, lineValid := uint64(0), false
 	for i := 0; i < n; i++ {
-		idx := int((w.pc - CodeBase) / isa.InstBytes)
-		si := &w.prog.Code[idx]
+		si := &w.prog.code[(w.pc-CodeBase)/isa.InstBytes]
 		if wm != nil {
 			if la := w.pc &^ uint64(isa.LineBytes-1); !lineValid || la != lastLine {
 				lastLine, lineValid = la, true
@@ -200,22 +199,21 @@ func (w *Walker) SkipWarm(n int, wm Warmer) int {
 		next := w.pc + isa.InstBytes
 		switch si.Class {
 		case isa.CondBranch:
-			b := &w.prog.behaviors[si.behav]
-			taken := w.evalCond(b, &w.st[si.behav])
+			taken := w.evalCond(&w.prog.behaviors[si.b], &w.st[si.b])
 			w.ghist = w.ghist<<1 | b2u(taken)
 			if bw != nil {
 				bw.WarmCond(w.pc, taken)
 			}
 			if taken {
-				next = si.Target
+				next = si.targetPC()
 			}
 		case isa.DirectJump:
-			next = si.Target
+			next = si.targetPC()
 		case isa.Call:
 			w.stack = append(w.stack, next)
-			next = si.Target
+			next = si.targetPC()
 		case isa.IndirectJump, isa.IndirectCall:
-			b := &w.prog.behaviors[si.behav]
+			b := &w.prog.behaviors[si.b]
 			if si.Class == isa.IndirectCall {
 				w.stack = append(w.stack, next)
 			}
@@ -228,7 +226,7 @@ func (w *Walker) SkipWarm(n int, wm Warmer) int {
 				next = w.prog.Entry
 			}
 		case isa.Load, isa.Store:
-			addr := w.memAddr(si, idx)
+			addr := w.memAddr(si)
 			if wm != nil {
 				wm.WarmMem(addr)
 			}

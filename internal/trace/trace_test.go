@@ -2,8 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ucp/internal/isa"
 )
@@ -58,6 +60,68 @@ func TestBuildProgramRejectsBadProfile(t *testing.T) {
 	if _, err := BuildProgram(Profile{Name: "bad"}); err == nil {
 		t.Fatal("expected error for empty profile")
 	}
+	ok, _ := ProfileByName("srv203")
+	for name, edit := range map[string]func(p *Profile){
+		"huge Funcs":               func(p *Profile) { p.Funcs = 2_000_000_000 },
+		"huge AvgFuncInsts":        func(p *Profile) { p.AvgFuncInsts = 1 << 40 },
+		"code past the cap":        func(p *Profile) { p.Funcs, p.AvgFuncInsts = maxStaticInsts/24+1, 16 },
+		"negative LoopTripMean":    func(p *Profile) { p.LoopTripMean, p.FixedTripFrac = -3, 0.5 },
+		"NaN LoopTripMean":         func(p *Profile) { p.LoopTripMean = math.NaN() },
+		"huge LoopTripMean":        func(p *Profile) { p.LoopTripMean = 1e12 },
+		"negative fraction":        func(p *Profile) { p.StreamFrac = -0.1 },
+		"fraction above one":       func(p *Profile) { p.IndirectFrac = 1.5 },
+		"NaN fraction":             func(p *Profile) { p.FlatFrac = math.NaN() },
+		"negative HistMaskBitsMin": func(p *Profile) { p.HistMaskBitsMin = -1 },
+		"HistMaskBitsMax past 31":  func(p *Profile) { p.HistMaskBitsMax = 32 },
+		"heap past page numbers":   func(p *Profile) { p.DataWSS = maxDataWSS + 1 },
+	} {
+		p := ok
+		edit(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", name, p)
+		}
+		if _, err := BuildProgram(p); err == nil {
+			t.Errorf("%s: BuildProgram accepted it", name)
+		}
+	}
+	// The bounds themselves are valid.
+	edge := ok
+	edge.Funcs, edge.AvgFuncInsts = maxStaticInsts/24, 16
+	edge.DataWSS, edge.LoopTripMean = maxDataWSS, maxLoopTripMean
+	edge.HistMaskBitsMin, edge.HistMaskBitsMax = 0, maxHistMaskBits
+	if err := edge.Validate(); err != nil {
+		t.Errorf("edge profile rejected: %v", err)
+	}
+	for _, p := range append(DefaultProfiles(), QuickProfiles()...) {
+		if err := p.Validate(); err != nil {
+			t.Errorf("built-in profile rejected: %v", err)
+		}
+	}
+}
+
+// TestProgramFootprint holds the compact image: a 16-byte static
+// instruction, code and behaviors without append slack, and one walker
+// counter per streaming memory instruction.
+func TestProgramFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(StaticInst{}); got != 16 {
+		t.Fatalf("StaticInst is %d bytes, want 16", got)
+	}
+	for _, p := range DefaultProfiles() {
+		prog := mustProgram(t, p)
+		if cap(prog.code) != len(prog.code) || cap(prog.behaviors) != len(prog.behaviors) {
+			t.Errorf("%s: code %d/%d, behaviors %d/%d (len/cap)", p.Name,
+				len(prog.code), cap(prog.code), len(prog.behaviors), cap(prog.behaviors))
+		}
+		streams := 0
+		for i := range prog.code {
+			if prog.code[i].mode == memStream {
+				streams++
+			}
+		}
+		if n := len(NewWalker(prog).streamCnt); n != streams || streams == 0 {
+			t.Errorf("%s: walker keeps %d counters for %d streaming instructions", p.Name, n, streams)
+		}
+	}
 }
 
 func TestWalkerControlFlowConsistency(t *testing.T) {
@@ -97,7 +161,7 @@ func TestWalkerDeterminism(t *testing.T) {
 
 func TestWalkerPCsWithinImage(t *testing.T) {
 	prog := mustProgram(t, QuickProfiles()[0])
-	limit := CodeBase + uint64(len(prog.Code))*isa.InstBytes
+	limit := CodeBase + uint64(len(prog.code))*isa.InstBytes
 	w := NewWalker(prog)
 	for i := 0; i < 30000; i++ {
 		in, _ := w.Next()
@@ -110,7 +174,7 @@ func TestWalkerPCsWithinImage(t *testing.T) {
 func TestFootprintMatchesProfile(t *testing.T) {
 	for _, p := range DefaultProfiles() {
 		prog := mustProgram(t, p)
-		got := uint64(len(prog.Code)) * isa.InstBytes
+		got := uint64(len(prog.code)) * isa.InstBytes
 		want := p.FootprintBytes()
 		// The builder targets the profile footprint within a loose band;
 		// construct granularity makes it overshoot somewhat.
