@@ -51,8 +51,9 @@
 #   9. hotpath gate        (quick-sweep determinism digests must byte-
 #                           match testdata/hotpath_digest.golden — every
 #                           optimization is provably outcome-neutral —
-#                           and a BenchmarkSimQuick smoke records
-#                           insts/s + allocs/inst into BENCH_hotpath.json;
+#                           and five BenchmarkSimQuick samples record the
+#                           quartiles of insts/s, allocs/inst and
+#                           bytes/inst into BENCH_hotpath.json;
 #                           a -benchtime=1x smoke of the internal/trace
 #                           generator-vs-arena benchmarks prints their
 #                           per-instruction costs, ungated)
@@ -332,10 +333,12 @@ fi
 
 if want hotpath-bench; then
 step "hotpath benchmark (BenchmarkSimQuick)"
-# One iteration is enough for a smoke + a steady-state allocs/inst
-# reading (the sim loop is allocation-free; construction amortizes).
-# Timings are recorded, never gated.
-go test -run '^$' -bench '^BenchmarkSimQuick$' -benchtime=1x . | tee "$RUNQ_TMP/bench.txt"
+# Five one-iteration samples: a single one moves by a third on host
+# noise, so the record keeps their median and quartiles (the record
+# rejects fewer than five). -benchmem adds B/op, which the record turns
+# into bytes per simulated instruction. Timings are recorded, never
+# gated.
+go test -run '^$' -bench '^BenchmarkSimQuick$' -benchtime=1x -count=5 -benchmem . | tee "$RUNQ_TMP/bench.txt"
 grep -q '^BenchmarkSimQuick' "$RUNQ_TMP/bench.txt" || {
 	echo "hotpath: BenchmarkSimQuick produced no result line" >&2; exit 1; }
 # sweep_serial_ms is 0 when the runq gate did not run this invocation.

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -81,14 +82,46 @@ func buildRunqRecord(args []string, cores int) (benchRecord, error) {
 	return rec, nil
 }
 
-// hotpathRecord is BENCH_hotpath.json: BenchmarkSimQuick's throughput
-// and allocation rate, with the runq gate's serial sweep time from the
-// same check.sh invocation (0 when that gate did not run).
+// hotpathRecord is BENCH_hotpath.json: BenchmarkSimQuick's throughput,
+// allocation count and allocated bytes per simulated instruction, each
+// as the quartiles of at least hotpathSamples runs (one -benchtime=1x
+// run moves by a third on host noise alone), with the runq gate's
+// serial sweep time from the same check.sh invocation (0 when that gate
+// did not run).
 type hotpathRecord struct {
 	benchEnvelope
-	SimulatedInstsPerSec float64 `json:"simulated_insts_per_sec"`
-	AllocsPerInst        float64 `json:"allocs_per_inst"`
-	SweepSerialMS        int64   `json:"sweep_serial_ms"`
+	Samples              int       `json:"samples"`
+	SimulatedInstsPerSec quartiles `json:"simulated_insts_per_sec"`
+	AllocsPerInst        quartiles `json:"allocs_per_inst"`
+	BytesPerInst         quartiles `json:"bytes_per_inst"`
+	SweepSerialMS        int64     `json:"sweep_serial_ms"`
+}
+
+// hotpathSamples is the fewest BenchmarkSimQuick result lines a
+// hotpath record accepts (check.sh runs -count 5).
+const hotpathSamples = 5
+
+// quartiles summarizes samples by their median and quartiles.
+type quartiles struct {
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+}
+
+// quartilesOf returns the quartiles of v, linearly interpolated between
+// order statistics and rounded to places decimals.
+func quartilesOf(v []float64, places int) quartiles {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	q := func(p float64) float64 {
+		x := p * float64(len(s)-1)
+		i := int(x)
+		if i+1 >= len(s) {
+			return roundTo(s[len(s)-1], places)
+		}
+		return roundTo(s[i]+(x-float64(i))*(s[i+1]-s[i]), places)
+	}
+	return quartiles{q(0.25), q(0.5), q(0.75)}
 }
 
 func buildHotpathRecord(args []string, cores int) (benchRecord, error) {
@@ -104,32 +137,43 @@ func buildHotpathRecord(args []string, cores int) (benchRecord, error) {
 		return nil, err
 	}
 	// A result line is the name (with any -GOMAXPROCS suffix), the
-	// iteration count, then value/unit pairs; the last one counts.
+	// iteration count, then value/unit pairs. B/op comes from
+	// -benchmem; the benchmark reports insts/op, so their ratio is the
+	// bytes allocated per simulated instruction.
 	const name = "BenchmarkSimQuick"
-	var units map[string]string
+	var ips, apis, bpis []float64
 	for _, line := range strings.Split(string(out), "\n") {
 		f := strings.Fields(line)
 		if len(f) == 0 || (f[0] != name && !strings.HasPrefix(f[0], name+"-")) {
 			continue
 		}
-		units = map[string]string{}
+		units := map[string]float64{}
 		for i := 3; i < len(f); i += 2 {
-			units[f[i]] = f[i-1]
+			if v, err := strconv.ParseFloat(f[i-1], 64); err == nil {
+				units[f[i]] = v
+			}
 		}
-	}
-	if units == nil {
-		return nil, fmt.Errorf("no %s result line", name)
-	}
-	var vals [2]float64
-	for i, u := range []string{"insts/s", "allocs/inst"} {
-		if vals[i], err = strconv.ParseFloat(units[u], 64); err != nil {
-			return nil, fmt.Errorf("%s reports no %s", name, u)
+		for _, u := range []string{"insts/s", "allocs/inst", "B/op", "insts/op"} {
+			if _, ok := units[u]; !ok {
+				return nil, fmt.Errorf("%s reports no %s", name, u)
+			}
 		}
+		if units["insts/op"] <= 0 {
+			return nil, fmt.Errorf("%s reports %v insts/op", name, units["insts/op"])
+		}
+		ips = append(ips, units["insts/s"])
+		apis = append(apis, units["allocs/inst"])
+		bpis = append(bpis, units["B/op"]/units["insts/op"])
+	}
+	if len(ips) < hotpathSamples {
+		return nil, fmt.Errorf("got %d %s result lines, want at least %d (-count %d)", len(ips), name, hotpathSamples, hotpathSamples)
 	}
 	return hotpathRecord{
 		benchEnvelope:        newEnvelope("BenchmarkSimQuick (quick set, baseline+UCP, 30k+30k insts each)", cores),
-		SimulatedInstsPerSec: roundTo(vals[0], 0),
-		AllocsPerInst:        roundTo(vals[1], 5),
+		Samples:              len(ips),
+		SimulatedInstsPerSec: quartilesOf(ips, 0),
+		AllocsPerInst:        quartilesOf(apis, 5),
+		BytesPerInst:         quartilesOf(bpis, 2),
 		SweepSerialMS:        sweepMS,
 	}, nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -55,8 +56,10 @@ func TestRunqRecord(t *testing.T) {
 	}
 }
 
-// TestHotpathRecord reads BenchmarkSimQuick's units from go test -bench
-// output and pins BENCH_hotpath.json's fields and precision.
+// TestHotpathRecord reads five BenchmarkSimQuick samples from go test
+// -bench -benchmem output and pins BENCH_hotpath.json's fields: the
+// quartiles of insts/s, allocs/inst and bytes per instruction (B/op
+// over insts/op), and their precision.
 func TestHotpathRecord(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -66,8 +69,17 @@ func TestHotpathRecord(t *testing.T) {
 		}
 		return path
 	}
-	good := write("good.txt", "goos: linux\nBenchmarkSimQuickOther-2 1 5 ns/op 7 insts/s\n"+
-		"BenchmarkSimQuick-2   \t       1\t3739466855 ns/op\t    962506.4 insts/s\t         0.023064 allocs/inst\nPASS\n")
+	line := func(ips, apis float64, bop int) string {
+		return fmt.Sprintf("BenchmarkSimQuick-2   \t       1\t3739466855 ns/op\t%12.1f insts/s\t%12.6f allocs/inst\t"+
+			"    360000 insts/op\t%9d B/op\t   8302 allocs/op\n", ips, apis, bop)
+	}
+	// Five samples, out of order, with one slow outlier: the median
+	// and quartiles ignore it where a single sample would not.
+	body := "goos: linux\nBenchmarkSimQuickOther-2 1 5 ns/op 7 insts/s\n" +
+		line(962506.4, 0.023064, 7_200_000) + line(1_010_000, 0.023064, 7_200_360) +
+		line(640_000, 0.023100, 7_300_000) + line(990_000, 0.023064, 7_200_000) +
+		line(1_000_000, 0.023070, 7_236_000) + "PASS\n"
+	good := write("good.txt", body)
 	rec, err := buildHotpathRecord([]string{good, "22518"}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +87,23 @@ func TestHotpathRecord(t *testing.T) {
 	got := recordJSON(t, rec)
 	for _, want := range []string{
 		`"schema_version": 1`, `"bench": "BenchmarkSimQuick (quick set, baseline+UCP, 30k+30k insts each)"`, `"cores": 2`,
-		`"simulated_insts_per_sec": 962506,`, `"allocs_per_inst": 0.02306,`, `"sweep_serial_ms": 22518`,
+		`"samples": 5,`,
+		`"simulated_insts_per_sec": {
+    "q1": 962506,
+    "median": 990000,
+    "q3": 1000000
+  },`,
+		`"allocs_per_inst": {
+    "q1": 0.02306,
+    "median": 0.02306,
+    "q3": 0.02307
+  },`,
+		`"bytes_per_inst": {
+    "q1": 20,
+    "median": 20,
+    "q3": 20.1
+  },`,
+		`"sweep_serial_ms": 22518`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("record lacks %s:\n%s", want, got)
@@ -86,8 +114,10 @@ func TestHotpathRecord(t *testing.T) {
 		args []string
 		want string
 	}{
-		{"no result line", []string{write("none.txt", "BenchmarkSimQuickOther 1 5 ns/op\n"), "0"}, "no BenchmarkSimQuick result line"},
+		{"no result line", []string{write("none.txt", "BenchmarkSimQuickOther 1 5 ns/op\n"), "0"}, "got 0 BenchmarkSimQuick result lines, want at least 5"},
+		{"one sample", []string{write("one.txt", line(9, 1, 10)), "0"}, "got 1 BenchmarkSimQuick result lines, want at least 5"},
 		{"missing unit", []string{write("unit.txt", "BenchmarkSimQuick 1 5 ns/op 9 insts/s\n"), "0"}, "reports no allocs/inst"},
+		{"no -benchmem", []string{write("mem.txt", "BenchmarkSimQuick 1 5 ns/op 9 insts/s 0.1 allocs/inst 7 insts/op\n"), "0"}, "reports no B/op"},
 		{"missing file", []string{filepath.Join(dir, "absent.txt"), "0"}, "absent.txt"},
 		{"bad sweep time", []string{good, "soon"}, "not a millisecond count"},
 		{"too few", []string{good}, "want 2"},

@@ -270,58 +270,75 @@ func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64
 	}
 }
 
+// resultJSON is the -json object of one result.
+func resultJSON(r sim.Result) map[string]any {
+	out := map[string]any{
+		"trace":            r.Trace,
+		"config":           r.Name,
+		"instructions":     r.Insts,
+		"cycles":           r.Cycles,
+		"ipc":              r.IPC,
+		"uopHitRate":       r.UopHitRate,
+		"switchPKI":        r.SwitchPKI,
+		"condMPKI":         r.CondMPKI,
+		"prefetchAccuracy": r.PrefetchAccuracy,
+		"ucp": map[string]any{
+			"triggers":     r.UCP.Triggers,
+			"fills":        r.UCP.FillsInserted,
+			"prefetches":   r.UCP.PrefetchesIssued,
+			"linesPerPath": safeDiv(r.UCP.LinesPrefetched, r.UCP.Triggers),
+			"storageKB":    r.UCPStorageKB,
+			"btbConflicts": r.UCP.BTBConflicts,
+			// Why alternate paths did not start or ended, and how far
+			// each walked (the same counters as the digest's ucp= line).
+			"triggersBlocked": r.UCP.TriggersBlocked,
+			"stops": map[string]any{
+				"threshold": r.UCP.StopThreshold,
+				"noBranch":  r.UCP.StopNoBranch,
+				"indirect":  r.UCP.StopIndirect,
+				"rasEmpty":  r.UCP.StopRASEmpty,
+				"newH2P":    r.UCP.StopNewH2P,
+			},
+			"walkedPerPath": safeDiv(r.UCP.WalkedInsts, r.UCP.Triggers),
+		},
+	}
+	if s := r.Sampled; s != nil {
+		sampled := map[string]any{
+			"windows":       s.Windows,
+			"skippedInsts":  s.SkippedInsts,
+			"ffInsts":       s.FFInsts,
+			"detailedInsts": s.DetailedInsts,
+			"measuredInsts": s.MeasuredInsts,
+			"ipcMean":       s.IPCMean,
+			"ipcCI95":       s.IPCCI95,
+			"mpkiMean":      s.MPKIMean,
+			"mpkiCI95":      s.MPKICI95,
+		}
+		if s.TargetCI > 0 {
+			sampled["targetCI"] = s.TargetCI
+			sampled["windowBudget"] = s.WindowBudget
+			sampled["targetMet"] = s.TargetMet
+		}
+		out["sampled"] = sampled
+	}
+	if tp := r.TimePar; tp != nil {
+		out["timepar"] = map[string]any{
+			"segments":     tp.Segments,
+			"boundaries":   tp.Boundaries,
+			"segInsts":     tp.SegInsts,
+			"segCycles":    tp.SegCycles,
+			"segIPC":       tp.SegIPC,
+			"skippedInsts": tp.SkippedInsts,
+			"ffInsts":      tp.FFInsts,
+		}
+	}
+	return out
+}
+
 // emit prints one result as a table row or JSON object.
 func emit(r sim.Result, asJSON, withHist bool) {
 	if asJSON {
-		out := map[string]any{
-			"trace":            r.Trace,
-			"config":           r.Name,
-			"instructions":     r.Insts,
-			"cycles":           r.Cycles,
-			"ipc":              r.IPC,
-			"uopHitRate":       r.UopHitRate,
-			"switchPKI":        r.SwitchPKI,
-			"condMPKI":         r.CondMPKI,
-			"prefetchAccuracy": r.PrefetchAccuracy,
-			"ucp": map[string]any{
-				"triggers":     r.UCP.Triggers,
-				"fills":        r.UCP.FillsInserted,
-				"prefetches":   r.UCP.PrefetchesIssued,
-				"linesPerPath": safeDiv(r.UCP.LinesPrefetched, r.UCP.Triggers),
-				"storageKB":    r.UCPStorageKB,
-				"btbConflicts": r.UCP.BTBConflicts,
-			},
-		}
-		if s := r.Sampled; s != nil {
-			sampled := map[string]any{
-				"windows":       s.Windows,
-				"skippedInsts":  s.SkippedInsts,
-				"ffInsts":       s.FFInsts,
-				"detailedInsts": s.DetailedInsts,
-				"measuredInsts": s.MeasuredInsts,
-				"ipcMean":       s.IPCMean,
-				"ipcCI95":       s.IPCCI95,
-				"mpkiMean":      s.MPKIMean,
-				"mpkiCI95":      s.MPKICI95,
-			}
-			if s.TargetCI > 0 {
-				sampled["targetCI"] = s.TargetCI
-				sampled["windowBudget"] = s.WindowBudget
-				sampled["targetMet"] = s.TargetMet
-			}
-			out["sampled"] = sampled
-		}
-		if tp := r.TimePar; tp != nil {
-			out["timepar"] = map[string]any{
-				"segments":     tp.Segments,
-				"boundaries":   tp.Boundaries,
-				"segInsts":     tp.SegInsts,
-				"segCycles":    tp.SegCycles,
-				"segIPC":       tp.SegIPC,
-				"skippedInsts": tp.SkippedInsts,
-				"ffInsts":      tp.FFInsts,
-			}
-		}
+		out := resultJSON(r)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {

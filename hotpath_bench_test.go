@@ -7,7 +7,9 @@ package ucp_test
 // The steady-state simulation loop is allocation-free; the allocs/inst
 // figure amortizes one-time construction (predictor tables, trace
 // programs) over the run and should stay near zero. check.sh runs this
-// with -benchtime=1x and records both metrics in BENCH_hotpath.json.
+// five times at -benchtime=1x with -benchmem and records the quartiles
+// of insts/s, allocs/inst and bytes per instruction (B/op over
+// insts/op) in BENCH_hotpath.json.
 
 import (
 	"runtime"
@@ -48,4 +50,7 @@ func BenchmarkSimQuick(b *testing.B) {
 	runtime.ReadMemStats(&ms1)
 	b.ReportMetric(float64(simulated)/b.Elapsed().Seconds(), "insts/s")
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/float64(simulated), "allocs/inst")
+	// With -benchmem, B/op over insts/op is the bytes allocated per
+	// simulated instruction.
+	b.ReportMetric(float64(simulated)/float64(b.N), "insts/op")
 }

@@ -22,6 +22,7 @@ package backend
 import (
 	"ucp/internal/cache"
 	"ucp/internal/isa"
+	"ucp/internal/recycle"
 )
 
 // Config sizes the backend.
@@ -118,7 +119,7 @@ type Backend struct {
 // New constructs a backend over the given memory hierarchy.
 func New(cfg Config, mem *cache.Hierarchy) *Backend {
 	return &Backend{cfg: cfg, mem: mem,
-		rob:      make([]robEntry, cfg.ROB),
+		rob:      recycle.Make[robEntry](cfg.ROB),
 		issuedF:  make([]bool, cfg.ROB),
 		unissued: make([]int, 0, cfg.ROB)}
 }
@@ -140,6 +141,13 @@ func (b *Backend) Dispatch(u Uop) {
 	b.dirty = true
 }
 
+// Release hands the ROB back to package recycle; the backend must not
+// be used afterwards.
+func (b *Backend) Release() {
+	recycle.Free(b.rob)
+	b.rob = nil
+}
+
 // DispatchWidth returns the per-cycle dispatch capacity.
 func (b *Backend) DispatchWidth() int { return b.cfg.DispatchWidth }
 
@@ -147,11 +155,9 @@ func (b *Backend) DispatchWidth() int { return b.cfg.DispatchWidth }
 // first, commits finished ones in order, and reports a resolved
 // misprediction if one completed this cycle.
 func (b *Backend) Cycle(now uint64) (committed int, flush *Flush) {
-	issued, loads, stores := 0, 0, 0
 	if b.dirty || now >= b.nextWake {
-		issued, flush = b.issue(now)
+		flush = b.issue(now)
 	}
-	_ = issued
 	// Commit in order.
 	for committed < b.cfg.CommitWidth && b.used > 0 {
 		if !b.issuedF[b.head] || b.rob[b.head].done > now {
@@ -168,14 +174,11 @@ func (b *Backend) Cycle(now uint64) (committed int, flush *Flush) {
 	if committed > 0 {
 		b.dirty = true
 	}
-	_ = loads
-	_ = stores
 	return committed, flush
 }
 
-// issue runs one scheduler scan, returning the number of µ-ops issued
-// and any resolved misprediction.
-func (b *Backend) issue(now uint64) (issued int, flush *Flush) {
+// issue runs one scheduler scan, returning any resolved misprediction.
+func (b *Backend) issue(now uint64) (flush *Flush) {
 	// Iterate the unissued list (program order) instead of walking ROB
 	// slots: already-issued entries between candidates cost nothing.
 	// The candidate set is unchanged — the scheduler still only reaches
@@ -185,7 +188,7 @@ func (b *Backend) issue(now uint64) (issued int, flush *Flush) {
 	if len(list) == 0 {
 		b.dirty = false
 		b.nextWake = ^uint64(0)
-		return 0, nil
+		return nil
 	}
 	rob := b.rob
 	n := len(rob)
@@ -194,7 +197,7 @@ func (b *Backend) issue(now uint64) (issued int, flush *Flush) {
 	oldest := list[0]
 	window := b.cfg.SchedWindow
 	issueWidth := b.cfg.IssueWidth
-	loads, stores := 0, 0
+	issued, loads, stores := 0, 0, 0
 	portLimited := false
 	wake := ^uint64(0)
 	kept := list[:0]
@@ -275,7 +278,7 @@ func (b *Backend) issue(now uint64) (issued int, flush *Flush) {
 	// source-ready time.
 	b.dirty = issued > 0 || portLimited || issued == b.cfg.IssueWidth
 	b.nextWake = wake
-	return issued, flush
+	return flush
 }
 
 // Occupancy returns the live ROB entries.

@@ -1,5 +1,7 @@
 package bpred
 
+import "ucp/internal/recycle"
+
 // LoopPredictor captures branches with regular trip counts, following the
 // L component of TAGE-SC-L: an entry learns the number of consecutive
 // same-direction outcomes before a flip and, once confident, predicts the
@@ -28,9 +30,16 @@ const loopTagBits = 14
 // NewLoopPredictor returns a loop predictor with 2^idxBits entries.
 func NewLoopPredictor(idxBits int) *LoopPredictor {
 	return &LoopPredictor{
-		entries: make([]loopEntry, 1<<idxBits),
+		entries: recycle.Make[loopEntry](1 << idxBits),
 		idxBits: idxBits,
 	}
+}
+
+// Release hands the entries back to package recycle; the predictor must
+// not be used afterwards.
+func (l *LoopPredictor) Release() {
+	recycle.Free(l.entries)
+	l.entries = nil
 }
 
 func (l *LoopPredictor) index(pc uint64) int32 {

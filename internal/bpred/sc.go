@@ -1,5 +1,7 @@
 package bpred
 
+import "ucp/internal/recycle"
+
 // Statistical corrector (SC): a GEHL-style perceptron-ish corrector that
 // can revert the TAGE(-L) prediction when statistical evidence against it
 // is strong. As in the paper's Fig. 6b, the absolute value of the SC
@@ -18,6 +20,7 @@ var scHistLens = [scTables]int{4, 11, 19, 34}
 type SC struct {
 	bias    []int8 // indexed by (pc, tagePred)
 	tables  [scTables][]int8
+	ctrs    []int8 // one array holding bias and tables, from package recycle
 	idxBits int
 
 	// Adaptive use-threshold (O-GEHL style).
@@ -30,11 +33,21 @@ type SC struct {
 // table and a 2^(idxBits+2)-entry bias table.
 func NewSC(idxBits int) *SC {
 	s := &SC{idxBits: idxBits, theta: 10, scale: 6}
-	s.bias = make([]int8, 1<<(idxBits+2))
+	n := 1 << idxBits
+	s.ctrs = recycle.Make[int8](4*n + scTables*n)
+	s.bias = s.ctrs[: 4*n : 4*n]
 	for i := range s.tables {
-		s.tables[i] = make([]int8, 1<<idxBits)
+		lo := 4*n + i*n
+		s.tables[i] = s.ctrs[lo : lo+n : lo+n]
 	}
 	return s
+}
+
+// Release hands the counters back to package recycle; the corrector
+// must not be used afterwards.
+func (s *SC) Release() {
+	recycle.Free(s.ctrs)
+	s.ctrs, s.bias, s.tables = nil, nil, [scTables][]int8{}
 }
 
 func (s *SC) biasIndex(pc uint64, tageTaken bool) int32 {

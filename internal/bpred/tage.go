@@ -3,6 +3,8 @@ package bpred
 import (
 	"fmt"
 	"math"
+
+	"ucp/internal/recycle"
 )
 
 // TAGE: a TAgged GEometric history length predictor (Seznec & Michaud),
@@ -144,6 +146,7 @@ type TAGE struct {
 	shape    histShape
 	bimodal  []uint8 // 2-bit counters
 	tables   [][]tageEntry
+	all      []tageEntry // one array holding every table, from package recycle
 	tagBits  []int
 	lens     []int
 	useAltOn int8  // USE_ALT_ON_NA in [-8,7]. nbits:4
@@ -186,15 +189,17 @@ func NewTAGE(cfg TageConfig) *TAGE {
 	}
 	t := &TAGE{cfg: cfg, lfsr: 0xace1}
 	t.lens = geometricLens(cfg)
-	t.bimodal = make([]uint8, 1<<cfg.BimodalBits)
+	t.bimodal = recycle.Make[uint8](1 << cfg.BimodalBits)
 	for i := range t.bimodal {
 		t.bimodal[i] = 2 // weakly taken
 	}
 	t.tables = make([][]tageEntry, cfg.Tables)
 	t.tagBits = make([]int, cfg.Tables)
 	idxBits := make([]int, cfg.Tables)
+	n := 1 << cfg.IdxBits
+	t.all = recycle.Make[tageEntry](cfg.Tables * n)
 	for i := range t.tables {
-		t.tables[i] = make([]tageEntry, 1<<cfg.IdxBits)
+		t.tables[i] = t.all[i*n : (i+1)*n : (i+1)*n]
 		t.tagBits[i] = cfg.TagBase + i/2
 		if t.tagBits[i] > 15 {
 			t.tagBits[i] = 15
@@ -213,6 +218,14 @@ func NewTAGE(cfg TageConfig) *TAGE {
 		t.tagMasks[i] = uint64(1<<t.tagBits[i]) - 1
 	}
 	return t
+}
+
+// Release hands the bimodal and tagged tables back to package recycle;
+// the predictor must not be used afterwards.
+func (t *TAGE) Release() {
+	recycle.Free(t.bimodal)
+	recycle.Free(t.all)
+	t.bimodal, t.all, t.tables = nil, nil, nil
 }
 
 // Shape exposes the history shape so composites can build Hist contexts.

@@ -89,6 +89,14 @@ func NewTageSCL(cfg Config) *TageSCL {
 	return t
 }
 
+// Release hands every component's tables back to package recycle; the
+// predictor must not be used afterwards.
+func (t *TageSCL) Release() {
+	t.tage.Release()
+	t.loop.Release()
+	t.sc.Release()
+}
+
 // Hist returns the primary (demand-path) history context.
 func (t *TageSCL) Hist() *Hist { return t.hist }
 

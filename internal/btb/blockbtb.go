@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"ucp/internal/lru"
+	"ucp/internal/recycle"
 )
 
 // Block-based BTB (Perais & Sheikh, MICRO'23 — discussed in §IV-C as an
@@ -89,7 +90,14 @@ type BlockBTB struct {
 func NewBlock(cfg BlockConfig) *BlockBTB {
 	sets := cfg.Blocks / cfg.Ways
 	return &BlockBTB{cfg: cfg, sets: sets,
-		tags: make([]uint64, sets*cfg.Ways), data: make([]blockEntry, sets*cfg.Ways)}
+		tags: recycle.Make[uint64](sets * cfg.Ways), data: recycle.Make[blockEntry](sets * cfg.Ways)}
+}
+
+// Release implements TargetBuffer.
+func (b *BlockBTB) Release() {
+	recycle.Free(b.tags)
+	recycle.Free(b.data)
+	b.tags, b.data = nil, nil
 }
 
 func (b *BlockBTB) blockOf(pc uint64) uint64 { return pc / uint64(b.cfg.BlockBytes) }

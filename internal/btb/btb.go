@@ -14,6 +14,7 @@ import (
 	"ucp/internal/ckpt"
 	"ucp/internal/isa"
 	"ucp/internal/lru"
+	"ucp/internal/recycle"
 )
 
 // BranchKind compresses the branch classes a BTB entry distinguishes.
@@ -64,6 +65,9 @@ type TargetBuffer interface {
 	// reader.
 	SaveState(w *ckpt.Writer)
 	LoadState(r *ckpt.Reader)
+	// Release hands the arrays back to package recycle; the buffer must
+	// not be used afterwards.
+	Release()
 }
 
 // Config sizes a BTB.
@@ -138,8 +142,15 @@ func New(cfg Config) *BTB {
 		sets = 1
 	}
 	return &BTB{cfg: cfg, sets: sets, tagShift: 2 + log2(sets),
-		tags: make([]uint64, sets*cfg.Ways),
-		data: make([]entry, sets*cfg.Ways)}
+		tags: recycle.Make[uint64](sets * cfg.Ways),
+		data: recycle.Make[entry](sets * cfg.Ways)}
+}
+
+// Release implements TargetBuffer.
+func (b *BTB) Release() {
+	recycle.Free(b.tags)
+	recycle.Free(b.data)
+	b.tags, b.data = nil, nil
 }
 
 func (b *BTB) setOf(pc uint64) int {

@@ -8,7 +8,10 @@
 // per-bank DRAM timing.
 package cache
 
-import "ucp/internal/lru"
+import (
+	"ucp/internal/lru"
+	"ucp/internal/recycle"
+)
 
 // LineBytes is the cache line size throughout the hierarchy.
 const LineBytes = 64
@@ -99,12 +102,19 @@ func New(cfg Config, lower Level) *Cache {
 	c := &Cache{
 		cfg:   cfg,
 		ways:  cfg.Ways,
-		tags:  make([]uint64, sets*cfg.Ways),
+		tags:  recycle.Make[uint64](sets * cfg.Ways),
 		lower: lower,
 		mshr:  make([]mshrEntry, 0, cfg.MSHRs+1),
 		index: newSetIndex(sets),
 	}
 	return c
+}
+
+// Release hands the tag array back to package recycle; the cache must
+// not be used afterwards.
+func (c *Cache) Release() {
+	recycle.Free(c.tags)
+	c.tags = nil
 }
 
 // setIndex maps a block number (a line address over LineBytes, or a

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ucp/internal/lru"
+	"ucp/internal/recycle"
 )
 
 // Hierarchy wires the Table II memory system: split L1s over a shared
@@ -98,6 +99,17 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return h
 }
 
+// Release hands every cache's and TLB's tags back to package recycle
+// (Cache.Release); the hierarchy must not be used afterwards.
+func (h *Hierarchy) Release() {
+	for _, c := range []*Cache{h.L1I, h.L1D, h.L2, h.LLC} {
+		c.Release()
+	}
+	for _, t := range []*TLB{h.ITLB, h.DTLB, h.STLB} {
+		t.Release()
+	}
+}
+
 // FetchInst returns the cycle at which the instruction line containing
 // addr is available, including address translation.
 func (h *Hierarchy) FetchInst(addr uint64, now uint64) uint64 {
@@ -173,7 +185,14 @@ func NewTLB(cfg TLBConfig, stlb *TLB) *TLB {
 		sets = 1
 	}
 	return &TLB{cfg: cfg, index: newSetIndex(sets),
-		tags: make([]uint64, sets*cfg.Ways), stlb: stlb}
+		tags: recycle.Make[uint64](sets * cfg.Ways), stlb: stlb}
+}
+
+// Release hands the tag array back to package recycle; the TLB must
+// not be used afterwards.
+func (t *TLB) Release() {
+	recycle.Free(t.tags)
+	t.tags = nil
 }
 
 // Translate returns the cycle at which the translation of addr is

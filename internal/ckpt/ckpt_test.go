@@ -555,3 +555,38 @@ func TestStorePruneUnboundedAndMiss(t *testing.T) {
 		release(nil)
 	}
 }
+
+// TestSealExactSizeAndStoreBytes checks that a sealed blob carries no
+// append slack (a 400K-instruction srv203 capture once held 483,328
+// bytes of array for 394,012 of blob) and that Store.Bytes counts
+// exactly the bytes the memo holds.
+func TestSealExactSizeAndStoreBytes(t *testing.T) {
+	s := NewStore("")
+	want := 0
+	for i := 0; i < 3; i++ {
+		w := NewWriter()
+		w.Section("big")
+		for j := 0; j < 10_000*(i+1); j++ {
+			w.Uvarint(uint64(j) << 20)
+		}
+		blob := w.Seal()
+		if cap(blob) != len(blob) {
+			t.Fatalf("blob %d: cap %d, len %d", i, cap(blob), len(blob))
+		}
+		_, hit, release := s.Acquire(fmt.Sprintf("%064d", i))
+		if hit {
+			t.Fatalf("blob %d: unexpected hit", i)
+		}
+		release(blob)
+		want += len(blob)
+	}
+	held := 0
+	s.mu.Lock()
+	for _, b := range s.mem {
+		held += cap(b)
+	}
+	s.mu.Unlock()
+	if held != want || s.Bytes() != held {
+		t.Fatalf("memo holds %d bytes of array, Store.Bytes reports %d, sealed %d", held, s.Bytes(), want)
+	}
+}

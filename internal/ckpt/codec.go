@@ -131,11 +131,13 @@ func (w *Writer) I8s(s []int8) {
 func (w *Writer) Len() int { return len(w.buf) }
 
 // Seal stamps the SHA-256 of everything written so far onto the end and
-// returns the finished blob. The Writer must not be used afterwards.
+// returns the finished blob, in an array of exactly its length: a
+// store holds blobs for its lifetime, so the writer's growth slack must
+// not come with them. The Writer must not be used afterwards.
 func (w *Writer) Seal() []byte {
 	sum := sha256.Sum256(w.buf)
-	w.buf = append(w.buf, sum[:]...)
-	blob := w.buf
+	blob := make([]byte, len(w.buf)+len(sum))
+	copy(blob[copy(blob, w.buf):], sum[:])
 	w.buf = nil
 	return blob
 }

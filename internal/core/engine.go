@@ -106,6 +106,15 @@ func New(cfg Config, fe *frontend.Frontend, code CodeInfo) *Engine {
 	return e
 }
 
+// Release hands the alternate predictors' tables back to package
+// recycle; the engine must not be used afterwards.
+func (e *Engine) Release() {
+	e.altBP.Release()
+	if e.altInd != nil {
+		e.altInd.Release()
+	}
+}
+
 // Stats returns a copy of the counters.
 func (e *Engine) Stats() Stats { return e.stats }
 

@@ -21,6 +21,7 @@ import (
 	"ucp/internal/isa"
 	"ucp/internal/ittage"
 	"ucp/internal/ras"
+	"ucp/internal/recycle"
 	"ucp/internal/stats"
 	"ucp/internal/trace"
 	"ucp/internal/uopcache"
@@ -270,7 +271,7 @@ func New(cfg Config, src trace.Source, pred *bpred.TageSCL, b btb.TargetBuffer,
 		Uop:         u,
 		Mem:         mem,
 		builder:     uopcache.NewBuilder(u, false),
-		ftq:         make([]window, cfg.FTQWindows),
+		ftq:         recycle.Make[window](cfg.FTQWindows),
 		uopq:        make([]DeliveredUop, cfg.UopQueue),
 		mode:        1, // cold caches start on the build path
 		StreamLens:  newStreamLens(),
@@ -285,6 +286,14 @@ func New(cfg Config, src trace.Source, pred *bpred.TageSCL, b btb.TargetBuffer,
 		f.batch = make([]isa.Inst, 128)
 	}
 	return f
+}
+
+// Release hands the FTQ back to package recycle; the frontend must not
+// be used afterwards. The structures passed to New belong to the
+// caller, which releases them itself.
+func (f *Frontend) Release() {
+	recycle.Free(f.ftq)
+	f.ftq = nil
 }
 
 // nextInst pulls the next trace instruction, refilling the read-ahead

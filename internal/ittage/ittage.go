@@ -8,7 +8,11 @@
 // demand-path history and walk an alternate path without perturbing it.
 package ittage
 
-import "fmt"
+import (
+	"fmt"
+
+	"ucp/internal/recycle"
+)
 
 // Hist is the predictor's history context: a 64-bit direction/target
 // history and a path register. It is copied by value for alternate-path
@@ -89,6 +93,7 @@ type Predictor struct {
 	cfg    Config
 	base   []uint64
 	tables [][]entry
+	all    []entry // one array holding every table, from package recycle
 	lens   []int
 	hist   Hist
 	tick   int
@@ -101,11 +106,13 @@ func New(cfg Config) *Predictor {
 		cfg.MaxHist = 32
 	}
 	p := &Predictor{cfg: cfg, lfsr: 0x1d87}
-	p.base = make([]uint64, 1<<cfg.BaseBits)
+	p.base = recycle.Make[uint64](1 << cfg.BaseBits)
 	p.tables = make([][]entry, cfg.Tables)
 	p.lens = make([]int, cfg.Tables)
+	n := 1 << cfg.IdxBits
+	p.all = recycle.Make[entry](cfg.Tables * n)
 	for i := range p.tables {
-		p.tables[i] = make([]entry, 1<<cfg.IdxBits)
+		p.tables[i] = p.all[i*n : (i+1)*n : (i+1)*n]
 		// Geometric-ish spacing between MinHist and MaxHist.
 		p.lens[i] = cfg.MinHist + (cfg.MaxHist-cfg.MinHist)*i*i/((cfg.Tables-1)*(cfg.Tables-1)+1)
 		if i > 0 && p.lens[i] <= p.lens[i-1] {
@@ -113,6 +120,14 @@ func New(cfg Config) *Predictor {
 		}
 	}
 	return p
+}
+
+// Release hands the base and tagged tables back to package recycle; the
+// predictor must not be used afterwards.
+func (p *Predictor) Release() {
+	recycle.Free(p.base)
+	recycle.Free(p.all)
+	p.base, p.all, p.tables = nil, nil, nil
 }
 
 // Hist returns a pointer to the primary (demand-path) history context.

@@ -420,6 +420,7 @@ func (s *SampledStats) Finish(sc SamplingConfig, budget int, targetMet bool) {
 // simply shortens the next period's fast-forward gap.
 func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName string, wc *WarmCheckpoints, hook ProgressFunc) (Result, error) {
 	m := NewMachine(cfg, src, code)
+	defer m.release()
 	s := cfg.Sampling
 	// Window schedule: one window per full period, plus a trailing
 	// window over the remainder when MeasureInsts is not period-aligned

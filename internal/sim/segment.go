@@ -158,6 +158,7 @@ func RunSegment(cfg Config, src trace.Source, code core.CodeInfo, spec SegmentSp
 	// (unlike the sampled mode, which alternates back into functional
 	// phases after detailed windows).
 	m := NewMachine(cfg, src, code)
+	defer m.release()
 
 	warmStart := uint64(0)
 	if spec.Start > warm.DetailedInsts {

@@ -331,6 +331,25 @@ func NewMachine(cfg Config, src trace.Source, code core.CodeInfo) *Machine {
 	return m
 }
 
+// release hands the machine's large arrays (cache and TLB tags, BTB,
+// µ-op cache, predictor tables, the FTQ and the ROB) back to package recycle, for the next
+// machine to reuse, and nils them, so a use after release panics
+// instead of reading another machine's state. The functions that build
+// a machine release it when they return; no Result or SegmentResult
+// refers to a released array.
+func (m *Machine) release() {
+	m.fe.Release()
+	m.be.Release()
+	m.mem.Release()
+	m.fe.BTB.Release()
+	m.uop.Release()
+	m.fe.Pred.Release()
+	m.fe.Ind.Release()
+	if m.ucp != nil {
+		m.ucp.Release()
+	}
+}
+
 // Step advances one cycle and returns the µ-ops committed in it.
 func (m *Machine) Step() int {
 	now := m.cycle
@@ -427,6 +446,7 @@ func RunHooked(cfg Config, src trace.Source, code core.CodeInfo, traceName strin
 	}
 	hook.note(StageWarming, 0, 1)
 	m := NewMachine(cfg, src, code)
+	defer m.release()
 	target := cfg.WarmupInsts
 	var start snapshot
 	warm := false

@@ -16,6 +16,7 @@ import (
 
 	"ucp/internal/isa"
 	"ucp/internal/lru"
+	"ucp/internal/recycle"
 )
 
 // Config sizes the µ-op cache.
@@ -140,8 +141,8 @@ const validBit = uint64(1) << 63
 func New(cfg Config) *UopCache {
 	sets := cfg.Sets()
 	u := &UopCache{cfg: cfg, sets: sets,
-		tags: make([]uint64, sets*cfg.Ways),
-		data: make([]Entry, sets*cfg.Ways)}
+		tags: recycle.Make[uint64](sets * cfg.Ways),
+		data: recycle.Make[Entry](sets * cfg.Ways)}
 	if sets&(sets-1) == 0 {
 		u.setsPow2 = true
 		u.setMask = uint64(sets - 1)
@@ -152,6 +153,14 @@ func New(cfg Config) *UopCache {
 		u.tagShift = 5 + shift // log2(EntryBytes) + log2(sets)
 	}
 	return u
+}
+
+// Release hands the tag and entry arrays back to package recycle; the
+// cache must not be used afterwards.
+func (u *UopCache) Release() {
+	recycle.Free(u.tags)
+	recycle.Free(u.data)
+	u.tags, u.data = nil, nil
 }
 
 // RegionOf returns the 32-byte-aligned region address containing pc.
