@@ -296,6 +296,7 @@ T1=$(now_ms)
 "$RUNQ_TMP/experiments" -all -quick -warmup 60000 -measure 60000 \
 	-jobs 8 -progress=false -cache-dir "$RUNQ_TMP/cache" -o "$RUNQ_TMP/parallel.md"
 T2=$(now_ms)
+touch "$RUNQ_TMP/cache-marker"
 "$RUNQ_TMP/experiments" -all -quick -warmup 60000 -measure 60000 \
 	-jobs 8 -progress=false -cache-dir "$RUNQ_TMP/cache" -o "$RUNQ_TMP/warm.md"
 T3=$(now_ms)
@@ -304,6 +305,12 @@ cmp "$RUNQ_TMP/serial.md" "$RUNQ_TMP/parallel.md" || {
 	echo "runq: -jobs 8 report differs from -jobs 1" >&2; exit 1; }
 cmp "$RUNQ_TMP/serial.md" "$RUNQ_TMP/warm.md" || {
 	echo "runq: cache-warm report differs from cold" >&2; exit 1; }
+# A record format that always misses would pass the cmp by recomputing:
+# the warm pass must serve every job from disk and rewrite no record.
+REWRITTEN=$(find "$RUNQ_TMP/cache" -name '*.rec' -newer "$RUNQ_TMP/cache-marker")
+[ -z "$REWRITTEN" ] || {
+	echo "runq: cache-warm pass rewrote records (a disk miss):" >&2
+	echo "$REWRITTEN" >&2; exit 1; }
 
 SERIAL_MS=$((T1 - T0)); PARALLEL_MS=$((T2 - T1)); WARM_MS=$((T3 - T2))
 # The typed record stamps GOMAXPROCS as its cores and, on one core,

@@ -153,10 +153,11 @@ func (b *Backend) DispatchWidth() int { return b.cfg.DispatchWidth }
 
 // Cycle advances execution by one cycle: issues ready µ-ops oldest
 // first, commits finished ones in order, and reports a resolved
-// misprediction if one completed this cycle.
-func (b *Backend) Cycle(now uint64) (committed int, flush *Flush) {
+// misprediction (flushed true) if one completed this cycle. The flush
+// is returned by value: the cycle loop allocates nothing.
+func (b *Backend) Cycle(now uint64) (committed int, flush Flush, flushed bool) {
 	if b.dirty || now >= b.nextWake {
-		flush = b.issue(now)
+		flush, flushed = b.issue(now)
 	}
 	// Commit in order.
 	for committed < b.cfg.CommitWidth && b.used > 0 {
@@ -174,11 +175,12 @@ func (b *Backend) Cycle(now uint64) (committed int, flush *Flush) {
 	if committed > 0 {
 		b.dirty = true
 	}
-	return committed, flush
+	return committed, flush, flushed
 }
 
-// issue runs one scheduler scan, returning any resolved misprediction.
-func (b *Backend) issue(now uint64) (flush *Flush) {
+// issue runs one scheduler scan, returning the earliest resolved
+// misprediction, if any.
+func (b *Backend) issue(now uint64) (flush Flush, flushed bool) {
 	// Iterate the unissued list (program order) instead of walking ROB
 	// slots: already-issued entries between candidates cost nothing.
 	// The candidate set is unchanged — the scheduler still only reaches
@@ -188,7 +190,7 @@ func (b *Backend) issue(now uint64) (flush *Flush) {
 	if len(list) == 0 {
 		b.dirty = false
 		b.nextWake = ^uint64(0)
-		return nil
+		return Flush{}, false
 	}
 	rob := b.rob
 	n := len(rob)
@@ -267,8 +269,8 @@ func (b *Backend) issue(now uint64) (flush *Flush) {
 			regReady[u.Dst] = e.done
 		}
 		if u.Class.IsBranch() && u.Mispredict {
-			if flush == nil || e.done < flush.Cycle {
-				flush = &Flush{Cycle: e.done, PC: u.PC}
+			if !flushed || e.done < flush.Cycle {
+				flush, flushed = Flush{Cycle: e.done, PC: u.PC}, true
 			}
 		}
 	}
@@ -278,7 +280,7 @@ func (b *Backend) issue(now uint64) (flush *Flush) {
 	// source-ready time.
 	b.dirty = issued > 0 || portLimited || issued == b.cfg.IssueWidth
 	b.nextWake = wake
-	return flush
+	return flush, flushed
 }
 
 // Occupancy returns the live ROB entries.

@@ -18,7 +18,7 @@ func drain(t *testing.T, b *Backend, n int, bound uint64) uint64 {
 	var now uint64
 	total := 0
 	for uint64(total) < uint64(n) {
-		c, _ := b.Cycle(now)
+		c, _, _ := b.Cycle(now)
 		total += c
 		now++
 		if now > bound {
@@ -71,7 +71,7 @@ func TestLoadPortLimit(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		b.Dispatch(Uop{PC: 0x1000, Class: isa.Load, Dst: uint8(i + 1), MemAddr: uint64(1<<32 + i*8)})
 	}
-	if _, _ = b.Cycle(0); b.LoadsIssued > 3 {
+	if _, _, _ = b.Cycle(0); b.LoadsIssued > 3 {
 		t.Fatalf("issued %d loads in one cycle (3 ports)", b.LoadsIssued)
 	}
 	b.Cycle(1)
@@ -101,7 +101,7 @@ func TestCommitInOrder(t *testing.T) {
 	}
 	committed := 0
 	for now := uint64(0); now < 20; now++ {
-		c, _ := b.Cycle(now)
+		c, _, _ := b.Cycle(now)
 		committed += c
 	}
 	if committed != 0 {
@@ -118,7 +118,7 @@ func TestCommitWidth(t *testing.T) {
 	for now := uint64(0); now < 5; now++ {
 		b.Cycle(now)
 	}
-	c, _ := b.Cycle(100)
+	c, _, _ := b.Cycle(100)
 	if c > 10 {
 		t.Fatalf("committed %d in one cycle (10-wide)", c)
 	}
@@ -127,8 +127,8 @@ func TestCommitWidth(t *testing.T) {
 func TestMispredictFlushReported(t *testing.T) {
 	b := newBE()
 	b.Dispatch(Uop{PC: 0x1000, Class: isa.CondBranch, Mispredict: true})
-	_, flush := b.Cycle(5)
-	if flush == nil {
+	_, flush, flushed := b.Cycle(5)
+	if !flushed {
 		t.Fatal("no flush for mispredicted branch")
 	}
 	if flush.PC != 0x1000 || flush.Cycle != 5+DefaultConfig().BranchLat {
@@ -139,9 +139,29 @@ func TestMispredictFlushReported(t *testing.T) {
 func TestNoFlushForCorrectBranch(t *testing.T) {
 	b := newBE()
 	b.Dispatch(Uop{PC: 0x1000, Class: isa.CondBranch})
-	_, flush := b.Cycle(0)
-	if flush != nil {
+	_, _, flushed := b.Cycle(0)
+	if flushed {
 		t.Fatal("flush for correctly-predicted branch")
+	}
+}
+
+// TestMispredictCycleAllocatesNothing pins the cycle loop's zero
+// allocations on its one path that used to allocate: a cycle that
+// resolves a misprediction returns the flush by value.
+func TestMispredictCycleAllocatesNothing(t *testing.T) {
+	b := newBE()
+	now := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Dispatch(Uop{PC: 0x1000, Class: isa.CondBranch, Mispredict: true})
+		if _, _, flushed := b.Cycle(now); !flushed {
+			t.Fatal("no flush for mispredicted branch")
+		}
+		now++
+		b.Cycle(now) // commit it, so the ROB never fills
+		now++
+	})
+	if allocs != 0 {
+		t.Fatalf("a mispredicting Cycle allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -168,7 +188,7 @@ func TestRegisterZeroNeverBlocks(t *testing.T) {
 	b.Dispatch(Uop{PC: 0x1000, Class: isa.Load, Dst: 1, MemAddr: 1 << 34}) // slow producer of r1
 	b.Dispatch(Uop{PC: 0x1004, Class: isa.ALU, Dst: 0, Src1: 0, Src2: 0})
 	b.Cycle(0)
-	c2, _ := b.Cycle(1)
+	c2, _, _ := b.Cycle(1)
 	_ = c2
 	// The ALU op must have issued by cycle 1 even though the load is
 	// outstanding (no false dependency through reg 0).
@@ -214,7 +234,7 @@ func TestEverythingDispatchedCommits(t *testing.T) {
 		}
 		committed := 0
 		for now := uint64(0); now < 100_000 && committed < dispatched; now++ {
-			c, _ := b.Cycle(now)
+			c, _, _ := b.Cycle(now)
 			committed += c
 		}
 		return committed == dispatched && b.Drained()

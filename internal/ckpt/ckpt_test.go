@@ -219,6 +219,12 @@ func testKey(i int) string {
 	return fmt.Sprintf("%02x%060x", i, i)
 }
 
+// acquire is Store.Acquire with the hit reported as a bool.
+func acquire(s *Store, key string) ([]byte, bool, func([]byte)) {
+	blob, hit, release := s.Acquire(key)
+	return blob, hit != Miss, release
+}
+
 // TestStoreSingleFlight hammers one key from many goroutines: exactly
 // one leader computes, everyone observes the same blob.
 func TestStoreSingleFlight(t *testing.T) {
@@ -232,7 +238,7 @@ func TestStoreSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			blob, ok, release := s.Acquire(key)
+			blob, ok, release := acquire(s, key)
 			if !ok {
 				computes.Add(1)
 				w := NewWriter()
@@ -263,14 +269,14 @@ func TestStoreAbortHandsOver(t *testing.T) {
 	s := NewStore("")
 	key := testKey(2)
 
-	_, ok, release := s.Acquire(key)
+	_, ok, release := acquire(s, key)
 	if ok {
 		t.Fatal("fresh store reported a hit")
 	}
 
 	got := make(chan []byte)
 	go func() {
-		blob, ok2, release2 := s.Acquire(key) // blocks until the abort
+		blob, ok2, release2 := acquire(s, key) // blocks until the abort
 		if !ok2 {
 			w := NewWriter()
 			w.Uvarint(1)
@@ -285,7 +291,7 @@ func TestStoreAbortHandsOver(t *testing.T) {
 	if blob == nil {
 		t.Fatal("successor produced no blob")
 	}
-	if b, ok3, _ := s.Acquire(key); !ok3 || !bytes.Equal(b, blob) {
+	if b, ok3, _ := acquire(s, key); !ok3 || !bytes.Equal(b, blob) {
 		t.Fatal("successor's blob was not published")
 	}
 	if s.Bytes() != len(blob) {
@@ -306,18 +312,18 @@ func TestStoreDisk(t *testing.T) {
 	blob := w.Seal()
 
 	s1 := NewStore(dir)
-	if _, ok, release := s1.Acquire(key); ok {
+	if _, ok, release := acquire(s1, key); ok {
 		t.Fatal("fresh dir reported a hit")
 	} else {
 		release(blob)
 	}
-	if _, ok, _ := s1.Acquire(key); !ok || s1.Bytes() != len(blob) {
+	if _, ok, _ := acquire(s1, key); !ok || s1.Bytes() != len(blob) {
 		t.Fatalf("memo hit %v, Bytes %d after one %d-byte capture", ok, s1.Bytes(), len(blob))
 	}
 
 	// A new store over the same dir must hit from disk.
 	s2 := NewStore(dir)
-	got, ok, _ := s2.Acquire(key)
+	got, ok, _ := acquire(s2, key)
 	if !ok || !bytes.Equal(got, blob) {
 		t.Fatal("persisted blob not served to a second store")
 	}
@@ -336,13 +342,13 @@ func TestStoreDisk(t *testing.T) {
 		t.Fatal(err)
 	}
 	s3 := NewStore(dir)
-	if _, ok, release := s3.Acquire(key); ok {
+	if _, ok, release := acquire(s3, key); ok {
 		t.Fatal("corrupt blob served as a hit")
 	} else {
 		release(blob) // heals the file
 	}
 	s4 := NewStore(dir)
-	if _, ok, _ := s4.Acquire(key); !ok {
+	if _, ok, _ := acquire(s4, key); !ok {
 		t.Fatal("healed blob not served")
 	}
 
@@ -375,12 +381,12 @@ func TestStoreStaleVersionHeals(t *testing.T) {
 	if err := os.WriteFile(s.path(key), stale.Seal(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, release := s.Acquire(key); ok {
+	if _, ok, release := acquire(s, key); ok {
 		t.Fatal("blob of the previous envelope version served as a hit")
 	} else {
 		release(blob)
 	}
-	got, ok, _ := NewStore(dir).Acquire(key)
+	got, ok, _ := acquire(NewStore(dir), key)
 	if !ok || !bytes.Equal(got, blob) {
 		t.Fatalf("publish did not overwrite the stale blob (hit=%v)", ok)
 	}
@@ -422,7 +428,7 @@ func TestStorePruneRacesCapture(t *testing.T) {
 				// stores' prunes rather than an in-memory memo hit.
 				s := NewStoreLimit(dir, budget, nil)
 				key := testKey(30 + (w+r)%keys)
-				b, ok, release := s.Acquire(key)
+				b, ok, release := acquire(s, key)
 				if ok {
 					if err := Verify(b); err != nil {
 						t.Errorf("hit served a corrupt blob: %v", err)
@@ -440,7 +446,7 @@ func TestStorePruneRacesCapture(t *testing.T) {
 	// serves a blob that verifies.
 	fresh := NewStoreLimit(dir, 0, nil)
 	for i := 30; i < 30+keys; i++ {
-		if b, ok, release := fresh.Acquire(testKey(i)); ok {
+		if b, ok, release := acquire(fresh, testKey(i)); ok {
 			if err := Verify(b); err != nil {
 				t.Errorf("key %d corrupt after the race: %v", i, err)
 			}
@@ -453,7 +459,7 @@ func TestStorePruneRacesCapture(t *testing.T) {
 // storeBlob publishes blob under key through the normal leader path.
 func storeBlob(t *testing.T, s *Store, key string, blob []byte) {
 	t.Helper()
-	_, ok, release := s.Acquire(key)
+	_, ok, release := acquire(s, key)
 	if ok {
 		t.Fatalf("key %s unexpectedly present before store", key[:8])
 	}
@@ -479,7 +485,7 @@ func TestStorePruneEvictsLeastRecentlyVerified(t *testing.T) {
 	// Re-verify key 10 from a second store: its stamp moves past keys
 	// 11 and 12, so it must survive the next prune.
 	s2 := NewStoreLimit(dir, budget, now)
-	if _, ok, _ := s2.Acquire(testKey(10)); !ok {
+	if _, ok, _ := acquire(s2, testKey(10)); !ok {
 		t.Fatal("persisted blob not served before prune")
 	}
 
@@ -489,12 +495,12 @@ func TestStorePruneEvictsLeastRecentlyVerified(t *testing.T) {
 
 	fresh := NewStoreLimit(dir, 0, nil)
 	for _, i := range []int{10, 12, 13} {
-		if _, ok, release := fresh.Acquire(testKey(i)); !ok {
+		if _, ok, release := acquire(fresh, testKey(i)); !ok {
 			release(nil)
 			t.Errorf("key %d evicted, want survivor", i)
 		}
 	}
-	if _, ok, release := fresh.Acquire(testKey(11)); ok {
+	if _, ok, release := acquire(fresh, testKey(11)); ok {
 		t.Error("least-recently-verified blob survived the prune")
 	} else {
 		release(nil)
@@ -514,7 +520,7 @@ func TestStorePruneUnboundedAndMiss(t *testing.T) {
 	}
 	check := NewStoreLimit(dir, 0, nil)
 	for i := 20; i < 26; i++ {
-		if _, ok, release := check.Acquire(testKey(i)); !ok {
+		if _, ok, release := acquire(check, testKey(i)); !ok {
 			release(nil)
 			t.Fatalf("unbounded store evicted key %d", i)
 		}
@@ -526,12 +532,12 @@ func TestStorePruneUnboundedAndMiss(t *testing.T) {
 	storeBlob(t, tight, testKey(26), pruneBlob())
 
 	after := NewStoreLimit(dir, 0, nil)
-	_, survivorOK, _ := after.Acquire(testKey(26))
+	_, survivorOK, _ := acquire(after, testKey(26))
 	if !survivorOK {
 		t.Fatal("newest blob evicted by its own prune")
 	}
 	// A pruned key heals through the ordinary leader path.
-	if b, ok, release := after.Acquire(testKey(20)); ok {
+	if b, ok, release := acquire(after, testKey(20)); ok {
 		t.Fatalf("pruned key served a blob: %d bytes", len(b))
 	} else {
 		release(pruneBlob())
@@ -549,7 +555,7 @@ func TestStorePruneUnboundedAndMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	post := NewStoreLimit(dir, 0, nil)
-	if _, ok, release := post.Acquire(testKey(26)); ok {
+	if _, ok, release := acquire(post, testKey(26)); ok {
 		t.Fatal("corrupt post-prune blob served as a hit")
 	} else {
 		release(nil)
@@ -573,7 +579,7 @@ func TestSealExactSizeAndStoreBytes(t *testing.T) {
 		if cap(blob) != len(blob) {
 			t.Fatalf("blob %d: cap %d, len %d", i, cap(blob), len(blob))
 		}
-		_, hit, release := s.Acquire(fmt.Sprintf("%064d", i))
+		_, hit, release := acquire(s, fmt.Sprintf("%064d", i))
 		if hit {
 			t.Fatalf("blob %d: unexpected hit", i)
 		}

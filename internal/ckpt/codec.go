@@ -1,5 +1,7 @@
 // Package ckpt serializes functional-warm simulator state so a sweep
-// can pay each sampling fast-forward once instead of once per config.
+// can pay each sampling fast-forward once instead of once per config,
+// and holds the one content-addressed store (Cache) that memoizes and
+// persists both those checkpoints and runq's job results.
 //
 // The codec is deliberately dumb: a flat append-only byte stream of
 // varints (the same encoding family as the trace codec) wrapped in a
@@ -365,41 +367,43 @@ func (r *Reader) SetsInto(dst []uint64, ways int, valid uint64) {
 // U8sInto fills dst from a length-prefixed []uint8 with the same
 // length check as U64sInto.
 func (r *Reader) U8sInto(dst []uint8) {
+	copy(dst, r.bytesOf(len(dst), "[]uint8"))
+}
+
+// U8s reads a length-prefixed []uint8 of any length, the counterpart
+// of Writer.U8s when the reader cannot know the length up front. The
+// result aliases the blob, so it is read-only.
+func (r *Reader) U8s() []uint8 {
 	n := r.Uvarint()
 	if r.err != nil {
-		return
+		return nil
 	}
-	if n != uint64(len(dst)) {
-		r.fail(fmt.Errorf("ckpt: []uint8 length %d, want %d", n, len(dst)))
-		return
+	if n > uint64(len(r.data)-r.off) {
+		r.fail(errors.New("ckpt: truncated byte string"))
+		return nil
 	}
-	if int(n) > len(r.data)-r.off {
-		r.fail(errors.New("ckpt: truncated []uint8"))
-		return
-	}
-	copy(dst, r.data[r.off:r.off+int(n)])
+	s := r.data[r.off : r.off+int(n) : r.off+int(n)]
 	r.off += int(n)
+	return s
 }
 
 // I8sInto fills dst from a length-prefixed []int8 with the same length
 // check as U64sInto.
 func (r *Reader) I8sInto(dst []int8) {
-	n := r.Uvarint()
-	if r.err != nil {
-		return
+	for i, b := range r.bytesOf(len(dst), "[]int8") {
+		dst[i] = int8(b)
 	}
-	if n != uint64(len(dst)) {
-		r.fail(fmt.Errorf("ckpt: []int8 length %d, want %d", n, len(dst)))
-		return
+}
+
+// bytesOf reads a length-prefixed byte string that must hold exactly
+// want bytes, failing (and returning nil) otherwise.
+func (r *Reader) bytesOf(want int, what string) []uint8 {
+	s := r.U8s()
+	if r.err == nil && len(s) != want {
+		r.fail(fmt.Errorf("ckpt: %s length %d, want %d", what, len(s), want))
+		return nil
 	}
-	if int(n) > len(r.data)-r.off {
-		r.fail(errors.New("ckpt: truncated []int8"))
-		return
-	}
-	for i := range dst {
-		dst[i] = int8(r.data[r.off+i])
-	}
-	r.off += int(n)
+	return s
 }
 
 // Close fails unless the payload was consumed exactly: trailing bytes

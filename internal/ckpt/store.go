@@ -5,39 +5,41 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 )
 
-// Store is a content-addressed checkpoint cache with single-flight
-// admission: when N sweep jobs sharing a checkpoint key start together,
-// exactly one runs the fast-forward and publishes the blob; the others
-// block on Acquire until it lands and then restore from it. Blobs are
-// memoized in memory for the life of the Store and, when dir is
-// non-empty, persisted to dir (sharded like the runq result cache) so
-// later processes reuse them.
-//
-// A Store is safe for concurrent use by any number of goroutines.
-type Store struct {
-	dir string
+// Cache is the one content-addressed store: warm checkpoints (Store)
+// and runq's job results are its instances. When N callers want one
+// key at once, exactly one leads and computes it (Acquire); the rest
+// wait for its value. Values stay memoized for the life of the Cache
+// and, when dir is non-empty, are sealed by the codec and persisted
+// (sharded, temp file and rename) so later processes load them. Every
+// file must pass Verify before the codec sees it, so a damaged,
+// truncated or foreign file is a miss that the next publish rewrites.
+// A Cache is safe for concurrent use by any number of goroutines.
+type Cache[V any] struct {
+	dir   string
+	codec Codec[V]
 
 	// maxBytes bounds the on-disk footprint (0: unbounded); now is the
-	// injected wall clock (unix nanoseconds) that stamps blob files on
-	// every successful verify, so pruning evicts the least-recently-
-	// verified blobs first. The clock is injected from cmd/ — internal
-	// packages never read wall time (ucplint wallclock rule) — and a nil
-	// clock degrades to least-recently-written order (file mtimes).
+	// injected wall clock (unix nanoseconds) that stamps files on every
+	// successful verify, so pruning evicts the least-recently-verified
+	// files first. The clock is injected from cmd/ — internal packages
+	// never read wall time (ucplint wallclock rule) — and a nil clock
+	// degrades to least-recently-written order (file mtimes).
 	maxBytes int64
 	now      func() int64
 
-	mu      sync.Mutex
-	mem     map[string][]byte
-	bytes   int // sum of the memoized blobs' lengths
-	flights map[string]chan struct{}
-	hits    int
-	misses  int
+	mu        sync.Mutex
+	mem       map[string]V
+	bytes     int // sum of the memoized values' sealed sizes
+	flights   map[string]chan struct{}
+	hits      int
+	published int
 
 	// pruneMu serializes pruning passes; pruning walks the directory
 	// and must not run under mu (disk latency would serialize every
@@ -45,9 +47,42 @@ type Store struct {
 	pruneMu sync.Mutex
 }
 
-// NewStore returns a store persisting to dir; an empty dir keeps
-// checkpoints in memory only (still deduplicated within the process).
-// The on-disk footprint is unbounded; see NewStoreLimit.
+// Codec moves a Cache's values between its memo and its disk tier.
+// The zero Codec makes a memory-only cache.
+type Codec[V any] struct {
+	Ext string // file name suffix, after the key
+
+	// Encode returns v's sealed blob (Writer.Seal), or nil to keep v in
+	// memory only. Its length is what Bytes counts for v.
+	Encode func(key string, v V) []byte
+	// Decode rebuilds a value from a file that passed Verify; false
+	// makes the file a miss.
+	Decode func(key string, blob []byte) (V, bool)
+}
+
+// Hit says where Acquire found a key's value: nowhere (Miss: the
+// caller leads), in the memo, or on disk.
+type Hit uint8
+
+const (
+	Miss Hit = iota
+	Memo
+	Disk
+)
+
+// Store is the checkpoint instance of Cache: its values are sealed
+// blobs, written to disk as they are.
+type Store = Cache[[]byte]
+
+var blobCodec = Codec[[]byte]{
+	Ext:    ".ckpt",
+	Encode: func(_ string, blob []byte) []byte { return blob },
+	Decode: func(_ string, blob []byte) ([]byte, bool) { return blob, true },
+}
+
+// NewStore returns a checkpoint store persisting to dir; an empty dir
+// keeps checkpoints in memory only (still deduplicated within the
+// process). The on-disk footprint is unbounded; see NewStoreLimit.
 func NewStore(dir string) *Store {
 	return NewStoreLimit(dir, 0, nil)
 }
@@ -61,122 +96,144 @@ func NewStore(dir string) *Store {
 // in-memory memo is unaffected — a pruned blob simply reads as a miss
 // in later processes, exactly like a corrupt one.
 func NewStoreLimit(dir string, maxBytes int64, now func() int64) *Store {
-	return &Store{
+	return NewCache(dir, maxBytes, now, blobCodec)
+}
+
+// NewCache returns a cache persisting codec-sealed values to dir (none
+// when dir is empty), pruned to maxBytes as NewStoreLimit describes.
+func NewCache[V any](dir string, maxBytes int64, now func() int64, codec Codec[V]) *Cache[V] {
+	return &Cache[V]{
 		dir:      dir,
+		codec:    codec,
 		maxBytes: maxBytes,
 		now:      now,
-		mem:      make(map[string][]byte),
+		mem:      make(map[string]V),
 		flights:  make(map[string]chan struct{}),
 	}
 }
 
-// path maps a key to its blob file, sharded by the leading digest byte.
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key[:2], key+".ckpt")
+// path maps a key to its file, sharded by the leading digest byte.
+func (c *Cache[V]) path(key string) string {
+	return filepath.Join(c.dir, key[:2], key+c.codec.Ext)
 }
 
 // Acquire looks up key. Three outcomes:
 //
-//   - hit: returns (blob, true, nil) — restore from blob.
-//   - leader: returns (nil, false, release) — the caller must run the
-//     fast-forward, then call release(blob) to publish the sealed blob,
-//     or release(nil) to abort (on error or cancellation) so a waiter
-//     can take over leadership.
+//   - hit (Memo or Disk): returns the value and a nil release.
+//   - leader (Miss): the caller must compute the value, then call
+//     release(v) to publish it, or release with the zero V (a nil blob
+//     or pointer) to abort — on error or cancellation — so a waiter can
+//     take over leadership. Release is once-guarded, so a deferred
+//     abort after a publish is a no-op.
 //   - follower: blocks until the leader releases, then resolves to one
 //     of the above.
 //
-// The blob returned on a hit is shared; callers must treat it as
-// read-only (Reader never mutates it).
-func (s *Store) Acquire(key string) (blob []byte, ok bool, release func([]byte)) {
+// A hit's value is shared; callers must treat it as read-only (Reader
+// never mutates a blob).
+func (c *Cache[V]) Acquire(key string) (v V, hit Hit, release func(V)) {
 	for {
-		s.mu.Lock()
-		if b, hit := s.mem[key]; hit {
-			s.hits++
-			s.mu.Unlock()
-			return b, true, nil
+		c.mu.Lock()
+		if v, ok := c.mem[key]; ok {
+			c.hits++
+			c.mu.Unlock()
+			return v, Memo, nil
 		}
-		if b, hit := s.loadDisk(key); hit {
-			s.memoize(key, b)
-			s.hits++
-			s.mu.Unlock()
-			return b, true, nil
+		if flight, ok := c.flights[key]; ok {
+			c.mu.Unlock()
+			<-flight
+			continue
 		}
-		flight, inFlight := s.flights[key]
-		if !inFlight {
-			done := make(chan struct{})
-			s.flights[key] = done
-			s.misses++
-			s.mu.Unlock()
-			var once sync.Once
-			return nil, false, func(b []byte) {
-				once.Do(func() { s.release(key, done, b) })
-			}
+		done := make(chan struct{})
+		c.flights[key] = done
+		c.mu.Unlock()
+		// The leader reads the disk outside the lock: a file read must
+		// not serialize unrelated keys, and the flight already holds
+		// this key's followers.
+		if v, size, ok := c.loadDisk(key); ok {
+			c.land(key, done, v, size, &c.hits)
+			return v, Disk, nil
 		}
-		s.mu.Unlock()
-		<-flight
+		var once sync.Once
+		return v, Miss, func(v V) {
+			once.Do(func() { c.release(key, done, v) })
+		}
 	}
 }
 
-// release publishes the leader's blob (or aborts on nil) and wakes all
-// waiters. Waiters re-run the Acquire loop: after a publish they hit
-// the memo; after an abort one of them becomes the new leader.
-func (s *Store) release(key string, done chan struct{}, blob []byte) {
-	s.mu.Lock()
-	if blob != nil {
-		s.memoize(key, blob)
+// release publishes the leader's value, or aborts on the zero V, and
+// wakes all waiters. Waiters re-run the Acquire loop: after a publish
+// they hit the memo; after an abort one of them becomes the new leader.
+func (c *Cache[V]) release(key string, done chan struct{}, v V) {
+	if reflect.ValueOf(&v).Elem().IsZero() {
+		c.land(key, done, v, 0, nil)
+		return
 	}
-	delete(s.flights, key)
-	s.mu.Unlock()
-	close(done)
+	var blob []byte
+	if c.codec.Encode != nil {
+		blob = c.codec.Encode(key, v)
+	}
+	c.land(key, done, v, len(blob), &c.published)
 	if blob != nil {
 		// Persist outside the lock: disk latency must not serialize
-		// unrelated keys. Write failures are non-fatal — the in-memory
-		// memo already serves this process.
-		s.storeDisk(key, blob)
+		// unrelated keys. Write failures are non-fatal — the memo
+		// already serves this process.
+		c.storeDisk(key, blob)
 	}
 }
 
-// memoize holds blob in memory under key. Called with s.mu held; a key
-// is memoized at most once (Acquire only elects a leader or loads from
-// disk on a memo miss).
-func (s *Store) memoize(key string, blob []byte) {
-	s.mem[key] = blob
-	s.bytes += len(blob)
+// land ends key's flight and wakes its waiters, first memoizing v (of
+// sealed size size) and bumping *count unless count is nil (an abort).
+// A key is memoized at most once: only its flight's leader lands it.
+func (c *Cache[V]) land(key string, done chan struct{}, v V, size int, count *int) {
+	c.mu.Lock()
+	if count != nil {
+		c.mem[key] = v
+		c.bytes += size
+		*count++
+	}
+	delete(c.flights, key)
+	c.mu.Unlock()
+	close(done)
 }
 
-// loadDisk fetches a persisted blob, verifying the envelope; corrupt or
-// foreign files are misses (and later overwritten). Called with s.mu
-// held — file reads under the lock are acceptable here because misses
-// are the common case and hits immediately memoize.
-func (s *Store) loadDisk(key string) ([]byte, bool) {
-	if s.dir == "" || len(key) < 2 {
-		return nil, false
+// loadDisk fetches and decodes a persisted value, returning it with its
+// file's size. Missing, unreadable, damaged or foreign files are misses
+// (and later overwritten), never errors: the disk tier only
+// accelerates.
+func (c *Cache[V]) loadDisk(key string) (v V, size int, ok bool) {
+	if c.dir == "" || len(key) < 2 || c.codec.Decode == nil {
+		return v, 0, false
 	}
-	b, err := os.ReadFile(s.path(key))
-	if err != nil {
-		return nil, false
+	path := c.path(key)
+	blob, err := os.ReadFile(path)
+	if err != nil || Verify(blob) != nil {
+		return v, 0, false
 	}
-	if Verify(b) != nil {
-		return nil, false
+	if v, ok = c.codec.Decode(key, blob); !ok {
+		return v, 0, false
 	}
-	if s.now != nil {
-		// Touch on verify: the blob proved its worth, so it moves to the
-		// back of the pruning order. Best-effort — a failed Chtimes only
-		// costs eviction priority.
-		t := time.Unix(0, s.now())
-		os.Chtimes(s.path(key), t, t)
+	c.stamp(path) // the file proved its worth: prune it last
+	return v, len(blob), true
+}
+
+// stamp sets path's mtime from the injected clock, the pruning order's
+// verify-stamp. Best-effort: a failed Chtimes only costs eviction
+// priority.
+func (c *Cache[V]) stamp(path string) {
+	if c.now != nil {
+		t := time.Unix(0, c.now())
+		os.Chtimes(path, t, t)
 	}
-	return b, true
 }
 
 // storeDisk persists a blob atomically (temp + rename) so concurrent
-// readers — or a second process sharing the directory — never observe a
-// torn checkpoint.
-func (s *Store) storeDisk(key string, blob []byte) {
-	if s.dir == "" || len(key) < 2 {
+// readers — or a second process sharing the directory — never observe
+// a torn file.
+func (c *Cache[V]) storeDisk(key string, blob []byte) {
+	if c.dir == "" || len(key) < 2 {
 		return
 	}
-	path := s.path(key)
+	path := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
 	}
@@ -194,100 +251,93 @@ func (s *Store) storeDisk(key string, blob []byte) {
 		os.Remove(tmp.Name())
 		return
 	}
-	if s.now != nil {
-		t := time.Unix(0, s.now())
-		os.Chtimes(path, t, t)
-	}
-	if s.maxBytes > 0 {
-		s.prune()
+	c.stamp(path)
+	if c.maxBytes > 0 {
+		c.prune()
 	}
 }
 
-// prune removes least-recently-verified checkpoint blobs until the
-// directory's .ckpt bytes fit within maxBytes. Boundary-checkpoint
-// capture (internal/tpar) writes one blob per segment or window
-// boundary per distinct warm config, so an unbounded store grows with
-// every sweep; the bound turns it into an LRU tier. Concurrent writers
-// both prune; pruneMu keeps the walk-and-delete passes from
-// interleaving, and a blob deleted under a concurrent reader's feet is
-// indistinguishable from a miss (ReadFile fails, Acquire elects a
-// leader).
-func (s *Store) prune() {
-	s.pruneMu.Lock()
-	defer s.pruneMu.Unlock()
-	type blob struct {
+// prune removes least-recently-verified files until the directory's
+// Ext bytes fit within maxBytes, turning the disk tier into an LRU
+// tier. pruneMu keeps concurrent writers' walk-and-delete passes from
+// interleaving, and a file deleted under a concurrent reader's feet is
+// just a miss (ReadFile fails, Acquire elects a leader).
+func (c *Cache[V]) prune() {
+	c.pruneMu.Lock()
+	defer c.pruneMu.Unlock()
+	type file struct {
 		path string
 		size int64
 		mod  time.Time
 	}
-	var blobs []blob
+	var files []file
 	var total int64
-	filepath.WalkDir(s.dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".ckpt") {
+	filepath.WalkDir(c.dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, c.codec.Ext) {
 			return nil
 		}
 		info, err := d.Info()
 		if err != nil {
 			return nil
 		}
-		blobs = append(blobs, blob{path: path, size: info.Size(), mod: info.ModTime()})
+		files = append(files, file{path: path, size: info.Size(), mod: info.ModTime()})
 		total += info.Size()
 		return nil
 	})
-	if total <= s.maxBytes {
+	if total <= c.maxBytes {
 		return
 	}
-	// Oldest verify-stamp first; ties break on path so two stores
+	// Oldest verify-stamp first; ties break on path so two caches
 	// pruning the same directory converge on the same victims.
-	sort.Slice(blobs, func(i, j int) bool {
-		if !blobs[i].mod.Equal(blobs[j].mod) {
-			return blobs[i].mod.Before(blobs[j].mod)
+	sort.Slice(files, func(i, j int) bool {
+		if !files[i].mod.Equal(files[j].mod) {
+			return files[i].mod.Before(files[j].mod)
 		}
-		return blobs[i].path < blobs[j].path
+		return files[i].path < files[j].path
 	})
-	for _, b := range blobs {
-		if total <= s.maxBytes {
+	for _, f := range files {
+		if total <= c.maxBytes {
 			break
 		}
-		if os.Remove(b.path) == nil {
-			total -= b.size
+		if os.Remove(f.path) == nil {
+			total -= f.size
 		}
 	}
 }
 
-// Len reports how many checkpoints are memoized in memory (testing and
+// Len reports how many values are memoized in memory (testing and
 // progress reporting).
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.mem)
+func (c *Cache[V]) Len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.mem)
 }
 
-// Bytes reports the total length of the blobs memoized in memory: the
-// store's in-process footprint, which grows by one blob per distinct
-// checkpoint key for the life of the Store.
-func (s *Store) Bytes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bytes
+// Bytes reports the summed sealed size of the memoized values — for a
+// Store, the blobs it holds: the store's in-process footprint, which
+// grows by one blob per distinct checkpoint key for the life of the
+// Store.
+func (c *Cache[V]) Bytes() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
 }
 
-// Hits reports how many Acquire calls resolved to an existing blob
-// (memory or disk) over the store's lifetime.
-func (s *Store) Hits() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits
+// Hits reports how many Acquire calls resolved to an existing value
+// (memory or disk) over the cache's lifetime.
+func (c *Cache[V]) Hits() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hits
 }
 
-// Misses reports how many Acquire calls found no blob and elected a
-// leader to compute one (aborted flights count once per re-election).
-// Together with Hits it is the shared-tier hit-rate surface sweepd's
-// /v1/statz reports.
-func (s *Store) Misses() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.misses
+// Published reports how many values leaders computed and published —
+// for a Store, the checkpoints this process captured. Unlike Len it
+// excludes values loaded from disk.
+func (c *Cache[V]) Published() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.published
 }
 
 // KeyError annotates a checkpoint failure with its key for diagnostics.

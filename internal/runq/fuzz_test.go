@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"ucp/internal/ckpt"
 	"ucp/internal/sim"
 	"ucp/internal/stats"
 )
@@ -15,12 +16,11 @@ import (
 // FuzzRestoreWarm does a checkpoint: patch is written over it (or
 // inserted) at off, and a nonzero keep truncates the result, so inputs
 // stay small while reaching every byte. With reseal set the edit
-// applies to the record's JSON, which is then sealed, so it gets past
-// the seal: the decoder and the identity checks behind it must not
-// panic either.
+// applies to the record's JSON, which is then resealed in a record
+// envelope, so it gets past the seal: the decoder and the identity
+// checks behind it must not panic either.
 func FuzzLoadRecord(f *testing.F) {
 	dir := f.TempDir()
-	p := New(Options{CacheDir: dir})
 	job := quickJobs(1000, 1000)[0]
 	key, err := Key(job)
 	if err != nil {
@@ -33,15 +33,16 @@ func FuzzLoadRecord(f *testing.F) {
 	stored := sim.Result{Name: "baseline", Trace: job.Profile.Name, Insts: 1000, Cycles: 10310,
 		IPC: 1000.0 / 10310, StreamLens: lens}
 	want := stored.DeterminismDigest()
-	if err := p.storeDisk(key, job, stored); err != nil {
-		f.Fatal(err)
+	p := New(Options{CacheDir: dir, RunJob: func(Job, sim.ProgressFunc) (sim.Result, error) { return stored, nil }})
+	if jr := p.RunOne(job, nil); jr.Err != nil {
+		f.Fatal(jr.Err)
 	}
-	path := p.cachePath(key)
+	path := recordPath(dir, key)
 	valid, err := os.ReadFile(path)
 	if err != nil {
 		f.Fatal(err)
 	}
-	js, _ := openRecord(valid)
+	js := recordJSON(f, valid)
 
 	f.Add(uint32(0), []byte(nil), false, uint32(0), false)
 	f.Add(uint32(bytes.Index(valid, []byte(`"Cycles":`))+9), []byte("2"), false, uint32(0), false)
@@ -76,12 +77,15 @@ func FuzzLoadRecord(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, hit := p.loadDisk(key)
+		got, hit, release := ckpt.NewCache(dir, 0, nil, recordCodec).Acquire(key)
+		if hit == ckpt.Miss {
+			release(nil)
+		}
 		switch {
-		case !hit && bytes.Equal(data, valid):
+		case hit == ckpt.Miss && bytes.Equal(data, valid):
 			t.Fatal("the stored record loaded as a miss")
-		case hit && !reseal && got.DeterminismDigest() != want:
-			t.Fatalf("edited bytes loaded as a result other than the stored one:\n%s", got.DeterminismDigest())
+		case hit != ckpt.Miss && !reseal && got.rec.Result.DeterminismDigest() != want:
+			t.Fatalf("edited bytes loaded as a result other than the stored one:\n%s", got.rec.Result.DeterminismDigest())
 		}
 	})
 }

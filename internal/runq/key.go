@@ -14,7 +14,7 @@ import (
 // sim.ModelVersion, which is folded into every key alongside it)
 // orphans all previously written records: they are simply never looked
 // up again, so no explicit invalidation pass is needed.
-const SchemaVersion = "runq-7"
+const SchemaVersion = "runq-8"
 
 // keyPayload is the canonical serialized identity of a job. It contains
 // everything that determines a run's measured numbers: the full machine

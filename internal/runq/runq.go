@@ -171,13 +171,18 @@ type Stats struct {
 type Pool struct {
 	opts Options
 
-	mu      sync.Mutex
-	memo    map[string]memoEntry
-	flights map[string]chan struct{}
-	progs   map[string]*progEntry
-	arenas  map[string]*arenaEntry
-	stats   Stats
-	done    int // jobs completed in the current RunAll, for progress
+	mu    sync.Mutex
+	stats Stats
+	done  int // jobs completed in the current RunAll, for progress
+
+	// results memoizes every job's outcome, failures included, and
+	// persists successful ones under CacheDir. Its single-flight makes
+	// each key execute at most once however many callers race on it.
+	results *ckpt.Cache[*outcome]
+	// progs and arenas are memory-only caches of the built programs
+	// and decoded recorded-trace arenas that jobs share.
+	progs  *ckpt.Cache[*built[*trace.Program]]
+	arenas *ckpt.Cache[*built[*trace.Arena]]
 
 	// ckpts is the warm-checkpoint store shared by every sampled job
 	// and every segment or window boundary of a parallel job (nil when
@@ -196,31 +201,39 @@ type Pool struct {
 	runJob func(Job, sim.ProgressFunc) (sim.Result, error)
 }
 
-type memoEntry struct {
-	res sim.Result
+// built is a memory-only cache value: what a constructor returned,
+// error included, so a bad profile or unreadable file fails every job
+// that names it without being rebuilt.
+type built[T any] struct {
+	v   T
 	err error
 }
 
-type progEntry struct {
-	once sync.Once
-	prog *trace.Program
-	err  error
-}
-
-type arenaEntry struct {
-	once  sync.Once
-	arena *trace.Arena
-	err   error
+// build returns key's value from c, running mk at most once per key.
+func build[T any](c *ckpt.Cache[*built[T]], key string, mk func() (T, error)) (T, error) {
+	b, hit, release := c.Acquire(key)
+	if hit == ckpt.Miss {
+		defer release(nil) // a panicking mk hands the key to a waiter
+		v, err := mk()
+		b = &built[T]{v, err}
+		release(b)
+	}
+	return b.v, b.err
 }
 
 // New builds a pool.
 func New(opts Options) *Pool {
+	// Without a cache directory results stay in memory: no codec, so
+	// no record is sealed only to be thrown away.
+	var results ckpt.Codec[*outcome]
+	if opts.CacheDir != "" {
+		results = recordCodec
+	}
 	p := &Pool{
 		opts:    opts,
-		memo:    make(map[string]memoEntry),
-		flights: make(map[string]chan struct{}),
-		progs:   make(map[string]*progEntry),
-		arenas:  make(map[string]*arenaEntry),
+		results: ckpt.NewCache(opts.CacheDir, 0, nil, results),
+		progs:   ckpt.NewCache("", 0, nil, ckpt.Codec[*built[*trace.Program]]{}),
+		arenas:  ckpt.NewCache("", 0, nil, ckpt.Codec[*built[*trace.Arena]]{}),
 	}
 	if opts.Checkpoints || opts.CkptDir != "" {
 		p.ckpts = ckpt.NewStoreLimit(opts.CkptDir, opts.CkptMaxBytes, opts.CkptNow)
@@ -249,14 +262,15 @@ func (p *Pool) Stats() Stats {
 	return p.stats
 }
 
-// CheckpointStats reports warm-checkpoint store activity: blobs held
-// (one per distinct checkpoint key exercised) and restore hits. Both are zero
-// when checkpoints are disabled.
+// CheckpointStats reports warm-checkpoint store activity: blobs this
+// pool captured (one per distinct checkpoint key it fast-forwarded to;
+// blobs loaded from CkptDir are restores, not captures) and restore
+// hits. Both are zero when checkpoints are disabled.
 func (p *Pool) CheckpointStats() (captured, restored int) {
 	if p.ckpts == nil {
 		return 0, 0
 	}
-	return p.ckpts.Len(), p.ckpts.Hits()
+	return p.ckpts.Published(), p.ckpts.Hits()
 }
 
 // CheckpointBytes reports the total size of the warm-checkpoint blobs
@@ -273,9 +287,7 @@ func (p *Pool) CheckpointBytes() int {
 // from the generator and build none. The sweepd statz surface exposes
 // it as the shared-tier footprint.
 func (p *Pool) ArenaCount() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.arenas)
+	return p.arenas.Len()
 }
 
 func (p *Pool) workers() int {
@@ -294,15 +306,7 @@ func (p *Pool) Program(prof trace.Profile) (*trace.Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	e := p.progs[key]
-	if e == nil {
-		e = &progEntry{}
-		p.progs[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.prog, e.err = trace.BuildProgram(prof) })
-	return e.prog, e.err
+	return build(p.progs, key, func() (*trace.Program, error) { return trace.BuildProgram(prof) })
 }
 
 // FileArena returns the shared decoded arena for a recorded trace file,
@@ -310,15 +314,7 @@ func (p *Pool) Program(prof trace.Profile) (*trace.Program, error) {
 // reference it. Cursors handed out by the arena are independent, so
 // concurrent workers share one copy of the decoded stream.
 func (p *Pool) FileArena(path string) (*trace.Arena, error) {
-	p.mu.Lock()
-	e := p.arenas[path]
-	if e == nil {
-		e = &arenaEntry{}
-		p.arenas[path] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() { e.arena, e.err = trace.LoadArena(path) })
-	return e.arena, e.err
+	return build(p.arenas, path, func() (*trace.Arena, error) { return trace.LoadArena(path) })
 }
 
 // jobKey resolves a job's cache key, reading the trace file's content
@@ -373,7 +369,7 @@ func (p *Pool) RunAll(jobs []Job) []JobResult {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				results[i] = p.execute(results[i])
+				results[i] = p.execute(results[i], nil)
 				p.noteProgress(len(queue))
 			}
 		}()
@@ -410,58 +406,31 @@ func (p *Pool) RunOne(job Job, hook sim.ProgressFunc) JobResult {
 		return jr
 	}
 	jr.Key = key
-	return p.executeHooked(jr, hook)
+	return p.execute(jr, hook)
 }
 
-// execute resolves one unique job on the RunAll path (no hook).
-func (p *Pool) execute(jr JobResult) JobResult {
-	return p.executeHooked(jr, nil)
-}
-
-// executeHooked resolves one job: memo, then the per-key single-flight
-// gate, then disk, then simulation with panic recovery and a single
-// retry. RunAll's loop-spawned workers and any number of concurrent
-// RunOne callers go through it; every touch of shared pool state is
-// under p.mu. The single-flight extends ckpt.Store's admission pattern
-// to whole jobs: the first arrival for a key becomes the leader and
-// executes; everyone else blocks until the leader publishes the memo
-// entry (result or error), then returns it as a memo hit.
+// execute resolves one job through the result cache: a memo or
+// disk hit returns the stored outcome; otherwise this call leads the
+// key's flight and runs the simulation with panic recovery and a single
+// retry, then publishes the outcome (result or error) to every caller
+// coalesced on the key. RunAll's loop-spawned workers and any number of
+// concurrent RunOne callers go through it; the pool's counters are
+// under p.mu.
 //
 //ucplint:guarded
-func (p *Pool) executeHooked(jr JobResult, hook sim.ProgressFunc) JobResult {
-	for {
+func (p *Pool) execute(jr JobResult, hook sim.ProgressFunc) JobResult {
+	o, hit, release := p.results.Acquire(jr.Key)
+	if hit != ckpt.Miss {
 		p.mu.Lock()
-		if e, ok := p.memo[jr.Key]; ok {
+		if hit == ckpt.Memo {
 			p.stats.MemoHits++
-			p.mu.Unlock()
-			jr.Result, jr.Err, jr.Source = e.res, e.err, SourceMemo
-			return jr
-		}
-		flight, inFlight := p.flights[jr.Key]
-		if !inFlight {
-			p.flights[jr.Key] = make(chan struct{})
-			p.mu.Unlock()
-			break // leader: this call executes the job
+			jr.Source = SourceMemo
+		} else {
+			p.stats.DiskHits++
+			jr.Source = SourceDisk
 		}
 		p.mu.Unlock()
-		<-flight
-		// The leader always publishes a memo entry (even on failure)
-		// before closing the flight, so the next lap resolves.
-	}
-	defer func() {
-		p.mu.Lock()
-		done := p.flights[jr.Key]
-		delete(p.flights, jr.Key)
-		p.mu.Unlock()
-		close(done)
-	}()
-
-	if res, ok := p.loadDisk(jr.Key); ok {
-		jr.Result, jr.Source = res, SourceDisk
-		p.mu.Lock()
-		p.stats.DiskHits++
-		p.memo[jr.Key] = memoEntry{res: res}
-		p.mu.Unlock()
+		jr.Result, jr.Err = o.rec.Result, o.err
 		return jr
 	}
 
@@ -484,17 +453,16 @@ func (p *Pool) executeHooked(jr JobResult, hook sim.ProgressFunc) JobResult {
 		jr.Err = fmt.Errorf("%s on %s: %w", jr.Job.Config.Name, jr.Job.traceLabel(), err)
 	} else {
 		jr.Result = res
-		if serr := p.storeDisk(jr.Key, jr.Job, res); serr != nil && p.opts.Progress != nil {
-			fmt.Fprintf(p.opts.Progress, "runq: cache write failed: %v\n", serr)
-		}
 	}
 	p.mu.Lock()
 	p.stats.Runs++
 	if err != nil {
 		p.stats.Failures++
 	}
-	p.memo[jr.Key] = memoEntry{res: jr.Result, err: jr.Err}
 	p.mu.Unlock()
+	rec := record{Key: jr.Key, Schema: SchemaVersion, Model: sim.ModelVersion, Config: jr.Job.Config.Name,
+		Trace: jr.Job.traceLabel(), Warmup: jr.Job.Warmup, Measure: jr.Job.Measure, Result: jr.Result}
+	release(&outcome{rec: rec, err: jr.Err})
 	return jr
 }
 

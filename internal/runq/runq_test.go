@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"ucp/internal/ckpt"
 	"ucp/internal/sim"
 	"ucp/internal/trace"
 )
@@ -196,7 +198,7 @@ func TestDiskCacheCorruptRecordIsMiss(t *testing.T) {
 	want := cold[0].Result.DeterminismDigest()
 
 	p := New(Options{Workers: 1, CacheDir: dir})
-	path := p.cachePath(cold[0].Key)
+	path := recordPath(dir, cold[0].Key)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -226,6 +228,27 @@ func TestDiskCacheCorruptRecordIsMiss(t *testing.T) {
 		t.Fatalf("healed record: source = %q, digest equal = %v", healed[0].Source,
 			healed[0].Result.DeterminismDigest() == want)
 	}
+}
+
+// recordPath is where a pool with cache directory dir keeps key's
+// record.
+func recordPath(dir, key string) string {
+	return filepath.Join(dir, key[:2], key+recordCodec.Ext)
+}
+
+// recordJSON returns the JSON a sealed record file holds.
+func recordJSON(t testing.TB, blob []byte) []byte {
+	t.Helper()
+	r, err := ckpt.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Section("record")
+	js := r.U8s()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return js
 }
 
 func TestMemoAndBatchDedup(t *testing.T) {

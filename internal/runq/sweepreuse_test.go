@@ -131,6 +131,25 @@ func TestCheckpointReuseAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestCheckpointStatsCountCaptures pins what /v1/statz reports as
+// ckpt_captured: the checkpoints a pool fast-forwarded to itself. A
+// second pool over a populated CkptDir loads the one shared checkpoint
+// from disk and restores every job from it, so it captured nothing.
+func TestCheckpointStatsCountCaptures(t *testing.T) {
+	dir := t.TempDir()
+	jobs := sampledJobs(3)
+	first := New(Options{Workers: 1, CkptDir: dir})
+	digests(t, first, jobs)
+	if captured, restored := first.CheckpointStats(); captured != 1 || restored != 2 {
+		t.Errorf("first pool: %d captured, %d restored; want 1 and 2", captured, restored)
+	}
+	second := New(Options{Workers: 1, CkptDir: dir})
+	digests(t, second, jobs)
+	if captured, restored := second.CheckpointStats(); captured != 0 || restored != 3 {
+		t.Errorf("pool over a populated CkptDir: %d captured, %d restored; want 0 and 3", captured, restored)
+	}
+}
+
 // TestFileTraceJobs covers recorded-trace jobs end to end: the pool
 // decodes the file once into a shared arena however many jobs reference
 // it, keys results by trace content (not path), and refuses to key such
@@ -155,7 +174,7 @@ func TestFileTraceJobs(t *testing.T) {
 		// second job aliased the first's result.
 		t.Error("distinct configs over one file returned one result")
 	}
-	if got := len(p.arenas); got != 1 {
+	if got := p.arenas.Len(); got != 1 {
 		t.Errorf("two file jobs built %d arenas, want 1", got)
 	}
 
@@ -216,16 +235,12 @@ func TestFileTraceCacheRecordNamesFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := os.ReadFile(p.cachePath(key))
+	b, err := os.ReadFile(recordPath(p.opts.CacheDir, key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, ok := openRecord(b)
-	if !ok {
-		t.Fatal("cache record fails its seal")
-	}
 	var rec record
-	if err := json.Unmarshal(js, &rec); err != nil {
+	if err := json.Unmarshal(recordJSON(t, b), &rec); err != nil {
 		t.Fatal(err)
 	}
 	if rec.Trace != path {

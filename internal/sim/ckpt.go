@@ -112,7 +112,7 @@ func (m *Machine) warmTo(to uint64, h BoundaryWarm, wc *WarmCheckpoints) error {
 	}
 	key := BoundaryKey(m.cfg, wc.TraceID, to+h.DetailedInsts, h)
 	blob, hit, release := wc.Store.Acquire(key)
-	if hit {
+	if hit != ckpt.Miss {
 		if err := m.restoreWarm(blob); err != nil {
 			return ckpt.KeyError(key, err)
 		}

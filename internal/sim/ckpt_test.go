@@ -198,7 +198,7 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 		t.Fatalf("capturing run failed: %v", err)
 	}
 	blobA, hit, _ := store.Acquire(warmupKey(cfgA, wcA.TraceID))
-	if !hit {
+	if hit == ckpt.Miss {
 		t.Fatal("capturing run published nothing")
 	}
 
@@ -208,7 +208,7 @@ func TestCkptForeignBlobRejected(t *testing.T) {
 	cfgB.Pred = bpred.Config8KB()
 	keyB := warmupKey(cfgB, wcA.TraceID)
 	_, hit, release := store.Acquire(keyB)
-	if hit {
+	if hit != ckpt.Miss {
 		t.Fatal("foreign key unexpectedly present")
 	}
 	release(blobA)

@@ -143,8 +143,8 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 			runtime.ReadMemStats(&b)
 			alloc = append(alloc, b.TotalAlloc-a.TotalAlloc)
 		}
-		if wc.Store.Hits() != 1 || wc.Store.Misses() != 1 {
-			t.Fatalf("checkpoint store: %d hits, %d misses; want one capture and one restore", wc.Store.Hits(), wc.Store.Misses())
+		if wc.Store.Hits() != 1 || wc.Store.Published() != 1 {
+			t.Fatalf("checkpoint store: %d hits, %d captures; want one capture and one restore", wc.Store.Hits(), wc.Store.Published())
 		}
 		return outs, alloc
 	}

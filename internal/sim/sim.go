@@ -353,11 +353,11 @@ func (m *Machine) release() {
 // Step advances one cycle and returns the µ-ops committed in it.
 func (m *Machine) Step() int {
 	now := m.cycle
-	committed, flush := m.be.Cycle(now)
-	if flush != nil {
+	committed, flush, flushed := m.be.Cycle(now)
+	if flushed {
 		m.fe.ResumeAt(flush.Cycle + 1)
 	}
-	m.dispatch(now, flush)
+	m.dispatch(now, flushed)
 	m.fe.Cycle(now)
 	if m.ucp != nil {
 		m.ucp.Cycle(now)
@@ -366,9 +366,10 @@ func (m *Machine) Step() int {
 	return committed
 }
 
-// dispatch moves ready µ-ops from the frontend queue into the backend.
-func (m *Machine) dispatch(now uint64, flush *backend.Flush) {
-	if m.mrc != nil && flush != nil && m.mrcPending != 0 {
+// dispatch moves ready µ-ops from the frontend queue into the backend;
+// flushed reports a misprediction the backend resolved this cycle.
+func (m *Machine) dispatch(now uint64, flushed bool) {
+	if m.mrc != nil && flushed && m.mrcPending != 0 {
 		// The MRC records the corrected-path µ-ops after every
 		// misprediction and, on a tag hit, streams them straight to
 		// execution (modeled as a fast-deliver credit; §VI-F).
