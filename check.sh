@@ -53,7 +53,9 @@
 #                           optimization is provably outcome-neutral —
 #                           and five BenchmarkSimQuick samples record the
 #                           quartiles of insts/s, allocs/inst and
-#                           bytes/inst into BENCH_hotpath.json;
+#                           bytes/inst into BENCH_hotpath.json, beside
+#                           five BenchmarkBuildProgram samples as
+#                           build_program_ms;
 #                           a -benchtime=1x smoke of the internal/trace
 #                           generator-vs-arena benchmarks prints their
 #                           per-instruction costs, ungated)
@@ -348,6 +350,11 @@ step "hotpath benchmark (BenchmarkSimQuick)"
 go test -run '^$' -bench '^BenchmarkSimQuick$' -benchtime=1x -count=5 -benchmem . | tee "$RUNQ_TMP/bench.txt"
 grep -q '^BenchmarkSimQuick' "$RUNQ_TMP/bench.txt" || {
 	echo "hotpath: BenchmarkSimQuick produced no result line" >&2; exit 1; }
+# Program set-up: five samples of building the four full-pairs images
+# ten times each, recorded as build_program_ms.
+go test -run '^$' -bench '^BenchmarkBuildProgram$' -benchtime=10x -count=5 -benchmem ./internal/trace | tee -a "$RUNQ_TMP/bench.txt"
+grep -q '^BenchmarkBuildProgram' "$RUNQ_TMP/bench.txt" || {
+	echo "hotpath: BenchmarkBuildProgram produced no result line" >&2; exit 1; }
 # sweep_serial_ms is 0 when the runq gate did not run this invocation.
 "$RUNQ_TMP/experiments" -record hotpath "$RUNQ_TMP/bench.txt" "$SERIAL_MS"
 echo "hotpath: $(tr -d '\n' < BENCH_hotpath.json | tr -s ' ')"

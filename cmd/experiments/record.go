@@ -87,19 +87,44 @@ func buildRunqRecord(args []string, cores int) (benchRecord, error) {
 // as the quartiles of at least hotpathSamples runs (one -benchtime=1x
 // run moves by a third on host noise alone), with the runq gate's
 // serial sweep time from the same check.sh invocation (0 when that gate
-// did not run).
+// did not run). When the output also holds BenchmarkBuildProgram
+// lines, at least hotpathSamples of them, the quartiles of their
+// ns/op in milliseconds are build_program_ms: the time to build the
+// four full-pairs program images.
 type hotpathRecord struct {
 	benchEnvelope
-	Samples              int       `json:"samples"`
-	SimulatedInstsPerSec quartiles `json:"simulated_insts_per_sec"`
-	AllocsPerInst        quartiles `json:"allocs_per_inst"`
-	BytesPerInst         quartiles `json:"bytes_per_inst"`
-	SweepSerialMS        int64     `json:"sweep_serial_ms"`
+	Samples              int        `json:"samples"`
+	SimulatedInstsPerSec quartiles  `json:"simulated_insts_per_sec"`
+	AllocsPerInst        quartiles  `json:"allocs_per_inst"`
+	BytesPerInst         quartiles  `json:"bytes_per_inst"`
+	BuildProgramMS       *quartiles `json:"build_program_ms,omitempty"`
+	SweepSerialMS        int64      `json:"sweep_serial_ms"`
 }
 
-// hotpathSamples is the fewest BenchmarkSimQuick result lines a
-// hotpath record accepts (check.sh runs -count 5).
+// hotpathSamples is the fewest result lines of each benchmark a hotpath
+// record accepts (check.sh runs -count 5).
 const hotpathSamples = 5
+
+// benchResults returns the value of each unit on every result line of
+// the named benchmark in go test -bench output: the name (with any
+// -GOMAXPROCS suffix), the iteration count, then value/unit pairs.
+func benchResults(out, name string) []map[string]float64 {
+	var res []map[string]float64
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) == 0 || (f[0] != name && !strings.HasPrefix(f[0], name+"-")) {
+			continue
+		}
+		units := map[string]float64{}
+		for i := 3; i < len(f); i += 2 {
+			if v, err := strconv.ParseFloat(f[i-1], 64); err == nil {
+				units[f[i]] = v
+			}
+		}
+		res = append(res, units)
+	}
+	return res
+}
 
 // quartiles summarizes samples by their median and quartiles.
 type quartiles struct {
@@ -136,23 +161,11 @@ func buildHotpathRecord(args []string, cores int) (benchRecord, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A result line is the name (with any -GOMAXPROCS suffix), the
-	// iteration count, then value/unit pairs. B/op comes from
-	// -benchmem; the benchmark reports insts/op, so their ratio is the
-	// bytes allocated per simulated instruction.
+	// B/op comes from -benchmem; the benchmark reports insts/op, so
+	// their ratio is the bytes allocated per simulated instruction.
 	const name = "BenchmarkSimQuick"
 	var ips, apis, bpis []float64
-	for _, line := range strings.Split(string(out), "\n") {
-		f := strings.Fields(line)
-		if len(f) == 0 || (f[0] != name && !strings.HasPrefix(f[0], name+"-")) {
-			continue
-		}
-		units := map[string]float64{}
-		for i := 3; i < len(f); i += 2 {
-			if v, err := strconv.ParseFloat(f[i-1], 64); err == nil {
-				units[f[i]] = v
-			}
-		}
+	for _, units := range benchResults(string(out), name) {
 		for _, u := range []string{"insts/s", "allocs/inst", "B/op", "insts/op"} {
 			if _, ok := units[u]; !ok {
 				return nil, fmt.Errorf("%s reports no %s", name, u)
@@ -168,12 +181,29 @@ func buildHotpathRecord(args []string, cores int) (benchRecord, error) {
 	if len(ips) < hotpathSamples {
 		return nil, fmt.Errorf("got %d %s result lines, want at least %d (-count %d)", len(ips), name, hotpathSamples, hotpathSamples)
 	}
-	return hotpathRecord{
+	rec := hotpathRecord{
 		benchEnvelope:        newEnvelope("BenchmarkSimQuick (quick set, baseline+UCP, 30k+30k insts each)", cores),
 		Samples:              len(ips),
 		SimulatedInstsPerSec: quartilesOf(ips, 0),
 		AllocsPerInst:        quartilesOf(apis, 5),
 		BytesPerInst:         quartilesOf(bpis, 2),
 		SweepSerialMS:        sweepMS,
-	}, nil
+	}
+	const build = "BenchmarkBuildProgram"
+	if res := benchResults(string(out), build); len(res) > 0 {
+		var ms []float64
+		for _, units := range res {
+			ns, ok := units["ns/op"]
+			if !ok {
+				return nil, fmt.Errorf("%s reports no ns/op", build)
+			}
+			ms = append(ms, ns/1e6)
+		}
+		if len(ms) < hotpathSamples {
+			return nil, fmt.Errorf("got %d %s result lines, want at least %d (-count %d)", len(ms), build, hotpathSamples, hotpathSamples)
+		}
+		q := quartilesOf(ms, 2)
+		rec.BuildProgramMS = &q
+	}
+	return rec, nil
 }

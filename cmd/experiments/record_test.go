@@ -128,6 +128,51 @@ func TestHotpathRecord(t *testing.T) {
 	}
 }
 
+// TestHotpathRecordBuildProgram reads BenchmarkBuildProgram samples
+// beside BenchmarkSimQuick's and pins build_program_ms, the quartiles
+// of their ns/op in milliseconds; a record without them omits the key.
+func TestHotpathRecordBuildProgram(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	var quick, build string
+	for i := 0; i < 5; i++ {
+		quick += "BenchmarkSimQuick-2 1 3739466855 ns/op 1000000 insts/s 0.002 allocs/inst 360000 insts/op 5000000 B/op 700 allocs/op\n"
+	}
+	for _, ns := range []int{14100000, 13200000, 19900000, 13500000, 13900000} {
+		build += fmt.Sprintf("BenchmarkBuildProgram-2 \t 10 \t %d ns/op \t 10054542 B/op \t 36 allocs/op\n", ns)
+	}
+	rec, err := buildHotpathRecord([]string{write("both.txt", quick+build), "0"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `"build_program_ms": {
+    "q1": 13.5,
+    "median": 13.9,
+    "q3": 14.1
+  },`
+	if got := recordJSON(t, rec); !strings.Contains(got, want) {
+		t.Errorf("record lacks %s:\n%s", want, got)
+	}
+	rec, err = buildHotpathRecord([]string{write("quick.txt", quick), "0"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordJSON(t, rec); strings.Contains(got, "build_program_ms") {
+		t.Errorf("record without BenchmarkBuildProgram lines has build_program_ms:\n%s", got)
+	}
+	short := quick + strings.Join(strings.SplitAfter(build, "\n")[:2], "")
+	if _, err := buildHotpathRecord([]string{write("short.txt", short), "0"}, 2); err == nil ||
+		!strings.Contains(err.Error(), "got 2 BenchmarkBuildProgram result lines, want at least 5") {
+		t.Errorf("two BenchmarkBuildProgram samples: err %v", err)
+	}
+}
+
 func TestRunRecordUnknownID(t *testing.T) {
 	if err := runRecord("bogus", nil); err == nil || !strings.Contains(err.Error(), "runq hotpath") {
 		t.Fatalf("runRecord(bogus) = %v, want an error naming both record ids", err)

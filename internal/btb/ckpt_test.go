@@ -26,7 +26,7 @@ func smallBTB() *BTB {
 // empty ways included, and a recapture must give the same bytes.
 func TestBTBStateRoundTrip(t *testing.T) {
 	saved := smallBTB()
-	w := ckpt.NewWriter()
+	w := ckpt.NewWriter(0)
 	saved.SaveState(w)
 	blob := w.Seal()
 	r, err := ckpt.Open(blob)
@@ -44,7 +44,7 @@ func TestBTBStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(restored, saved) {
 		t.Fatalf("restored %+v, saved %+v", restored, saved)
 	}
-	w = ckpt.NewWriter()
+	w = ckpt.NewWriter(0)
 	restored.SaveState(w)
 	if !bytes.Equal(w.Seal(), blob) {
 		t.Fatal("recapture after restore differs from the capture")
@@ -71,7 +71,7 @@ func TestBTBLoadStateRejects(t *testing.T) {
 		{"bad kind", 16, [][]uint64{{1}, {}, {}, {}}, byte(KindReturn) + 1, "branch kind 4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := ckpt.NewWriter()
+			w := ckpt.NewWriter(0)
 			w.Section("btb")
 			w.Uvarint(tc.entries)
 			valid := 0
@@ -105,7 +105,7 @@ func TestBTBLoadStateRejects(t *testing.T) {
 				t.Fatalf("panic %v, want one naming the hole", p)
 			}
 		}()
-		b.SaveState(ckpt.NewWriter())
+		b.SaveState(ckpt.NewWriter(0))
 	})
 }
 
@@ -120,7 +120,7 @@ func TestBlockBTBStateRoundTrip(t *testing.T) {
 		saved.Insert(pc, pc+0x100, BranchKind(i%4))
 	}
 	saved.Lookup(0x1040)
-	w := ckpt.NewWriter()
+	w := ckpt.NewWriter(0)
 	saved.SaveState(w)
 	blob := w.Seal()
 	r, err := ckpt.Open(blob)
@@ -138,7 +138,7 @@ func TestBlockBTBStateRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(restored, saved) {
 		t.Fatalf("restored %+v, saved %+v", restored, saved)
 	}
-	w = ckpt.NewWriter()
+	w = ckpt.NewWriter(0)
 	restored.SaveState(w)
 	if !bytes.Equal(w.Seal(), blob) {
 		t.Fatal("recapture after restore differs from the capture")
@@ -160,7 +160,7 @@ func TestBlockBTBLoadStateRejects(t *testing.T) {
 		{"bad kind", 1, byte(KindReturn) + 1, "branch kind 4"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := ckpt.NewWriter()
+			w := ckpt.NewWriter(0)
 			w.Section("blockbtb")
 			w.Sets([]uint64{blockValid | 5, 0, 0, 0}, cfg.Ways, blockValid)
 			w.Uvarint(uint64(tc.branches))

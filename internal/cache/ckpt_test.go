@@ -45,7 +45,7 @@ func TestLoadStateRejectsImpossibleSets(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name+"/as saved", func(t *testing.T) {
 			saved, tags := b.build()
-			w := ckpt.NewWriter()
+			w := ckpt.NewWriter(0)
 			saved.SaveState(w)
 			r, err := ckpt.Open(w.Seal())
 			if err != nil {
@@ -66,7 +66,7 @@ func TestLoadStateRejectsImpossibleSets(t *testing.T) {
 					t.Fatalf("panic %v, want one naming the hole", p)
 				}
 			}()
-			saved.SaveState(ckpt.NewWriter())
+			saved.SaveState(ckpt.NewWriter(0))
 		})
 		for _, tc := range []struct {
 			name    string
@@ -80,7 +80,7 @@ func TestLoadStateRejectsImpossibleSets(t *testing.T) {
 			{"wrong set count", 4, [][]uint64{{1, 2}}, "4 set entries, want 8"},
 		} {
 			t.Run(b.name+"/"+tc.name, func(t *testing.T) {
-				w := ckpt.NewWriter()
+				w := ckpt.NewWriter(0)
 				w.Section(b.name)
 				w.Uvarint(tc.entries)
 				for _, set := range tc.sets {

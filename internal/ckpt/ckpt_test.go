@@ -15,7 +15,7 @@ import (
 
 func sealed(t *testing.T) []byte {
 	t.Helper()
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("hdr")
 	w.Uvarint(42)
 	w.Varint(-7)
@@ -147,7 +147,7 @@ func TestSetsEncoding(t *testing.T) {
 		{"truncated", [][]uint64{{1}}, "truncated"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			w := NewWriter()
+			w := NewWriter(0)
 			w.Uvarint(4)
 			for _, set := range tc.sets {
 				w.Uvarint(uint64(len(set)))
@@ -170,7 +170,7 @@ func TestSetsEncoding(t *testing.T) {
 // TestReaderStickyErrors checks section skew and length mismatches fail
 // descriptively and stick.
 func TestReaderStickyErrors(t *testing.T) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("bp")
 	w.U64s([]uint64{1, 2, 3})
 	r, err := Open(w.Seal())
@@ -199,7 +199,7 @@ func TestReaderStickyErrors(t *testing.T) {
 }
 
 func sealedU64s(v []uint64) []byte {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U64s(v)
 	return w.Seal()
 }
@@ -241,7 +241,7 @@ func TestStoreSingleFlight(t *testing.T) {
 			blob, ok, release := acquire(s, key)
 			if !ok {
 				computes.Add(1)
-				w := NewWriter()
+				w := NewWriter(0)
 				w.Uvarint(777)
 				blob = w.Seal()
 				release(blob)
@@ -278,7 +278,7 @@ func TestStoreAbortHandsOver(t *testing.T) {
 	go func() {
 		blob, ok2, release2 := acquire(s, key) // blocks until the abort
 		if !ok2 {
-			w := NewWriter()
+			w := NewWriter(0)
 			w.Uvarint(1)
 			blob = w.Seal()
 			release2(blob)
@@ -307,7 +307,7 @@ func TestStoreAbortHandsOver(t *testing.T) {
 func TestStoreDisk(t *testing.T) {
 	dir := t.TempDir()
 	key := testKey(3)
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Uvarint(99)
 	blob := w.Seal()
 
@@ -371,7 +371,7 @@ func TestStoreStaleVersionHeals(t *testing.T) {
 	key := testKey(5)
 	stale := &Writer{buf: binary.LittleEndian.AppendUint32([]byte(envMagic), envVersion-1)}
 	stale.Uvarint(99)
-	fresh := NewWriter()
+	fresh := NewWriter(0)
 	fresh.Uvarint(99)
 	blob := fresh.Seal()
 	s := NewStore(dir)
@@ -395,7 +395,7 @@ func TestStoreStaleVersionHeals(t *testing.T) {
 // pruneBlob returns a sealed blob of fixed size so the byte-budget
 // arithmetic in the prune tests is exact.
 func pruneBlob() []byte {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.U64s(make([]uint64, 32))
 	return w.Seal()
 }
@@ -570,7 +570,7 @@ func TestSealExactSizeAndStoreBytes(t *testing.T) {
 	s := NewStore("")
 	want := 0
 	for i := 0; i < 3; i++ {
-		w := NewWriter()
+		w := NewWriter(0)
 		w.Section("big")
 		for j := 0; j < 10_000*(i+1); j++ {
 			w.Uvarint(uint64(j) << 20)

@@ -38,9 +38,12 @@ type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns a Writer with the envelope header pre-allocated.
-func NewWriter() *Writer {
-	w := &Writer{buf: make([]byte, 0, 1<<16)}
+// NewWriter returns a Writer with the envelope header written, whose
+// buffer holds a blob of size bytes (envelope included) before it
+// grows. A blob that seals at exactly size takes no copy; 0 starts
+// from the header alone.
+func NewWriter(size int) *Writer {
+	w := &Writer{buf: make([]byte, 0, max(size, len(envMagic)+4))}
 	w.buf = append(w.buf, envMagic...)
 	w.buf = binary.LittleEndian.AppendUint32(w.buf, envVersion)
 	return w
@@ -135,13 +138,18 @@ func (w *Writer) Len() int { return len(w.buf) }
 // Seal stamps the SHA-256 of everything written so far onto the end and
 // returns the finished blob, in an array of exactly its length: a
 // store holds blobs for its lifetime, so the writer's growth slack must
-// not come with them. The Writer must not be used afterwards.
+// not come with them. The digest lands in the writer's own buffer when
+// it fits exactly, and the blob is copied out otherwise. The Writer
+// must not be used afterwards.
 func (w *Writer) Seal() []byte {
 	sum := sha256.Sum256(w.buf)
-	blob := make([]byte, len(w.buf)+len(sum))
-	copy(blob[copy(blob, w.buf):], sum[:])
+	blob := w.buf
+	if cap(blob) != len(blob)+len(sum) {
+		blob = make([]byte, len(w.buf), len(w.buf)+len(sum))
+		copy(blob, w.buf)
+	}
 	w.buf = nil
-	return blob
+	return append(blob, sum[:]...)
 }
 
 // Verify checks a blob's envelope (magic, version, digest) without

@@ -6,7 +6,7 @@ import "testing"
 // verifies, decodes the sealed() field sequence through the Reader:
 // every malformed input must surface as an error, never a panic.
 func FuzzOpen(f *testing.F) {
-	w := NewWriter()
+	w := NewWriter(0)
 	w.Section("hdr")
 	w.Uvarint(42)
 	w.Varint(-7)

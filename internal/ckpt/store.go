@@ -34,12 +34,13 @@ type Cache[V any] struct {
 	maxBytes int64
 	now      func() int64
 
-	mu        sync.Mutex
-	mem       map[string]V
-	bytes     int // sum of the memoized values' sealed sizes
-	flights   map[string]chan struct{}
-	hits      int
-	published int
+	mu            sync.Mutex
+	mem           map[string]V
+	bytes         int // sum of the memoized values' sealed sizes
+	flights       map[string]chan struct{}
+	hits          int
+	published     int
+	writeFailures int
 
 	// pruneMu serializes pruning passes; pruning walks the directory
 	// and must not run under mu (disk latency would serialize every
@@ -228,33 +229,47 @@ func (c *Cache[V]) stamp(path string) {
 
 // storeDisk persists a blob atomically (temp + rename) so concurrent
 // readers — or a second process sharing the directory — never observe
-// a torn file.
+// a torn file. A failed write leaves the value in memory only and is
+// counted (WriteFailures).
 func (c *Cache[V]) storeDisk(key string, blob []byte) {
 	if c.dir == "" || len(key) < 2 {
 		return
 	}
 	path := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+key+".tmp-")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(blob)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err := writeAtomic(path, "."+key+".tmp-", blob); err != nil {
+		c.mu.Lock()
+		c.writeFailures++
+		c.mu.Unlock()
 		return
 	}
 	c.stamp(path)
 	if c.maxBytes > 0 {
 		c.prune()
 	}
+}
+
+// writeAtomic writes blob to a temp file named by pattern beside path,
+// then renames it over path; on any failure it removes the temp file.
+func writeAtomic(path, pattern string, blob []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(dir, pattern)
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(blob)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // prune removes least-recently-verified files until the directory's
@@ -338,6 +353,16 @@ func (c *Cache[V]) Published() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.published
+}
+
+// WriteFailures reports how many values the disk tier failed to
+// persist (a directory it cannot create, a full or read-only disk, a
+// rename onto an obstruction). Each such value lives in memory only,
+// so a later process misses it.
+func (c *Cache[V]) WriteFailures() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writeFailures
 }
 
 // KeyError annotates a checkpoint failure with its key for diagnostics.

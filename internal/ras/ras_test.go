@@ -162,7 +162,7 @@ func TestCopyFromMatchesPopSequence(t *testing.T) {
 // on the reader rather than panic on the first Push.
 func TestLoadStateRejectsPositionPastStack(t *testing.T) {
 	for _, tc := range []struct{ top, depth uint64 }{{32, 0}, {0, 33}, {1 << 40, 1}} {
-		w := ckpt.NewWriter()
+		w := ckpt.NewWriter(0)
 		w.Section("ras")
 		w.U64s(make([]uint64, 32))
 		w.Uvarint(tc.top)
@@ -183,7 +183,7 @@ func TestLoadStateRejectsPositionPastStack(t *testing.T) {
 	for i := range 31 {
 		full.Push(uint64(i))
 	}
-	w := ckpt.NewWriter()
+	w := ckpt.NewWriter(0)
 	full.SaveState(w)
 	r, _ := ckpt.Open(w.Seal())
 	New(32).LoadState(r)

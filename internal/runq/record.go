@@ -47,9 +47,10 @@ func encodeRecord(_ string, o *outcome) []byte {
 	return sealRecord(js)
 }
 
-// sealRecord wraps a record's JSON in a ckpt envelope.
+// sealRecord wraps a record's JSON in a ckpt envelope. The envelope,
+// section name and length prefix fit in 64 bytes beside the JSON.
 func sealRecord(js []byte) []byte {
-	w := ckpt.NewWriter()
+	w := ckpt.NewWriter(len(js) + 64)
 	w.Section("record")
 	w.U8s(js)
 	return w.Seal()

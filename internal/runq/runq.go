@@ -161,6 +161,9 @@ type Stats struct {
 	Retries int
 	// Failures counts jobs that still failed after their retry.
 	Failures int
+	// WriteFailures counts results the disk cache failed to write
+	// (CacheDir unwritable, full or obstructed); later pools miss them.
+	WriteFailures int
 }
 
 // Pool executes jobs. RunAll is not reentrant — call it from one
@@ -258,8 +261,10 @@ type Runner interface {
 // Stats returns a snapshot of the pool's counters.
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
+	s := p.stats
+	p.mu.Unlock()
+	s.WriteFailures = p.results.WriteFailures()
+	return s
 }
 
 // CheckpointStats reports warm-checkpoint store activity: blobs this
@@ -271,6 +276,15 @@ func (p *Pool) CheckpointStats() (captured, restored int) {
 		return 0, 0
 	}
 	return p.ckpts.Published(), p.ckpts.Hits()
+}
+
+// CheckpointWriteFailures reports how many checkpoints the store
+// failed to write to CkptDir; zero when checkpoints are disabled.
+func (p *Pool) CheckpointWriteFailures() int {
+	if p.ckpts == nil {
+		return 0
+	}
+	return p.ckpts.WriteFailures()
 }
 
 // CheckpointBytes reports the total size of the warm-checkpoint blobs

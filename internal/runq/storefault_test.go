@@ -21,6 +21,9 @@ type storeTarget struct {
 	// tier names where a pool's run found its values: "miss" (it
 	// computed them), "disk" (it loaded them) or "memo".
 	tier func(p *Pool, rs []JobResult) string
+	// writeFailures is the pool's count of values this store failed
+	// to write to disk.
+	writeFailures func(p *Pool) int
 }
 
 func storeTargets() []storeTarget {
@@ -35,6 +38,7 @@ func storeTargets() []storeTarget {
 			}
 			return rs[0].Source
 		},
+		writeFailures: func(p *Pool) int { return p.Stats().WriteFailures },
 	}, {
 		// Two sampled jobs share one warm checkpoint: the first
 		// captures it or loads it from disk, the second restores it
@@ -56,6 +60,7 @@ func storeTargets() []storeTarget {
 				return fmt.Sprintf("%d captured, %d restored", captured, restored)
 			}
 		},
+		writeFailures: (*Pool).CheckpointWriteFailures,
 	}}
 }
 
@@ -114,7 +119,8 @@ func write(t *testing.T, path string, b []byte) {
 // repair heals: the next pool loads from disk. A directory at the
 // target path cannot be replaced, so the value lives in memory (a rerun
 // on the same pool is a memo hit) and every later pool misses again,
-// without an error.
+// without an error; the pool counts the failed write. A store that
+// writes its file counts none.
 func TestStorageFaultsReadAsMiss(t *testing.T) {
 	for _, target := range storeTargets() {
 		for _, fault := range storeFaults {
@@ -141,8 +147,12 @@ func TestStorageFaultsReadAsMiss(t *testing.T) {
 					}
 					return target.tier(p, rs)
 				}
-				if got := run(New(target.opts(dir))); got != "miss" {
+				cold := New(target.opts(dir))
+				if got := run(cold); got != "miss" {
 					t.Fatalf("cold pool: %s, want miss", got)
+				}
+				if n := target.writeFailures(cold); n != 0 {
+					t.Fatalf("cold pool: %d write failures, want 0", n)
 				}
 				paths, err := filepath.Glob(filepath.Join(dir, "*", "*"+target.ext))
 				if err != nil || len(paths) != 1 {
@@ -160,6 +170,12 @@ func TestStorageFaultsReadAsMiss(t *testing.T) {
 				}
 				if got := run(faulted); got != "memo" {
 					t.Fatalf("faulted store rerun: %s, want memo", got)
+				}
+				switch n := target.writeFailures(faulted); {
+				case fault.heals && n != 0:
+					t.Fatalf("faulted store: %d write failures, want 0", n)
+				case !fault.heals && n < 1:
+					t.Fatal("faulted store: no write failure counted for an obstructed target")
 				}
 				next := "disk"
 				if !fault.heals {

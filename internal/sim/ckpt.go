@@ -126,18 +126,26 @@ func (m *Machine) warmTo(to uint64, h BoundaryWarm, wc *WarmCheckpoints) error {
 	if err := m.fastForward(to, h); err != nil {
 		return err
 	}
-	release(m.captureWarm())
+	// Size the writer a little above the store's mean blob, so a
+	// capture seals with one copy instead of growing step by step from
+	// the header.
+	size := 0
+	if n := wc.Store.Len(); n > 0 {
+		size = wc.Store.Bytes() / n * 9 / 8
+	}
+	w := ckpt.NewWriter(size)
+	m.saveWarm(w)
+	release(w.Seal())
 	return nil
 }
 
-// captureWarm serializes the machine's functional-warm state at the end
+// saveWarm serializes the machine's functional-warm state at the end
 // of a fast-forward: the stream position split (skipped vs
 // functionally committed), the backend's commit counters, and every
 // structure the warm path mutates. State not saved here is exactly the
 // state the fast-forward never touches, which a freshly constructed
 // machine already holds.
-func (m *Machine) captureWarm() []byte {
-	w := ckpt.NewWriter()
+func (m *Machine) saveWarm(w *ckpt.Writer) {
 	w.Section("machine")
 	w.Uvarint(m.skipped)
 	w.Uvarint(m.ffInsts)
@@ -150,7 +158,6 @@ func (m *Machine) captureWarm() []byte {
 	if m.ucp != nil {
 		m.ucp.SaveWarmState(w)
 	}
-	return w.Seal()
 }
 
 // restoreWarm rebuilds the capture-point state on a freshly constructed

@@ -118,7 +118,7 @@ func FuzzRestoreWarm(f *testing.F) {
 		if keep > 0 {
 			p = p[:int(keep%uint32(len(p)+1))]
 		}
-		w := ckpt.NewWriter()
+		w := ckpt.NewWriter(0)
 		for _, b := range p {
 			w.Byte(b)
 		}

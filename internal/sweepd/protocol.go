@@ -182,11 +182,13 @@ type Statz struct {
 
 	// Pool is the shared result tier: runs executed, memo/disk hits.
 	Pool runq.Stats `json:"pool"`
-	// Checkpoint tier: functional-warm blobs captured and restored, and
-	// the bytes of the captured blobs the pool holds in memory.
-	CkptCaptured int `json:"ckpt_captured"`
-	CkptRestored int `json:"ckpt_restored"`
-	CkptBytes    int `json:"ckpt_bytes"`
+	// Checkpoint tier: functional-warm blobs captured and restored, the
+	// bytes of the captured blobs the pool holds in memory, and the
+	// blobs the pool failed to write to its checkpoint directory.
+	CkptCaptured      int `json:"ckpt_captured"`
+	CkptRestored      int `json:"ckpt_restored"`
+	CkptBytes         int `json:"ckpt_bytes"`
+	CkptWriteFailures int `json:"ckpt_write_failures"`
 	// Arenas counts shared decoded trace arenas held by the pool. Only
 	// recorded-trace jobs build one, and the server refuses those, so
 	// a server reads 0.

@@ -574,31 +574,33 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statzJSON() ([]byte, error) {
 	captured, restored := s.pool.CheckpointStats()
 	ckptBytes := s.pool.CheckpointBytes()
+	ckptWriteFailures := s.pool.CheckpointWriteFailures()
 	arenas := s.pool.ArenaCount()
 	pool := s.pool.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return json.Marshal(Statz{
-		Protocol:      ProtocolVersion,
-		Model:         sim.ModelVersion,
-		UptimeMS:      s.now().Milliseconds(),
-		JobsSubmitted: s.submitted,
-		JobsCoalesced: s.coalesced,
-		JobsDone:      s.finished,
-		JobsFailed:    s.failed,
-		QueueDepth:    s.qdepth,
-		QueueCap:      s.cfg.QueueDepth,
-		Inflight:      s.inflight,
-		Rejected:      s.rejected,
-		Draining:      s.draining,
-		Pool:          pool,
-		CkptCaptured:  captured,
-		CkptRestored:  restored,
-		CkptBytes:     ckptBytes,
-		Arenas:        arenas,
-		QueueWaitMS:   s.qwaitH,
-		RunMS:         s.runH,
-		TotalMS:       s.totalH,
+		Protocol:          ProtocolVersion,
+		Model:             sim.ModelVersion,
+		UptimeMS:          s.now().Milliseconds(),
+		JobsSubmitted:     s.submitted,
+		JobsCoalesced:     s.coalesced,
+		JobsDone:          s.finished,
+		JobsFailed:        s.failed,
+		QueueDepth:        s.qdepth,
+		QueueCap:          s.cfg.QueueDepth,
+		Inflight:          s.inflight,
+		Rejected:          s.rejected,
+		Draining:          s.draining,
+		Pool:              pool,
+		CkptCaptured:      captured,
+		CkptRestored:      restored,
+		CkptBytes:         ckptBytes,
+		CkptWriteFailures: ckptWriteFailures,
+		Arenas:            arenas,
+		QueueWaitMS:       s.qwaitH,
+		RunMS:             s.runH,
+		TotalMS:           s.totalH,
 	})
 }
 

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -190,6 +192,34 @@ func TestStatzReportsCheckpointBytes(t *testing.T) {
 	}
 	if want := srv.Pool().CheckpointBytes(); st.CkptCaptured != 1 || st.CkptBytes <= 0 || st.CkptBytes != want {
 		t.Fatalf("statz captured %d, ckpt_bytes %d; want 1 and the pool's %d", st.CkptCaptured, st.CkptBytes, want)
+	}
+}
+
+// TestStatzReportsCheckpointWriteFailures points a checkpointing
+// server's checkpoint directory at a regular file: the job still
+// succeeds from the in-memory checkpoint, and /v1/statz counts the
+// blob the store could not write.
+func TestStatzReportsCheckpointWriteFailures(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, cl := startServer(t, sweepd.Config{Executors: 1, Pool: runq.Options{Checkpoints: true, CkptDir: file}})
+	cfg := sim.Baseline()
+	cfg.Sampling = sim.SamplingConfig{
+		Enabled: true, PeriodInsts: 25_000, DetailedInsts: 2_000,
+		WarmInsts: 4_000, FFWarmInsts: 8_000,
+	}
+	job := runq.Job{Config: cfg, Profile: trace.QuickProfiles()[0], Warmup: 50_000, Measure: 50_000}
+	if r := cl.RunAll([]runq.Job{job}); r[0].Err != nil {
+		t.Fatal(r[0].Err)
+	}
+	st, err := cl.Statz()
+	if err != nil {
+		t.Fatalf("statz: %v", err)
+	}
+	if st.CkptCaptured != 1 || st.CkptWriteFailures != 1 {
+		t.Fatalf("statz captured %d, ckpt_write_failures %d; want 1 and 1", st.CkptCaptured, st.CkptWriteFailures)
 	}
 }
 

@@ -159,33 +159,28 @@ const (
 
 // behavior is the build-time description of a branch site's dynamic
 // policy. Runtime state lives in the Walker so Programs are immutable
-// and shareable. Fields are ordered widest first so the struct packs.
+// and shareable. It is a 32-byte union read by kind, with no pointers,
+// so the collector never scans the table (DESIGN.md, "Program image").
 type behavior struct {
-	// p is the taken probability for biased/random branches.
+	// p is the taken probability of a bBiased or bRandom branch, the
+	// mean trip count of a bLoop, and the probability that a bIndirect
+	// site picks its target uniformly instead of from a Zipf draw.
 	p float64
-	// pattern/period drive bPattern.
-	pattern uint64
-	// histMask selects the global-history bits whose parity decides a
-	// bHistory branch; histPhase inverts the outcome.
-	histMask uint64
-	// Loop trip behavior: tripFixed > 0 means a constant trip count;
-	// otherwise tripRange > 0 samples uniformly in
-	// [tripBase, tripBase+tripRange) (low-variance, partially
-	// predictable), and failing both, trips are geometric with mean
-	// tripMean (high-variance, an organic H2P source).
-	tripMean float64
-	// cases are indirect targets; caseHist selects history-correlated
-	// target choice, caseFlat the probability of a uniform (vs Zipf)
-	// random pick.
-	cases     []uint64
-	caseFlat  float64
-	tripFixed int32
-	tripBase  int32
-	tripRange int32
-	kind      behaviorKind
-	period    uint8
-	histPhase bool
-	caseHist  bool
+	// bits is a bPattern's outcome pattern, or the global-history bits
+	// whose parity decides a bHistory branch.
+	bits uint64
+	// A bLoop with fixed > 0 has a constant trip count; otherwise
+	// span > 0 samples it uniformly in [base, base+span) (low-variance,
+	// partially predictable), and failing both, trips are geometric
+	// with mean p (high-variance, an organic H2P source). A bIndirect
+	// site's targets are Program.cases[base : base+span].
+	fixed, base, span int32
+	kind              behaviorKind
+	// period is a bPattern's repeat length.
+	period uint8
+	// flag inverts a bHistory branch's outcome, and makes a bIndirect
+	// site's target choice history-correlated.
+	flag bool
 }
 
 type memMode uint8
@@ -243,6 +238,9 @@ type Program struct {
 	// Entry is the dispatcher address where execution starts.
 	Entry     uint64
 	behaviors []behavior
+	// cases holds every indirect site's target list, one slab: the
+	// dispatcher's, which is the function-address table, comes first.
+	cases []uint64
 	// regionMask is the span of every heap access less one. A region
 	// is 4 or 16 KiB, a power of two, so the walker reduces offsets by
 	// masking, which yields exactly what a modulo would. streams counts
@@ -254,12 +252,14 @@ type Program struct {
 // StaticInsts returns the number of generated static instructions.
 func (p *Program) StaticInsts() int { return len(p.code) }
 
-// asm accumulates code during program construction.
+// asm accumulates code during program construction, into build
+// buffers sized from the profile's budget.
 type asm struct {
 	prof      *Profile
 	r         *rng.Rand
 	code      []StaticInst
 	behaviors []behavior
+	cases     []uint64
 	regions   int
 	regionSz  uint64
 	streams   int
@@ -358,9 +358,9 @@ func (a *asm) condBehavior() behavior {
 		// they naturally populate the medium-confidence classes.
 		period := uint8(2 + a.r.Intn(2))
 		return behavior{
-			kind:    bPattern,
-			pattern: a.r.Uint64(),
-			period:  period,
+			kind:   bPattern,
+			bits:   a.r.Uint64(),
+			period: period,
 		}
 	case u < p.CondRandomFrac+p.CondPatternFrac+p.CondHistoryFrac:
 		// Outcome = parity of `bits` recent global-history bits chosen
@@ -379,7 +379,7 @@ func (a *asm) condBehavior() behavior {
 		for i := 0; i < bits; i++ {
 			mask |= 1 << uint(a.r.Intn(window))
 		}
-		return behavior{kind: bHistory, histMask: mask, histPhase: a.r.Bool(0.5)}
+		return behavior{kind: bHistory, bits: mask, flag: a.r.Bool(0.5)}
 	default:
 		// Strongly biased branches: error-check/guard style code that
 		// almost always goes one way. The quartic skew keeps the mean
@@ -467,16 +467,16 @@ func (a *asm) buildLoop(depth int, fnStack uint64) int {
 	} else {
 		a.straight(bodyN, fnStack)
 	}
-	b := behavior{kind: bLoop, tripMean: a.prof.LoopTripMean}
+	b := behavior{kind: bLoop, p: a.prof.LoopTripMean}
 	switch {
 	case a.r.Bool(a.prof.FixedTripFrac):
-		b.tripFixed = int32(2 + a.r.Intn(int(a.prof.LoopTripMean*2)+1))
+		b.fixed = int32(2 + a.r.Intn(int(a.prof.LoopTripMean*2)+1))
 	case a.r.Bool(0.85):
 		base := int32(a.prof.LoopTripMean) - 1
 		if base < 2 {
 			base = 2
 		}
-		b.tripBase, b.tripRange = base, 3
+		b.base, b.span = base, 3
 	}
 	bi := a.addBehavior(b)
 	a.emit(StaticInst{Class: isa.CondBranch, a: top, b: bi, Src1: a.reg()})
@@ -488,22 +488,23 @@ func (a *asm) buildSwitch(fnStack uint64) int {
 	start := len(a.code)
 	n := 2 + a.r.Intn(5)
 	bi := a.addBehavior(behavior{
-		kind:     bIndirect,
-		caseHist: a.r.Bool(a.prof.IndHistFrac),
+		kind: bIndirect,
+		base: int32(len(a.cases)),
+		span: int32(n),
+		flag: a.r.Bool(a.prof.IndHistFrac),
 	})
 	a.emit(StaticInst{Class: isa.IndirectJump, b: bi, Src1: a.reg()})
-	var jmps []int
-	cases := make([]uint64, 0, n)
+	var jmps [6]int
 	for i := 0; i < n; i++ {
-		cases = append(cases, a.pc())
+		// Case bodies are straight code, so the list stays contiguous.
+		a.cases = append(a.cases, a.pc())
 		a.straight(1+a.r.Geometric(3), fnStack)
-		jmps = append(jmps, a.emit(StaticInst{Class: isa.DirectJump}))
+		jmps[i] = a.emit(StaticInst{Class: isa.DirectJump})
 	}
 	end := a.at()
-	for _, j := range jmps {
+	for _, j := range jmps[:n] {
 		a.code[j].a = end
 	}
-	a.behaviors[bi].cases = cases
 	return len(a.code) - start
 }
 
@@ -513,14 +514,15 @@ func (a *asm) buildCall(callees []uint64) int {
 	start := len(a.code)
 	if a.r.Bool(a.prof.IndirectFrac) && len(callees) >= 2 {
 		k := 2 + a.r.Intn(min(3, len(callees)-1))
-		cs := make([]uint64, 0, k)
+		base := len(a.cases)
 		for i := 0; i < k; i++ {
-			cs = append(cs, callees[a.r.Intn(len(callees))])
+			a.cases = append(a.cases, callees[a.r.Intn(len(callees))])
 		}
 		bi := a.addBehavior(behavior{
-			kind:     bIndirect,
-			cases:    cs,
-			caseHist: a.r.Bool(a.prof.IndHistFrac),
+			kind: bIndirect,
+			base: int32(base),
+			span: int32(k),
+			flag: a.r.Bool(a.prof.IndHistFrac),
 		})
 		a.emit(StaticInst{Class: isa.IndirectCall, b: bi, Src1: a.reg()})
 	} else {
@@ -545,7 +547,24 @@ func BuildProgram(prof Profile) (*Program, error) {
 		return nil, err
 	}
 	r := rng.New(prof.Seed)
-	a := &asm{prof: &prof, r: r, regionSz: 16 * 1024}
+	// The build buffers are sized from the budget, Funcs×AvgFuncInsts
+	// (Validate holds it under maxStaticInsts), plus a quarter: built-in
+	// profiles generate 1.00–1.20× the budget in instructions, about
+	// one behavior per 13 instructions and one switch or indirect-call
+	// case per 30, so the buffers never grow. Each is copied once, to
+	// exact size, at the end.
+	size := prof.Funcs * prof.AvgFuncInsts
+	size += size / 4
+	a := &asm{
+		prof:      &prof,
+		r:         r,
+		code:      make([]StaticInst, 0, size),
+		behaviors: make([]behavior, 0, size/8),
+		// The dispatcher's case list, the function-address table, comes
+		// first.
+		cases:    make([]uint64, prof.Funcs, prof.Funcs+size/16),
+		regionSz: 16 * 1024,
+	}
 	if prof.DataWSS < a.regionSz {
 		a.regionSz = 4096
 	}
@@ -558,17 +577,13 @@ func BuildProgram(prof Profile) (*Program, error) {
 	// keeping the call graph a DAG (no unbounded recursion): function
 	// N-1 lands at CodeBase and lower-index functions at higher
 	// addresses.
-	funcAddrs := make([]uint64, prof.Funcs)
 	for i := prof.Funcs - 1; i >= 0; i-- {
-		funcAddrs[i] = a.pc()
+		a.cases[i] = a.pc()
 		fnStack := stackBase + uint64(i)*4096
 		// Callees are the next few functions (already emitted, since we
 		// build back to front); a narrow fan-out keeps call trees local
 		// so a dispatcher pick touches a small contiguous code cluster.
-		callees := funcAddrs[i+1:]
-		if len(callees) > 12 {
-			callees = callees[:12]
-		}
+		callees := a.cases[i+1 : min(i+13, prof.Funcs)]
 		budget := prof.AvgFuncInsts/2 + a.r.Intn(prof.AvgFuncInsts)
 		// Call sites per function: 0 (45%), 1 (35%), or 2 (20%) —
 		// expected 0.75 dynamic calls per invocation keeps call trees
@@ -605,24 +620,32 @@ func BuildProgram(prof Profile) (*Program, error) {
 	dispStack := stackBase + uint64(prof.Funcs)*4096
 	a.straight(3, dispStack)
 	bi := a.addBehavior(behavior{
-		kind:     bIndirect,
-		cases:    funcAddrs,
-		caseFlat: prof.FlatFrac,
+		kind: bIndirect,
+		p:    prof.FlatFrac,
+		span: int32(prof.Funcs),
 	})
 	a.emit(StaticInst{Class: isa.IndirectCall, b: bi, Src1: a.reg()})
 	a.straight(2, dispStack)
 	a.emit(StaticInst{Class: isa.DirectJump, a: entry})
 
-	// Copy out of the append slack: the image lives as long as the
-	// program is cached.
+	// The image lives as long as the program is cached, so it keeps
+	// none of the buffers' slack.
 	return &Program{
 		Profile:    prof,
-		code:       append(make([]StaticInst, 0, len(a.code)), a.code...),
+		code:       exact(a.code),
 		Entry:      pcOf(entry),
-		behaviors:  append(make([]behavior, 0, len(a.behaviors)), a.behaviors...),
+		behaviors:  exact(a.behaviors),
+		cases:      exact(a.cases),
 		regionMask: a.regionSz - 1,
 		streams:    a.streams,
 	}, nil
+}
+
+// exact copies s into an array of exactly its length.
+func exact[T any](s []T) []T {
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // branchState is the per-site runtime state owned by a Walker.
@@ -753,20 +776,20 @@ func (w *Walker) evalCond(b *behavior, st *branchState) bool {
 	case bBiased, bRandom:
 		return w.r.Bool(b.p)
 	case bPattern:
-		bit := b.pattern>>(st.idx%uint32(b.period))&1 != 0
+		bit := b.bits>>(st.idx%uint32(b.period))&1 != 0
 		st.idx++
 		return bit
 	case bHistory:
-		return parity(w.ghist&b.histMask) != b.histPhase
+		return parity(w.ghist&b.bits) != b.flag
 	case bLoop:
 		if st.trips <= 0 {
 			switch {
-			case b.tripFixed > 0:
-				st.trips = b.tripFixed
-			case b.tripRange > 0:
-				st.trips = b.tripBase + int32(w.r.Intn(int(b.tripRange)))
+			case b.fixed > 0:
+				st.trips = b.fixed
+			case b.span > 0:
+				st.trips = b.base + int32(w.r.Intn(int(b.span)))
 			default:
-				st.trips = int32(w.r.Geometric(b.tripMean))
+				st.trips = int32(w.r.Geometric(b.p))
 			}
 		}
 		st.trips--
@@ -777,20 +800,21 @@ func (w *Walker) evalCond(b *behavior, st *branchState) bool {
 }
 
 func (w *Walker) evalIndirect(b *behavior) uint64 {
-	n := len(b.cases)
+	cases := w.prog.cases[b.base : b.base+b.span]
+	n := len(cases)
 	if n == 1 {
-		return b.cases[0]
+		return cases[0]
 	}
 	var i int
 	switch {
-	case b.caseHist:
+	case b.flag:
 		i = int(mixHash(w.ghist) % uint64(n))
-	case b.caseFlat > 0 && w.r.Bool(b.caseFlat):
+	case b.p > 0 && w.r.Bool(b.p):
 		i = w.r.Intn(n)
 	default:
 		i = w.r.Zipf(n)
 	}
-	return b.cases[i]
+	return cases[i]
 }
 
 func (w *Walker) memAddr(si *StaticInst) uint64 {
@@ -809,13 +833,6 @@ func (w *Walker) memAddr(si *StaticInst) uint64 {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // BehaviorDescAt returns a debug description of the branch behavior at
 // pc ("biased p=0.98", "pattern period=3", ...). It returns "" for
 // non-branch or behavior-free instructions. Intended for tests and
@@ -832,13 +849,13 @@ func (p *Program) BehaviorDescAt(pc uint64) string {
 	case bPattern:
 		return fmt.Sprintf("pattern period=%d", b.period)
 	case bHistory:
-		return fmt.Sprintf("history mask=%#x", b.histMask)
+		return fmt.Sprintf("history mask=%#x", b.bits)
 	case bRandom:
 		return fmt.Sprintf("random p=%.3f", b.p)
 	case bLoop:
-		return fmt.Sprintf("loop fixed=%d mean=%.1f", b.tripFixed, b.tripMean)
+		return fmt.Sprintf("loop fixed=%d mean=%.1f", b.fixed, b.p)
 	case bIndirect:
-		return fmt.Sprintf("indirect cases=%d hist=%v", len(b.cases), b.caseHist)
+		return fmt.Sprintf("indirect cases=%d hist=%v", b.span, b.flag)
 	}
 	return "?"
 }

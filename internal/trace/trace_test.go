@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -106,11 +108,16 @@ func TestProgramFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(StaticInst{}); got != 16 {
 		t.Fatalf("StaticInst is %d bytes, want 16", got)
 	}
+	if got := unsafe.Sizeof(behavior{}); got != 32 {
+		t.Fatalf("behavior is %d bytes, want 32", got)
+	}
 	for _, p := range DefaultProfiles() {
 		prog := mustProgram(t, p)
-		if cap(prog.code) != len(prog.code) || cap(prog.behaviors) != len(prog.behaviors) {
-			t.Errorf("%s: code %d/%d, behaviors %d/%d (len/cap)", p.Name,
-				len(prog.code), cap(prog.code), len(prog.behaviors), cap(prog.behaviors))
+		if cap(prog.code) != len(prog.code) || cap(prog.behaviors) != len(prog.behaviors) ||
+			cap(prog.cases) != len(prog.cases) {
+			t.Errorf("%s: code %d/%d, behaviors %d/%d, cases %d/%d (len/cap)", p.Name,
+				len(prog.code), cap(prog.code), len(prog.behaviors), cap(prog.behaviors),
+				len(prog.cases), cap(prog.cases))
 		}
 		streams := 0
 		for i := range prog.code {
@@ -121,6 +128,43 @@ func TestProgramFootprint(t *testing.T) {
 		if n := len(NewWalker(prog).streamCnt); n != streams || streams == 0 {
 			t.Errorf("%s: walker keeps %d counters for %d streaming instructions", p.Name, n, streams)
 		}
+	}
+}
+
+// imageBytes is the memory a program's tables retain.
+func imageBytes(prog *Program) int {
+	return len(prog.code)*int(unsafe.Sizeof(StaticInst{})) +
+		len(prog.behaviors)*int(unsafe.Sizeof(behavior{})) + len(prog.cases)*8
+}
+
+// TestBuildProgramAllocs holds BuildProgram to building the image in
+// place: on every built-in profile it allocates at most 3× the bytes
+// the image retains (its presized build buffers plus one exact copy of
+// each table), and its allocation count does not depend on how many
+// indirect sites, and so case lists, the profile generates.
+func TestBuildProgramAllocs(t *testing.T) {
+	var allocs []float64
+	for _, p := range DefaultProfiles() {
+		prog := mustProgram(t, p)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n := testing.AllocsPerRun(10, func() { BuildProgram(p) })
+		runtime.ReadMemStats(&after)
+		// AllocsPerRun makes one warm-up call beyond its runs.
+		bytes := int(after.TotalAlloc-before.TotalAlloc) / 11
+		img := imageBytes(prog)
+		if bytes > 3*img {
+			t.Errorf("%s: BuildProgram allocates %d B for a %d B image (%.2fx, want <= 3x)",
+				p.Name, bytes, img, float64(bytes)/float64(img))
+		}
+		t.Logf("%s: %d B in %v allocations for a %d B image (%.2fx)", p.Name, bytes, n, img, float64(bytes)/float64(img))
+		allocs = append(allocs, n)
+	}
+	// One allocation of slack absorbs the runtime's own, which
+	// AllocsPerRun sometimes counts; an allocation per site or case
+	// list would add hundreds on the datacenter profiles.
+	if lo, hi := slices.Min(allocs), slices.Max(allocs); hi > lo+1 {
+		t.Errorf("BuildProgram makes %v..%v allocations across the built-in profiles, want one count", lo, hi)
 	}
 }
 
@@ -346,6 +390,28 @@ func BenchmarkWalker(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w.Next()
+	}
+}
+
+// BenchmarkBuildProgram builds the four programs of the full-pairs
+// benchmark workload, datacenter (srv207, srv203) to small (crypto01),
+// per op.
+func BenchmarkBuildProgram(b *testing.B) {
+	var profs []Profile
+	for _, name := range []string{"srv207", "srv203", "int03", "crypto01"} {
+		p, ok := ProfileByName(name)
+		if !ok {
+			b.Fatalf("no profile %s", name)
+		}
+		profs = append(profs, p)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, p := range profs {
+			if _, err := BuildProgram(p); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
