@@ -91,21 +91,6 @@ func BenchmarkAblationWalkWidth(b *testing.B) {
 	b.ReportMetric(wide, "walk16-%")
 }
 
-// BenchmarkAblationInclusiveUop measures the §IV-G2 design point the
-// paper argues against: keeping the µ-op cache inclusive of the L1I
-// limits reach on large footprints.
-func BenchmarkAblationInclusiveUop(b *testing.B) {
-	b.ReportAllocs()
-	var imp float64
-	for i := 0; i < b.N; i++ {
-		inc := ucp.Baseline()
-		inc.Name = "inclusive"
-		inc.InclusiveUop = true
-		imp = geomean(b, ucp.Baseline(), inc)
-	}
-	b.ReportMetric(imp, "inclusive-vs-nonincl-%")
-}
-
 // BenchmarkAblationUopMSHRs varies UCP's 32-entry µ-op cache MSHR file.
 func BenchmarkAblationUopMSHRs(b *testing.B) {
 	b.ReportAllocs()
@@ -119,21 +104,4 @@ func BenchmarkAblationUopMSHRs(b *testing.B) {
 		small = geomean(b, base, cfg)
 	}
 	b.ReportMetric(small, "mshr4-vs-32-%")
-}
-
-// BenchmarkAblationBlockBTB compares the baseline instruction BTB with
-// the block-based organization of §IV-C under UCP — the paper claims
-// UCP is conceptually agnostic of the BTB organization.
-func BenchmarkAblationBlockBTB(b *testing.B) {
-	b.ReportAllocs()
-	var delta float64
-	for i := 0; i < b.N; i++ {
-		base := ucp.WithUCP(ucp.DefaultUCP())
-		blk := ucp.WithUCP(ucp.DefaultUCP())
-		blk.Name = "UCP-blockbtb"
-		bb := ucp.DefaultBlockBTB()
-		blk.BlockBTB = &bb
-		delta = geomean(b, base, blk)
-	}
-	b.ReportMetric(delta, "blockbtb-vs-instbtb-%")
 }

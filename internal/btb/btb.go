@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"slices"
 
-	"ucp/internal/ckpt"
 	"ucp/internal/isa"
 	"ucp/internal/lru"
 	"ucp/internal/recycle"
@@ -43,31 +42,6 @@ func KindOf(c isa.Class) BranchKind {
 	default:
 		return KindIndirect
 	}
-}
-
-// TargetBuffer is the interface both BTB organizations (the baseline
-// instruction BTB and the block-based BTB of §IV-C) implement, so the
-// frontend and UCP are agnostic of the organization.
-type TargetBuffer interface {
-	// Lookup returns the predicted target and kind for a branch at pc.
-	Lookup(pc uint64) (target uint64, kind BranchKind, hit bool)
-	// Probe is a side-effect-free Lookup (alternate-path walking).
-	Probe(pc uint64) (target uint64, kind BranchKind, hit bool)
-	// Insert installs or refreshes the entry for a taken branch.
-	Insert(pc, target uint64, kind BranchKind)
-	// BankOf maps a PC to its lookup bank; Banks is the bank count.
-	BankOf(pc uint64) int
-	Banks() int
-	// StorageKB is the modeled hardware budget.
-	StorageKB() float64
-	// SaveState / LoadState serialize all mutable state for functional-
-	// warm checkpoints (internal/ckpt); load errors surface on the
-	// reader.
-	SaveState(w *ckpt.Writer)
-	LoadState(r *ckpt.Reader)
-	// Release hands the arrays back to package recycle; the buffer must
-	// not be used afterwards.
-	Release()
 }
 
 // Config sizes a BTB.
@@ -146,7 +120,8 @@ func New(cfg Config) *BTB {
 		data: recycle.Make[entry](sets * cfg.Ways)}
 }
 
-// Release implements TargetBuffer.
+// Release hands the arrays back to package recycle; the BTB must not
+// be used afterwards.
 func (b *BTB) Release() {
 	recycle.Free(b.tags)
 	recycle.Free(b.data)

@@ -131,106 +131,3 @@ func TestStorage(t *testing.T) {
 		t.Fatalf("BTB storage %.0fKB implausible", kb)
 	}
 }
-
-func TestBlockBTBBasics(t *testing.T) {
-	b := NewBlock(BlockConfig{Blocks: 64, Ways: 2, BlockBytes: 64, BranchesPerBlock: 4, Banks: 4})
-	b.Insert(0x1004, 0x2000, KindCond)
-	b.Insert(0x1010, 0x3000, KindDirect)
-	tgt, kind, hit := b.Lookup(0x1004)
-	if !hit || tgt != 0x2000 || kind != KindCond {
-		t.Fatalf("lookup %#x %v %v", tgt, kind, hit)
-	}
-	if _, _, hit := b.Lookup(0x1008); hit {
-		t.Fatal("phantom branch inside block")
-	}
-	// Same block, second branch.
-	if tgt, _, hit := b.Probe(0x1010); !hit || tgt != 0x3000 {
-		t.Fatal("second branch in block missing")
-	}
-}
-
-func TestBlockBTBBranchCap(t *testing.T) {
-	b := NewBlock(BlockConfig{Blocks: 64, Ways: 2, BlockBytes: 64, BranchesPerBlock: 2, Banks: 4})
-	b.Insert(0x1000, 0xa000, KindCond)
-	b.Insert(0x1004, 0xb000, KindCond)
-	b.Insert(0x1008, 0xc000, KindCond) // third branch: FIFO-replaces the first
-	if _, _, hit := b.Probe(0x1000); hit {
-		t.Fatal("oldest branch survived past the per-block cap")
-	}
-	if _, _, hit := b.Probe(0x1008); !hit {
-		t.Fatal("newest branch missing")
-	}
-}
-
-func TestBlockBTBUpdateInPlace(t *testing.T) {
-	b := NewBlock(DefaultBlockConfig())
-	b.Insert(0x2000, 0x9000, KindCond)
-	b.Insert(0x2000, 0x9100, KindCond)
-	tgt, _, _ := b.Lookup(0x2000)
-	if tgt != 0x9100 {
-		t.Fatalf("in-place update failed: %#x", tgt)
-	}
-}
-
-func TestBlockBTBOneAccessPerBlock(t *testing.T) {
-	// The organization's point: fewer banks suffice because one access
-	// covers a whole block. All PCs in one block map to the same bank.
-	b := NewBlock(DefaultBlockConfig())
-	bank := b.BankOf(0x4000)
-	for pc := uint64(0x4000); pc < 0x4040; pc += 4 {
-		if b.BankOf(pc) != bank {
-			t.Fatal("intra-block PCs straddle banks")
-		}
-	}
-	if b.Banks() != 4 {
-		t.Fatalf("banks %d", b.Banks())
-	}
-}
-
-func TestBlockBTBImplementsTargetBuffer(t *testing.T) {
-	var _ TargetBuffer = NewBlock(DefaultBlockConfig())
-	var _ TargetBuffer = New(DefaultConfig())
-}
-
-func TestBlockBTBStorage(t *testing.T) {
-	kb := NewBlock(DefaultBlockConfig()).StorageKB()
-	// 8K blocks × ~331 bits ≈ 330KB: comparable reach to the 64K-entry
-	// instruction BTB at similar cost.
-	if kb < 150 || kb > 500 {
-		t.Fatalf("block BTB storage %.0fKB implausible", kb)
-	}
-}
-
-func TestBlockBTBEviction(t *testing.T) {
-	b := NewBlock(BlockConfig{Blocks: 4, Ways: 2, BlockBytes: 64, BranchesPerBlock: 2, Banks: 2})
-	// 2 sets × 2 ways; blocks mapping to set 0 stride 128 bytes.
-	b.Insert(0x0000, 1, KindCond)
-	b.Insert(0x0080, 2, KindCond)
-	b.Lookup(0x0000) // MRU
-	b.Insert(0x0100, 3, KindCond)
-	if _, _, hit := b.Probe(0x0000); !hit {
-		t.Fatal("MRU block evicted")
-	}
-	if _, _, hit := b.Probe(0x0080); hit {
-		t.Fatal("LRU block survived")
-	}
-}
-
-func TestBlockBTBInsertProbeProperty(t *testing.T) {
-	// Property: a just-inserted branch is always retrievable with its
-	// exact target and kind, at any PC and under arbitrary history.
-	if err := quick.Check(func(pcs []uint32) bool {
-		b := NewBlock(BlockConfig{Blocks: 256, Ways: 4, BlockBytes: 64, BranchesPerBlock: 8, Banks: 4})
-		for _, pc32 := range pcs {
-			pc := uint64(pc32) &^ 3
-			b.Insert(pc, pc+64, KindCond)
-			tgt, kind, hit := b.Probe(pc)
-			if !hit || tgt != pc+64 || kind != KindCond {
-				return false
-			}
-		}
-		return true
-	}, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

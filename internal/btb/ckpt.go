@@ -5,9 +5,7 @@ import "ucp/internal/ckpt"
 // Checkpoint hooks: the sampled fast-forward inserts every taken
 // branch's target (FunctionalCommit), so tags, payloads and traffic
 // stats all carry across a checkpoint; a set's order is its recency
-// state. Both organizations serialize behind the TargetBuffer interface
-// so the frontend and UCP stay agnostic of which one is configured.
-// Each keeps its sets' valid ways as a prefix, so its tags go through
+// state. The sets' valid ways are a prefix, so the tags go through
 // ckpt's set codec (only the valid prefix of each set), followed by the
 // payloads of the valid ways only.
 
@@ -25,7 +23,8 @@ func loadStats(r *ckpt.Reader, s *Stats) {
 	s.Evictions = r.Uvarint()
 }
 
-// SaveState implements TargetBuffer.
+// SaveState serializes all mutable state for functional-warm
+// checkpoints (internal/ckpt).
 func (b *BTB) SaveState(w *ckpt.Writer) {
 	w.Section("btb")
 	w.Sets(b.tags, b.cfg.Ways, validBit)
@@ -40,8 +39,8 @@ func (b *BTB) SaveState(w *ckpt.Writer) {
 	saveStats(w, &b.stats)
 }
 
-// LoadState implements TargetBuffer. Empty ways get a zero payload,
-// as in a freshly constructed BTB.
+// LoadState restores what SaveState wrote; errors surface on the
+// reader. Empty ways get a zero payload, as in a freshly constructed BTB.
 func (b *BTB) LoadState(r *ckpt.Reader) {
 	r.Section("btb")
 	r.SetsInto(b.tags, b.cfg.Ways, validBit)
@@ -66,54 +65,4 @@ func loadKind(r *ckpt.Reader) BranchKind {
 		r.Failf("btb: branch kind %d", k)
 	}
 	return k
-}
-
-// SaveState implements TargetBuffer. Each valid block writes its
-// branch count, then each branch's offset, target and kind.
-func (b *BlockBTB) SaveState(w *ckpt.Writer) {
-	w.Section("blockbtb")
-	w.Sets(b.tags, b.cfg.Ways, blockValid)
-	for i, tv := range b.tags {
-		if tv == 0 {
-			continue
-		}
-		e := &b.data[i]
-		n := 0
-		for n < b.cfg.BranchesPerBlock && e[n].valid {
-			n++
-		}
-		w.Uvarint(uint64(n))
-		for _, br := range e[:n] {
-			w.Byte(br.offset)
-			w.Uvarint(br.target)
-			w.Byte(byte(br.kind))
-		}
-	}
-	saveStats(w, &b.stats)
-}
-
-// LoadState implements TargetBuffer.
-func (b *BlockBTB) LoadState(r *ckpt.Reader) {
-	r.Section("blockbtb")
-	r.SetsInto(b.tags, b.cfg.Ways, blockValid)
-	if r.Err() != nil {
-		return
-	}
-	for i, tv := range b.tags {
-		b.data[i] = blockEntry{}
-		if tv == 0 {
-			continue
-		}
-		n := r.Uvarint()
-		if r.Err() == nil && n > uint64(b.cfg.BranchesPerBlock) {
-			r.Failf("blockbtb: %d branches in a block, want at most %d", n, b.cfg.BranchesPerBlock)
-		}
-		if r.Err() != nil {
-			return
-		}
-		for j := range n {
-			b.data[i][j] = blockBranch{valid: true, offset: r.Byte(), target: r.Uvarint(), kind: loadKind(r)}
-		}
-	}
-	loadStats(r, &b.stats)
 }

@@ -108,107 +108,3 @@ func TestBTBLoadStateRejects(t *testing.T) {
 		b.SaveState(ckpt.NewWriter(0))
 	})
 }
-
-// TestBlockBTBStateRoundTrip restores a saved block BTB, with a full
-// block whose oldest branch was dropped, into one holding other
-// blocks: tags, branches and stats must match, and a recapture must
-// give the same bytes.
-func TestBlockBTBStateRoundTrip(t *testing.T) {
-	cfg := BlockConfig{Blocks: 8, Ways: 2, BlockBytes: 64, BranchesPerBlock: 2, Banks: 2}
-	saved := NewBlock(cfg)
-	for i, pc := range []uint64{0x1000, 0x1004, 0x1008, 0x1040, 0x1100} {
-		saved.Insert(pc, pc+0x100, BranchKind(i%4))
-	}
-	saved.Lookup(0x1040)
-	w := ckpt.NewWriter(0)
-	saved.SaveState(w)
-	blob := w.Seal()
-	r, err := ckpt.Open(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored := NewBlock(cfg)
-	for pc := uint64(0x8000); pc < 0x8400; pc += 0x24 {
-		restored.Insert(pc, pc, KindIndirect)
-	}
-	restored.LoadState(r)
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(restored, saved) {
-		t.Fatalf("restored %+v, saved %+v", restored, saved)
-	}
-	w = ckpt.NewWriter(0)
-	restored.SaveState(w)
-	if !bytes.Equal(w.Seal(), blob) {
-		t.Fatal("recapture after restore differs from the capture")
-	}
-}
-
-// TestBlockBTBLoadStateRejects feeds a blockbtb section whose block
-// holds more branches than BranchesPerBlock, then one with a branch
-// kind outside the four classes.
-func TestBlockBTBLoadStateRejects(t *testing.T) {
-	cfg := BlockConfig{Blocks: 4, Ways: 4, BlockBytes: 64, BranchesPerBlock: 2, Banks: 1}
-	for _, tc := range []struct {
-		name     string
-		branches int
-		kind     byte
-		want     string
-	}{
-		{"too many branches", 3, 0, "3 branches in a block, want at most 2"},
-		{"bad kind", 1, byte(KindReturn) + 1, "branch kind 4"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			w := ckpt.NewWriter(0)
-			w.Section("blockbtb")
-			w.Sets([]uint64{blockValid | 5, 0, 0, 0}, cfg.Ways, blockValid)
-			w.Uvarint(uint64(tc.branches))
-			for i := range tc.branches {
-				w.Byte(byte(i))
-				w.Uvarint(0x4000)
-				w.Byte(tc.kind)
-			}
-			saveStats(w, &Stats{})
-			r, err := ckpt.Open(w.Seal())
-			if err != nil {
-				t.Fatal(err)
-			}
-			NewBlock(cfg).LoadState(r)
-			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
-				t.Fatalf("err %v, want one containing %q", r.Err(), tc.want)
-			}
-		})
-	}
-}
-
-// TestBlockConfigValidate rejects each geometry the indexing or the
-// entry encoding cannot hold and accepts the default.
-func TestBlockConfigValidate(t *testing.T) {
-	if err := DefaultBlockConfig().Validate(); err != nil {
-		t.Fatalf("default rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		name   string
-		mutate func(*BlockConfig)
-		want   string
-	}{
-		{"zero ways", func(c *BlockConfig) { c.Ways = 0 }, "Ways"},
-		{"ways exceed blocks", func(c *BlockConfig) { c.Blocks, c.Ways = 2, 4 }, "Ways"},
-		{"non-power-of-two blocks", func(c *BlockConfig) { c.Blocks = 6000 }, "Blocks"},
-		{"zero block bytes", func(c *BlockConfig) { c.BlockBytes = 0 }, "BlockBytes"},
-		{"block bytes overflow the offset", func(c *BlockConfig) { c.BlockBytes = 2048 }, "BlockBytes"},
-		{"non-power-of-two block bytes", func(c *BlockConfig) { c.BlockBytes = 48 }, "BlockBytes"},
-		{"zero branches", func(c *BlockConfig) { c.BranchesPerBlock = 0 }, "BranchesPerBlock"},
-		{"too many branches", func(c *BlockConfig) { c.BranchesPerBlock = 40 }, "BranchesPerBlock"},
-		{"non-power-of-two banks", func(c *BlockConfig) { c.Banks = 3 }, "Banks"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := DefaultBlockConfig()
-			tc.mutate(&c)
-			if err := c.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err %v, want one mentioning %q", err, tc.want)
-			}
-		})
-	}
-}

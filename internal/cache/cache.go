@@ -58,10 +58,6 @@ type Cache struct {
 	stats Stats
 	index setIndex
 
-	// OnEvict, when set, observes every line eviction (used to keep the
-	// µ-op cache inclusive of the L1I, §IV-G2).
-	OnEvict func(lineAddr uint64)
-
 	// mshr holds in-flight line addresses with their fill-complete
 	// cycles, in allocation order. The file is small (Config.MSHRs), so
 	// a flat slice beats a map: lookups are a short linear scan and
@@ -149,9 +145,6 @@ func (x setIndex) split(block uint64) (set int, tag uint64) {
 	tag = block / x.sets
 	return int(block - tag*x.sets), tag
 }
-
-// join is split's inverse: the block number of tag in set.
-func (x setIndex) join(set int, tag uint64) uint64 { return tag*x.sets + uint64(set) }
 
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
 
@@ -281,11 +274,8 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 // eagerly, which is the standard trace-simulator simplification.)
 func (c *Cache) fill(base int, want uint64) {
 	set := c.tags[base : base+c.ways]
-	if tv := set[c.ways-1]; tv != 0 {
+	if set[c.ways-1] != 0 {
 		c.stats.Evictions++
-		if c.OnEvict != nil {
-			c.OnEvict(c.index.join(base/c.ways, tv&^validBit) * LineBytes)
-		}
 	}
 	lru.ToFront(set, c.ways-1, want)
 }

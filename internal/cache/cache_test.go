@@ -253,18 +253,6 @@ func TestPrefetchSharesMSHRPath(t *testing.T) {
 	}
 }
 
-func TestEvictionCallback(t *testing.T) {
-	l1, _ := twoLevel() // 1KB, 2 ways → 8 sets; same-set stride 512
-	var evicted []uint64
-	l1.OnEvict = func(la uint64) { evicted = append(evicted, la) }
-	l1.FetchLine(0, 0)
-	l1.FetchLine(512, 100)
-	l1.FetchLine(1024, 200) // evicts line 0 (LRU)
-	if len(evicted) != 1 || evicted[0] != 0 {
-		t.Fatalf("evictions %v, want [0]", evicted)
-	}
-}
-
 func TestMSHRStress(t *testing.T) {
 	// Hammering one level with misses must neither grow the MSHR map
 	// unboundedly nor lose correctness.

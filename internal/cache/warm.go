@@ -4,9 +4,8 @@ import "ucp/internal/lru"
 
 // Functional warming for the sampled simulation mode: WarmLine performs
 // a demand fill's *state* effects — recency update on a hit, fill with
-// LRU eviction (and the OnEvict inclusive-µ-op-cache callback) on a
-// miss, recursing into lower levels — without touching the MSHR file or
-// producing a ready cycle. The fast-forward path issues memory traffic
+// LRU eviction on a miss, recursing into lower levels — without
+// touching the MSHR file or producing a ready cycle. The fast-forward path issues memory traffic
 // at one instruction per nominal cycle, far denser than the detailed
 // machine could sustain; routing it through FetchLine would grow an
 // unbounded MSHR backlog that stalls the next detailed window.

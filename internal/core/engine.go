@@ -31,7 +31,7 @@ type Engine struct {
 	cfg Config
 
 	fe   *frontend.Frontend
-	btb  btb.TargetBuffer
+	btb  *btb.BTB
 	uop  *uopcache.UopCache
 	mem  *cache.Hierarchy
 	code CodeInfo

@@ -52,7 +52,6 @@ func (f *Frontend) generate(now uint64) {
 			if mispred {
 				win.mispredict = true
 				f.waitingFlush = true
-				f.startWrongPath(&in, predTaken)
 				break
 			}
 			if resteer {

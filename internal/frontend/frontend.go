@@ -55,10 +55,6 @@ type Config struct {
 	ModeSwitchPenalty uint64
 	// ResteerPenalty is the extra bubble after a decode-time resteer.
 	ResteerPenalty uint64
-	// WrongPathFetch models fetch continuing down the wrong path while
-	// a misprediction is unresolved (cache pollution; off by default,
-	// matching ChampSim's develop branch — DESIGN.md).
-	WrongPathFetch bool
 }
 
 // DefaultConfig mirrors Table II and §V.
@@ -160,7 +156,7 @@ type Stats struct {
 	Mispredicts      uint64 // all execute-resolved redirects
 	Resteers         uint64 // decode-resolved redirects
 	BPUStallCycles   uint64
-	WrongPathInsts   uint64
+	WrongPathInsts   uint64 // always 0 (no wrong-path fetch); kept: the golden digests print Stats
 	H2PTage          bpred.H2PStats
 	H2PUCP           bpred.H2PStats
 }
@@ -184,7 +180,7 @@ type Frontend struct {
 	batchLen int
 
 	Pred *bpred.TageSCL
-	BTB  btb.TargetBuffer
+	BTB  *btb.BTB
 	RAS  *ras.Stack
 	Ind  *ittage.Predictor
 	Uop  *uopcache.UopCache
@@ -229,7 +225,6 @@ type Frontend struct {
 
 	brCondCredit int // remaining forced-hit conditional branches
 	fastCredit   int // µ-ops streamed by the MRC (bypass fetch latency)
-	wp           wrongPath
 
 	// Distribution instrumentation (§III-A: stream lengths decide
 	// whether the µ-op cache pays; refill latency is what UCP attacks).
@@ -257,7 +252,7 @@ type Frontend struct {
 
 // New wires a frontend. All structures are owned by the caller so UCP
 // and the harness can share them.
-func New(cfg Config, src trace.Source, pred *bpred.TageSCL, b btb.TargetBuffer,
+func New(cfg Config, src trace.Source, pred *bpred.TageSCL, b *btb.BTB,
 	r *ras.Stack, ind *ittage.Predictor, u *uopcache.UopCache,
 	mem *cache.Hierarchy, ideal Ideal) *Frontend {
 	f := &Frontend{
@@ -392,7 +387,6 @@ func (f *Frontend) ResumeAt(cycle uint64) {
 		f.waitingFlush = false
 		f.bpuStallUntil = cycle
 		f.resumedAt = cycle
-		f.stopWrongPath()
 		if f.hook != nil {
 			f.hook.OnMispredictResolved(cycle)
 		}
@@ -421,10 +415,8 @@ func (f *Frontend) PopUop(now uint64) (DeliveredUop, bool) {
 }
 
 // Cycle advances the frontend: fetch first (consuming last cycle's FTQ),
-// then BPU window generation; a pending misprediction optionally keeps
-// fetching down the wrong path.
+// then BPU window generation.
 func (f *Frontend) Cycle(now uint64) {
 	f.fetch(now)
 	f.generate(now)
-	f.wrongPathCycle(now)
 }

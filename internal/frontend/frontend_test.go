@@ -317,52 +317,3 @@ func TestGrantFastDeliver(t *testing.T) {
 			fastOut[399].ReadyAt, slowOut[399].ReadyAt)
 	}
 }
-
-func TestWrongPathFetchPollutes(t *testing.T) {
-	// With wrong-path fetch enabled, unresolved mispredictions touch
-	// instruction lines the correct path never fetches.
-	insts := loopTrace(0xc0000, 6, 80)
-	mem := cache.NewHierarchy(cache.DefaultHierarchyConfig())
-	pred := bpred.NewTageSCL(bpred.Config8KB())
-	b := btb.New(btb.DefaultConfig())
-	r := ras.New(64)
-	ind := ittage.New(ittage.Config4KB())
-	u := uopcache.New(uopcache.DefaultConfig())
-	cfg := DefaultConfig()
-	cfg.WrongPathFetch = true
-	f := New(cfg, trace.NewSliceSource(insts), pred, b, r, ind, u, mem, Ideal{})
-	// Drain with a slow "backend": resolve flushes 30 cycles late so the
-	// wrong path has time to run.
-	resolveAt := uint64(0)
-	for now := uint64(0); now < 100_000 && !f.Done(); now++ {
-		f.Cycle(now)
-		if resolveAt != 0 && now >= resolveAt {
-			f.ResumeAt(now + 1)
-			resolveAt = 0
-		}
-		for {
-			uop, ok := f.PopUop(now)
-			if !ok {
-				break
-			}
-			if uop.Mispredict && resolveAt == 0 {
-				resolveAt = now + 30
-			}
-		}
-	}
-	if f.Stats().Mispredicts == 0 {
-		t.Skip("no mispredictions to exercise the wrong path")
-	}
-	if f.Stats().WrongPathInsts == 0 {
-		t.Fatal("wrong-path fetch never walked")
-	}
-}
-
-func TestWrongPathOffByDefault(t *testing.T) {
-	insts := loopTrace(0xd0000, 6, 40)
-	f := build(insts, Ideal{})
-	drain(t, f, 100_000)
-	if f.Stats().WrongPathInsts != 0 {
-		t.Fatal("wrong-path fetch active without opt-in")
-	}
-}

@@ -1,10 +1,10 @@
 // Package lrutest is a reference set-associative LRU directory for the
 // tests of the structures that keep their sets in recency order
-// (package lru): the caches and TLBs, both BTB organizations, the µ-op
-// cache and the MRC. It shares no code with them. Every way holds a key
-// and an LRU stamp from a clock that advances on every Touch; stamp 0
-// marks an empty way. A fill takes the first empty way, else the way
-// with the oldest stamp, and Invalidate empties a way where it stands.
+// (package lru): the caches and TLBs, the BTB, the µ-op cache and the
+// MRC. It shares no code with them. Every way holds a key and an LRU
+// stamp from a clock that advances on every Touch; stamp 0 marks an
+// empty way. A fill takes the first empty way, else the way with the
+// oldest stamp.
 package lrutest
 
 import (
@@ -74,16 +74,6 @@ func (r *Sets) Fill(key uint64) (evicted uint64, ok bool) {
 	evicted, ok = r.keys[victim], r.stamps[victim] != 0
 	r.keys[victim], r.stamps[victim] = key, r.clock
 	return evicted, ok
-}
-
-// Invalidate empties the way holding key and reports whether there was
-// one.
-func (r *Sets) Invalidate(key uint64) bool {
-	w := r.find(key)
-	if w >= 0 {
-		r.keys[w], r.stamps[w] = 0, 0
-	}
-	return w >= 0
 }
 
 // Recency returns the resident keys of key's set, most recently used

@@ -152,18 +152,18 @@ type Options struct {
 type Stats struct {
 	// Runs counts simulations actually executed (including failed ones,
 	// excluding retries).
-	Runs int
+	Runs int `json:"runs"`
 	// MemoHits counts jobs served from the in-process memo.
-	MemoHits int
+	MemoHits int `json:"memo_hits"`
 	// DiskHits counts jobs replayed from the on-disk cache.
-	DiskHits int
+	DiskHits int `json:"disk_hits"`
 	// Retries counts second attempts after a panic or error.
-	Retries int
+	Retries int `json:"retries"`
 	// Failures counts jobs that still failed after their retry.
-	Failures int
+	Failures int `json:"failures"`
 	// WriteFailures counts results the disk cache failed to write
 	// (CacheDir unwritable, full or obstructed); later pools miss them.
-	WriteFailures int
+	WriteFailures int `json:"write_failures"`
 }
 
 // Pool executes jobs. RunAll is not reentrant — call it from one

@@ -36,7 +36,7 @@ type WarmCheckpoints struct {
 // checkpoints become unreachable rather than wrongly shared. Exported
 // so the cmd binaries' -version output can stamp it (debugging
 // checkpoint compatibility across sweepd servers and clients).
-const BoundaryKeySchema = "ucp-tpar-ckpt-1"
+const BoundaryKeySchema = "ucp-tpar-ckpt-2"
 
 // warmConfig strips cfg down to the fields the fast-forward can
 // observe. Everything zeroed here is provably untouched on the

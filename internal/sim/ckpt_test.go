@@ -153,7 +153,6 @@ func TestBoundaryKeyNormalization(t *testing.T) {
 		"Sampling.BPWarmInsts":    func(c *sim.Config) { c.Sampling.BPWarmInsts++ },
 		"UCP presence":            func(c *sim.Config) { c.UCP = nil },
 		"UCP.AltBP":               func(c *sim.Config) { u := *c.UCP; u.AltBP = bpred.Config64KB(); c.UCP = &u },
-		"InclusiveUop":            func(c *sim.Config) { c.InclusiveUop = true },
 	}
 	for name, mut := range split {
 		c := base
@@ -178,7 +177,7 @@ func TestBoundaryKeyNormalization(t *testing.T) {
 // orphan every on-disk boundary checkpoint — cannot land unnoticed.
 // Bump BoundaryKeySchema and update the literal together.
 func TestBoundaryKeyPinned(t *testing.T) {
-	const want = "ce59f5ce2cad92ada7ccb0e3796c1f4c711e09401b9965d7162f9de377c833a6"
+	const want = "e9b786038e29d34e388b3ef634f4f6e97d44fd8aee6a3c3afb9247e6edcf7eae"
 	cfg := sim.WithUCP(core.DefaultConfig())
 	if got := sim.BoundaryKey(cfg, "srv203", 300_000, sim.DefaultBoundaryWarm()); got != want {
 		t.Errorf("BoundaryKey = %s, want %s", got, want)

@@ -60,12 +60,11 @@ type SamplingConfig struct {
 	// warmskip.go) — the direction predictor trains on every
 	// conditional outcome, cache/TLB demand state advances inside the
 	// CacheWarmInsts horizon, and the BTB, RAS and ITTAGE do not
-	// advance at all. The µ-op cache is not filled during the skip, but
-	// under InclusiveUop every L1I line the skip evicts also invalidates
-	// its µ-op cache lines. 0 means no skipping: the entire gap is
-	// functionally warmed (most accurate, but bounded to ~2× over full
-	// detail since the functional path still materializes and trains on
-	// every instruction).
+	// advance at all, nor does the µ-op cache, which is not inclusive of
+	// the L1I. 0 means no skipping: the entire gap is functionally
+	// warmed (most accurate, but bounded to ~2× over full detail since
+	// the functional path still materializes and trains on every
+	// instruction).
 	FFWarmInsts uint64
 
 	// CacheWarmInsts bounds the cache-warming horizon of the skip: only
@@ -354,12 +353,10 @@ type SampledStats struct {
 	Windows int
 	// SkippedInsts went through the warming skip (cache/TLB residency
 	// and predictor training advance per the CacheWarmInsts/BPWarmInsts
-	// horizons; no BTB updates and no µ-op cache fills, though an
-	// InclusiveUop machine drops the µ-op lines of every L1I line the
-	// skip evicts); FFInsts were functionally
-	// committed; DetailedInsts were cycle-accurately committed (warm +
-	// measured + inter-window drain); MeasuredInsts is the measured
-	// subset of DetailedInsts.
+	// horizons; no BTB updates and no µ-op cache fills); FFInsts were
+	// functionally committed; DetailedInsts were cycle-accurately
+	// committed (warm + measured + inter-window drain); MeasuredInsts is
+	// the measured subset of DetailedInsts.
 	SkippedInsts  uint64
 	FFInsts       uint64
 	DetailedInsts uint64

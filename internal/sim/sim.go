@@ -58,16 +58,6 @@ type Config struct {
 	// MRC enables the misprediction recovery cache baseline (§VI-F).
 	MRC *prefetch.MRCConfig
 
-	// InclusiveUop keeps the µ-op cache inclusive of the L1I (the
-	// §IV-G2 design point the paper argues against): L1I evictions
-	// invalidate the corresponding µ-op cache entries.
-	InclusiveUop bool
-
-	// BlockBTB replaces the baseline instruction BTB with the
-	// block-based organization of §IV-C when non-nil (one entry per
-	// aligned code block holding several branches, fewer banks).
-	BlockBTB *btb.BlockConfig
-
 	// WarmupInsts are committed before statistics start; MeasureInsts
 	// are then measured (§V: 50M + 50M at full scale).
 	WarmupInsts  uint64
@@ -142,11 +132,6 @@ func (c Config) Validate() error {
 	}
 	if c.MRC != nil {
 		if err := c.MRC.Validate(); err != nil {
-			return err
-		}
-	}
-	if c.BlockBTB != nil {
-		if err := c.BlockBTB.Validate(); err != nil {
 			return err
 		}
 	}
@@ -304,17 +289,11 @@ func NewMachine(cfg Config, src trace.Source, code core.CodeInfo) *Machine {
 	}
 	mem := cache.NewHierarchy(cfg.Memory)
 	pred := bpred.NewTageSCL(cfg.Pred)
-	var b btb.TargetBuffer = btb.New(cfg.BTB)
-	if cfg.BlockBTB != nil {
-		b = btb.NewBlock(*cfg.BlockBTB)
-	}
+	b := btb.New(cfg.BTB)
 	r := ras.New(cfg.RASEntries)
 	ind := ittage.New(cfg.Ind)
 	uop := uopcache.New(cfg.Uop)
 	fe := frontend.New(cfg.Frontend, src, pred, b, r, ind, uop, mem, cfg.Ideal)
-	if cfg.InclusiveUop {
-		mem.L1I.OnEvict = uop.InvalidateLine
-	}
 	be := backend.New(cfg.Backend, mem)
 	m := &Machine{cfg: cfg, fe: fe, be: be, mem: mem, uop: uop, src: src}
 	if cfg.UCP != nil {

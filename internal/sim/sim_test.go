@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"ucp/internal/btb"
 	"ucp/internal/core"
 	"ucp/internal/isa"
 	"ucp/internal/prefetch"
@@ -220,24 +219,6 @@ func TestLearnedCode(t *testing.T) {
 	}
 }
 
-func TestInclusiveUopCacheCostsHits(t *testing.T) {
-	// The paper keeps the µ-op cache NOT inclusive of the L1I to
-	// maximize reach (§IV-G2); the inclusive design point must not
-	// increase the hit rate on a footprint-heavy trace.
-	base := run(t, Baseline(), "srv204", 300_000, 300_000)
-	inc := Baseline()
-	inc.Name = "inclusive"
-	inc.InclusiveUop = true
-	i := run(t, inc, "srv204", 300_000, 300_000)
-	if i.UopHitRate > base.UopHitRate+0.01 {
-		t.Fatalf("inclusive hit rate %.3f above non-inclusive %.3f",
-			i.UopHitRate, base.UopHitRate)
-	}
-	if i.Uop.Invalidations == 0 {
-		t.Fatal("inclusion never invalidated anything on a big footprint")
-	}
-}
-
 func TestHistogramsPopulated(t *testing.T) {
 	res := run(t, Baseline(), "int02", 150_000, 150_000)
 	if res.StreamLens.Count() == 0 {
@@ -276,19 +257,6 @@ func TestUCPShortensRefills(t *testing.T) {
 	t.Logf("refill latency mean: base=%.2f ucp=%.2f", base.RefillLat.Mean(), u.RefillLat.Mean())
 }
 
-func TestWrongPathFetchConfig(t *testing.T) {
-	cfg := Baseline()
-	cfg.Name = "wrongpath"
-	cfg.Frontend.WrongPathFetch = true
-	res := run(t, cfg, "srv203", 150_000, 150_000)
-	if res.FE.WrongPathInsts == 0 {
-		t.Fatal("wrong-path fetch enabled but never walked")
-	}
-	if res.IPC <= 0 {
-		t.Fatal("wrong-path run produced no progress")
-	}
-}
-
 func TestMRCBeatsNothingOnRefillHeavyTrace(t *testing.T) {
 	// The MRC accelerates refills: on a mispredict-heavy trace it should
 	// not lose to the baseline (paper: +0.3-0.7% at large sizes).
@@ -302,25 +270,6 @@ func TestMRCBeatsNothingOnRefillHeavyTrace(t *testing.T) {
 		t.Fatalf("132KB MRC IPC %.4f clearly below baseline %.4f", res.IPC, base.IPC)
 	}
 	t.Logf("srv209: base=%.4f mrc=%.4f (%+.2f%%)", base.IPC, res.IPC, 100*(res.IPC/base.IPC-1))
-}
-
-func TestBlockBTBEndToEnd(t *testing.T) {
-	// The block-based BTB must sustain the full machine, with UCP, at
-	// comparable quality to the instruction BTB (§IV-C: UCP is agnostic
-	// of the BTB organization).
-	inst := run(t, WithUCP(core.DefaultConfig()), "srv201", 300_000, 300_000)
-	cfg := WithUCP(core.DefaultConfig())
-	cfg.Name = "UCP-blockbtb"
-	bb := btb.DefaultBlockConfig()
-	cfg.BlockBTB = &bb
-	blk := run(t, cfg, "srv201", 300_000, 300_000)
-	if blk.UCP.Triggers == 0 || blk.UCP.FillsInserted == 0 {
-		t.Fatal("UCP inert over the block BTB")
-	}
-	if blk.IPC < inst.IPC*0.9 {
-		t.Fatalf("block BTB IPC %.4f way below instruction BTB %.4f", blk.IPC, inst.IPC)
-	}
-	t.Logf("srv201 UCP: instBTB=%.4f blockBTB=%.4f", inst.IPC, blk.IPC)
 }
 
 // TestObservingSourceStaysScalar pins that observingSource does NOT

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"ucp/internal/btb"
 	"ucp/internal/core"
 )
 
@@ -36,11 +35,6 @@ func TestConfigValidate(t *testing.T) {
 		{"broken ITTAGE", func(c *Config) { c.Ind.Tables = 0 }, "Tables"},
 		{"sub-line DTLB page", func(c *Config) { c.Memory.DTLB.PageBits = 4 }, "PageBits"},
 		{"broken TAGE bimodal", func(c *Config) { c.Pred.Tage.BimodalBits = 0 }, "BimodalBits"},
-		{"zero block-BTB ways", func(c *Config) { c.BlockBTB = blockBTB(func(b *btb.BlockConfig) { b.Ways = 0 }) }, "Ways"},
-		{"zero block-BTB block bytes", func(c *Config) { c.BlockBTB = blockBTB(func(b *btb.BlockConfig) { b.BlockBytes = 0 }) }, "BlockBytes"},
-		{"block-BTB offset overflows uint8", func(c *Config) { c.BlockBTB = blockBTB(func(b *btb.BlockConfig) { b.BlockBytes = 2048 }) }, "BlockBytes"},
-		{"non-power-of-two block-BTB banks", func(c *Config) { c.BlockBTB = blockBTB(func(b *btb.BlockConfig) { b.Banks = 3 }) }, "Banks"},
-		{"block-BTB branches exceed entry", func(c *Config) { c.BlockBTB = blockBTB(func(b *btb.BlockConfig) { b.BranchesPerBlock = 40 }) }, "BranchesPerBlock"},
 		{"broken UCP sub-config", func(c *Config) {
 			u := core.DefaultConfig()
 			u.WalkWidth = 0
@@ -60,13 +54,6 @@ func TestConfigValidate(t *testing.T) {
 			}
 		})
 	}
-}
-
-// blockBTB returns the default block-BTB geometry edited by mutate.
-func blockBTB(mutate func(*btb.BlockConfig)) *btb.BlockConfig {
-	b := btb.DefaultBlockConfig()
-	mutate(&b)
-	return &b
 }
 
 // TestRunRejectsInvalidConfig proves validation is wired into Run, not

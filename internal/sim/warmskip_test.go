@@ -53,8 +53,7 @@ func (m *Machine) refSkipZone(n uint64, kind zoneKind) uint64 {
 // byte-identical and the stream stands at the same instruction. Chunk
 // sizes of 1, an odd size and the default move the seams to every
 // position; the configurations cover the demand predictor alone and with
-// Alt-BP, an always-hit µ-op cache (no L1I warming), an inclusive µ-op
-// cache (L1I warm evictions invalidate µ-op lines), and a UCP machine
+// Alt-BP, an always-hit µ-op cache (no L1I warming), and a UCP machine
 // that learns its code from the stream (the generic SkipWarmN loop).
 func TestWarmSkipMatchesReference(t *testing.T) {
 	prof, ok := trace.ProfileByName("srv203")
@@ -68,8 +67,6 @@ func TestWarmSkipMatchesReference(t *testing.T) {
 	ucp := WithUCP(core.DefaultConfig())
 	alwaysHit := Baseline()
 	alwaysHit.Ideal.UopAlwaysHit = true
-	inclusive := WithUCP(core.DefaultConfig())
-	inclusive.InclusiveUop = true
 	cases := []struct {
 		name    string
 		cfg     Config
@@ -78,7 +75,6 @@ func TestWarmSkipMatchesReference(t *testing.T) {
 		{"baseline", Baseline(), false},
 		{"ucp", ucp, false},
 		{"uop-always-hit", alwaysHit, false},
-		{"inclusive-uop", inclusive, false},
 		{"ucp-learned-code", ucp, true},
 	}
 	// Each zone is followed by ff functionally committed instructions.
@@ -103,20 +99,14 @@ func TestWarmSkipMatchesReference(t *testing.T) {
 			}
 			return NewMachine(cfg, trace.NewWalker(prog), code)
 		}
-		// run drives the zone sequence with skip. The functional
-		// stretches fill the µ-op cache, so inclusive invalidations have
-		// lines to hit. It returns the
-		// captured warm state, the next instruction, and the µ-op
-		// invalidations the skips themselves caused.
-		run := func(m *Machine, skip func(n uint64, kind zoneKind) uint64) ([]byte, isa.Inst, uint64) {
-			var inval uint64
+		// run drives the zone sequence with skip and returns the
+		// captured warm state and the next instruction.
+		run := func(m *Machine, skip func(n uint64, kind zoneKind) uint64) ([]byte, isa.Inst) {
 			for _, z := range zones {
-				before := m.uop.Stats().Invalidations
 				n := skip(z.n, z.kind)
 				if n != z.n {
 					t.Fatalf("%s: zone skipped %d of %d", tc.name, n, z.n)
 				}
-				inval += m.uop.Stats().Invalidations - before
 				m.skipped += n
 				m.cycle += n
 				done, err := m.ffRun(z.ff)
@@ -126,17 +116,14 @@ func TestWarmSkipMatchesReference(t *testing.T) {
 				m.ffInsts += done
 			}
 			next, _ := m.src.Next()
-			return m.captureWarm(), next, inval
+			return m.captureWarm(), next
 		}
 		ref := build()
-		want, wantNext, inval := run(ref, ref.refSkipZone)
-		if cfg.InclusiveUop && inval == 0 {
-			t.Errorf("%s: the skip invalidated no µ-op lines, the inclusive case is not exercised", tc.name)
-		}
+		want, wantNext := run(ref, ref.refSkipZone)
 		for _, chunk := range []int{1, 977, warmChunk} {
 			t.Run(fmt.Sprintf("%s/chunk=%d", tc.name, chunk), func(t *testing.T) {
 				m := build()
-				got, next, _ := run(m, func(n uint64, kind zoneKind) uint64 { return m.skipZone(n, kind, chunk) })
+				got, next := run(m, func(n uint64, kind zoneKind) uint64 { return m.skipZone(n, kind, chunk) })
 				if !bytes.Equal(got, want) {
 					t.Fatalf("captured warm state differs from the per-instruction reference (%d vs %d bytes)", len(got), len(want))
 				}

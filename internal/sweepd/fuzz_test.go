@@ -57,6 +57,10 @@ func FuzzSubmit(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(`"Funcs":16`), []byte(`"Funcs":2000000000`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"LoopTripMean":14`), []byte(`"LoopTripMean":-5`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"StreamFrac":0.6`), []byte(`"StreamFrac":1.6`), 1))
+	// Config fields the server does not know: a removed one and a
+	// misspelled one.
+	f.Add(bytes.Replace(valid, []byte(`"RASEntries":`), []byte(`"InclusiveUop":true,"RASEntries":`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"RASEntries":`), []byte(`"WarmupInst":5000,"RASEntries":`), 1))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(body)))

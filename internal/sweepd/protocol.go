@@ -35,7 +35,7 @@ import (
 // disagreeing on sim.ModelVersion or the job-key schema would silently
 // exchange results computed under different models, which is exactly
 // the cache-compatibility bug class the -version flags exist to debug.
-const ProtocolVersion = "sweepd-5"
+const ProtocolVersion = "sweepd-6"
 
 // Job states, in lifecycle order. A job is queued on admission, warming
 // once an executor picks it up, measuring when detailed windows start,

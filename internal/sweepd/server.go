@@ -210,11 +210,14 @@ func (s *Server) Shutdown(cancel <-chan struct{}) error {
 // handleSubmit admits a batch: content-addressed key per job, dedup
 // against every job the server has ever seen, bounded-queue
 // backpressure, all-or-nothing admission (so a retried 503 cannot
-// half-duplicate a batch).
+// half-duplicate a batch). An unknown field is a 400: a config field
+// the server does not know would otherwise be dropped, and the job
+// would run a different machine than the one asked for.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	body := http.MaxBytesReader(w, r.Body, 16<<20)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		replyError(w, http.StatusBadRequest, fmt.Sprintf("decoding submit request: %v", err))
 		return
 	}

@@ -11,13 +11,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"ucp/internal/btb"
 	"ucp/internal/runq"
 	"ucp/internal/sim"
 	"ucp/internal/sweepd"
@@ -640,10 +640,12 @@ func TestProtocolMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestInvalidBlockBTBRejected posts a job whose block-BTB geometry
-// has zero ways. Admission validates the config, so the POST gets a
-// 400 and no job reaches the pool (where it would divide by zero).
-func TestInvalidBlockBTBRejected(t *testing.T) {
+// TestUnknownFieldRejected posts jobs whose config carries a field the
+// server does not know: a removed one (InclusiveUop) and a misspelled
+// one (WarmupInst). Decoding them leniently would drop the field and run
+// a different machine than the one asked for, so each POST gets a 400
+// naming the field and nothing reaches the pool.
+func TestUnknownFieldRejected(t *testing.T) {
 	var execs atomic.Int32
 	_, hs, _ := startServer(t, sweepd.Config{
 		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
@@ -651,23 +653,56 @@ func TestInvalidBlockBTBRejected(t *testing.T) {
 			return sim.Result{}, nil
 		}},
 	})
-	spec := testSpec(t, "blockbtb")
-	bb := btb.DefaultBlockConfig()
-	bb.Ways = 0
-	spec.Config.BlockBTB = &bb
-	body, _ := json.Marshal(sweepd.SubmitRequest{
-		Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion, Jobs: []sweepd.JobSpec{spec},
+	valid, err := json.Marshal(sweepd.SubmitRequest{
+		Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion, Jobs: []sweepd.JobSpec{testSpec(t, "unknown")},
 	})
-	resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("submit: %v", err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", resp.StatusCode)
+	for _, field := range []string{`"InclusiveUop":true`, `"WarmupInst":5000`} {
+		body := bytes.Replace(valid, []byte(`"RASEntries":`), []byte(field+`,"RASEntries":`), 1)
+		if bytes.Equal(body, valid) {
+			t.Fatal("config JSON has no RASEntries key to edit")
+		}
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		name, _, _ := strings.Cut(field, ":")
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), strings.Trim(name, `"`)) {
+			t.Fatalf("%s: status %d (%s), want 400 naming the field", field, resp.StatusCode, msg)
+		}
 	}
 	if n := execs.Load(); n != 0 {
-		t.Fatalf("rejected job ran %d times", n)
+		t.Fatalf("rejected jobs ran %d times", n)
+	}
+}
+
+// TestStatzPoolKeys reads the raw /v1/statz body: the pool object is
+// keyed in snake_case, like the rest of statz.
+func TestStatzPoolKeys(t *testing.T) {
+	_, hs, _ := startServer(t, sweepd.Config{})
+	resp, err := http.Get(hs.URL + "/v1/statz")
+	if err != nil {
+		t.Fatalf("statz: %v", err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Pool map[string]json.RawMessage `json:"pool"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range body.Pool {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	want := []string{"disk_hits", "failures", "memo_hits", "retries", "runs", "write_failures"}
+	if !slices.Equal(keys, want) {
+		t.Fatalf("statz pool keys %q, want %q", keys, want)
 	}
 }
 

@@ -6,9 +6,8 @@ import "ucp/internal/ckpt"
 // demand entry builder, which inserts into the µ-op cache — so tags
 // (whose order within a set is its recency state), entry payloads,
 // stats, and the builder's open-entry accumulator all carry across a
-// checkpoint. A set's valid ways are its prefix (InvalidateLine
-// compacts), so the tags go through ckpt's set codec and only valid
-// ways write a payload.
+// checkpoint. A set's valid ways are its prefix, so the tags go
+// through ckpt's set codec and only valid ways write a payload.
 
 // SaveState serializes all mutable cache state.
 func (u *UopCache) SaveState(w *ckpt.Writer) {

@@ -9,13 +9,11 @@ import (
 	"ucp/internal/rng"
 )
 
-// TestMatchesReferenceLRU drives random Lookup, Probe, Insert (demand
-// and prefetch) and InvalidateLine streams through a µ-op cache and
-// the stamp-based reference over entry start PCs, whose invalidations
-// leave holes where they stand. After every access the two must agree
-// on the hit, the stats, the touched set's recency order (the cache's
-// compacted set lists the reference's survivors in order), and each
-// way's payload.
+// TestMatchesReferenceLRU drives random Lookup, Probe and Insert
+// (demand and prefetch) streams through a µ-op cache and the
+// stamp-based reference over entry start PCs. After every access the
+// two must agree on the hit, the stats, the touched set's recency
+// order, and each way's payload.
 func TestMatchesReferenceLRU(t *testing.T) {
 	for _, g := range []struct{ sets, ways int }{
 		{4, 4}, {3, 2}, {1, 8}, {8, 1}, {5, 8},
@@ -57,7 +55,7 @@ func TestMatchesReferenceLRU(t *testing.T) {
 					if got, hit := u.Probe(pc), ref.Resident(pc); got != hit {
 						t.Fatalf("step %d: Probe(%#x) = %v, reference %v", i, pc, got, hit)
 					}
-				case op < 19:
+				default:
 					prefetched := r.Bool(0.3)
 					e := Entry{Ops: uint8(1 + r.Intn(8)), Branches: uint8(r.Intn(3)), EndsTaken: r.Bool(0.5), Prefetched: prefetched}
 					want.Inserts++
@@ -76,15 +74,6 @@ func TestMatchesReferenceLRU(t *testing.T) {
 					}
 					u.Insert(pc, e.Ops, e.Branches, e.EndsTaken, prefetched)
 					payload[pc] = e
-				default:
-					line := pc &^ (isa.LineBytes - 1)
-					for start := line; start < line+isa.LineBytes; start += isa.InstBytes {
-						if ref.Invalidate(start) {
-							want.Invalidations++
-							delete(payload, start)
-						}
-					}
-					u.InvalidateLine(line)
 				}
 				if u.Stats() != want {
 					t.Fatalf("step %d: stats %+v, reference %+v", i, u.Stats(), want)

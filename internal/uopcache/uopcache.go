@@ -107,8 +107,7 @@ type Stats struct {
 	PrefetchInserts     uint64
 	PrefetchUsed        uint64
 	PrefetchEvictUnused uint64
-	// Invalidations counts inclusion-driven entry invalidations.
-	Invalidations uint64
+	Invalidations       uint64 // always 0 (not L1I-inclusive); kept: digests and checkpoints carry it
 }
 
 // UopCache is the decoded µ-op cache.
@@ -196,7 +195,7 @@ func (u *UopCache) BankOf(pc uint64) int {
 // statistics (demand lookups only — use Probe for tag checks). It runs
 // once per fetched entry in the cycle engine's inner loop. A hit moves
 // the entry to the front of its set, so the returned pointer is valid
-// only until the next Lookup, Insert or InvalidateLine.
+// only until the next Lookup or Insert.
 //
 //ucplint:hotpath
 func (u *UopCache) Lookup(pc uint64) (*Entry, bool) {
@@ -261,31 +260,6 @@ func (u *UopCache) Insert(pc uint64, ops, branches uint8, endsTaken, prefetched 
 	}
 	lru.ToFront(tags, w, want)
 	lru.ToFront(data, w, e)
-}
-
-// InvalidateLine invalidates every entry whose code region lies within
-// the given 64-byte line. Used by the L1I-inclusive design point
-// (§IV-G2): when the L1I evicts a line, the µ-op cache may not keep its
-// decoded form. Each touched set is compacted in place, keeping the
-// recency order of the survivors; a way's position carries no timing
-// (the tag-check banks interleave by set, not way).
-func (u *UopCache) InvalidateLine(lineAddr uint64) {
-	for region := lineAddr &^ (isa.LineBytes - 1); region < lineAddr+isa.LineBytes; region += isa.EntryBytes {
-		base := u.setOf(region) * u.cfg.Ways
-		tags, data := u.tags[base:base+u.cfg.Ways], u.data[base:base+u.cfg.Ways]
-		regionTag := region / isa.EntryBytes / uint64(u.sets)
-		n := 0
-		for w, tv := range tags {
-			if tv != 0 && (tv&^validBit)>>3 == regionTag {
-				u.stats.Invalidations++
-				continue
-			}
-			tags[n], data[n] = tv, data[w]
-			n++
-		}
-		clear(tags[n:])
-		clear(data[n:])
-	}
 }
 
 // Stats returns a copy of the counters.

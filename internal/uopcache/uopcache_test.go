@@ -113,32 +113,6 @@ func TestInsertRefreshesInPlace(t *testing.T) {
 	}
 }
 
-// TestInsertAfterInvalidateHole rebuilds an entry that sits behind a
-// way InvalidateLine emptied: the rebuild must refresh the resident
-// copy, not install a second one in the hole.
-func TestInsertAfterInvalidateHole(t *testing.T) {
-	u := New(DefaultConfig())
-	a := uint64(0x1000)
-	b := a + uint64(u.sets)*isa.EntryBytes // same set, another line
-	u.Insert(a, 4, 0, false, false)
-	u.Insert(b, 5, 0, false, false)
-	u.InvalidateLine(a)
-	u.Insert(b, 6, 1, false, false)
-	base := u.setOf(b) * u.cfg.Ways
-	set, want, copies := u.tags[base:base+u.cfg.Ways], validBit|u.tagOf(b), 0
-	for _, tv := range set {
-		if tv == want {
-			copies++
-		}
-	}
-	if copies != 1 {
-		t.Fatalf("set holds %d copies of %#x: %#x", copies, want, set)
-	}
-	if e, hit := u.Lookup(b); !hit || e.Ops != 6 || e.Branches != 1 {
-		t.Fatalf("rebuild did not refresh the resident entry: %+v", e)
-	}
-}
-
 // buildSeq runs a sequence through a Builder and returns the cache.
 func buildSeq(t *testing.T, seq []struct {
 	pc    uint64
@@ -367,23 +341,5 @@ func TestSplitBuilderAgreement(t *testing.T) {
 func TestSplitEmpty(t *testing.T) {
 	if got := Split(nil, DefaultConfig()); len(got) != 0 {
 		t.Fatalf("Split(nil) = %v", got)
-	}
-}
-
-func TestInvalidateLine(t *testing.T) {
-	u := New(DefaultConfig())
-	// Two regions in line 0x1000-0x103f, plus one outside.
-	u.Insert(0x1004, 7, 0, false, false)
-	u.Insert(0x1020, 8, 0, false, false)
-	u.Insert(0x1040, 8, 0, false, false)
-	u.InvalidateLine(0x1000)
-	if u.Probe(0x1004) || u.Probe(0x1020) {
-		t.Fatal("entries in the invalidated line survive")
-	}
-	if !u.Probe(0x1040) {
-		t.Fatal("entry outside the invalidated line was dropped")
-	}
-	if u.Stats().Invalidations != 2 {
-		t.Fatalf("invalidations %d, want 2", u.Stats().Invalidations)
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"io"
 
 	"ucp/internal/bpred"
-	"ucp/internal/btb"
 	"ucp/internal/core"
 	"ucp/internal/frontend"
 	"ucp/internal/harness"
@@ -149,10 +148,3 @@ func NewExperiments(opts ExperimentOptions) *Experiments {
 func DefaultExperimentOptions(out io.Writer) ExperimentOptions {
 	return harness.DefaultOptions(out)
 }
-
-// BlockBTBConfig sizes the block-based BTB organization (§IV-C).
-type BlockBTBConfig = btb.BlockConfig
-
-// DefaultBlockBTB returns the block-based BTB geometry matching the
-// baseline instruction BTB's reach.
-func DefaultBlockBTB() BlockBTBConfig { return btb.DefaultBlockConfig() }
