@@ -55,7 +55,8 @@
 #                           quartiles of insts/s, allocs/inst and
 #                           bytes/inst into BENCH_hotpath.json, beside
 #                           five BenchmarkBuildProgram samples as
-#                           build_program_ms;
+#                           build_program_ms and five BenchmarkNewMachine
+#                           samples as new_machine_kb;
 #                           a -benchtime=1x smoke of the internal/trace
 #                           generator-vs-arena benchmarks prints their
 #                           per-instruction costs, ungated)
@@ -355,6 +356,11 @@ grep -q '^BenchmarkSimQuick' "$RUNQ_TMP/bench.txt" || {
 go test -run '^$' -bench '^BenchmarkBuildProgram$' -benchtime=10x -count=5 -benchmem ./internal/trace | tee -a "$RUNQ_TMP/bench.txt"
 grep -q '^BenchmarkBuildProgram' "$RUNQ_TMP/bench.txt" || {
 	echo "hotpath: BenchmarkBuildProgram produced no result line" >&2; exit 1; }
+# Machine set-up: five samples of building ten Table II UCP machines on
+# fresh arrays; -benchmem's B/op is recorded as new_machine_kb.
+go test -run '^$' -bench '^BenchmarkNewMachine$' -benchtime=10x -count=5 -benchmem ./internal/sim | tee -a "$RUNQ_TMP/bench.txt"
+grep -q '^BenchmarkNewMachine' "$RUNQ_TMP/bench.txt" || {
+	echo "hotpath: BenchmarkNewMachine produced no result line" >&2; exit 1; }
 # sweep_serial_ms is 0 when the runq gate did not run this invocation.
 "$RUNQ_TMP/experiments" -record hotpath "$RUNQ_TMP/bench.txt" "$SERIAL_MS"
 echo "hotpath: $(tr -d '\n' < BENCH_hotpath.json | tr -s ' ')"

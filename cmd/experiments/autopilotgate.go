@@ -220,13 +220,15 @@ func runAutopilotSweep(w io.Writer, hopts harness.Options, finalTarget float64) 
 	}
 	exec := hopts.Exec
 	if exec == nil {
-		exec = runq.New(runq.Options{
+		pool := runq.New(runq.Options{
 			Workers:     hopts.Jobs,
 			CacheDir:    hopts.CacheDir,
 			Checkpoints: true,
 			Clock:       hopts.Clock,
 			Progress:    hopts.Progress,
 		})
+		defer pool.ReportWriteFailures(os.Stderr)
+		exec = pool
 	}
 	opts := autopilotOpts(exec, grid, baseline)
 	if finalTarget > 0 {

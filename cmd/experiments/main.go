@@ -180,6 +180,7 @@ func main() {
 				failed++
 			}
 		}
+		r.ReportWriteFailures(os.Stderr)
 		if failed > 0 {
 			fmt.Fprintf(os.Stderr, "experiments: %d figure(s) failed\n", failed)
 			os.Exit(1)
@@ -196,7 +197,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown figure %q\n", *fig)
 		os.Exit(1)
 	}
-	if err := fn(); err != nil {
+	err := fn()
+	r.ReportWriteFailures(os.Stderr)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}

@@ -90,7 +90,9 @@ func buildRunqRecord(args []string, cores int) (benchRecord, error) {
 // did not run). When the output also holds BenchmarkBuildProgram
 // lines, at least hotpathSamples of them, the quartiles of their
 // ns/op in milliseconds are build_program_ms: the time to build the
-// four full-pairs program images.
+// four full-pairs program images. Likewise the quartiles of
+// BenchmarkNewMachine's B/op in KiB are new_machine_kb: what a Table
+// II UCP machine allocates on fresh arrays.
 type hotpathRecord struct {
 	benchEnvelope
 	Samples              int        `json:"samples"`
@@ -98,6 +100,7 @@ type hotpathRecord struct {
 	AllocsPerInst        quartiles  `json:"allocs_per_inst"`
 	BytesPerInst         quartiles  `json:"bytes_per_inst"`
 	BuildProgramMS       *quartiles `json:"build_program_ms,omitempty"`
+	NewMachineKB         *quartiles `json:"new_machine_kb,omitempty"`
 	SweepSerialMS        int64      `json:"sweep_serial_ms"`
 }
 
@@ -189,21 +192,35 @@ func buildHotpathRecord(args []string, cores int) (benchRecord, error) {
 		BytesPerInst:         quartilesOf(bpis, 2),
 		SweepSerialMS:        sweepMS,
 	}
-	const build = "BenchmarkBuildProgram"
-	if res := benchResults(string(out), build); len(res) > 0 {
-		var ms []float64
-		for _, units := range res {
-			ns, ok := units["ns/op"]
-			if !ok {
-				return nil, fmt.Errorf("%s reports no ns/op", build)
-			}
-			ms = append(ms, ns/1e6)
-		}
-		if len(ms) < hotpathSamples {
-			return nil, fmt.Errorf("got %d %s result lines, want at least %d (-count %d)", len(ms), build, hotpathSamples, hotpathSamples)
-		}
-		q := quartilesOf(ms, 2)
-		rec.BuildProgramMS = &q
+	if rec.BuildProgramMS, err = optionalQuartiles(string(out), "BenchmarkBuildProgram", "ns/op", 1e6); err != nil {
+		return nil, err
+	}
+	if rec.NewMachineKB, err = optionalQuartiles(string(out), "BenchmarkNewMachine", "B/op", 1024); err != nil {
+		return nil, err
 	}
 	return rec, nil
+}
+
+// optionalQuartiles returns the quartiles, to two decimals, of unit
+// over scale on every result line of the named benchmark, or nil when
+// out holds none. Fewer than hotpathSamples lines, or a line without
+// unit, is an error.
+func optionalQuartiles(out, name, unit string, scale float64) (*quartiles, error) {
+	res := benchResults(out, name)
+	if len(res) == 0 {
+		return nil, nil
+	}
+	var v []float64
+	for _, units := range res {
+		x, ok := units[unit]
+		if !ok {
+			return nil, fmt.Errorf("%s reports no %s", name, unit)
+		}
+		v = append(v, x/scale)
+	}
+	if len(v) < hotpathSamples {
+		return nil, fmt.Errorf("got %d %s result lines, want at least %d (-count %d)", len(v), name, hotpathSamples, hotpathSamples)
+	}
+	q := quartilesOf(v, 2)
+	return &q, nil
 }

@@ -173,6 +173,44 @@ func TestHotpathRecordBuildProgram(t *testing.T) {
 	}
 }
 
+// TestHotpathRecordNewMachine reads BenchmarkNewMachine samples beside
+// BenchmarkSimQuick's and pins new_machine_kb, the quartiles of their
+// B/op in KiB; samples without B/op are an error.
+func TestHotpathRecordNewMachine(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	var quick, machine string
+	for i := 0; i < 5; i++ {
+		quick += "BenchmarkSimQuick-2 1 3739466855 ns/op 1000000 insts/s 0.002 allocs/inst 360000 insts/op 5000000 B/op 700 allocs/op\n"
+	}
+	for _, bytes := range []int{3387136, 3387136, 3387142, 3387142, 3387142} {
+		machine += fmt.Sprintf("BenchmarkNewMachine-2   \t      10\t   1104783 ns/op\t %d B/op\t      92 allocs/op\n", bytes)
+	}
+	rec, err := buildHotpathRecord([]string{write("machine.txt", quick+machine), "0"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `"new_machine_kb": {
+    "q1": 3307.75,
+    "median": 3307.76,
+    "q3": 3307.76
+  },`
+	if got := recordJSON(t, rec); !strings.Contains(got, want) {
+		t.Errorf("record lacks %s:\n%s", want, got)
+	}
+	noMem := strings.ReplaceAll(machine, " B/op", " B/opx")
+	if _, err := buildHotpathRecord([]string{write("nomem.txt", quick+noMem), "0"}, 2); err == nil ||
+		!strings.Contains(err.Error(), "BenchmarkNewMachine reports no B/op") {
+		t.Errorf("BenchmarkNewMachine without -benchmem: err %v", err)
+	}
+}
+
 func TestRunRecordUnknownID(t *testing.T) {
 	if err := runRecord("bogus", nil); err == nil || !strings.Contains(err.Error(), "runq hotpath") {
 		t.Fatalf("runRecord(bogus) = %v, want an error naming both record ids", err)

@@ -170,6 +170,16 @@ func main() {
 		CkptMaxBytes: *ckptMax,
 		CkptNow:      func() int64 { return time.Now().UnixNano() }, //ucplint:ignore wallclock // checkpoint-pruning clock, injected only here
 	})
+	// A result or checkpoint the disk caches failed to keep costs the
+	// next run a recomputation: say so in one line at exit, whether the
+	// jobs succeeded or not.
+	failed := false
+	defer func() {
+		pool.ReportWriteFailures(os.Stderr)
+		if failed {
+			os.Exit(1)
+		}
+	}()
 	var exec runq.Runner = pool
 	if *server != "" {
 		if *file != "" {
@@ -193,7 +203,7 @@ func main() {
 	} else {
 		profiles := selectProfiles(*traceName)
 		if *compare {
-			runCompare(exec, profiles, *warmup, *measure, *segments)
+			failed = !runCompare(exec, profiles, *warmup, *measure, *segments)
 			return
 		}
 		for _, p := range profiles {
@@ -208,7 +218,8 @@ func main() {
 	for i, jr := range results {
 		if jr.Err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", labels[i], jr.Err)
-			os.Exit(1)
+			failed = true
+			return
 		}
 		if *digest {
 			fmt.Print(jr.Result.DeterminismDigest())
@@ -242,7 +253,8 @@ func selectProfiles(name string) []ucp.Profile {
 
 // runCompare runs the baseline and UCP over each profile
 // (interleaved base/UCP job pairs) and reports the per-trace speedup.
-func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64, segments int) {
+// It reports false, after printing the error, when a job failed.
+func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64, segments int) bool {
 	base := ucp.Baseline()
 	withUCP := ucp.WithUCP(ucp.DefaultUCP())
 	jobList := make([]runq.Job, 0, 2*len(profiles))
@@ -256,18 +268,17 @@ func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64
 		"trace", "base IPC", "UCP IPC", "speedup%", "HR base%", "HR UCP%")
 	for i, p := range profiles {
 		b, u := results[2*i], results[2*i+1]
-		if b.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", p.Name, b.Err)
-			os.Exit(1)
-		}
-		if u.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", p.Name, u.Err)
-			os.Exit(1)
+		for _, r := range []runq.JobResult{b, u} {
+			if r.Err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", p.Name, r.Err)
+				return false
+			}
 		}
 		fmt.Printf("%-10s %10.4f %10.4f %+10.2f %9.2f %9.2f\n",
 			p.Name, b.Result.IPC, u.Result.IPC, 100*(u.Result.IPC/b.Result.IPC-1),
 			b.Result.UopHitRate*100, u.Result.UopHitRate*100)
 	}
+	return true
 }
 
 // resultJSON is the -json object of one result.

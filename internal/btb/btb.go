@@ -69,6 +69,11 @@ func (c Config) Validate() error {
 	if c.Banks <= 0 || !isPow2(c.Banks) {
 		return fmt.Errorf("btb: Banks must be a positive power of two, got %d", c.Banks)
 	}
+	// A tag is a PC's bits above the set index (tagShift).
+	if tagBits := isa.AddrBits - int(2+log2(c.Entries/c.Ways)); tagBits > tagWidth {
+		return fmt.Errorf("btb: a %d-bit PC over a set count of %d leaves a %d-bit tag, wider than the %d bits beside the valid bit; use at least %d sets",
+			isa.AddrBits, c.Entries/c.Ways, tagBits, tagWidth, 1<<(isa.AddrBits-2-tagWidth))
+	}
 	return nil
 }
 
@@ -80,29 +85,53 @@ func DefaultConfig() Config { return Config{Entries: 64 * 1024, Ways: 8, Banks: 
 // UCPConfig doubles the banks for dual-path lookups (§IV-C).
 func UCPConfig() Config { return Config{Entries: 64 * 1024, Ways: 8, Banks: 32} }
 
-type entry struct {
-	target uint64
-	kind   BranchKind // one of the four branch classes. nbits:2
+// entry is a way's payload, 8 bytes: the branch target in the low
+// kindShift bits and its kind in the two above. Every target lies below
+// 1<<isa.AddrBits, far under kindShift, so the two never overlap.
+type entry uint64
+
+// kindShift is the bit position of an entry's kind.
+const kindShift = 62
+
+// pack makes the entry of a branch to target of the given kind. A
+// target outside isa.AddrBits, which the trace sources reject, panics
+// rather than corrupt the kind.
+func pack(target uint64, kind BranchKind) entry {
+	if target>>isa.AddrBits != 0 {
+		panic("btb: target outside isa.AddrBits")
+	}
+	return entry(target) | entry(kind)<<kindShift
 }
+
+func (e entry) target() uint64   { return uint64(e) & (1<<kindShift - 1) }
+func (e entry) kind() BranchKind { return BranchKind(e >> kindShift) }
 
 // BTB is a set-associative, banked branch target buffer.
 type BTB struct {
 	cfg      Config
 	sets     int
 	tagShift uint // 2 + log2(sets), precomputed off the lookup path
-	// tags packs each way's valid bit and tag as valid<<32|tag (zero =
+	// pcLimit is the first PC key rejects: the first past isa.AddrBits
+	// or the first whose tag does not fit under validBit, whichever is
+	// lower.
+	pcLimit uint64
+	// tags packs each way's valid bit and tag as validBit|tag (zero =
 	// invalid), separate from the payload entries: a whole 8-way set's
-	// tag match then reads one cache line, and Probe — which runs every
-	// alternate-path walk step and usually misses — never touches the
-	// payload array at all. Sets are in recency order (package lru),
-	// payloads moving with their tags.
-	tags  []uint64 // sets × ways
+	// tag match then reads half a cache line, and Probe — which runs
+	// every alternate-path walk step and usually misses — never touches
+	// the payload array at all. Sets are in recency order (package
+	// lru), payloads moving with their tags.
+	tags  []uint32 // sets × ways
 	data  []entry  // sets × ways
 	stats Stats
 }
 
-// validBit marks a live way in the packed tag array.
-const validBit = uint64(1) << 32
+// validBit marks a live way in the packed tag array; a tag has the
+// tagWidth bits below it.
+const (
+	tagWidth = 31
+	validBit = uint32(1) << tagWidth
+)
 
 // Stats counts BTB traffic.
 type Stats struct {
@@ -115,9 +144,11 @@ func New(cfg Config) *BTB {
 	if sets < 1 {
 		sets = 1
 	}
-	return &BTB{cfg: cfg, sets: sets, tagShift: 2 + log2(sets),
-		tags: recycle.Make[uint64](sets * cfg.Ways),
-		data: recycle.Make[entry](sets * cfg.Ways)}
+	tagShift := 2 + log2(sets)
+	return &BTB{cfg: cfg, sets: sets, tagShift: tagShift,
+		pcLimit: min(1<<isa.AddrBits, uint64(validBit)<<tagShift),
+		tags:    recycle.Make[uint32](sets * cfg.Ways),
+		data:    recycle.Make[entry](sets * cfg.Ways)}
 }
 
 // Release hands the arrays back to package recycle; the BTB must not
@@ -132,8 +163,15 @@ func (b *BTB) setOf(pc uint64) int {
 	return int((pc >> 2) & uint64(b.sets-1))
 }
 
-func (b *BTB) tagOf(pc uint64) uint32 {
-	return uint32(pc >> b.tagShift)
+// key returns pc's tag word, validBit|tag. A PC at or past pcLimit is
+// outside isa.AddrBits, which the trace sources reject, or has a tag
+// the geometry cannot hold, which Config.Validate rejects: it panics
+// rather than alias another branch.
+func (b *BTB) key(pc uint64) uint32 {
+	if pc >= b.pcLimit {
+		panic("btb: PC outside isa.AddrBits or its tag word")
+	}
+	return validBit | uint32(pc>>b.tagShift)
 }
 
 func log2(v int) uint {
@@ -159,14 +197,14 @@ func (b *BTB) Lookup(pc uint64) (target uint64, kind BranchKind, hit bool) {
 	b.stats.Lookups++
 	base := b.setOf(pc) * b.cfg.Ways
 	tags, data := b.tags[base:base+b.cfg.Ways], b.data[base:base+b.cfg.Ways]
-	want := validBit | uint64(b.tagOf(pc))
+	want := b.key(pc)
 	for w, tv := range tags {
 		if tv == want {
 			e := data[w]
 			lru.ToFront(tags, w, want)
 			lru.ToFront(data, w, e)
 			b.stats.Hits++
-			return e.target, e.kind, true
+			return e.target(), e.kind(), true
 		}
 	}
 	return 0, 0, false
@@ -177,11 +215,11 @@ func (b *BTB) Lookup(pc uint64) (target uint64, kind BranchKind, hit bool) {
 // branches along a never-fetched path (§IV-C).
 func (b *BTB) Probe(pc uint64) (target uint64, kind BranchKind, hit bool) {
 	base := b.setOf(pc) * b.cfg.Ways
-	want := validBit | uint64(b.tagOf(pc))
+	want := b.key(pc)
 	for w, tv := range b.tags[base : base+b.cfg.Ways] {
 		if tv == want {
-			e := &b.data[base+w]
-			return e.target, e.kind, true
+			e := b.data[base+w]
+			return e.target(), e.kind(), true
 		}
 	}
 	return 0, 0, false
@@ -193,7 +231,7 @@ func (b *BTB) Insert(pc, target uint64, kind BranchKind) {
 	b.stats.Inserts++
 	base := b.setOf(pc) * b.cfg.Ways
 	tags, data := b.tags[base:base+b.cfg.Ways], b.data[base:base+b.cfg.Ways]
-	want := validBit | uint64(b.tagOf(pc))
+	want := b.key(pc)
 	w := slices.Index(tags, want)
 	if w < 0 {
 		w = len(tags) - 1
@@ -202,7 +240,7 @@ func (b *BTB) Insert(pc, target uint64, kind BranchKind) {
 		}
 	}
 	lru.ToFront(tags, w, want)
-	lru.ToFront(data, w, entry{target: target, kind: kind})
+	lru.ToFront(data, w, pack(target, kind))
 }
 
 // Stats returns a copy of the traffic counters.

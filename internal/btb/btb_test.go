@@ -1,8 +1,10 @@
 package btb
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"ucp/internal/isa"
 )
@@ -129,5 +131,42 @@ func TestStorage(t *testing.T) {
 	// structure" the paper says UCP must not replicate.
 	if kb < 300 || kb > 600 {
 		t.Fatalf("BTB storage %.0fKB implausible", kb)
+	}
+}
+
+// TestAddressOutsideWidthPanics: no PC or target outside isa.AddrBits
+// reaches the BTB's arrays. The Table II BTB panics on one, and so does
+// a BTB whose geometry Validate rejects, on a PC inside the width whose
+// tag it cannot hold; the highest PC and target inside the width go
+// through, and a way's payload is 8 bytes.
+func TestAddressOutsideWidthPanics(t *testing.T) {
+	top := uint64(1) << isa.AddrBits
+	b := New(DefaultConfig())
+	b.Insert(top-4, top-4, KindReturn)
+	if tgt, kind, hit := b.Lookup(top - 4); !hit || tgt != top-4 || kind != KindReturn {
+		t.Fatalf("Lookup at the top of the width = %#x,%v,%v", tgt, kind, hit)
+	}
+	narrow := Config{Entries: 1024, Ways: 8, Banks: 16}
+	if err := narrow.Validate(); err == nil || !strings.Contains(err.Error(), "use at least 256 sets") {
+		t.Errorf("Validate of a 128-set BTB: %v", err)
+	}
+	for name, f := range map[string]func(){
+		"Lookup":             func() { b.Lookup(top) },
+		"Probe":              func() { b.Probe(top) },
+		"Insert PC":          func() { b.Insert(top, 0x1000, KindCond) },
+		"Insert target":      func() { b.Insert(0x1000, top, KindCond) },
+		"128 sets, in width": func() { New(narrow).Lookup(top / 2) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if size := unsafe.Sizeof(entry(0)); size != 8 {
+		t.Errorf("a way's payload is %d bytes, want 8", size)
 	}
 }

@@ -1,6 +1,9 @@
 package btb
 
-import "ucp/internal/ckpt"
+import (
+	"ucp/internal/ckpt"
+	"ucp/internal/isa"
+)
 
 // Checkpoint hooks: the sampled fast-forward inserts every taken
 // branch's target (FunctionalCommit), so tags, payloads and traffic
@@ -27,32 +30,39 @@ func loadStats(r *ckpt.Reader, s *Stats) {
 // checkpoints (internal/ckpt).
 func (b *BTB) SaveState(w *ckpt.Writer) {
 	w.Section("btb")
-	w.Sets(b.tags, b.cfg.Ways, validBit)
+	ckpt.Sets(w, b.tags, b.cfg.Ways, validBit)
 	for i, tv := range b.tags {
 		if tv == 0 {
 			continue
 		}
-		e := &b.data[i]
-		w.Uvarint(e.target)
-		w.Byte(byte(e.kind))
+		e := b.data[i]
+		w.Uvarint(e.target())
+		w.Byte(byte(e.kind()))
 	}
 	saveStats(w, &b.stats)
 }
 
 // LoadState restores what SaveState wrote; errors surface on the
-// reader. Empty ways get a zero payload, as in a freshly constructed BTB.
+// reader. Empty ways get a zero payload, as in a freshly constructed
+// BTB. A target outside isa.AddrBits fails, as does a kind outside the
+// four branch classes.
 func (b *BTB) LoadState(r *ckpt.Reader) {
 	r.Section("btb")
-	r.SetsInto(b.tags, b.cfg.Ways, validBit)
+	ckpt.SetsInto(r, b.tags, b.cfg.Ways, validBit)
 	if r.Err() != nil {
 		return
 	}
 	for i, tv := range b.tags {
 		if tv == 0 {
-			b.data[i] = entry{}
+			b.data[i] = 0
 			continue
 		}
-		b.data[i] = entry{target: r.Uvarint(), kind: loadKind(r)}
+		target := r.Uvarint()
+		if target>>isa.AddrBits != 0 {
+			r.Failf("btb: target %#x outside the %d-bit address width", target, isa.AddrBits)
+			return
+		}
+		b.data[i] = pack(target, loadKind(r))
 	}
 	loadStats(r, &b.stats)
 }

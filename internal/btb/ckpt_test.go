@@ -65,7 +65,7 @@ func TestBTBLoadStateRejects(t *testing.T) {
 		want    string
 	}{
 		{"count above ways", 16, [][]uint64{{1, 2, 3, 4, 5}, {}, {}, {}}, 0, "set 0: 5 valid ways, want at most 4"},
-		{"valid bit", 16, [][]uint64{{validBit | 1}, {}, {}, {}}, 0, "carries the valid bit"},
+		{"valid bit", 16, [][]uint64{{uint64(validBit) | 1}, {}, {}, {}}, 0, "carries the valid bit"},
 		{"tag twice", 16, [][]uint64{{}, {}, {7, 7}, {}}, 0, "set 2: tag 0x7 held twice"},
 		{"wrong set count", 12, [][]uint64{{1}, {}, {}}, 0, "12 set entries, want 16"},
 		{"bad kind", 16, [][]uint64{{1}, {}, {}, {}}, byte(KindReturn) + 1, "branch kind 4"},

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"ucp/internal/isa"
 	"ucp/internal/lru/lrutest"
 	"ucp/internal/rng"
 )
@@ -35,16 +36,16 @@ func TestBTBMatchesReferenceLRU(t *testing.T) {
 					if hit {
 						want.Hits++
 					}
-					if e := payload[word]; got != hit || hit && (tgt != e.target || kind != e.kind) {
+					if e := payload[word]; got != hit || hit && (tgt != e.target() || kind != e.kind()) {
 						t.Fatalf("step %d: Lookup(%#x) = %#x,%v,%v, reference %+v,%v", i, pc, tgt, kind, got, e, hit)
 					}
 				case 1:
 					tgt, kind, got := b.Probe(pc)
-					if e, hit := payload[word]; got != hit || hit && (tgt != e.target || kind != e.kind) {
+					if e, hit := payload[word]; got != hit || hit && (tgt != e.target() || kind != e.kind()) {
 						t.Fatalf("step %d: Probe(%#x) = %#x,%v,%v, reference %+v,%v", i, pc, tgt, kind, got, e, hit)
 					}
 				case 2:
-					e := entry{target: r.Uint64n(1 << 40), kind: BranchKind(r.Intn(4))}
+					e := pack(r.Uint64n(1<<isa.AddrBits), BranchKind(r.Intn(4)))
 					want.Inserts++
 					if !ref.Touch(word) {
 						if ev, ok := ref.Fill(word); ok {
@@ -53,17 +54,17 @@ func TestBTBMatchesReferenceLRU(t *testing.T) {
 						}
 					}
 					payload[word] = e
-					b.Insert(pc, e.target, e.kind)
+					b.Insert(pc, e.target(), e.kind())
 				}
 				if b.Stats() != want {
 					t.Fatalf("step %d: stats %+v, reference %+v", i, b.Stats(), want)
 				}
 				set := int(word % uint64(sets))
 				ways := b.tags[set*g.ways : (set+1)*g.ways]
-				decode := func(tv uint64) (uint64, bool) {
-					return (tv&^validBit)*uint64(sets) + uint64(set), tv != 0
+				decode := func(tv uint32) (uint64, bool) {
+					return uint64(tv&^validBit)*uint64(sets) + uint64(set), tv != 0
 				}
-				if err := ref.Check(word, ways, decode); err != nil {
+				if err := lrutest.Check(ref, word, ways, decode); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 				for w, tv := range ways {

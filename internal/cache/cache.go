@@ -9,6 +9,10 @@
 package cache
 
 import (
+	"fmt"
+	"math/bits"
+
+	"ucp/internal/isa"
 	"ucp/internal/lru"
 	"ucp/internal/recycle"
 )
@@ -34,9 +38,10 @@ type Stats struct {
 	MSHRStalls             uint64
 }
 
-// validBit marks a live way in a packed tag array. Tags are line
-// addresses shifted right by ≥6 bits, so bit 63 is never part of a tag.
-const validBit = uint64(1) << 63
+// validBit marks a live way in a packed 32-bit tag word. A tag is a
+// block number over the set count; Validate accepts only geometries
+// whose tags, for addresses below 1<<isa.AddrBits, stay under it.
+const validBit = uint32(1) << 31
 
 // mshrEntry is one in-flight miss: the line address and its
 // fill-complete cycle.
@@ -51,9 +56,9 @@ type Cache struct {
 	ways int
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
 	// invalid). Each set is kept in recency order (lru.ToFront), so the
-	// array is the whole LRU state and the hit loop scans one cache
-	// line per 8-way set.
-	tags  []uint64 // sets × ways
+	// array is the whole LRU state and the hit loop scans at most one
+	// cache line for a set of up to 16 ways.
+	tags  []uint32 // sets × ways
 	lower Level
 	stats Stats
 	index setIndex
@@ -88,20 +93,44 @@ func (f *FixedLatency) FetchLine(_ uint64, now uint64) uint64 {
 	return now + f.Latency
 }
 
+// sets returns the level's set count: its lines over its ways, at
+// least one.
+func (c Config) sets() int { return max(c.SizeBytes/LineBytes/c.Ways, 1) }
+
+// validate rejects a level with no ways, or whose tags for addresses
+// below 1<<isa.AddrBits would not fit beside the valid bit.
+func (c Config) validate() error {
+	if c.Ways < 1 {
+		return fmt.Errorf("cache: %s Ways must be positive, got %d", c.Name, c.Ways)
+	}
+	return tagsFit(c.Name, lineBlockBits, c.sets())
+}
+
+// lineBlockBits is the width of a line number: an address's bits above
+// the line offset.
+const lineBlockBits = isa.AddrBits - 6
+
+// tagsFit reports an error unless every block number of blockBits
+// bits splits, over sets sets, into a tag below validBit.
+func tagsFit(name string, blockBits, sets int) error {
+	maxTag := (blockLimit(blockBits) - 1) / uint64(sets)
+	if maxTag < uint64(validBit) {
+		return nil
+	}
+	return fmt.Errorf("cache: %s: a %d-bit address over a set count of %d leaves a %d-bit tag, wider than the %d bits beside the valid bit",
+		name, isa.AddrBits, sets, bits.Len64(maxTag), bits.Len32(validBit-1))
+}
+
 // New constructs a cache level on top of lower.
 func New(cfg Config, lower Level) *Cache {
-	lines := cfg.SizeBytes / LineBytes
-	sets := lines / cfg.Ways
-	if sets < 1 {
-		sets = 1
-	}
+	sets := cfg.sets()
 	c := &Cache{
 		cfg:   cfg,
 		ways:  cfg.Ways,
-		tags:  recycle.Make[uint64](sets * cfg.Ways),
+		tags:  recycle.Make[uint32](sets * cfg.Ways),
 		lower: lower,
 		mshr:  make([]mshrEntry, 0, cfg.MSHRs+1),
-		index: newSetIndex(sets),
+		index: newSetIndex(sets, lineBlockBits),
 	}
 	return c
 }
@@ -123,10 +152,20 @@ type setIndex struct {
 	pow2  bool
 	mask  uint64
 	shift uint
+	// limit is the first block number locate rejects: the first past
+	// the address width (blockBits wide) or the first whose tag does
+	// not fit under validBit, whichever is lower.
+	limit uint64
 }
 
-func newSetIndex(sets int) setIndex {
-	x := setIndex{sets: uint64(sets)}
+// blockLimit returns the first block number of blockBits bits past
+// the address width.
+func blockLimit(blockBits int) uint64 { return 1 << max(blockBits, 0) }
+
+// newSetIndex returns the index of sets sets over block numbers of
+// blockBits bits.
+func newSetIndex(sets, blockBits int) setIndex {
+	x := setIndex{sets: uint64(sets), limit: min(blockLimit(blockBits), uint64(sets)*uint64(validBit))}
 	if sets&(sets-1) == 0 {
 		x.pow2 = true
 		x.mask = uint64(sets - 1)
@@ -146,13 +185,25 @@ func (x setIndex) split(block uint64) (set int, tag uint64) {
 	return int(block - tag*x.sets), tag
 }
 
+// locate returns block's set and its tag word, validBit|tag. A block
+// at or past limit is an address outside isa.AddrBits, which the trace
+// sources reject, or one whose tag the geometry cannot hold, which
+// Config.Validate rejects: it panics rather than alias another block.
+func (x setIndex) locate(block uint64) (set int, want uint32) {
+	if block >= x.limit {
+		panic("cache: address outside isa.AddrBits or its tag word")
+	}
+	set, tag := x.split(block)
+	return set, validBit | uint32(tag)
+}
+
 func (c *Cache) lineAddr(addr uint64) uint64 { return addr &^ (LineBytes - 1) }
 
 // locate returns la's set base index into tags and its tag with the
 // valid bit set.
-func (c *Cache) locate(la uint64) (base int, want uint64) {
-	set, tag := c.index.split(la / LineBytes)
-	return set * c.ways, validBit | tag
+func (c *Cache) locate(la uint64) (base int, want uint32) {
+	set, want := c.index.locate(la / LineBytes)
+	return set * c.ways, want
 }
 
 // purge drops completed MSHR entries, preserving allocation order.
@@ -272,7 +323,7 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 // base, evicting its last (LRU) way. (The timing of availability is
 // carried by the returned ready cycle; the directory state updates
 // eagerly, which is the standard trace-simulator simplification.)
-func (c *Cache) fill(base int, want uint64) {
+func (c *Cache) fill(base int, want uint32) {
 	set := c.tags[base : base+c.ways]
 	if set[c.ways-1] != 0 {
 		c.stats.Evictions++

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
+
+	"ucp/internal/isa"
 )
 
 func twoLevel() (*Cache, *FixedLatency) {
@@ -264,5 +267,49 @@ func TestMSHRStress(t *testing.T) {
 	}
 	if len(l1.mshr) > l1.cfg.MSHRs+1 {
 		t.Fatalf("MSHR map grew to %d (cap %d)", len(l1.mshr), l1.cfg.MSHRs)
+	}
+}
+
+// mustPanic requires f to panic.
+func mustPanic(t *testing.T, name string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", name)
+		}
+	}()
+	f()
+}
+
+// TestAddressOutsideWidthPanics: no address outside isa.AddrBits
+// reaches a tag array. Every level and TLB of the Table II hierarchy
+// panics on one, and so does a cache whose geometry Validate rejects,
+// on an address inside the width whose tag it cannot hold; the
+// highest address inside the width goes through.
+func TestAddressOutsideWidthPanics(t *testing.T) {
+	top := uint64(1) << isa.AddrBits
+	h := NewHierarchy(DefaultHierarchyConfig())
+	h.Load(top-LineBytes, 0)
+	h.FetchInst(top-LineBytes, 0)
+	h.WarmData(top-8, 0)
+	for name, f := range map[string]func(){
+		"L1I fetch":   func() { h.L1I.FetchLine(top, 0) },
+		"L1I probe":   func() { h.L1I.Contains(top) },
+		"L1D warm":    func() { h.L1D.WarmLine(top) },
+		"L2 prefetch": func() { h.L2.Prefetch(top, 0) },
+		"LLC fetch":   func() { h.LLC.FetchLine(top, 0) },
+		"ITLB":        func() { h.ITLB.Translate(top, 0) },
+		"DTLB":        func() { h.DTLB.Translate(top, 0) },
+		"STLB":        func() { h.STLB.Translate(top, 0) },
+		"one-set cache, in width": func() {
+			New(Config{Name: "T", SizeBytes: 4 * LineBytes, Ways: 4, HitLatency: 1, MSHRs: 1}, &FixedLatency{}).FetchLine(top/2, 0)
+		},
+	} {
+		mustPanic(t, name, f)
+	}
+	cfg := DefaultHierarchyConfig()
+	cfg.L1I = Config{Name: "T", SizeBytes: 4 * LineBytes, Ways: 4}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "T: a 41-bit address") {
+		t.Errorf("Validate of the one-set cache: %v", err)
 	}
 }

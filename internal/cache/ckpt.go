@@ -6,7 +6,7 @@ import "ucp/internal/ckpt"
 // and data reference through the WarmLine path (warm.go), mutating
 // tags (whose order within a set is its recency state) and stats at
 // every level plus the TLBs and the DRAM access counter. Tag arrays go
-// through ckpt's set codec (Writer.Sets / Reader.SetsInto): a set's
+// through ckpt's set codec (ckpt.Sets / ckpt.SetsInto): a set's
 // valid ways are its prefix (lru.ToFront fills front to back and no way is
 // ever invalidated), so only their tags are written, and a set order
 // lru.ToFront could not produce fails to load. The MSHR files
@@ -38,7 +38,7 @@ func loadStats(r *ckpt.Reader, s *Stats) {
 // SaveState serializes one cache level's warm-mutable state.
 func (c *Cache) SaveState(w *ckpt.Writer) {
 	w.Section("cache")
-	w.Sets(c.tags, c.ways, validBit)
+	ckpt.Sets(w, c.tags, c.ways, validBit)
 	saveStats(w, &c.stats)
 }
 
@@ -46,21 +46,21 @@ func (c *Cache) SaveState(w *ckpt.Writer) {
 // configured level. Errors surface on the reader.
 func (c *Cache) LoadState(r *ckpt.Reader) {
 	r.Section("cache")
-	r.SetsInto(c.tags, c.ways, validBit)
+	ckpt.SetsInto(r, c.tags, c.ways, validBit)
 	loadStats(r, &c.stats)
 }
 
 // SaveState serializes one TLB's warm-mutable state.
 func (t *TLB) SaveState(w *ckpt.Writer) {
 	w.Section("tlb")
-	w.Sets(t.tags, t.cfg.Ways, validBit)
+	ckpt.Sets(w, t.tags, t.cfg.Ways, validBit)
 	saveStats(w, &t.stats)
 }
 
 // LoadState restores state saved by SaveState.
 func (t *TLB) LoadState(r *ckpt.Reader) {
 	r.Section("tlb")
-	r.SetsInto(t.tags, t.cfg.Ways, validBit)
+	ckpt.SetsInto(r, t.tags, t.cfg.Ways, validBit)
 	loadStats(r, &t.stats)
 }
 

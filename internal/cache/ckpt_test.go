@@ -25,16 +25,16 @@ func TestLoadStateRejectsImpossibleSets(t *testing.T) {
 	// ways filled, and its tag array; its name is its checkpoint section.
 	builders := []struct {
 		name  string
-		build func() (structure, []uint64)
+		build func() (structure, []uint32)
 	}{
-		{"cache", func() (structure, []uint64) {
+		{"cache", func() (structure, []uint32) {
 			c := New(Config{Name: "T", SizeBytes: 2 * 4 * LineBytes, Ways: 4, HitLatency: 1, MSHRs: 4}, &FixedLatency{})
 			for _, block := range []uint64{0, 2, 4} {
 				c.WarmLine(block * LineBytes)
 			}
 			return c, c.tags
 		}},
-		{"tlb", func() (structure, []uint64) {
+		{"tlb", func() (structure, []uint32) {
 			tlb := NewTLB(TLBConfig{Entries: 8, Ways: 4, HitLatency: 1, PageBits: 12}, nil)
 			for _, page := range []uint64{0, 2, 4} {
 				tlb.Translate(page<<12, 0)
@@ -75,7 +75,7 @@ func TestLoadStateRejectsImpossibleSets(t *testing.T) {
 			want    string
 		}{
 			{"count above ways", 8, [][]uint64{{1, 2, 3, 4, 5}, {}}, "set 0: 5 valid ways, want at most 4"},
-			{"valid bit", 8, [][]uint64{{1, validBit | 2}, {}}, "carries the valid bit"},
+			{"valid bit", 8, [][]uint64{{1, uint64(validBit) | 2}, {}}, "carries the valid bit"},
 			{"tag twice", 8, [][]uint64{{}, {1, 2, 1}}, "set 1: tag 0x1 held twice"},
 			{"wrong set count", 4, [][]uint64{{1, 2}}, "4 set entries, want 8"},
 		} {

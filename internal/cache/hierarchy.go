@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 
+	"ucp/internal/isa"
 	"ucp/internal/lru"
 	"ucp/internal/recycle"
 )
@@ -62,14 +63,28 @@ func DefaultHierarchyConfig() HierarchyConfig {
 
 // Validate rejects TLB pages smaller than a cache line: the warming
 // skip records references as line addresses (RefBuf), which select the
-// right page only when a page holds whole lines.
+// right page only when a page holds whole lines. It also rejects a
+// cache or TLB without ways, and any geometry with too few sets for an
+// address below 1<<isa.AddrBits to leave a tag that fits its 32-bit
+// word beside the valid bit.
 func (c HierarchyConfig) Validate() error {
+	for _, l := range []Config{c.L1I, c.L1D, c.L2, c.LLC} {
+		if err := l.validate(); err != nil {
+			return err
+		}
+	}
 	for _, t := range []struct {
 		name string
 		cfg  TLBConfig
 	}{{"ITLB", c.ITLB}, {"DTLB", c.DTLB}, {"STLB", c.STLB}} {
 		if t.cfg.PageBits < 6 {
 			return fmt.Errorf("cache: %s PageBits must be at least 6 (a page holds whole 64-byte lines), got %d", t.name, t.cfg.PageBits)
+		}
+		if t.cfg.Ways < 1 {
+			return fmt.Errorf("cache: %s Ways must be positive, got %d", t.name, t.cfg.Ways)
+		}
+		if err := tagsFit(t.name, isa.AddrBits-t.cfg.PageBits, t.cfg.sets()); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -165,6 +180,10 @@ type TLBConfig struct {
 	PageBits   int
 }
 
+// sets returns the TLB's set count: its entries over its ways, at
+// least one.
+func (c TLBConfig) sets() int { return max(c.Entries/c.Ways, 1) }
+
 // TLB is a set-associative translation cache. A miss consults the STLB
 // (when present), and an STLB miss pays the page-walk latency.
 type TLB struct {
@@ -172,7 +191,7 @@ type TLB struct {
 	index setIndex
 	// tags packs each way's valid bit and tag as validBit|tag (zero =
 	// invalid), each set in recency order — same layout as Cache.
-	tags        []uint64
+	tags        []uint32
 	stlb        *TLB
 	walkLatency uint64
 	stats       Stats
@@ -180,12 +199,9 @@ type TLB struct {
 
 // NewTLB constructs a TLB; stlb may be nil (then misses walk directly).
 func NewTLB(cfg TLBConfig, stlb *TLB) *TLB {
-	sets := cfg.Entries / cfg.Ways
-	if sets < 1 {
-		sets = 1
-	}
-	return &TLB{cfg: cfg, index: newSetIndex(sets),
-		tags: recycle.Make[uint64](sets * cfg.Ways), stlb: stlb}
+	sets := cfg.sets()
+	return &TLB{cfg: cfg, index: newSetIndex(sets, isa.AddrBits-cfg.PageBits),
+		tags: recycle.Make[uint32](sets * cfg.Ways), stlb: stlb}
 }
 
 // Release hands the tag array back to package recycle; the TLB must
@@ -200,9 +216,8 @@ func (t *TLB) Release() {
 func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	page := addr >> uint(t.cfg.PageBits)
 	t.stats.Accesses++
-	s, tag := t.index.split(page)
+	s, want := t.index.locate(page)
 	set := t.tags[s*t.cfg.Ways : (s+1)*t.cfg.Ways]
-	want := validBit | tag
 	for w, tv := range set {
 		if tv == want {
 			lru.ToFront(set, w, want)

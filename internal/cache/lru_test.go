@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"ucp/internal/isa"
 	"ucp/internal/lru/lrutest"
 	"ucp/internal/rng"
 )
@@ -15,11 +16,11 @@ func (x setIndex) join(set int, tag uint64) uint64 { return tag*x.sets + uint64(
 // checkSet requires the set of tags holding block (under index) to list
 // exactly the reference's resident blocks in recency order, followed
 // only by empty ways.
-func checkSet(t *testing.T, step int, tags []uint64, ways int, index setIndex, ref *lrutest.Sets, block uint64) {
+func checkSet(t *testing.T, step int, tags []uint32, ways int, index setIndex, ref *lrutest.Sets, block uint64) {
 	t.Helper()
 	set, _ := index.split(block)
-	err := ref.Check(block, tags[set*ways:(set+1)*ways], func(tv uint64) (uint64, bool) {
-		return index.join(set, tv&^validBit), tv != 0
+	err := lrutest.Check(ref, block, tags[set*ways:(set+1)*ways], func(tv uint32) (uint64, bool) {
+		return index.join(set, uint64(tv&^validBit)), tv != 0
 	})
 	if err != nil {
 		t.Fatalf("step %d: %v", step, err)
@@ -110,15 +111,20 @@ func (m *refCache) prefetch(la, now uint64) (uint64, bool) {
 	return m.access(la, now, true), false
 }
 
-// refStream draws block numbers from a footprint a few times the
-// structure's capacity, so hits, cold fills and evictions all occur.
-func refStream(seed uint64, capacity, n int) []uint64 {
+// refStream draws block numbers (or page numbers) from a footprint a
+// few times the structure's capacity, so hits, cold fills and
+// evictions all occur. A tenth are far keys, offset to set the highest
+// tag bit that both the 32-bit tag word (over sets sets) and a key of
+// keyBits bits, the address width less the block offset, allow: they
+// stress the tag width.
+func refStream(seed uint64, sets, capacity, n, keyBits int) []uint64 {
+	far := min(uint64(1)<<(keyBits-1), uint64(sets)<<30)
 	r := rng.New(seed)
 	out := make([]uint64, n)
 	for i := range out {
 		out[i] = r.Uint64n(uint64(3 * capacity))
 		if r.Bool(0.1) {
-			out[i] += 1 << 40 // far blocks stress the tag width
+			out[i] += far
 		}
 	}
 	return out
@@ -151,7 +157,7 @@ func runCacheModel(t *testing.T, sets, ways int, warmOnly bool) *refCache {
 	m := &refCache{dir: lrutest.New(sets, ways, nil), hitLat: hitLat, lowerLat: lowerLat, mshrs: mshrs}
 	r := rng.New(uint64(sets*100+ways) ^ 0x9e3779b97f4a7c15) // op stream, independent of the blocks
 	now := uint64(0)
-	for i, block := range refStream(uint64(sets*100+ways), sets*ways, 20_000) {
+	for i, block := range refStream(uint64(sets*100+ways), sets, sets*ways, 20_000, isa.AddrBits-6) {
 		la := block * LineBytes
 		addr := la + uint64(i%LineBytes)
 		op := opWarm
@@ -233,7 +239,7 @@ func TestTLBMatchesReferenceLRU(t *testing.T) {
 			tlb.walkLatency = walk
 			ref := lrutest.New(g.entries/g.ways, g.ways, nil)
 			var want Stats
-			for i, page := range refStream(uint64(g.entries*10+g.ways), g.entries, 20_000) {
+			for i, page := range refStream(uint64(g.entries*10+g.ways), g.entries/g.ways, g.entries, 20_000, isa.AddrBits-12) {
 				now := uint64(i)
 				wantReady := now + 1
 				want.Accesses++

@@ -23,7 +23,7 @@ func sealed(t *testing.T) []byte {
 	w.Bool(true)
 	w.I8(-3)
 	w.U64s([]uint64{0, 1, 1 << 62, 12345})
-	w.Sets(testSets, 2, 1<<63)
+	Sets(w, testSets, 2, 1<<63)
 	w.U8s([]uint8{9, 8, 7})
 	w.I8s([]int8{-1, 0, 1})
 	w.Section("tail")
@@ -62,7 +62,7 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Fatalf("U64sInto = %v", u64)
 	}
 	sets := []uint64{7, 7, 7, 7, 7, 7}
-	r.SetsInto(sets, 2, 1<<63)
+	SetsInto(r, sets, 2, 1<<63)
 	if !slices.Equal(sets, testSets) {
 		t.Fatalf("SetsInto = %#x, want %#x", sets, testSets)
 	}
@@ -132,11 +132,30 @@ func TestOpenRejectsVersionSkew(t *testing.T) {
 // tag above a low valid bit and a truncated section must fail too.
 func TestSetsEncoding(t *testing.T) {
 	w := &Writer{}
-	w.Sets(testSets, 2, 1<<63)
+	Sets(w, testSets, 2, 1<<63)
 	// entries 6; set 0: count 2, tags 5 and 0; set 1: count 1, tag
 	// 1<<40 (6 bytes); set 2: count 0.
 	if want := 1 + 3 + 7 + 1; w.Len() != want {
 		t.Errorf("three sets encode to %d bytes, want %d", w.Len(), want)
+	}
+	// The encoding does not depend on the word width: the same tags in
+	// 32-bit words with valid bit 1<<31 encode to the same bytes, and
+	// decode in place into a 32-bit array.
+	narrow := []uint32{1<<31 | 5, 1 << 31, 1<<31 | 1<<30, 0, 0, 0}
+	w64, w32 := &Writer{}, NewWriter(0)
+	Sets(w64, []uint64{1<<63 | 5, 1 << 63, 1<<63 | 1<<30, 0, 0, 0}, 2, 1<<63)
+	Sets(w32, narrow, 2, 1<<31)
+	if !bytes.Equal(w64.buf, w32.buf[len(envMagic)+4:]) {
+		t.Errorf("32-bit sets encode to %x, 64-bit ones to %x", w32.buf[len(envMagic)+4:], w64.buf)
+	}
+	r, err := Open(w32.Seal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := []uint32{7, 7, 7, 7, 7, 7}
+	SetsInto(r, got, 2, 1<<31)
+	if err := r.Close(); err != nil || !slices.Equal(got, narrow) {
+		t.Errorf("32-bit SetsInto = %#x (%v), want %#x", got, err, narrow)
 	}
 	for _, tc := range []struct {
 		name string
@@ -159,7 +178,7 @@ func TestSetsEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r.SetsInto(make([]uint64, 4), 2, 1<<32)
+			SetsInto(r, make([]uint64, 4), 2, 1<<32)
 			if r.Err() == nil || !strings.Contains(r.Err().Error(), tc.want) {
 				t.Fatalf("err %v, want one containing %q", r.Err(), tc.want)
 			}

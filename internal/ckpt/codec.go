@@ -89,6 +89,10 @@ func (w *Writer) U64s(s []uint64) {
 	}
 }
 
+// Word is the element type of a packed tag array: the caches, TLBs and
+// BTB hold 32-bit words, the µ-op cache and the MRC 64-bit ones.
+type Word interface{ ~uint32 | ~uint64 }
+
 // Sets appends a set-associative tag array (len(tags)/ways sets of
 // ways entries each) whose ways pack a valid bit and a tag as valid|tag,
 // zero meaning empty. The valid ways of every set must form a prefix —
@@ -96,9 +100,9 @@ func (w *Writer) U64s(s []uint64) {
 // never open a hole — so a set is written as its valid-way count, then
 // each valid way's tag with the valid bit stripped: an empty way costs
 // nothing and a valid one costs its tag, not the valid bit's worst-case
-// uvarint. A valid way after an empty one would be dropped silently, so
-// it panics instead.
-func (w *Writer) Sets(tags []uint64, ways int, valid uint64) {
+// uvarint. The encoding does not depend on the word width. A valid way
+// after an empty one would be dropped silently, so it panics instead.
+func Sets[T Word](w *Writer, tags []T, ways int, valid T) {
 	w.Uvarint(uint64(len(tags)))
 	for base := 0; base < len(tags); base += ways {
 		set := tags[base : base+ways]
@@ -113,7 +117,7 @@ func (w *Writer) Sets(tags []uint64, ways int, valid uint64) {
 		}
 		w.Uvarint(uint64(n))
 		for _, tv := range set[:n] {
-			w.Uvarint(tv &^ valid)
+			w.Uvarint(uint64(tv &^ valid))
 		}
 	}
 }
@@ -320,14 +324,14 @@ func uvarintAt(data []byte, off int) (uint64, int) {
 }
 
 // SetsInto fills dst, a set-associative tag array of the given
-// associativity, from a Sets encoding. It rejects any encoding Sets
-// could not have written from a valid array: a total entry count other
-// than len(dst) (the blob belongs to another geometry), a set with more
-// than ways valid ways, a tag that already carries the valid bit or any
-// higher bit, and one tag held twice within a set. Each set's valid
-// ways land at its front with the valid bit restored, and the rest of
-// the set is cleared.
-func (r *Reader) SetsInto(dst []uint64, ways int, valid uint64) {
+// associativity, from a Sets encoding, decoding in place. It rejects
+// any encoding Sets could not have written from a valid array: a total
+// entry count other than len(dst) (the blob belongs to another
+// geometry), a set with more than ways valid ways, a tag that already
+// carries the valid bit or any higher bit, and one tag held twice
+// within a set. Each set's valid ways land at its front with the valid
+// bit restored, and the rest of the set is cleared.
+func SetsInto[T Word](r *Reader, dst []T, ways int, valid T) {
 	n := r.Uvarint()
 	if r.err != nil {
 		return
@@ -356,11 +360,11 @@ func (r *Reader) SetsInto(dst []uint64, ways int, valid uint64) {
 				return
 			}
 			off = next
-			if tag >= valid {
+			if tag >= uint64(valid) {
 				r.fail(fmt.Errorf("ckpt: set %d: tag %#x carries the valid bit %#x or above", base/ways, tag, valid))
 				return
 			}
-			tv := valid | tag
+			tv := valid | T(tag)
 			if slices.Contains(set[:i], tv) {
 				r.fail(fmt.Errorf("ckpt: set %d: tag %#x held twice", base/ways, tag))
 				return

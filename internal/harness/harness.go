@@ -118,6 +118,10 @@ func (r *Runner) Profiles() []trace.Profile { return r.opts.Profiles }
 // SchedulerStats exposes the pool's run/cache counters.
 func (r *Runner) SchedulerStats() runq.Stats { return r.pool.Stats() }
 
+// ReportWriteFailures writes the pool's one-line report of results and
+// checkpoints its disk caches failed to keep, if any (runq.Pool).
+func (r *Runner) ReportWriteFailures(w io.Writer) { r.pool.ReportWriteFailures(w) }
+
 // program returns the built program for p (shared with the pool's
 // simulation workers; predictor-profiling figures walk it directly).
 func (r *Runner) program(p trace.Profile) (*trace.Program, error) {

@@ -19,6 +19,16 @@ const EntryBytes = 32
 // EntryOps is the maximum number of µ-ops held by a µ-op cache entry.
 const EntryOps = EntryBytes / InstBytes
 
+// AddrBits is the model's address width: every PC, branch target and
+// data address lies below 1<<AddrBits. The generator's layout sets it
+// (code from 1 MiB, heap from 2^32 up to the stack, stack frames from
+// 2^40, all under 2^41; trace.Profile.Validate bounds the heap), and a
+// recorded trace is checked against it when it is loaded. Every tag
+// array but the µ-op cache's holds 32-bit words, a valid bit beside a
+// tag of at most 31 bits, which an address this wide always fits once
+// the structure's Config.Validate has accepted its geometry.
+const AddrBits = 41
+
 // Class enumerates instruction classes. The control-flow classes mirror
 // ChampSim's branch taxonomy, which the paper's frontend model relies on.
 type Class uint8

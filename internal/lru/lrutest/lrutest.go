@@ -95,21 +95,21 @@ func (r *Sets) Recency(key uint64) []uint64 {
 }
 
 // Check requires set, the ways of key's set in the structure under
-// test, to hold exactly the reference's resident keys in recency order,
-// followed only by empty ways. decode maps a way to its key and
-// validity.
-func (r *Sets) Check(key uint64, set []uint64, decode func(way uint64) (key uint64, valid bool)) error {
-	want := r.Recency(key)
+// test, to hold exactly ref's resident keys in recency order, followed
+// only by empty ways. decode maps a way's word (32 or 64 bits) to its
+// key and validity.
+func Check[W ~uint32 | ~uint64](ref *Sets, key uint64, set []W, decode func(way W) (key uint64, valid bool)) error {
+	want := ref.Recency(key)
 	if len(set) < len(want) {
-		return fmt.Errorf("set %d has %d ways, reference holds %d keys %#x", r.setOf(key), len(set), len(want), want)
+		return fmt.Errorf("set %d has %d ways, reference holds %d keys %#x", ref.setOf(key), len(set), len(want), want)
 	}
 	for w, v := range set {
 		got, valid := decode(v)
 		switch {
 		case w < len(want) && (!valid || got != want[w]):
-			return fmt.Errorf("set %d way %d holds %#x (valid=%v), reference recency order %#x", r.setOf(key), w, got, valid, want)
+			return fmt.Errorf("set %d way %d holds %#x (valid=%v), reference recency order %#x", ref.setOf(key), w, got, valid, want)
 		case w >= len(want) && valid:
-			return fmt.Errorf("set %d way %d holds %#x past the reference's %d resident keys", r.setOf(key), w, got, len(want))
+			return fmt.Errorf("set %d way %d holds %#x past the reference's %d resident keys", ref.setOf(key), w, got, len(want))
 		}
 	}
 	return nil

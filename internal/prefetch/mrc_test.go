@@ -30,7 +30,7 @@ func TestMRCMatchesReferenceLRU(t *testing.T) {
 					}
 					m.Record(tag)
 				}
-				err := ref.Check(tag, m.tags, func(tag uint64) (uint64, bool) { return tag, true })
+				err := lrutest.Check(ref, tag, m.tags, func(tag uint64) (uint64, bool) { return tag, true })
 				if err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}

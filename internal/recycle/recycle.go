@@ -1,6 +1,6 @@
 // Package recycle hands large arrays from one simulated machine to the
 // next. A Table II machine's tables (a 30 MiB LLC's tags, a 64K-entry
-// BTB, the predictors) come to about 6 MB, nearly all a job allocates,
+// BTB, the predictors) come to about 3.4 MB, nearly all a job allocates,
 // and each job's machine becomes garbage when the job ends; recycling
 // the arrays keeps that churn out of the heap.
 //

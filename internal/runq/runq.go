@@ -287,6 +287,18 @@ func (p *Pool) CheckpointWriteFailures() int {
 	return p.ckpts.WriteFailures()
 }
 
+// ReportWriteFailures writes one line to w when the result cache or
+// the checkpoint store failed to write anything to disk (Stats'
+// WriteFailures, CheckpointWriteFailures), and nothing otherwise. The
+// runs themselves succeeded; the next process misses those entries.
+func (p *Pool) ReportWriteFailures(w io.Writer) {
+	results, ckpts := p.results.WriteFailures(), p.CheckpointWriteFailures()
+	if results == 0 && ckpts == 0 {
+		return
+	}
+	fmt.Fprintf(w, "runq: %d result(s) and %d checkpoint(s) could not be written to disk; the next run recomputes them\n", results, ckpts)
+}
+
 // CheckpointBytes reports the total size of the warm-checkpoint blobs
 // the pool's store holds in memory; zero when checkpoints are disabled.
 func (p *Pool) CheckpointBytes() int {

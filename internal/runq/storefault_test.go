@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -24,6 +25,8 @@ type storeTarget struct {
 	// writeFailures is the pool's count of values this store failed
 	// to write to disk.
 	writeFailures func(p *Pool) int
+	// note is the pool's write-failure report after one failed write.
+	note string
 }
 
 func storeTargets() []storeTarget {
@@ -39,6 +42,7 @@ func storeTargets() []storeTarget {
 			return rs[0].Source
 		},
 		writeFailures: func(p *Pool) int { return p.Stats().WriteFailures },
+		note:          "runq: 1 result(s) and 0 checkpoint(s) could not be written to disk; the next run recomputes them\n",
 	}, {
 		// Two sampled jobs share one warm checkpoint: the first
 		// captures it or loads it from disk, the second restores it
@@ -61,6 +65,7 @@ func storeTargets() []storeTarget {
 			}
 		},
 		writeFailures: (*Pool).CheckpointWriteFailures,
+		note:          "runq: 0 result(s) and 1 checkpoint(s) could not be written to disk; the next run recomputes them\n",
 	}}
 }
 
@@ -119,8 +124,8 @@ func write(t *testing.T, path string, b []byte) {
 // repair heals: the next pool loads from disk. A directory at the
 // target path cannot be replaced, so the value lives in memory (a rerun
 // on the same pool is a memo hit) and every later pool misses again,
-// without an error; the pool counts the failed write. A store that
-// writes its file counts none.
+// without an error; the pool counts the failed write and reports it in
+// one line. A store that writes its file counts and reports none.
 func TestStorageFaultsReadAsMiss(t *testing.T) {
 	for _, target := range storeTargets() {
 		for _, fault := range storeFaults {
@@ -176,6 +181,18 @@ func TestStorageFaultsReadAsMiss(t *testing.T) {
 					t.Fatalf("faulted store: %d write failures, want 0", n)
 				case !fault.heals && n < 1:
 					t.Fatal("faulted store: no write failure counted for an obstructed target")
+				}
+				// The pool reports a failed write in one line, and
+				// nothing when every write succeeded.
+				var note strings.Builder
+				cold.ReportWriteFailures(&note)
+				faulted.ReportWriteFailures(&note)
+				wantNote := ""
+				if !fault.heals {
+					wantNote = target.note
+				}
+				if note.String() != wantNote {
+					t.Fatalf("write-failure report %q, want %q", note.String(), wantNote)
 				}
 				next := "disk"
 				if !fault.heals {

@@ -3,6 +3,7 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -14,7 +15,7 @@ import (
 )
 
 // recycleProgram builds the named profile's program.
-func recycleProgram(t *testing.T, name string) *trace.Program {
+func recycleProgram(t testing.TB, name string) *trace.Program {
 	t.Helper()
 	prof, ok := trace.ProfileByName(name)
 	if !ok {
@@ -52,19 +53,85 @@ func holdMachines(cfg Config, prog *trace.Program, n, cycles int) []*Machine {
 	return ms
 }
 
+// freshMachineBytes returns what building a machine of cfg over prog
+// allocates on fresh arrays: machines held meanwhile own every free
+// array of its geometry. The walker is built before the count starts.
+func freshMachineBytes(cfg Config, prog *trace.Program) uint64 {
+	held := holdMachines(cfg, prog, runtime.GOMAXPROCS(0), 0)
+	src := trace.NewWalker(prog)
+	var a, b runtime.MemStats
+	runtime.ReadMemStats(&a)
+	m := NewMachine(cfg, src, prog)
+	runtime.ReadMemStats(&b)
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(m)
+	return b.TotalAlloc - a.TotalAlloc
+}
+
+// machineBudget bounds what a Table II UCP machine allocates on fresh
+// arrays. Its tables hold 32-bit tag words (isa.AddrBits) and 8-byte
+// BTB payloads: about 3.4 MB (DESIGN.md, "Machine memory").
+const machineBudget = 3_500_000
+
+// TestMachineFootprint holds a Table II UCP machine, built on fresh
+// arrays, to machineBudget bytes, and a BTB way's payload to 8 bytes.
+func TestMachineFootprint(t *testing.T) {
+	prog := recycleProgram(t, "srv203")
+	cfg := WithUCP(core.DefaultConfig())
+	noGC(t)
+	got := freshMachineBytes(cfg, prog)
+	t.Logf("a Table II UCP machine allocates %d bytes on fresh arrays", got)
+	if got > machineBudget {
+		t.Errorf("a Table II UCP machine allocates %d bytes on fresh arrays, want at most %d", got, machineBudget)
+	}
+	m := NewMachine(cfg, trace.NewWalker(prog), prog)
+	defer m.release()
+	if size := reflect.ValueOf(m.fe.BTB).Elem().FieldByName("data").Type().Elem().Size(); size != 8 {
+		t.Errorf("a BTB way's payload is %d bytes, want 8", size)
+	}
+}
+
+// BenchmarkNewMachine builds Table II UCP machines on fresh arrays:
+// machines held for the whole run own every free array, and the
+// machines built are never released. With -benchmem, B/op is a
+// machine's footprint (check.sh records it as new_machine_kb).
+func BenchmarkNewMachine(b *testing.B) {
+	prog := recycleProgram(b, "srv203")
+	cfg := WithUCP(core.DefaultConfig())
+	held := holdMachines(cfg, prog, runtime.GOMAXPROCS(0), 0)
+	src := trace.NewWalker(prog)
+	b.ResetTimer()
+	for range b.N {
+		machineSink = NewMachine(cfg, src, prog)
+	}
+	b.StopTimer()
+	runtime.KeepAlive(held)
+}
+
+// machineSink keeps BenchmarkNewMachine's builds observable.
+var machineSink *Machine
+
+// recycledShare is the least share of a fresh Table II UCP machine's
+// bytes that a step of TestRecycledMachineMatchesFresh must save on
+// recycled arrays: recycling saves nearly the whole machine, all but
+// the queues, histograms and small tables built anew each time.
+const recycledShare = 0.9
+
 // TestRecycledMachineMatchesFresh is the recycle's identity guarantee:
 // a machine built on arrays that another config and trace dirtied and
 // released behaves exactly like one built on fresh arrays. It compares
 // the determinism digest at full detail (baseline and UCP), sampled
 // with a checkpoint capture and a restore, and on two time-parallel
 // segments run by two concurrent workers, and the bytes of a warm
-// capture. The recycled phase must also allocate far less, or the test
+// capture. The recycled phase must also allocate far less — at least
+// recycledShare of a fresh machine's bytes less per step — or the test
 // would not be exercising reuse at all.
 func TestRecycledMachineMatchesFresh(t *testing.T) {
 	srv := recycleProgram(t, "srv203")
 	cry := recycleProgram(t, "crypto01")
 	n := runtime.GOMAXPROCS(0)
 	noGC(t)
+	saving := uint64(recycledShare * float64(freshMachineBytes(WithUCP(core.DefaultConfig()), srv)))
 
 	// The dirtying config shares the Table II geometry but not the
 	// tested configs' UCP parameters, and runs another trace.
@@ -162,21 +229,22 @@ func TestRecycledMachineMatchesFresh(t *testing.T) {
 		if recycled[i] != fresh[i] {
 			t.Errorf("%s: recycled machine differs from fresh:\n%s\n---\n%s", s.name, recycled[i], fresh[i])
 		}
-		if recycledAlloc[i]+4<<20 > freshAlloc[i] {
-			t.Errorf("%s: allocated %d bytes on recycled arrays and %d on fresh ones; want at least 4 MiB less", s.name, recycledAlloc[i], freshAlloc[i])
+		if recycledAlloc[i]+saving > freshAlloc[i] {
+			t.Errorf("%s: allocated %d bytes on recycled arrays and %d on fresh ones; want at least %d less (%.0f%% of a fresh machine)",
+				s.name, recycledAlloc[i], freshAlloc[i], saving, 100*recycledShare)
 		}
 	}
 }
 
 // rebuildAllocLimit bounds what building a Table II UCP machine
 // allocates once a released one has left its arrays: the recycled
-// tables are about 6.2 MB, what remains (queues, the ROB, histograms,
-// small prefetcher tables) is a few tens of KiB.
+// tables are about 3.3 MB, what remains (queues, histograms, small
+// prefetcher tables) is a few tens of KiB.
 const rebuildAllocLimit = 64 << 10
 
 // TestRebuiltMachineAllocatesLittle pins the recycle's memory effect:
 // after a release, building the next Table II UCP machine allocates
-// under rebuildAllocLimit, where a fresh one allocates about 6.2 MB.
+// under rebuildAllocLimit, where a fresh one allocates about 3.4 MB.
 func TestRebuiltMachineAllocatesLittle(t *testing.T) {
 	prog := recycleProgram(t, "srv203")
 	cfg := WithUCP(core.DefaultConfig())

@@ -34,6 +34,12 @@ func TestConfigValidate(t *testing.T) {
 		{"zero measurement", func(c *Config) { c.MeasureInsts = 0 }, "MeasureInsts"},
 		{"broken ITTAGE", func(c *Config) { c.Ind.Tables = 0 }, "Tables"},
 		{"sub-line DTLB page", func(c *Config) { c.Memory.DTLB.PageBits = 4 }, "PageBits"},
+		{"BTB tags past 31 bits", func(c *Config) { c.BTB.Entries = 1024 }, "set count of 128 leaves a 32-bit tag"},
+		{"one-set L1I", func(c *Config) { c.Memory.L1I.SizeBytes = 8 * 64 }, "L1I: a 41-bit address over a set count of 1 leaves a 35-bit tag"},
+		{"fully associative LLC", func(c *Config) { c.Memory.LLC.Ways = c.Memory.LLC.SizeBytes / 64 }, "LLC: a 41-bit address over a set count of 1"},
+		{"one-set DTLB of 64-byte pages", func(c *Config) { c.Memory.DTLB.Entries, c.Memory.DTLB.PageBits = 6, 6 }, "DTLB: a 41-bit address over a set count of 1"},
+		{"zero-way L2", func(c *Config) { c.Memory.L2.Ways = 0 }, "L2 Ways must be positive"},
+		{"zero-way STLB", func(c *Config) { c.Memory.STLB.Ways = 0 }, "STLB Ways must be positive"},
 		{"broken TAGE bimodal", func(c *Config) { c.Pred.Tage.BimodalBits = 0 }, "BimodalBits"},
 		{"broken UCP sub-config", func(c *Config) {
 			u := core.DefaultConfig()

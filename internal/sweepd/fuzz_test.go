@@ -57,6 +57,8 @@ func FuzzSubmit(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(`"Funcs":16`), []byte(`"Funcs":2000000000`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"LoopTripMean":14`), []byte(`"LoopTripMean":-5`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"StreamFrac":0.6`), []byte(`"StreamFrac":1.6`), 1))
+	// A BTB of 128 sets, whose tags would not fit their 32-bit words.
+	f.Add(bytes.Replace(valid, []byte(`"Entries":65536`), []byte(`"Entries":1024`), 1))
 	// Config fields the server does not know: a removed one and a
 	// misspelled one.
 	f.Add(bytes.Replace(valid, []byte(`"RASEntries":`), []byte(`"InclusiveUop":true,"RASEntries":`), 1))

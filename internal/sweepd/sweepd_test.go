@@ -744,6 +744,42 @@ func TestInvalidProfileRejected(t *testing.T) {
 	}
 }
 
+// TestTagWidthGeometryRejected posts configs whose BTB or LLC has too
+// few sets for a tag to fit its 32-bit word (isa.AddrBits); each POST
+// gets a 400 naming the job, and nothing reaches the pool.
+func TestTagWidthGeometryRejected(t *testing.T) {
+	var execs atomic.Int32
+	_, hs, _ := startServer(t, sweepd.Config{
+		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
+			execs.Add(1)
+			return sim.Result{}, nil
+		}},
+	})
+	for _, edit := range []func(c *sim.Config){
+		func(c *sim.Config) { c.BTB.Entries = 1024 },
+		func(c *sim.Config) { c.Memory.LLC.Ways = c.Memory.LLC.SizeBytes / 64 },
+	} {
+		spec := testSpec(t, "narrowtags")
+		edit(&spec.Config)
+		body, _ := json.Marshal(sweepd.SubmitRequest{
+			Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion,
+			Jobs: []sweepd.JobSpec{testSpec(t, "fine"), spec},
+		})
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "job 1 (narrowtags)") || !strings.Contains(string(msg), "tag") {
+			t.Fatalf("status %d, body %s; want a 400 naming job 1 and its tags", resp.StatusCode, msg)
+		}
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("rejected batches ran %d jobs", n)
+	}
+}
+
 // TestSpecRejectsRetiredBoundary: runq.Job.Boundary has no wire form,
 // so a job carrying a non-zero value must fail to convert instead of
 // silently running remotely with the fixed boundary warm.

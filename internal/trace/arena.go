@@ -248,7 +248,9 @@ func (st *cursorState) load(s arenaSnap) {
 
 // decode advances st past one record. When in is non-nil the decoded
 // instruction is stored there; a nil in skips the store but performs the
-// identical state update (used by Skip and the index scan).
+// identical state update (used by Skip and the index scan). A record
+// with an address at or above 1<<isa.AddrBits fails: the tag arrays
+// hold no wider address (isa.AddrBits).
 func (a *Arena) decode(st *cursorState, in *isa.Inst) error {
 	data := a.data
 	if st.off >= len(data) {
@@ -298,6 +300,9 @@ func (a *Arena) decode(st *cursorState, in *isa.Inst) error {
 		st.lastSrc2 = data[st.off+2]
 		st.off += 3
 	}
+	if (pc|target|mem)>>isa.AddrBits != 0 {
+		return addrError(pc, target, mem)
+	}
 	rec := isa.Inst{
 		PC:      pc,
 		Class:   class,
@@ -313,6 +318,19 @@ func (a *Arena) decode(st *cursorState, in *isa.Inst) error {
 		*in = rec
 	}
 	return nil
+}
+
+// addrError names the first of a record's addresses that lies outside
+// the model's address width (isa.AddrBits).
+func addrError(pc, target, mem uint64) error {
+	name, a := "memory address", mem
+	if target>>isa.AddrBits != 0 {
+		name, a = "target", target
+	}
+	if pc>>isa.AddrBits != 0 {
+		name, a = "PC", pc
+	}
+	return fmt.Errorf("%s %#x outside the %d-bit address width", name, a, isa.AddrBits)
 }
 
 // Len returns the arena's instruction count.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -53,6 +54,45 @@ func compactFile(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// widthFile is corruptInsts written as a trace file after edit
+// changes record 3 (a conditional branch).
+func widthFile(t testing.TB, edit func(in *isa.Inst)) []byte {
+	insts := corruptInsts()
+	edit(&insts[3])
+	var buf bytes.Buffer
+	if err := WriteCompact(&buf, insts); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestReadAnyAddressWidth loads files whose record 3 holds a PC, a
+// taken target or a memory address at the top of the isa.AddrBits
+// width, which load, or just past it, which must fail with an error
+// naming the address and the record.
+func TestReadAnyAddressWidth(t *testing.T) {
+	top := uint64(1) << isa.AddrBits
+	for _, tc := range []struct {
+		name string
+		edit func(in *isa.Inst, a uint64)
+	}{
+		{"PC", func(in *isa.Inst, a uint64) { in.PC = a }},
+		{"target", func(in *isa.Inst, a uint64) { in.Taken, in.Target = true, a }},
+		{"memory address", func(in *isa.Inst, a uint64) { in.Class, in.MemAddr = isa.Load, a }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := ReadAny(bytes.NewReader(widthFile(t, func(in *isa.Inst) { tc.edit(in, top-8) }))); err != nil {
+				t.Fatalf("an address at the top of the width: %v", err)
+			}
+			_, err := ReadAny(bytes.NewReader(widthFile(t, func(in *isa.Inst) { tc.edit(in, top+8) })))
+			want := fmt.Sprintf("trace: %s %#x outside the %d-bit address width at record 3", tc.name, top+8, isa.AddrBits)
+			if err == nil || err.Error() != want {
+				t.Fatalf("err %v, want %q", err, want)
+			}
+		})
+	}
 }
 
 // TestReadAnyTruncated cuts a valid file at every byte boundary; every

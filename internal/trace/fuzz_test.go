@@ -30,6 +30,8 @@ func FuzzReadAny(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append(append([]byte(nil), v2.Bytes()...), 0, 0, 0))
 	f.Add(long.Bytes())
+	// A data address one past the address width: rejected.
+	f.Add(widthFile(f, func(in *isa.Inst) { in.Class, in.MemAddr = isa.Load, 1<<isa.AddrBits }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadAny(bytes.NewReader(data))
 		if err != nil {

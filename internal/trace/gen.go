@@ -88,8 +88,9 @@ const (
 	// built-in profile. Code indices fit 32 bits far beyond it; the cap
 	// keeps one submitted profile from exhausting a server's memory.
 	maxStaticInsts = 1 << 22
-	// maxDataWSS keeps every heap page number within 32 bits.
-	maxDataWSS = 1<<(32+pageShift) - heapBase
+	// maxDataWSS keeps the heap below the stack, so every heap
+	// address lies under stackBase and inside isa.AddrBits.
+	maxDataWSS = stackBase - heapBase
 	// maxHistMaskBits keeps a history branch's mask window (2+2·bits
 	// positions) inside the 64-bit global history.
 	maxHistMaskBits = 31
@@ -113,7 +114,8 @@ func (p *Profile) Validate() error {
 			p.Name, p.Funcs, p.AvgFuncInsts, maxStaticInsts)
 	}
 	if p.DataWSS > maxDataWSS {
-		return fmt.Errorf("trace: profile %q: DataWSS %d exceeds %d", p.Name, p.DataWSS, uint64(maxDataWSS))
+		return fmt.Errorf("trace: profile %q: DataWSS %d exceeds %d (the heap must end below the stack at %#x, inside the %d-bit address width)",
+			p.Name, p.DataWSS, uint64(maxDataWSS), stackBase, isa.AddrBits)
 	}
 	for _, f := range []struct {
 		name string
@@ -539,6 +541,12 @@ const (
 	heapBase  uint64 = 1 << 32
 	stackBase uint64 = 1 << 40
 )
+
+// The highest generated address is in the dispatcher's stack frame, at
+// most maxStaticInsts frames past stackBase (Validate bounds Funcs by
+// it). This constant overflows, and the package fails to compile, if
+// that frame could reach 1<<isa.AddrBits.
+const _ uint64 = 1<<isa.AddrBits - (stackBase + (maxStaticInsts+1)<<pageShift)
 
 // BuildProgram lowers a profile to a concrete code image. It rejects a
 // profile that fails Validate.

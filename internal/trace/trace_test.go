@@ -75,7 +75,8 @@ func TestBuildProgramRejectsBadProfile(t *testing.T) {
 		"NaN fraction":             func(p *Profile) { p.FlatFrac = math.NaN() },
 		"negative HistMaskBitsMin": func(p *Profile) { p.HistMaskBitsMin = -1 },
 		"HistMaskBitsMax past 31":  func(p *Profile) { p.HistMaskBitsMax = 32 },
-		"heap past page numbers":   func(p *Profile) { p.DataWSS = maxDataWSS + 1 },
+		"heap into the stack":      func(p *Profile) { p.DataWSS = maxDataWSS + 1 },
+		"heap past address width":  func(p *Profile) { p.DataWSS = 1 << isa.AddrBits },
 	} {
 		p := ok
 		edit(&p)
@@ -292,6 +293,27 @@ func TestH2PBranchesExist(t *testing.T) {
 	}
 	if noisy < 5 {
 		t.Fatalf("only %d noisy conditional branch sites; H2P population too small", noisy)
+	}
+}
+
+// TestWidestHeapBelowStack walks a program with the largest heap
+// Validate accepts: every heap address stays below the stack, and every
+// address inside isa.AddrBits.
+func TestWidestHeapBelowStack(t *testing.T) {
+	p := QuickProfiles()[0]
+	p.DataWSS = maxDataWSS
+	w := NewWalker(mustProgram(t, p))
+	var heapTop, top uint64
+	for i := 0; i < 200_000; i++ {
+		in, _ := w.Next()
+		top = max(top, in.PC, in.Target, in.MemAddr)
+		if in.MemAddr < stackBase {
+			heapTop = max(heapTop, in.MemAddr)
+		}
+	}
+	if heapTop < stackBase/2 || top>>isa.AddrBits != 0 {
+		t.Fatalf("highest heap address %#x (want in [%#x, %#x)), highest address %#x (want below %#x)",
+			heapTop, stackBase/2, stackBase, top, uint64(1)<<isa.AddrBits)
 	}
 }
 

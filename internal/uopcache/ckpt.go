@@ -12,7 +12,7 @@ import "ucp/internal/ckpt"
 // SaveState serializes all mutable cache state.
 func (u *UopCache) SaveState(w *ckpt.Writer) {
 	w.Section("uopcache")
-	w.Sets(u.tags, u.cfg.Ways, validBit)
+	ckpt.Sets(w, u.tags, u.cfg.Ways, validBit)
 	for i, tv := range u.tags {
 		if tv == 0 {
 			continue
@@ -39,7 +39,7 @@ func (u *UopCache) SaveState(w *ckpt.Writer) {
 // constructed cache. Errors surface on the reader.
 func (u *UopCache) LoadState(r *ckpt.Reader) {
 	r.Section("uopcache")
-	r.SetsInto(u.tags, u.cfg.Ways, validBit)
+	ckpt.SetsInto(r, u.tags, u.cfg.Ways, validBit)
 	if r.Err() != nil {
 		return
 	}

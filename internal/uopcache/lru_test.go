@@ -84,7 +84,7 @@ func TestMatchesReferenceLRU(t *testing.T) {
 					tag := tv &^ validBit
 					return ((tag>>3)*sets+uint64(set))*isa.EntryBytes + (tag&7)*isa.InstBytes, tv != 0
 				}
-				if err := ref.Check(pc, ways, decode); err != nil {
+				if err := lrutest.Check(ref, pc, ways, decode); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 				for w, tv := range ways {

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"ucp/internal/isa"
 	"ucp/internal/trace"
 )
 
@@ -107,6 +108,34 @@ func TestProfileStreamGolden(t *testing.T) {
 	for _, p := range profs {
 		if got := streamLine(t, p); got != want[p.Name] {
 			t.Errorf("%s stream changed:\ngot  %s\nwant %s", p.Name, got, want[p.Name])
+		}
+	}
+}
+
+// TestProfileAddressesInWidth walks every built-in profile and the
+// custom example for 2M instructions: every PC, branch target and
+// memory address must lie below 1<<isa.AddrBits, the width the tag
+// arrays hold.
+func TestProfileAddressesInWidth(t *testing.T) {
+	profs := append(trace.DefaultProfiles(), customWorkloadProfile)
+	if len(profs) != 19 {
+		t.Errorf("walking %d profiles, want the 18 built-in ones and the custom example", len(profs))
+	}
+	for _, p := range profs {
+		prog, err := trace.BuildProgram(p)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		w := trace.NewWalker(prog)
+		batch := make([]isa.Inst, 4096)
+		var top uint64
+		for n := 0; n < 2_000_000; n += len(batch) {
+			for _, in := range batch[:w.NextBatch(batch)] {
+				top = max(top, in.PC, in.Target, in.MemAddr)
+			}
+		}
+		if top>>isa.AddrBits != 0 {
+			t.Errorf("%s: address %#x outside the %d-bit address width", p.Name, top, isa.AddrBits)
 		}
 	}
 }
