@@ -55,8 +55,12 @@
 #                           quartiles of insts/s, allocs/inst and
 #                           bytes/inst into BENCH_hotpath.json, beside
 #                           five BenchmarkBuildProgram samples as
-#                           build_program_ms and five BenchmarkNewMachine
-#                           samples as new_machine_kb;
+#                           build_program_ms, five BenchmarkNewMachine
+#                           samples as new_machine_kb, five
+#                           BenchmarkPredictorReplay samples as
+#                           bpred_ns_per_branch and five
+#                           BenchmarkWarmSkip/srv203/ucp samples as
+#                           warm_skip_ns_per_inst;
 #                           a -benchtime=1x smoke of the internal/trace
 #                           generator-vs-arena benchmarks prints their
 #                           per-instruction costs, ungated)
@@ -361,6 +365,16 @@ grep -q '^BenchmarkBuildProgram' "$RUNQ_TMP/bench.txt" || {
 go test -run '^$' -bench '^BenchmarkNewMachine$' -benchtime=10x -count=5 -benchmem ./internal/sim | tee -a "$RUNQ_TMP/bench.txt"
 grep -q '^BenchmarkNewMachine' "$RUNQ_TMP/bench.txt" || {
 	echo "hotpath: BenchmarkNewMachine produced no result line" >&2; exit 1; }
+# Warming kernels: five samples of the demand and Alt-BP predictors
+# replaying a recorded srv203 conditional stream, recorded as
+# bpred_ns_per_branch, and of the UCP machine's srv203 warming skip,
+# recorded as warm_skip_ns_per_inst.
+go test -run '^$' -bench '^BenchmarkPredictorReplay$' -benchtime=3x -count=5 ./internal/bpred | tee -a "$RUNQ_TMP/bench.txt"
+grep -q '^BenchmarkPredictorReplay' "$RUNQ_TMP/bench.txt" || {
+	echo "hotpath: BenchmarkPredictorReplay produced no result line" >&2; exit 1; }
+go test -run '^$' -bench '^BenchmarkWarmSkip$/^srv203$/^ucp$' -benchtime=10x -count=5 ./internal/sim | tee -a "$RUNQ_TMP/bench.txt"
+grep -q '^BenchmarkWarmSkip/srv203/ucp' "$RUNQ_TMP/bench.txt" || {
+	echo "hotpath: BenchmarkWarmSkip/srv203/ucp produced no result line" >&2; exit 1; }
 # sweep_serial_ms is 0 when the runq gate did not run this invocation.
 "$RUNQ_TMP/experiments" -record hotpath "$RUNQ_TMP/bench.txt" "$SERIAL_MS"
 echo "hotpath: $(tr -d '\n' < BENCH_hotpath.json | tr -s ' ')"

@@ -92,7 +92,11 @@ func buildRunqRecord(args []string, cores int) (benchRecord, error) {
 // ns/op in milliseconds are build_program_ms: the time to build the
 // four full-pairs program images. Likewise the quartiles of
 // BenchmarkNewMachine's B/op in KiB are new_machine_kb: what a Table
-// II UCP machine allocates on fresh arrays.
+// II UCP machine allocates on fresh arrays; of BenchmarkPredictorReplay's
+// ns/branch, bpred_ns_per_branch: the demand predictor and Alt-BP
+// trained on one conditional branch as the warming skip trains them;
+// and of BenchmarkWarmSkip/srv203/ucp's ns/inst, warm_skip_ns_per_inst:
+// the UCP machine's warming skip per instruction on srv203.
 type hotpathRecord struct {
 	benchEnvelope
 	Samples              int        `json:"samples"`
@@ -101,6 +105,8 @@ type hotpathRecord struct {
 	BytesPerInst         quartiles  `json:"bytes_per_inst"`
 	BuildProgramMS       *quartiles `json:"build_program_ms,omitempty"`
 	NewMachineKB         *quartiles `json:"new_machine_kb,omitempty"`
+	BpredNsPerBranch     *quartiles `json:"bpred_ns_per_branch,omitempty"`
+	WarmSkipNsPerInst    *quartiles `json:"warm_skip_ns_per_inst,omitempty"`
 	SweepSerialMS        int64      `json:"sweep_serial_ms"`
 }
 
@@ -196,6 +202,12 @@ func buildHotpathRecord(args []string, cores int) (benchRecord, error) {
 		return nil, err
 	}
 	if rec.NewMachineKB, err = optionalQuartiles(string(out), "BenchmarkNewMachine", "B/op", 1024); err != nil {
+		return nil, err
+	}
+	if rec.BpredNsPerBranch, err = optionalQuartiles(string(out), "BenchmarkPredictorReplay", "ns/branch", 1); err != nil {
+		return nil, err
+	}
+	if rec.WarmSkipNsPerInst, err = optionalQuartiles(string(out), "BenchmarkWarmSkip/srv203/ucp", "ns/inst", 1); err != nil {
 		return nil, err
 	}
 	return rec, nil

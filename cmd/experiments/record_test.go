@@ -211,6 +211,67 @@ func TestHotpathRecordNewMachine(t *testing.T) {
 	}
 }
 
+// TestHotpathRecordKernels reads BenchmarkPredictorReplay and
+// BenchmarkWarmSkip/srv203/ucp samples beside BenchmarkSimQuick's and
+// pins bpred_ns_per_branch and warm_skip_ns_per_inst, the quartiles of
+// their ns/branch and ns/inst; the other WarmSkip sub-benchmarks are
+// not counted, a record without the lines omits both keys, and lines
+// without the unit are an error.
+func TestHotpathRecordKernels(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	var quick, replay, warm string
+	for i := 0; i < 5; i++ {
+		quick += "BenchmarkSimQuick-2 1 3739466855 ns/op 1000000 insts/s 0.002 allocs/inst 360000 insts/op 5000000 B/op 700 allocs/op\n"
+	}
+	for _, ns := range []float64{241.5, 236.2, 300.4, 238.9, 244.0} {
+		replay += fmt.Sprintf("BenchmarkPredictorReplay-2   \t       3\t  %d ns/op\t       %.1f ns/branch\n", int(ns*1e5), ns)
+	}
+	for _, ns := range []float64{80.1, 77.7, 79.3, 120.6, 78.2} {
+		warm += fmt.Sprintf("BenchmarkWarmSkip/srv203/ucp-2         \t      10\t  %d ns/op\t        %.2f ns/inst\n", int(ns*2e5), ns)
+		warm += "BenchmarkWarmSkip/crypto01/ucp-2         \t      10\t  9000000 ns/op\t        45.00 ns/inst\n"
+	}
+	rec, err := buildHotpathRecord([]string{write("kernels.txt", quick+replay+warm), "0"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := recordJSON(t, rec)
+	for _, want := range []string{`"bpred_ns_per_branch": {
+    "q1": 238.9,
+    "median": 241.5,
+    "q3": 244
+  },`, `"warm_skip_ns_per_inst": {
+    "q1": 78.2,
+    "median": 79.3,
+    "q3": 80.1
+  },`} {
+		if !strings.Contains(got, want) {
+			t.Errorf("record lacks %s:\n%s", want, got)
+		}
+	}
+	rec, err = buildHotpathRecord([]string{write("quick.txt", quick), "0"}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := recordJSON(t, rec); strings.Contains(got, "bpred_ns_per_branch") || strings.Contains(got, "warm_skip_ns_per_inst") {
+		t.Errorf("record without kernel benchmark lines has their keys:\n%s", got)
+	}
+	for _, tc := range []struct{ body, want string }{
+		{strings.ReplaceAll(replay, "ns/branch", "ns/br"), "BenchmarkPredictorReplay reports no ns/branch"},
+		{strings.ReplaceAll(warm, "ns/inst", "ns/ins"), "BenchmarkWarmSkip/srv203/ucp reports no ns/inst"},
+	} {
+		if _, err := buildHotpathRecord([]string{write("nounit.txt", quick+tc.body), "0"}, 2); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("err %v, want %q", err, tc.want)
+		}
+	}
+}
+
 func TestRunRecordUnknownID(t *testing.T) {
 	if err := runRecord("bogus", nil); err == nil || !strings.Contains(err.Error(), "runq hotpath") {
 		t.Fatalf("runRecord(bogus) = %v, want an error naming both record ids", err)

@@ -571,7 +571,7 @@ func TestUsefulnessReset(t *testing.T) {
 	}
 	// After the reset tick, at least some u bits must be low enough for
 	// fresh allocations to land (indirectly: allocation must succeed).
-	before := tg.tables[3][0]
+	before := tg.table(3)[0]
 	_ = before
 	if tg.tick >= 1<<18 {
 		t.Fatalf("tick %d never wrapped", tg.tick)

@@ -35,7 +35,8 @@ func (t *TageSCL) LoadState(r *ckpt.Reader) {
 func (t *TAGE) saveState(w *ckpt.Writer) {
 	w.Section("tage")
 	w.U8s(t.bimodal)
-	for _, tbl := range t.tables {
+	for ti := range t.tagBits {
+		tbl := t.table(ti)
 		w.Uvarint(uint64(len(tbl)))
 		for i := range tbl {
 			w.Byte(tbl[i].ctr)
@@ -52,7 +53,8 @@ func (t *TAGE) saveState(w *ckpt.Writer) {
 func (t *TAGE) loadState(r *ckpt.Reader) {
 	r.Section("tage")
 	r.U8sInto(t.bimodal)
-	for ti, tbl := range t.tables {
+	for ti := range t.tagBits {
+		tbl := t.table(ti)
 		n := r.Uvarint()
 		if r.Err() != nil {
 			return
@@ -143,13 +145,12 @@ func (h *Hist) SaveState(w *ckpt.Writer) {
 	w.Uvarint(uint64(h.pos))
 	w.Uvarint(h.path)
 	w.Uvarint(h.ghr)
-	folds := h.folds[:len(h.shape.tables)]
-	w.Uvarint(uint64(len(folds)))
-	for i := range folds {
-		f := &folds[i]
-		w.Uvarint(uint64(f.idx))
-		w.Uvarint(uint64(f.tag1))
-		w.Uvarint(uint64(f.tag2))
+	w.Uvarint(uint64(h.shape.tables))
+	for i := 0; i < h.shape.tables; i++ {
+		s, f, j := &h.shape.pairs[i/2], &h.folds[i/2], i%2
+		w.Uvarint(uint64(s.idx.lane(f.idx, j)))
+		w.Uvarint(uint64(s.tag1.lane(f.tag1, j)))
+		w.Uvarint(uint64(s.tag2.lane(f.tag2, j)))
 	}
 }
 
@@ -157,22 +158,29 @@ func (h *Hist) SaveState(w *ckpt.Writer) {
 func (h *Hist) LoadState(r *ckpt.Reader) {
 	r.Section("hist")
 	r.U64sInto(h.ring[:])
-	h.pos = int(r.Uvarint())
+	h.pos = uint(r.Uvarint())
 	h.path = r.Uvarint()
 	h.ghr = r.Uvarint()
 	n := r.Uvarint()
 	if r.Err() != nil {
 		return
 	}
-	folds := h.folds[:len(h.shape.tables)]
-	if n != uint64(len(folds)) {
-		r.Failf("hist: %d fold sets, want %d", n, len(folds))
+	if n != uint64(h.shape.tables) {
+		r.Failf("hist: %d fold sets, want %d", n, h.shape.tables)
 		return
 	}
-	for i := range folds {
-		f := &folds[i]
-		f.idx = uint32(r.Uvarint())
-		f.tag1 = uint32(r.Uvarint())
-		f.tag2 = uint32(r.Uvarint())
+	// A fold value wider than its lane would spill into its neighbor.
+	h.folds = [maxTables / 2]pairFolds{}
+	for i := 0; i < h.shape.tables; i++ {
+		s, f, sh := &h.shape.pairs[i/2], &h.folds[i/2], uint(i%2)*laneBits
+		idx, tag1, tag2 := r.Uvarint(), r.Uvarint(), r.Uvarint()
+		if idx > s.idx.mask || tag1 > s.tag1.mask || tag2 > s.tag2.mask {
+			r.Failf("hist: table %d folds %#x, %#x, %#x wider than %d, %d, %d bits",
+				i, idx, tag1, tag2, s.idx.width, s.tag1.width, s.tag2.width)
+			return
+		}
+		f.idx |= idx << sh
+		f.tag1 |= tag1 << sh
+		f.tag2 |= tag2 << sh
 	}
 }

@@ -17,63 +17,128 @@ package bpred
 // longest usable TAGE history length.
 const maxHistBits = 1024
 
-// foldShape holds the construction constants of one cyclically-folded
-// history register (Michaud/Seznec CSR), which maintains
-// hash(h[0:origLen]) incrementally in compLen bits. The out-shift
-// (origLen mod compLen) and width mask are precomputed: update runs ~36
-// times per history push in the shipped configurations, and the integer
-// division dominated it.
-type foldShape struct {
-	compLen  uint32
-	outShift uint32 // origLen % compLen
-	mask     uint32 // (1 << compLen) - 1
+// ringWords is the number of 64-bit words in the history ring.
+const ringWords = maxHistBits / 64
+
+// maxFoldWidth bounds a folded register's width: a register and its
+// guard bit must fit one 32-bit half of a lane word.
+// TageConfig.Validate keeps every index and tag fold within it.
+const maxFoldWidth = 31
+
+// Folded history registers (Michaud/Seznec CSR): a register of width L
+// maintains hash(h[0:len]) incrementally. A push shifts the new
+// direction bit in, XORs out the bit leaving the len-deep window at
+// position len mod L, and wraps the bit shifted past the top back into
+// bit 0.
+//
+// Each tagged table has three registers: the index fold, the tag fold
+// of the table's tag width and the tag fold one bit narrower. Tables
+// 2k and 2k+1 have equal widths in each kind (one IdxBits; tag widths
+// grow by one every two tables), so a table pair shares one 64-bit
+// word per kind: table 2k's register is the lane at bit 0, table
+// 2k+1's the lane at bit 32, and the bit above each lane is a guard
+// bit, zero between pushes. A push updates a word, both lanes at once,
+// with one shift, one XOR of a mask that holds the new bit and each
+// table's outgoing bit at their places (one of eight precomputed per
+// pair), and one guard wrap: the guard bits the shift filled are
+// cleared and XORed L bits down into their lanes' bit 0. The index and
+// tag hashes read a lane with a constant shift (none for the low
+// lane): their masks drop the other lane.
+
+// laneShape holds the construction constants of one kind's word in a
+// table pair.
+type laneShape struct {
+	width uint64 // lane width L
+	guard uint64 // guard bit of each live lane
+	mask  uint64 // a lane's bits: (1 << L) - 1
 }
 
-func newFoldShape(origLen, compLen int) foldShape {
-	return foldShape{
-		compLen:  uint32(compLen),
-		outShift: uint32(origLen % compLen),
-		mask:     (1 << uint(compLen)) - 1,
-	}
+// laneBits is the offset of a pair's second lane.
+const laneBits = 32
+
+// wrap folds the guard bits the shift filled back into their lanes.
+func (s *laneShape) wrap(w uint64) uint64 {
+	g := w & s.guard
+	return w ^ g ^ g>>(s.width&63)
 }
 
-// update returns comp with newBit shifted in and oldBit (the bit
-// leaving the origLen-deep window) removed.
-func (s foldShape) update(comp, newBit, oldBit uint32) uint32 {
-	c := (comp << 1) | newBit
-	c ^= oldBit << s.outShift
-	c ^= c >> s.compLen
-	return c & s.mask
-}
-
-// tableShape is one tagged table's history length and the shapes of its
-// three folded registers: the index fold, the tag fold of width
-// tagBits, and the tag fold of width tagBits-1.
-type tableShape struct {
-	len             int
-	idx, tag1, tag2 foldShape
+// pairShape is the shape of one table pair's three words, and the
+// history lengths of its tables.
+type pairShape struct {
+	len [2]uint // 0 for the absent second table of an odd count
+	// mix holds, for each new bit n and outgoing bits o0 and o1 of the
+	// pair's tables (at index n<<2 | o1<<1 | o0), what a push XORs into
+	// each word after the shift: n into bit 0 of each live lane, and
+	// each outgoing bit into bit (len mod L) of its table's lane.
+	mix             [8]pairFolds
+	idx, tag1, tag2 laneShape
 }
 
 // histShape describes the folded registers a predictor needs; it is
 // derived from the table configuration and shared by all Hist clones,
 // which carry only the register values.
 type histShape struct {
-	tables []tableShape
+	tables int
+	pairs  []pairShape
 }
 
 // newHistShape builds the shape of tables with the given history
-// lengths, index widths and tag widths.
+// lengths, index widths and tag widths. Tables 2k and 2k+1 must have
+// equal widths, every width in [2, maxFoldWidth] (the narrower tag fold
+// is one bit under the tag width) and every length in [1, maxHistBits].
 func newHistShape(lens, idxBits, tagBits []int) histShape {
-	s := histShape{tables: make([]tableShape, len(lens))}
+	s := histShape{tables: len(lens), pairs: make([]pairShape, (len(lens)+1)/2)}
 	for i, l := range lens {
-		s.tables[i] = tableShape{
-			len:  l,
-			idx:  newFoldShape(l, idxBits[i]),
-			tag1: newFoldShape(l, tagBits[i]),
-			tag2: newFoldShape(l, tagBits[i]-1),
+		if l < 1 || l > maxHistBits || idxBits[i] < 1 || idxBits[i] > maxFoldWidth ||
+			tagBits[i] < 2 || tagBits[i] > maxFoldWidth {
+			panic("bpred: history length or fold width out of range")
+		}
+		p, j := &s.pairs[i/2], i%2
+		p.len[j] = uint(l)
+		off := uint(j * laneBits)
+		in := pairFolds{1 << off, 1 << off, 1 << off}
+		out := pairFolds{
+			p.idx.addLane(j, l, idxBits[i]),
+			p.tag1.addLane(j, l, tagBits[i]),
+			p.tag2.addLane(j, l, tagBits[i]-1),
+		}
+		for x := range p.mix {
+			if x>>2 == 1 {
+				p.mix[x].xor(in)
+			}
+			if x>>j&1 == 1 {
+				p.mix[x].xor(out)
+			}
 		}
 	}
 	return s
+}
+
+// addLane gives this kind's lane j (0 or 1) of a table with history
+// length origLen the width compLen, and returns the bit the table's
+// outgoing history bit toggles after the shift: bit (origLen mod
+// compLen) of the lane.
+func (s *laneShape) addLane(j, origLen, compLen int) uint64 {
+	if j == 1 && uint64(compLen) != s.width {
+		panic("bpred: a table pair's folds differ in width")
+	}
+	off := uint(j * laneBits)
+	s.width = uint64(compLen)
+	s.mask = 1<<uint(compLen) - 1
+	s.guard |= 1 << (off + uint(compLen))
+	return 1 << (off + uint(origLen%compLen))
+}
+
+// xor XORs each word of o into f.
+func (f *pairFolds) xor(o pairFolds) {
+	f.idx ^= o.idx
+	f.tag1 ^= o.tag1
+	f.tag2 ^= o.tag2
+}
+
+// lane returns lane j's register value from word w.
+func (s *laneShape) lane(w uint64, j int) uint64 {
+	return w >> (uint(j) * laneBits) & s.mask
 }
 
 // Hist is a branch history context: the global direction history ring,
@@ -82,24 +147,24 @@ func newHistShape(lens, idxBits, tagBits []int) histShape {
 type Hist struct {
 	shape *histShape
 
-	ring [maxHistBits / 64]uint64
-	pos  int // next write position (bits written so far, mod capacity)
+	ring [ringWords]uint64
+	pos  uint // next write position (bits written so far, mod capacity)
 
 	path uint64 // path history (low bits of branch PCs)
 
 	// ghr mirrors the youngest 64 direction bits for cheap SC indexing.
 	ghr uint64
 
-	// folds holds each table's three folded-register values
-	// contiguously (the first len(shape.tables) entries are live): Push
-	// and the TAGE index/tag hashes touch all three per table.
-	folds [maxTables]tableFolds
+	// folds holds each table pair's three packed words (the first
+	// len(shape.pairs) entries are live): Push and the TAGE index/tag
+	// hashes touch all three per pair.
+	folds [maxTables / 2]pairFolds
 }
 
-// tableFolds groups one tagged table's folded-register values, shaped
-// by the matching tableShape.
-type tableFolds struct {
-	idx, tag1, tag2 uint32
+// pairFolds groups one table pair's packed folded registers, shaped by
+// the matching pairShape.
+type pairFolds struct {
+	idx, tag1, tag2 uint64
 }
 
 func newHist(shape *histShape) *Hist { return &Hist{shape: shape} }
@@ -113,45 +178,38 @@ func (h *Hist) Clone() *Hist {
 // CopyFrom overwrites this context with src (both must share a shape).
 func (h *Hist) CopyFrom(src *Hist) { *h = *src }
 
-// bitAt returns the direction bit written `age` updates ago (age 0 is
-// the most recent).
-func (h *Hist) bitAt(age int) uint32 {
-	idx := (h.pos - 1 - age) & (maxHistBits - 1)
-	return uint32(h.ring[idx/64]>>(uint(idx)%64)) & 1
-}
-
 // Push records the outcome of a conditional branch (or the taken-ness of
 // any branch feeding history) into the context.
 func (h *Hist) Push(pc uint64, taken bool) {
-	var nb uint32
+	var nb uint64
 	if taken {
 		nb = 1
 	}
-	// Collect outgoing bits before overwriting. bitAt is inlined with
-	// pos and ring hoisted: the folds writes below cannot alias them,
-	// but the compiler cannot prove that.
-	tables := h.shape.tables
-	folds := h.folds[:len(tables)]
+	// The outgoing bits are read before the ring slot is overwritten
+	// (a table of length maxHistBits reads that very slot). pos and
+	// ring are hoisted: the folds writes below cannot alias them, but
+	// the compiler cannot prove that.
 	pos := h.pos
 	ring := &h.ring
-	for i := range tables {
-		s := &tables[i]
-		bi := (pos - s.len) & (maxHistBits - 1)
-		ob := uint32(ring[bi/64]>>(uint(bi)%64)) & 1
-		f := &folds[i]
-		f.idx = s.idx.update(f.idx, nb, ob)
-		f.tag1 = s.tag1.update(f.tag1, nb, ob)
-		f.tag2 = s.tag2.update(f.tag2, nb, ob)
+	pairs := h.shape.pairs
+	folds := h.folds[:len(pairs)]
+	for k := range pairs {
+		s := &pairs[k]
+		b0 := (pos - s.len[0]) % maxHistBits
+		b1 := (pos - s.len[1]) % maxHistBits
+		o0 := ring[b0/64%ringWords] >> (b0 % 64) & 1
+		o1 := ring[b1/64%ringWords] >> (b1 % 64) & 1
+		m := &s.mix[(nb<<2|o1<<1|o0)%8]
+		f := &folds[k]
+		f.idx = s.idx.wrap(f.idx<<1 ^ m.idx)
+		f.tag1 = s.tag1.wrap(f.tag1<<1 ^ m.tag1)
+		f.tag2 = s.tag2.wrap(f.tag2<<1 ^ m.tag2)
 	}
-	idx := h.pos & (maxHistBits - 1)
-	if nb == 1 {
-		h.ring[idx/64] |= 1 << (uint(idx) % 64)
-	} else {
-		h.ring[idx/64] &^= 1 << (uint(idx) % 64)
-	}
-	h.pos++
+	i := pos % maxHistBits
+	ring[i/64%ringWords] = ring[i/64%ringWords]&^(1<<(i%64)) | nb<<(i%64)
+	h.pos = pos + 1
 	h.path = (h.path << 3) ^ (pc >> 2)
-	h.ghr = (h.ghr << 1) | uint64(nb)
+	h.ghr = (h.ghr << 1) | nb
 }
 
 // GHR returns the youngest 64 direction bits (bit 0 = most recent).

@@ -13,8 +13,9 @@ import "ucp/internal/recycle"
 // is separate).
 const scTables = 4
 
-// scHistLens are the global history lengths of the GEHL tables.
-var scHistLens = [scTables]int{4, 11, 19, 34}
+// scHistMasks select the global history of each GEHL table from the
+// GHR: its youngest 4, 11, 19 and 34 bits.
+var scHistMasks = [scTables]uint64{1<<4 - 1, 1<<11 - 1, 1<<19 - 1, 1<<34 - 1}
 
 // SC is the statistical corrector component.
 type SC struct {
@@ -59,9 +60,9 @@ func (s *SC) biasIndex(pc uint64, tageTaken bool) int32 {
 }
 
 func (s *SC) tableIndex(pc uint64, h *Hist, i int) int32 {
-	hist := h.GHR() & ((1 << uint(scHistLens[i])) - 1)
+	hist := h.GHR() & scHistMasks[i]
 	v := (pc >> 2) ^ hist ^ (hist << 5) ^ uint64(i)*0x9e37
-	return int32(v & uint64((1<<s.idxBits)-1))
+	return int32(v & uint64(len(s.tables[i])-1))
 }
 
 // compute evaluates the corrector against the incoming prediction

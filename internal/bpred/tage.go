@@ -3,6 +3,7 @@ package bpred
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"ucp/internal/recycle"
 )
@@ -109,6 +110,10 @@ type TageConfig struct {
 // Validate rejects TAGE geometries outside the modeled hardware: the
 // Prediction bookkeeping arrays hold maxTables banks, tags are uint16,
 // counters are uint8, and the centered provider counter must fit int8.
+// It also holds the bounds the packed folded history relies on (hist.go):
+// every fold is 1 to 26 bits wide (IdxBits, and tags of TagBase and one
+// bit narrower, so TagBase is at least 2), and every table's history
+// length, as geometricLens computes it, fits the maxHistBits ring.
 func (c TageConfig) Validate() error {
 	if c.BimodalBits <= 0 || c.BimodalBits > 26 {
 		return fmt.Errorf("bpred: BimodalBits must be in [1,26], got %d", c.BimodalBits)
@@ -125,11 +130,19 @@ func (c TageConfig) Validate() error {
 	if c.IdxBits <= 0 || c.IdxBits > 26 {
 		return fmt.Errorf("bpred: IdxBits must be in [1,26], got %d", c.IdxBits)
 	}
-	if c.TagBase <= 0 || c.TagBase > 15 {
-		return fmt.Errorf("bpred: TagBase must be in [1,15], got %d", c.TagBase)
+	if c.TagBase < 2 || c.TagBase > 15 {
+		return fmt.Errorf("bpred: TagBase must be in [2,15] (the narrower tag fold is TagBase-1 bits), got %d", c.TagBase)
 	}
 	if c.CtrBits <= 0 || c.CtrBits > 8 {
 		return fmt.Errorf("bpred: CtrBits must be in [1,8], got %d", c.CtrBits)
+	}
+	if c.MaxHist > maxHistBits {
+		return fmt.Errorf("bpred: MaxHist %d exceeds the %d-bit history ring", c.MaxHist, maxHistBits)
+	}
+	// Lengths strictly increase, so the last is the longest; it can
+	// pass MaxHist when MinHist+Tables-1 does.
+	if lens := geometricLens(c); lens[len(lens)-1] > maxHistBits {
+		return fmt.Errorf("bpred: table %d's history length %d exceeds the %d-bit history ring", len(lens), lens[len(lens)-1], maxHistBits)
 	}
 	return nil
 }
@@ -142,11 +155,12 @@ type tageEntry struct {
 
 // TAGE is the tagged-geometric predictor core.
 type TAGE struct {
-	cfg      TageConfig
-	shape    histShape
-	bimodal  []uint8 // 2-bit counters
-	tables   [][]tageEntry
-	all      []tageEntry // one array holding every table, from package recycle
+	cfg     TageConfig
+	shape   histShape
+	bimodal []uint8 // 2-bit counters
+	// all holds every tagged table, from package recycle: table i's
+	// entry j is all[i<<IdxBits | j].
+	all      []tageEntry
 	tagBits  []int
 	lens     []int
 	useAltOn int8  // USE_ALT_ON_NA in [-8,7]. nbits:4
@@ -156,10 +170,16 @@ type TAGE struct {
 
 	// Per-table index/tag hashing constants, precomputed at construction
 	// so the predict path does no divisions or shift reconstruction.
-	idxMask   uint64
-	pcShifts  [maxTables]uint
-	pathMasks [maxTables]uint64
-	tagMasks  [maxTables]uint64
+	idxMask uint64
+	hash    [maxTables]tableHash
+}
+
+// tableHash is one tagged table's index and tag hashing constants.
+type tableHash struct {
+	pcShift  uint64
+	base     uint64 // first entry in TAGE.all
+	pathMask uint64
+	tagMask  uint64
 }
 
 // geometricLens computes Tables history lengths between MinHist and
@@ -193,31 +213,30 @@ func NewTAGE(cfg TageConfig) *TAGE {
 	for i := range t.bimodal {
 		t.bimodal[i] = 2 // weakly taken
 	}
-	t.tables = make([][]tageEntry, cfg.Tables)
 	t.tagBits = make([]int, cfg.Tables)
 	idxBits := make([]int, cfg.Tables)
-	n := 1 << cfg.IdxBits
-	t.all = recycle.Make[tageEntry](cfg.Tables * n)
-	for i := range t.tables {
-		t.tables[i] = t.all[i*n : (i+1)*n : (i+1)*n]
-		t.tagBits[i] = cfg.TagBase + i/2
-		if t.tagBits[i] > 15 {
-			t.tagBits[i] = 15
-		}
+	t.all = recycle.Make[tageEntry](cfg.Tables << cfg.IdxBits)
+	for i := range t.tagBits {
+		t.tagBits[i] = min(cfg.TagBase+i/2, 15)
 		idxBits[i] = cfg.IdxBits
 	}
 	t.shape = newHistShape(t.lens, idxBits, t.tagBits)
 	t.idxMask = uint64(1<<cfg.IdxBits) - 1
 	for i := 0; i < cfg.Tables; i++ {
-		t.pcShifts[i] = uint(2 + ((i + 3) % 7))
-		pl := t.lens[i]
-		if pl > 16 {
-			pl = 16
+		t.hash[i] = tableHash{
+			pcShift:  uint64(2 + ((i + 3) % 7)),
+			base:     uint64(i << cfg.IdxBits),
+			pathMask: 1<<uint(min(t.lens[i], 16)) - 1,
+			tagMask:  uint64(1<<t.tagBits[i]) - 1,
 		}
-		t.pathMasks[i] = (1 << uint(pl)) - 1
-		t.tagMasks[i] = uint64(1<<t.tagBits[i]) - 1
 	}
 	return t
+}
+
+// table returns tagged table i's entries.
+func (t *TAGE) table(i int) []tageEntry {
+	n := 1 << t.cfg.IdxBits
+	return t.all[i*n : (i+1)*n]
 }
 
 // Release hands the bimodal and tagged tables back to package recycle;
@@ -225,7 +244,7 @@ func NewTAGE(cfg TageConfig) *TAGE {
 func (t *TAGE) Release() {
 	recycle.Free(t.bimodal)
 	recycle.Free(t.all)
-	t.bimodal, t.all, t.tables = nil, nil, nil
+	t.bimodal, t.all = nil, nil
 }
 
 // Shape exposes the history shape so composites can build Hist contexts.
@@ -246,18 +265,6 @@ func (t *TAGE) rand() uint32 {
 
 func (t *TAGE) bimIndex(pc uint64) int32 {
 	return int32((pc >> 2) & uint64(len(t.bimodal)-1))
-}
-
-func (t *TAGE) tableIndex(h *Hist, pc uint64, i int) int32 {
-	v := (pc >> 2) ^ (pc >> t.pcShifts[i]) ^ uint64(h.folds[i].idx)
-	v ^= h.path & t.pathMasks[i]
-	return int32(v & t.idxMask)
-}
-
-func (t *TAGE) tableTag(h *Hist, pc uint64, i int) uint16 {
-	f := &h.folds[i]
-	v := (pc >> 2) ^ uint64(f.tag1) ^ (uint64(f.tag2) << 1)
-	return uint16(v & t.tagMasks[i])
 }
 
 func ctrTaken(ctr uint8, bits int) bool { return ctr >= 1<<(bits-1) }
@@ -295,21 +302,22 @@ func (t *TAGE) PredictInto(p *Prediction, h *Hist, pc uint64) {
 	*p = Prediction{}
 	p.loopHit = -1
 	p.bimIdx = t.bimIndex(pc)
-	for i := 0; i < t.cfg.Tables; i++ {
-		p.indices[i] = t.tableIndex(h, pc, i)
-		p.tags[i] = t.tableTag(h, pc, i)
-	}
-	p.hitBank, p.altBank = 0, 0
-	for i := t.cfg.Tables - 1; i >= 0; i-- {
-		if t.tables[i][p.indices[i]].tag == p.tags[i] {
-			if p.hitBank == 0 {
-				p.hitBank = i + 1
-			} else {
-				p.altBank = i + 1
-				break
-			}
+	// Index and tag of every table in one pass, from the longest
+	// history down, a table pair at a time, into a bitmask of the
+	// tables whose entry matches: bit i for table i+1.
+	var hits uint32
+	for k := uint(len(t.shape.pairs)); k > 0; {
+		k--
+		f := &h.folds[k%(maxTables/2)]
+		if 2*k+1 < uint(t.cfg.Tables) {
+			hits = hits<<1 | b2u(t.probe(p, 2*k+1, pc, h.path, f.idx>>laneBits, f.tag1>>laneBits, f.tag2>>laneBits))
 		}
+		hits = hits<<1 | b2u(t.probe(p, 2*k, pc, h.path, f.idx, f.tag1, f.tag2))
 	}
+	// The hit bank is the longest-history match, the alt bank the next
+	// longest below it.
+	p.hitBank = bits.Len32(hits)
+	p.altBank = bits.Len32(hits & (1<<p.hitBank>>1 - 1))
 	bimTaken := ctrTaken(t.bimodal[p.bimIdx], 2)
 	if p.hitBank == 0 {
 		// Bimodal provides.
@@ -323,13 +331,13 @@ func (t *TAGE) PredictInto(p *Prediction, h *Hist, pc uint64) {
 		p.Taken = p.TageTaken
 		return
 	}
-	hit := &t.tables[p.hitBank-1][p.indices[p.hitBank-1]]
+	hit := &t.all[p.indices[p.hitBank-1]]
 	hitTaken := ctrTaken(hit.ctr, t.cfg.CtrBits)
 	var altTaken bool
 	var altCtr uint8
 	var altBits int
 	if p.altBank != 0 {
-		alt := &t.tables[p.altBank-1][p.indices[p.altBank-1]]
+		alt := &t.all[p.indices[p.altBank-1]]
 		altTaken = ctrTaken(alt.ctr, t.cfg.CtrBits)
 		altCtr, altBits = alt.ctr, t.cfg.CtrBits
 	} else {
@@ -366,6 +374,26 @@ func (t *TAGE) PredictInto(p *Prediction, h *Hist, pc uint64) {
 	p.Taken = p.TageTaken
 }
 
+// probe completes table i's index and tag from its folded registers
+// (the lanes at bit 0 of idx, tag1 and tag2; the masks drop the rest),
+// records them in p, and reports whether the entry matches.
+func (t *TAGE) probe(p *Prediction, i uint, pc, path, idx, tag1, tag2 uint64) bool {
+	k := &t.hash[i%maxTables]
+	e := k.base + (pc>>2^pc>>(k.pcShift%64)^idx^path&k.pathMask)&t.idxMask
+	tag := uint16((pc>>2 ^ tag1 ^ tag2<<1) & k.tagMask)
+	p.indices[i%maxTables] = int32(e)
+	p.tags[i%maxTables] = tag
+	return t.all[e].tag == tag
+}
+
+// b2u converts a bool to 0 or 1 without a branch.
+func b2u(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Update trains the TAGE tables given the architectural outcome. The
 // Prediction must come from a Predict call against the history context
 // that was current at prediction time.
@@ -373,7 +401,7 @@ func (t *TAGE) Update(pc uint64, taken bool, p *Prediction) {
 	correct := p.TageTaken == taken
 	// USE_ALT_ON_NA training.
 	if p.hitBank > 0 && p.pseudoNewAlloc {
-		hit := &t.tables[p.hitBank-1][p.indices[p.hitBank-1]]
+		hit := &t.all[p.indices[p.hitBank-1]]
 		hitTaken := ctrTaken(hit.ctr, t.cfg.CtrBits)
 		if hitTaken != p.altTaken {
 			if p.altTaken == taken {
@@ -391,7 +419,7 @@ func (t *TAGE) Update(pc uint64, taken bool, p *Prediction) {
 	}
 	// Train the provider chain.
 	if p.hitBank > 0 {
-		hit := &t.tables[p.hitBank-1][p.indices[p.hitBank-1]]
+		hit := &t.all[p.indices[p.hitBank-1]]
 		hitTaken := ctrTaken(hit.ctr, t.cfg.CtrBits)
 		// Usefulness: the hit entry proved better (or worse) than alt.
 		if hitTaken != p.altTaken {
@@ -407,7 +435,7 @@ func (t *TAGE) Update(pc uint64, taken bool, p *Prediction) {
 		// When the provider was a fresh allocation, also train the alt.
 		if hit.u == 0 && p.pseudoNewAlloc {
 			if p.altBank > 0 {
-				alt := &t.tables[p.altBank-1][p.indices[p.altBank-1]]
+				alt := &t.all[p.indices[p.altBank-1]]
 				alt.ctr = bump(alt.ctr, taken, t.cfg.CtrBits)
 			} else {
 				t.bimodal[p.bimIdx] = bump(t.bimodal[p.bimIdx], taken, 2)
@@ -428,10 +456,8 @@ func (t *TAGE) Update(pc uint64, taken bool, p *Prediction) {
 	t.tick++
 	if t.tick >= 1<<18 {
 		t.tick = 0
-		for i := range t.tables {
-			for j := range t.tables[i] {
-				t.tables[i][j].u >>= 1
-			}
+		for i := range t.all {
+			t.all[i].u >>= 1
 		}
 	}
 }
@@ -445,7 +471,7 @@ func (t *TAGE) allocate(taken bool, p *Prediction) {
 	}
 	allocated := 0
 	for i := start; i < t.cfg.Tables && allocated < 2; i++ {
-		e := &t.tables[i][p.indices[i]]
+		e := &t.all[p.indices[i]]
 		if e.u == 0 {
 			e.tag = p.tags[i]
 			if taken {
@@ -465,9 +491,8 @@ func (t *TAGE) allocate(taken bool, p *Prediction) {
 // StorageBits returns the modeled hardware budget of the TAGE tables.
 func (t *TAGE) StorageBits() int {
 	bits := len(t.bimodal) * 2
-	for i := range t.tables {
-		entryBits := t.cfg.CtrBits + 2 + t.tagBits[i]
-		bits += len(t.tables[i]) * entryBits
+	for i := range t.tagBits {
+		bits += len(t.table(i)) * (t.cfg.CtrBits + 2 + t.tagBits[i])
 	}
 	bits += 4 + 8 // USE_ALT_ON_NA + bimodal miss history
 	return bits

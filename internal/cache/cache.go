@@ -10,6 +10,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"ucp/internal/isa"
@@ -145,13 +146,19 @@ func (c *Cache) Release() {
 // setIndex maps a block number (a line address over LineBytes, or a
 // page number) to its set and tag. Every shipped TLB and every cache
 // but the 30 MiB LLC (40 960 sets) has a power-of-two set count, where
-// the mapping is a mask and a shift; otherwise it costs one division,
-// whose remainder is recovered by a multiply.
+// the mapping is a mask and a shift; otherwise the tag is the block
+// number over the set count, taken as the high word of its product
+// with a precomputed reciprocal (a division costs several times the
+// multiply), and the set is the remainder.
 type setIndex struct {
 	sets  uint64
 	pow2  bool
 	mask  uint64
 	shift uint
+	// recip is ceil(2^64 / sets) for a set count that is not a power
+	// of two. Every block n below limit has n*sets < 2^64, so the high
+	// word of n*recip is exactly n / sets.
+	recip uint64
 	// limit is the first block number locate rejects: the first past
 	// the address width (blockBits wide) or the first whose tag does
 	// not fit under validBit, whichever is lower.
@@ -172,16 +179,24 @@ func newSetIndex(sets, blockBits int) setIndex {
 		for 1<<x.shift < sets {
 			x.shift++
 		}
+		return x
 	}
+	// Every block is below 2^35 (isa.AddrBits over 64-byte lines), so
+	// only a set count of 2^29 or more, a tag array of 2 GiB or more,
+	// could fail the bound.
+	if hi, _ := bits.Mul64(x.limit, x.sets); hi != 0 {
+		panic(fmt.Sprintf("cache: %d sets are too many to index", sets))
+	}
+	x.recip = math.MaxUint64/x.sets + 1
 	return x
 }
 
 // split returns block's set and tag.
-func (x setIndex) split(block uint64) (set int, tag uint64) {
+func (x *setIndex) split(block uint64) (set int, tag uint64) {
 	if x.pow2 {
-		return int(block & x.mask), block >> x.shift
+		return int(block & x.mask), block >> (x.shift % 64)
 	}
-	tag = block / x.sets
+	tag, _ = bits.Mul64(block, x.recip)
 	return int(block - tag*x.sets), tag
 }
 
@@ -189,7 +204,7 @@ func (x setIndex) split(block uint64) (set int, tag uint64) {
 // at or past limit is an address outside isa.AddrBits, which the trace
 // sources reject, or one whose tag the geometry cannot hold, which
 // Config.Validate rejects: it panics rather than alias another block.
-func (x setIndex) locate(block uint64) (set int, want uint32) {
+func (x *setIndex) locate(block uint64) (set int, want uint32) {
 	if block >= x.limit {
 		panic("cache: address outside isa.AddrBits or its tag word")
 	}
@@ -325,10 +340,11 @@ func (c *Cache) access(addr uint64, now uint64, isPrefetch bool) uint64 {
 // eagerly, which is the standard trace-simulator simplification.)
 func (c *Cache) fill(base int, want uint32) {
 	set := c.tags[base : base+c.ways]
-	if set[c.ways-1] != 0 {
+	last := len(set) - 1
+	if set[last] != 0 {
 		c.stats.Evictions++
 	}
-	lru.ToFront(set, c.ways-1, want)
+	lru.ToFront(set, last, want)
 }
 
 // Stats returns a copy of the traffic counters.

@@ -214,16 +214,14 @@ func (t *TLB) Release() {
 // Translate returns the cycle at which the translation of addr is
 // available.
 func (t *TLB) Translate(addr uint64, now uint64) uint64 {
-	page := addr >> uint(t.cfg.PageBits)
+	page := addr >> (uint(t.cfg.PageBits) % 64)
 	t.stats.Accesses++
 	s, want := t.index.locate(page)
-	set := t.tags[s*t.cfg.Ways : (s+1)*t.cfg.Ways]
-	for w, tv := range set {
-		if tv == want {
-			lru.ToFront(set, w, want)
-			t.stats.Hits++
-			return now + t.cfg.HitLatency
-		}
+	// A miss installs the page at the front over the set's LRU (last)
+	// way.
+	if hit, _ := lru.Lookup(t.tags[s*t.cfg.Ways:(s+1)*t.cfg.Ways], want); hit {
+		t.stats.Hits++
+		return now + t.cfg.HitLatency
 	}
 	t.stats.Misses++
 	ready := now + t.cfg.HitLatency
@@ -232,8 +230,6 @@ func (t *TLB) Translate(addr uint64, now uint64) uint64 {
 	} else {
 		ready += t.walkLatency
 	}
-	// Install at the front over the set's LRU (last) way.
-	lru.ToFront(set, len(set)-1, want)
 	return ready
 }
 

@@ -264,7 +264,9 @@ func TestTLBMatchesReferenceLRU(t *testing.T) {
 
 // TestWarmRefsMatchesDirectWarms replays a RefBuf of interleaved fetch
 // and unaligned data references and checks every level and TLB ends in
-// the state the same references issued directly would leave.
+// the state the same references issued directly would leave: the same
+// counters and the same tag arrays, though WarmRefs replays one level
+// at a time.
 func TestWarmRefsMatchesDirectWarms(t *testing.T) {
 	cfg := DefaultHierarchyConfig()
 	cfg.L2.SizeBytes, cfg.LLC.SizeBytes = 64<<10, 40*12*LineBytes // small, non-power-of-two LLC
@@ -294,8 +296,21 @@ func TestWarmRefsMatchesDirectWarms(t *testing.T) {
 			t.Errorf("%s: direct %+v, replayed %+v", p.name, p.a, p.b)
 		}
 	}
-	if !slices.Equal(direct.LLC.tags, replayed.LLC.tags) {
-		t.Error("LLC tag arrays differ between direct and replayed warms")
+	for _, p := range []struct {
+		name string
+		a, b []uint32
+	}{
+		{"L1I", direct.L1I.tags, replayed.L1I.tags}, {"L1D", direct.L1D.tags, replayed.L1D.tags},
+		{"L2", direct.L2.tags, replayed.L2.tags}, {"LLC", direct.LLC.tags, replayed.LLC.tags},
+		{"ITLB", direct.ITLB.tags, replayed.ITLB.tags}, {"DTLB", direct.DTLB.tags, replayed.DTLB.tags},
+		{"STLB", direct.STLB.tags, replayed.STLB.tags},
+	} {
+		if !slices.Equal(p.a, p.b) {
+			t.Errorf("%s tag arrays differ between direct and replayed warms", p.name)
+		}
+	}
+	if direct.STLB.Stats() != replayed.STLB.Stats() || direct.DRAM.Accesses != replayed.DRAM.Accesses {
+		t.Errorf("STLB %+v / %+v, DRAM accesses %d / %d", direct.STLB.Stats(), replayed.STLB.Stats(), direct.DRAM.Accesses, replayed.DRAM.Accesses)
 	}
 	buf.Reset()
 	if len(buf.refs) != 0 {

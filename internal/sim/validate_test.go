@@ -41,6 +41,11 @@ func TestConfigValidate(t *testing.T) {
 		{"zero-way L2", func(c *Config) { c.Memory.L2.Ways = 0 }, "L2 Ways must be positive"},
 		{"zero-way STLB", func(c *Config) { c.Memory.STLB.Ways = 0 }, "STLB Ways must be positive"},
 		{"broken TAGE bimodal", func(c *Config) { c.Pred.Tage.BimodalBits = 0 }, "BimodalBits"},
+		{"TAGE tag fold of width 0", func(c *Config) { c.Pred.Tage.TagBase = 1 }, "TagBase must be in [2,15]"},
+		{"Alt-BP tag fold of width 0", func(c *Config) { c.UCP.AltBP.Tage.TagBase = 1 }, "TagBase must be in [2,15]"},
+		{"TAGE history past the ring", func(c *Config) { c.Pred.Tage.MaxHist = 2000 }, "MaxHist 2000 exceeds the 1024-bit history ring"},
+		{"TAGE lengths pushed past the ring", func(c *Config) { c.Pred.Tage.MinHist, c.Pred.Tage.MaxHist = 1020, 1024 },
+			"table 12's history length 1031 exceeds the 1024-bit history ring"},
 		{"broken UCP sub-config", func(c *Config) {
 			u := core.DefaultConfig()
 			u.WalkWidth = 0

@@ -59,6 +59,10 @@ func FuzzSubmit(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(`"StreamFrac":0.6`), []byte(`"StreamFrac":1.6`), 1))
 	// A BTB of 128 sets, whose tags would not fit their 32-bit words.
 	f.Add(bytes.Replace(valid, []byte(`"Entries":65536`), []byte(`"Entries":1024`), 1))
+	// A demand predictor with a zero-width tag fold, and one whose
+	// history lengths pass the 1024-bit ring.
+	f.Add(bytes.Replace(valid, []byte(`"TagBase":8`), []byte(`"TagBase":1`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"MaxHist":640`), []byte(`"MaxHist":2000`), 1))
 	// Config fields the server does not know: a removed one and a
 	// misspelled one.
 	f.Add(bytes.Replace(valid, []byte(`"RASEntries":`), []byte(`"InclusiveUop":true,"RASEntries":`), 1))

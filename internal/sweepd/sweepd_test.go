@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"ucp/internal/core"
 	"ucp/internal/runq"
 	"ucp/internal/sim"
 	"ucp/internal/sweepd"
@@ -773,6 +774,51 @@ func TestTagWidthGeometryRejected(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "job 1 (narrowtags)") || !strings.Contains(string(msg), "tag") {
 			t.Fatalf("status %d, body %s; want a 400 naming job 1 and its tags", resp.StatusCode, msg)
+		}
+	}
+	if n := execs.Load(); n != 0 {
+		t.Fatalf("rejected batches ran %d jobs", n)
+	}
+}
+
+// TestPredictorHistoryGeometryRejected posts configs whose demand
+// predictor or Alt-BP would need a zero-width tag fold or a history
+// longer than the 1024-bit ring; each POST gets a 400 naming the job
+// and the bound, and nothing reaches the pool.
+func TestPredictorHistoryGeometryRejected(t *testing.T) {
+	var execs atomic.Int32
+	_, hs, _ := startServer(t, sweepd.Config{
+		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
+			execs.Add(1)
+			return sim.Result{}, nil
+		}},
+	})
+	for _, tc := range []struct {
+		edit func(c *sim.Config)
+		want string
+	}{
+		{func(c *sim.Config) { c.Pred.Tage.TagBase = 1 }, "TagBase"},
+		{func(c *sim.Config) { c.Pred.Tage.MaxHist = 2000 }, "history ring"},
+		{func(c *sim.Config) {
+			u := core.DefaultConfig()
+			u.AltBP.Tage.TagBase = 1
+			c.UCP = &u
+		}, "TagBase"},
+	} {
+		spec := testSpec(t, "longhist")
+		tc.edit(&spec.Config)
+		body, _ := json.Marshal(sweepd.SubmitRequest{
+			Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion,
+			Jobs: []sweepd.JobSpec{testSpec(t, "fine"), spec},
+		})
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("submit: %v", err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "job 1 (longhist)") || !strings.Contains(string(msg), tc.want) {
+			t.Fatalf("status %d, body %s; want a 400 naming job 1 and %q", resp.StatusCode, msg, tc.want)
 		}
 	}
 	if n := execs.Load(); n != 0 {

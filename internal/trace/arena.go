@@ -76,8 +76,27 @@ type arenaBuilder struct {
 	lastSrc2 uint8
 }
 
-// add encodes one instruction.
-func (b *arenaBuilder) add(in *isa.Inst) {
+// add encodes one instruction. An instruction whose PC, taken target
+// or memory address lies outside isa.AddrBits is an error naming it,
+// with the text the decoder gives for such a record, and is not
+// encoded: the encoder writes only what the decoder accepts.
+func (b *arenaBuilder) add(in *isa.Inst) error {
+	var target, mem uint64
+	if in.Taken {
+		target = in.Target
+	}
+	if in.Class == isa.Load || in.Class == isa.Store {
+		mem = in.MemAddr
+	}
+	if (in.PC|target|mem)>>isa.AddrBits != 0 {
+		return fmt.Errorf("trace: %w at record %d", addrError(in.PC, target, mem), b.count)
+	}
+	b.encode(in)
+	return nil
+}
+
+// encode appends one instruction's record, whatever its addresses.
+func (b *arenaBuilder) encode(in *isa.Inst) {
 	if b.count%ArenaIndexPeriod == 0 {
 		b.snaps = append(b.snaps, arenaSnap{
 			off: uint64(len(b.body)), expectPC: b.expectPC, lastMem: b.lastMem,
@@ -133,18 +152,32 @@ func (b *arenaBuilder) finish() *Arena {
 
 // NewArena encodes insts into a shared arena. An arena built from a
 // slice and one loaded from the file WriteCompact writes for it hold
-// identical bytes (and identical digests).
+// identical bytes (and identical digests). An address outside
+// isa.AddrBits panics with WriteCompact's error.
 func NewArena(insts []isa.Inst) *Arena {
+	a, err := encodeArena(insts)
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
+// encodeArena encodes insts into an arena, or returns the error of the
+// first instruction with an address outside isa.AddrBits.
+func encodeArena(insts []isa.Inst) (*Arena, error) {
 	var b arenaBuilder
 	b.body = make([]byte, 0, 4*len(insts))
 	for i := range insts {
-		b.add(&insts[i])
+		if err := b.add(&insts[i]); err != nil {
+			return nil, err
+		}
 	}
-	return b.finish()
+	return b.finish(), nil
 }
 
 // ArenaFromSource drains up to n instructions from src into an arena,
-// streaming each straight through the encoder.
+// streaming each straight through the encoder. An address outside
+// isa.AddrBits panics with WriteCompact's error.
 func ArenaFromSource(src Source, n int) *Arena {
 	var b arenaBuilder
 	if n > 0 {
@@ -155,7 +188,9 @@ func ArenaFromSource(src Source, n int) *Arena {
 		if !ok {
 			break
 		}
-		b.add(&in)
+		if err := b.add(&in); err != nil {
+			panic(err)
+		}
 	}
 	return b.finish()
 }

@@ -49,13 +49,18 @@ func fileHeader(n uint64) []byte {
 }
 
 // WriteCompact serializes instructions as a trace file. The file's
-// SHA-256 is the ID of the arena built from the same instructions.
+// SHA-256 is the ID of the arena built from the same instructions. An
+// instruction with an address outside isa.AddrBits is an error, the
+// one ReadAny gives for it, and nothing is written.
 func WriteCompact(w io.Writer, insts []isa.Inst) error {
-	a := NewArena(insts)
+	a, err := encodeArena(insts)
+	if err != nil {
+		return err
+	}
 	if _, err := w.Write(fileHeader(a.count)); err != nil {
 		return err
 	}
-	_, err := w.Write(a.data)
+	_, err = w.Write(a.data)
 	return err
 }
 

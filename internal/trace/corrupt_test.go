@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -56,16 +57,18 @@ func compactFile(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// widthFile is corruptInsts written as a trace file after edit
-// changes record 3 (a conditional branch).
+// widthFile is corruptInsts as a trace file after edit changes record 3
+// (a conditional branch). The records are encoded one by one without
+// the encoder's width check, so the file may hold an address WriteCompact
+// refuses: the reader must reject it on its own.
 func widthFile(t testing.TB, edit func(in *isa.Inst)) []byte {
 	insts := corruptInsts()
 	edit(&insts[3])
-	var buf bytes.Buffer
-	if err := WriteCompact(&buf, insts); err != nil {
-		t.Fatal(err)
+	var b arenaBuilder
+	for i := range insts {
+		b.encode(&insts[i])
 	}
-	return buf.Bytes()
+	return append(fileHeader(b.count), b.body...)
 }
 
 // TestReadAnyAddressWidth loads files whose record 3 holds a PC, a
@@ -92,6 +95,68 @@ func TestReadAnyAddressWidth(t *testing.T) {
 				t.Fatalf("err %v, want %q", err, want)
 			}
 		})
+	}
+}
+
+// TestWriteAddressWidth gives the encoder record 3 with a PC, a taken
+// target or a memory address at the top of the isa.AddrBits width,
+// which it encodes as widthFile does, or just past it: WriteCompact
+// then returns the error ReadAny gives for such a file and writes
+// nothing, and NewArena and ArenaFromSource panic with it. A not-taken
+// branch's target and a non-memory instruction's address are not
+// encoded, so any value passes.
+func TestWriteAddressWidth(t *testing.T) {
+	top := uint64(1) << isa.AddrBits
+	for _, tc := range []struct {
+		name string
+		edit func(in *isa.Inst, a uint64)
+	}{
+		{"PC", func(in *isa.Inst, a uint64) { in.PC = a }},
+		{"target", func(in *isa.Inst, a uint64) { in.Taken, in.Target = true, a }},
+		{"memory address", func(in *isa.Inst, a uint64) { in.Class, in.MemAddr = isa.Load, a }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			insts := corruptInsts()
+			tc.edit(&insts[3], top-8)
+			var buf bytes.Buffer
+			if err := WriteCompact(&buf, insts); err != nil {
+				t.Fatalf("an address at the top of the width: %v", err)
+			}
+			if want := widthFile(t, func(in *isa.Inst) { tc.edit(in, top-8) }); !bytes.Equal(buf.Bytes(), want) {
+				t.Fatal("WriteCompact's file differs from the record-by-record encoding")
+			}
+			tc.edit(&insts[3], top+8)
+			want := fmt.Sprintf("trace: %s %#x outside the %d-bit address width at record 3", tc.name, top+8, isa.AddrBits)
+			buf.Reset()
+			if err := WriteCompact(&buf, insts); err == nil || err.Error() != want {
+				t.Fatalf("WriteCompact: err %v, want %q", err, want)
+			}
+			if buf.Len() != 0 {
+				t.Fatalf("WriteCompact wrote %d bytes of a file it refused", buf.Len())
+			}
+			for name, build := range map[string]func(){
+				"NewArena":        func() { NewArena(insts) },
+				"ArenaFromSource": func() { ArenaFromSource(NewSliceSource(insts), len(insts)) },
+			} {
+				func() {
+					defer func() {
+						if r := recover(); r == nil || fmt.Sprint(r) != want {
+							t.Errorf("%s: panic %v, want %q", name, r, want)
+						}
+					}()
+					build()
+				}()
+			}
+		})
+	}
+	insts := corruptInsts()
+	insts[3].Taken, insts[3].Target = false, top+8
+	insts[4].MemAddr = top + 8
+	if insts[4].Class == isa.Load || insts[4].Class == isa.Store {
+		t.Fatal("record 4 must not access memory")
+	}
+	if err := WriteCompact(io.Discard, insts); err != nil {
+		t.Fatalf("an unencoded address outside the width: %v", err)
 	}
 }
 
