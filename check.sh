@@ -49,9 +49,11 @@
 #                           ratios are recorded in BENCH_runq.json but
 #                           never gated — timing is machine noise)
 #   9. hotpath gate        (quick-sweep determinism digests must byte-
-#                           match testdata/hotpath_digest.golden — every
-#                           optimization is provably outcome-neutral —
-#                           and five BenchmarkSimQuick samples record the
+#                           match testdata/hotpath_digest.golden —
+#                           TestDigestGoldens/hotpath in cmd/ucpsim, so
+#                           every optimization is provably outcome-
+#                           neutral — and five BenchmarkSimQuick samples
+#                           record the
 #                           quartiles of insts/s, allocs/inst and
 #                           bytes/inst into BENCH_hotpath.json, beside
 #                           five BenchmarkBuildProgram samples as
@@ -72,34 +74,31 @@
 #                           then ucpsim's serial sampled chain — fast,
 #                           conservative and adaptive geometries, baseline
 #                           and UCP — must byte-match
-#                           testdata/sampled_digest.golden)
+#                           testdata/sampled_digest.golden:
+#                           TestDigestGoldens/sampled in cmd/ucpsim)
 #  11. time-parallel gate  (one full-detail UCP run executed serial,
 #                           segmented at two worker counts, and through
 #                           a capture+restore checkpoint cycle — every
 #                           segmented digest byte-identical, all four
 #                           boundaries captured and restored, boundary-
 #                           warming IPC error < 2%; recorded in
-#                           BENCH_tpar.json. Then ucpsim itself runs
-#                           -segments 4 at -jobs 1 vs -jobs 8 and the
-#                           digest files must cmp-equal each other and
-#                           the leading part of
-#                           testdata/parallel_digest.golden)
+#                           BENCH_tpar.json. Then ucpsim's -segments 4
+#                           and -sample -segments 4 runs, at -jobs 1 and
+#                           at -jobs 8, must each reproduce the whole of
+#                           testdata/parallel_digest.golden:
+#                           TestDigestGoldens/parallel in cmd/ucpsim)
 #  11b. window-parallel gate (one sampled UCP run executed chain-serial,
-#                           window-parallel at two worker counts, through
-#                           a capture+restore checkpoint cycle, and
-#                           adaptively at both worker counts — every
-#                           window-parallel digest byte-identical, all 20
-#                           window boundaries captured and restored, the
-#                           adaptive run stopping at the same window at
-#                           every worker count, window-independence IPC
-#                           error < 2%, and scaling >= 0.7 x min(cores,
-#                           windows) on multi-core hosts (single-core
-#                           hosts carry a note); recorded in
-#                           BENCH_wpar.json. Then ucpsim itself runs
-#                           -sample -segments 4 at -jobs 1 vs -jobs 8
-#                           and the digest files must cmp-equal each
-#                           other and the trailing part of
-#                           testdata/parallel_digest.golden)
+#                           window-parallel at two worker counts, and
+#                           through a capture+restore checkpoint cycle —
+#                           every window-parallel digest byte-identical,
+#                           all 20 window boundaries captured and
+#                           restored, window-independence IPC error < 2%,
+#                           and scaling >= 0.7 x min(cores, windows) on
+#                           multi-core hosts (single-core hosts carry a
+#                           note); recorded in BENCH_wpar.json. Then the
+#                           same TestDigestGoldens/parallel row as the
+#                           time-parallel gate, whose golden holds both
+#                           modes' digests)
 #  12. sweep-reuse gate    (cold vs warm-checkpoint pool over a
 #                           10-config sampled threshold ablation: every
 #                           digest byte-identical, exactly one warm
@@ -331,17 +330,10 @@ step "hotpath determinism digest"
 # The hard gate of the hot-path work: the quick-sweep determinism
 # digests (baseline + UCP, 60k+60k insts) must be byte-identical to the
 # pre-optimization golden. Any optimization that changes a simulated
-# outcome — one cycle, one counter — fails here.
-{
-	"$RUNQ_TMP/ucpsim" -trace quick -digest -warmup 60000 -measure 60000
-	"$RUNQ_TMP/ucpsim" -trace quick -ucp -digest -warmup 60000 -measure 60000
-} > "$RUNQ_TMP/digest.txt"
-cmp "$RUNQ_TMP/digest.txt" testdata/hotpath_digest.golden || {
-	echo "hotpath: determinism digest differs from testdata/hotpath_digest.golden" >&2
-	echo "hotpath: an optimization changed simulated outcomes (or the model changed" >&2
-	echo "hotpath: intentionally — then regenerate the golden and say so in the PR)" >&2
-	exit 1
-}
+# outcome — one cycle, one counter — fails here. The commands, and how
+# to regenerate the golden for an intended model change, are in
+# cmd/ucpsim/golden_test.go.
+go test -count=1 -run '^TestDigestGoldens$/^hotpath$' ./cmd/ucpsim
 echo "hotpath: digests match golden"
 fi
 
@@ -403,18 +395,7 @@ step "sampling gate"
 # warm, detailed windows) on every zone kind of the warming pyramid —
 # -sample-fast engages the pure, predictor-only and cache-warm zones —
 # must reproduce testdata/sampled_digest.golden byte for byte.
-for u in "" -ucp; do
-	"$RUNQ_TMP/ucpsim" -trace crypto01 $u -digest -warmup 200000 -measure 1666000 -sample -sample-fast
-done > "$RUNQ_TMP/sampled_digest.txt"
-for u in "" -ucp; do
-	"$RUNQ_TMP/ucpsim" -trace srv203 $u -digest -warmup 400000 -measure 1500000 -sample
-done >> "$RUNQ_TMP/sampled_digest.txt"
-for u in "" -ucp; do
-	"$RUNQ_TMP/ucpsim" -trace crypto01 $u -digest -warmup 50000 -measure 2400000 -sample \
-		-sample-period 100000 -sample-window 2000 -adaptive 0.05
-done >> "$RUNQ_TMP/sampled_digest.txt"
-cmp "$RUNQ_TMP/sampled_digest.txt" testdata/sampled_digest.golden || {
-	echo "sampling: sampled ucpsim digest differs from testdata/sampled_digest.golden" >&2; exit 1; }
+go test -count=1 -run '^TestDigestGoldens$/^sampled$' ./cmd/ucpsim
 echo "sampling: sampled ucpsim digests match golden"
 fi
 
@@ -428,53 +409,30 @@ step "time-parallel gate"
 # multi-core hosts; single-core runs carry a note in BENCH_tpar.json.
 "$RUNQ_TMP/experiments" -gate tpar
 
-# End-to-end half: ucpsim itself, segmented, at two pool worker counts —
-# the whole digest file (which includes the per-segment timepar lines)
-# must be byte-identical.
-"$RUNQ_TMP/ucpsim" -trace srv203 -ucp -digest -warmup 60000 -measure 60000 \
-	-segments 4 -jobs 1 > "$RUNQ_TMP/tpar_digest_j1.txt"
-"$RUNQ_TMP/ucpsim" -trace srv203 -ucp -digest -warmup 60000 -measure 60000 \
-	-segments 4 -jobs 8 > "$RUNQ_TMP/tpar_digest_j8.txt"
-cmp "$RUNQ_TMP/tpar_digest_j1.txt" "$RUNQ_TMP/tpar_digest_j8.txt" || {
-	echo "tpar: segmented ucpsim digest differs between -jobs 1 and -jobs 8" >&2; exit 1; }
-echo "tpar: segmented ucpsim digests byte-identical across worker counts"
-# Cross-commit half: the golden's leading lines are this run's digest.
-head -n "$(wc -l < "$RUNQ_TMP/tpar_digest_j1.txt")" testdata/parallel_digest.golden |
-	cmp - "$RUNQ_TMP/tpar_digest_j1.txt" || {
-	echo "tpar: segmented ucpsim digest differs from testdata/parallel_digest.golden" >&2; exit 1; }
-echo "tpar: segmented ucpsim digests match golden"
+# End-to-end and cross-commit half: ucpsim's segmented and sampled
+# segmented digests (with their per-interval timepar lines), at -jobs 1
+# and at -jobs 8, must each reproduce testdata/parallel_digest.golden.
+go test -count=1 -run '^TestDigestGoldens$/^parallel$' ./cmd/ucpsim
+echo "tpar: parallel ucpsim digests match golden at -jobs 1 and -jobs 8"
 fi
 
 if want wpar; then
 step "window-parallel gate"
-# One sampled UCP run on crypto01 executed seven ways in one process
+# One sampled UCP run on crypto01 executed five ways in one process
 # (chain-serial, window-parallel w1, window-parallel wN, checkpoint
-# capture, checkpoint restore, adaptive w1, adaptive wN). Gated:
-# window-parallel digests byte-identical across worker counts and
-# across the capture/restore cycle, all 20 window boundaries captured +
-# restored, the adaptive run stopping at the same window at both worker
-# counts, window-independence IPC error < 2%, and scaling >= 0.7 x
-# min(cores, windows) on multi-core hosts. Single-core runs carry a
-# note in BENCH_wpar.json.
+# capture, checkpoint restore). Gated: window-parallel digests
+# byte-identical across worker counts and across the capture/restore
+# cycle, all 20 window boundaries captured + restored,
+# window-independence IPC error < 2%, and scaling >= 0.7 x min(cores,
+# windows) on multi-core hosts. Single-core runs carry a note in
+# BENCH_wpar.json.
 "$RUNQ_TMP/experiments" -gate wpar
 
-# End-to-end half: ucpsim itself, sampled + segmented, at two pool
-# worker counts — the whole digest file (sampled window lines, adaptive
-# provenance, and timepar window lines) must be byte-identical.
-"$RUNQ_TMP/ucpsim" -trace srv203 -ucp -digest -warmup 60000 -measure 200000 \
-	-sample -sample-period 50000 -sample-window 2000 \
-	-segments 4 -jobs 1 > "$RUNQ_TMP/wpar_digest_j1.txt"
-"$RUNQ_TMP/ucpsim" -trace srv203 -ucp -digest -warmup 60000 -measure 200000 \
-	-sample -sample-period 50000 -sample-window 2000 \
-	-segments 4 -jobs 8 > "$RUNQ_TMP/wpar_digest_j8.txt"
-cmp "$RUNQ_TMP/wpar_digest_j1.txt" "$RUNQ_TMP/wpar_digest_j8.txt" || {
-	echo "wpar: sampled segmented ucpsim digest differs between -jobs 1 and -jobs 8" >&2; exit 1; }
-echo "wpar: sampled segmented ucpsim digests byte-identical across worker counts"
-# Cross-commit half: the golden's trailing lines are this run's digest.
-tail -n "$(wc -l < "$RUNQ_TMP/wpar_digest_j1.txt")" testdata/parallel_digest.golden |
-	cmp - "$RUNQ_TMP/wpar_digest_j1.txt" || {
-	echo "wpar: sampled segmented ucpsim digest differs from testdata/parallel_digest.golden" >&2; exit 1; }
-echo "wpar: sampled segmented ucpsim digests match golden"
+# End-to-end and cross-commit half: the parallel golden holds the
+# window-parallel digests after the segmented ones, so this is the
+# time-parallel gate's row, run here too so -only wpar checks them.
+go test -count=1 -run '^TestDigestGoldens$/^parallel$' ./cmd/ucpsim
+echo "wpar: parallel ucpsim digests match golden at -jobs 1 and -jobs 8"
 fi
 
 if want sweepreuse; then

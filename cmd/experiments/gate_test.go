@@ -219,8 +219,8 @@ func TestParBenchRecord(t *testing.T) {
 		{"tpar", "tpar multi-core", record(tparGate().check(passingPasses(tparGate(), 4))), 4,
 			[]string{`"bench": "tpar gate (`, `"scaling_bound": 2.8,`}, []string{"note"}, nil},
 		{"wpar", "wpar single-core", record(wparGate().check(passingPasses(wparGate(), 1))), 1,
-			append([]string{`"bench": "wpar gate (`, `"adaptive_stop_windows": 10,`, `"checkpoints_restored": 20`}, singleCore...),
-			[]string{"scaling_bound"}, []string{"adaptive_target_ci", "adaptive_stop_windows", "checkpoints_restored"}},
+			append([]string{`"bench": "wpar gate (`, `"checkpoints_restored": 20`}, singleCore...),
+			[]string{"scaling_bound", "adaptive_target_ci", "adaptive_stop_windows"}, []string{"checkpoints_restored"}},
 		{"sweepreuse", "sweepreuse", record(checkSweepReuse(passingSweepReuse())), gateCores,
 			[]string{`"bench": "sweep-reuse gate (`}, nil, []string{
 				"configs", "warmup_insts", "measure_insts", "min_speedup_bound", "cold_ms", "warm_ms",

@@ -16,10 +16,9 @@ import (
 // The interval-executor gates: one UCP run on crypto01 (the paper's
 // headline configuration) executed by a reference engine and by the
 // interval executor (internal/tpar) in this one process, so every
-// wall-clock ratio compares like against like. Both gates share five
-// passes — reference, parallel at one worker, parallel at every core, a
-// checkpoint-capturing pass and a checkpoint-restoring pass — and the
-// window gate adds an adaptive pass at both worker counts.
+// wall-clock ratio compares like against like. Both gates run the same
+// five passes: reference, parallel at one worker, parallel at every
+// core, a checkpoint-capturing pass and a checkpoint-restoring pass.
 //
 // Gated bounds, also documented in EXPERIMENTS.md:
 //   - worker-count invariance: the parallel digests at 1 worker and at
@@ -31,8 +30,7 @@ import (
 //   - warming error: |parallel IPC − reference IPC| / reference IPC
 //     < 2% (the same bar as the sampling gate — all subsample history);
 //   - window gate only: the window plan measures exactly the expected
-//     window count, and the adaptive run stops at the same window and
-//     digests byte-identically at both worker counts;
+//     window count;
 //   - scaling (multi-core hosts only): t(workers=1) / t(workers=N)
 //     ≥ 0.7 · min(cores, intervals). On a single-core host the
 //     intervals time-slice one CPU, so the record carries a note
@@ -59,8 +57,6 @@ type parGate struct {
 	unitName string // "segments", "windows"
 	refName  string // the reference engine: "serial", "chain"
 	errName  string // what the IPC error measures
-	// targetCI > 0 adds the adaptive w1/wN passes (sampled configs).
-	targetCI float64
 }
 
 // tparGate: full detail, 800K warmup + 700K measured, 4 segments at the
@@ -112,7 +108,6 @@ func wparGate() parGate {
 		unitName: "windows",
 		refName:  "chain",
 		errName:  "window-independence",
-		targetCI: 0.05,
 	}
 }
 
@@ -122,8 +117,6 @@ type parPasses struct {
 	ref, w1, wN, capRes, resRes          sim.Result
 	refDur, w1Dur, wNDur, capDur, resDur time.Duration
 	captured, restored                   int
-	adapt1, adaptN                       sim.Result // zero unless targetCI > 0
-	adaptDur                             time.Duration
 }
 
 // parBench is the gate's BENCH record.
@@ -142,8 +135,6 @@ type parBench struct {
 	ScalingBound        float64 `json:"scaling_bound,omitempty"`
 	Note                string  `json:"note,omitempty"`
 	IPCErrPct           float64 `json:"ipc_err_pct"`
-	AdaptiveTargetCI    float64 `json:"adaptive_target_ci,omitempty"`
-	AdaptiveStopWindows int     `json:"adaptive_stop_windows,omitempty"`
 	CheckpointsCaptured int     `json:"checkpoints_captured"`
 	CheckpointsRestored int     `json:"checkpoints_restored"`
 }
@@ -181,25 +172,6 @@ func (g parGate) check(p parPasses) ([]string, parBench) {
 			"restore pass hit %d boundary checkpoint(s), want %d", p.restored, g.units))
 	}
 
-	adaptWindows := 0
-	if g.targetCI > 0 {
-		if p.adapt1.Sampled != nil {
-			adaptWindows = p.adapt1.Sampled.Windows
-		}
-		adaptN := 0
-		if p.adaptN.Sampled != nil {
-			adaptN = p.adaptN.Sampled.Windows
-		}
-		if p.adaptN.Sampled == nil || adaptN != adaptWindows {
-			violations = append(violations, fmt.Sprintf(
-				"adaptive stop window diverges: workers=1 measured %d, workers=%d measured %d",
-				adaptWindows, p.cores, adaptN))
-		}
-		if p.adaptN.DeterminismDigest() != p.adapt1.DeterminismDigest() {
-			violations = append(violations, "adaptive digest diverges between worker counts")
-		}
-	}
-
 	ipcErr := relIPCErr(p.ref.IPC, p.wN.IPC)
 	if ipcErr >= parGateMaxIPCErr {
 		violations = append(violations, fmt.Sprintf("%s IPC error %.2f%% at or above the %.0f%% bound",
@@ -221,8 +193,6 @@ func (g parGate) check(p parPasses) ([]string, parBench) {
 		SpeedupVsReference:  roundTo(ratio(p.refDur, p.wNDur), 2),
 		ScalingW1OverWN:     roundTo(scaling, 2),
 		IPCErrPct:           roundTo(ipcErr*100, 3),
-		AdaptiveTargetCI:    g.targetCI,
-		AdaptiveStopWindows: adaptWindows,
 		CheckpointsCaptured: p.captured,
 		CheckpointsRestored: p.restored,
 	}
@@ -282,14 +252,6 @@ func (g parGate) runPasses(w io.Writer, cores int) (parPasses, error) {
 	pass(wN, runq.Options{Workers: p.cores}, parJob, &p.wN, &p.wNDur)
 	capPool := pass("capture", runq.Options{Workers: p.cores, CkptDir: ckptDir}, parJob, &p.capRes, &p.capDur)
 	resPool := pass("restore", runq.Options{Workers: p.cores, CkptDir: ckptDir}, parJob, &p.resRes, &p.resDur)
-	if g.targetCI > 0 {
-		// Adaptive composition: the same geometry plus a stop rule.
-		adaptJob := parJob
-		adaptJob.Config.Sampling.TargetCI = g.targetCI
-		var adapt1Dur time.Duration
-		pass("adaptive workers=1", runq.Options{Workers: 1}, adaptJob, &p.adapt1, &adapt1Dur)
-		pass("adaptive "+wN, runq.Options{Workers: p.cores}, adaptJob, &p.adaptN, &p.adaptDur)
-	}
 	if runErr != nil {
 		return p, runErr
 	}
@@ -312,10 +274,6 @@ func (g parGate) report(w io.Writer, p parPasses, b parBench) error {
 			g.refName, b.SpeedupVsReference, p.cores, b.ScalingW1OverWN, b.ScalingBound)
 	} else {
 		fmt.Fprintf(w, "  speedup vs %s %.1fx; single-core host, scaling not gated\n", g.refName, b.SpeedupVsReference)
-	}
-	if g.targetCI > 0 {
-		fmt.Fprintf(w, "  adaptive: stopped at %d/%d windows at both worker counts (w%d %dms)\n",
-			b.AdaptiveStopWindows, g.units, p.cores, p.adaptDur.Milliseconds())
 	}
 	fmt.Fprintf(w, "  checkpoints: %d captured, %d restored\n", p.captured, p.restored)
 	return nil

@@ -15,14 +15,12 @@ func passingPasses(g parGate, cores int) parPasses {
 	if g.cfg.Sampling.Enabled {
 		res.Sampled = &sim.SampledStats{Windows: g.units}
 	}
-	adapt := sim.Result{Name: "UCP", IPC: 0.5, Sampled: &sim.SampledStats{Windows: 10}}
 	return parPasses{
 		cores: cores,
 		ref:   sim.Result{IPC: 0.501},
 		w1:    res, wN: res, capRes: res, resRes: res,
 		refDur: time.Second, w1Dur: 4 * time.Second, wNDur: time.Second,
 		captured: g.units, restored: g.units,
-		adapt1: adapt, adaptN: adapt,
 	}
 }
 
@@ -50,10 +48,6 @@ func TestParGateCheck(t *testing.T) {
 				r.Sampled = &sim.SampledStats{Windows: 19}
 			}
 		}, "window plan produced 19 windows, want 20"},
-		{"adaptive stop diverges", wparGate(), 1, func(p *parPasses) {
-			p.adaptN.Sampled = &sim.SampledStats{Windows: 12}
-		}, "workers=1 measured 10, workers=1 measured 12"},
-		{"adaptive digest diverges", wparGate(), 1, func(p *parPasses) { p.adaptN.Cycles++ }, "adaptive digest diverges between worker counts"},
 		{"scaling", tparGate(), 4, func(p *parPasses) { p.w1Dur = 2 * time.Second }, "scaling 2.00x below the 2.80x bound"},
 	}
 	for _, tc := range cases {

@@ -27,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -39,60 +40,72 @@ import (
 	"ucp/internal/sweepd/client"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, writes the report to stdout and
+// diagnostics to stderr, and returns the exit status (2 for a flag
+// error, 1 for any other failure).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ucpsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		traceName  = flag.String("trace", "srv203", "profile name, or 'all' for the full default set")
-		file       = flag.String("file", "", "run a recorded .ucpt trace file instead of a profile")
-		useUCP     = flag.Bool("ucp", false, "enable the UCP alternate-path prefetcher")
-		noInd      = flag.Bool("ucp-noind", false, "UCP without the dedicated indirect predictor")
-		tillL1I    = flag.Bool("ucp-l1i", false, "UCP prefetching only to the L1I (no µ-op fill)")
-		shared     = flag.Bool("ucp-shared-decoders", false, "UCP sharing the demand decoders")
-		idealBTB   = flag.Bool("ucp-ideal-btb", false, "UCP with ideal BTB banking")
-		tageConf   = flag.Bool("ucp-tage-conf", false, "use Seznec's TAGE-Conf instead of UCP-Conf")
-		threshold  = flag.Int("threshold", 500, "UCP stop threshold")
-		prefetcher = flag.String("prefetcher", "", "standalone L1I prefetcher: fnlmma, fnlmma++, djolt, ep, ep++")
-		noUop      = flag.Bool("no-uop-cache", false, "remove the µ-op cache")
-		idealUop   = flag.Bool("ideal-uop-cache", false, "perfect µ-op cache")
-		warmup     = flag.Uint64("warmup", 800_000, "warmup instructions")
-		measure    = flag.Uint64("measure", 700_000, "measured instructions")
-		sample     = flag.Bool("sample", false, "sampled simulation: fast-forward between detailed windows (conservative geometry)")
-		sampleFast = flag.Bool("sample-fast", false, "with -sample: bounded-horizon geometry (small-footprint traces only; see EXPERIMENTS.md)")
-		samplePer  = flag.Uint64("sample-period", 0, "with -sample: override the sampling period (instructions)")
-		sampleWin  = flag.Uint64("sample-window", 0, "with -sample: override the measured window length")
-		sampleWarm = flag.Uint64("sample-warm", 0, "with -sample: override the detailed-warm length")
-		sampleFF   = flag.Uint64("sample-ffwarm", 0, "with -sample: override the functional-warm horizon")
-		adaptive   = flag.Float64("adaptive", 0, "with -sample: stop adding windows once the relative 95% CI half-width of the window IPC mean drops below this (0: fixed geometry)")
-		adaptMin   = flag.Int("adaptive-min", 0, "with -adaptive: minimum windows before the first stop check (0: default)")
-		adaptMax   = flag.Int("adaptive-max", 0, "with -adaptive: cap on windows even if the target is unmet (0: the fixed-geometry budget)")
-		segments   = flag.Int("segments", 0, "time-parallel run: split the measured region into this many boundary-warmed segments; with -sample, any value > 1 runs the sampled windows in parallel instead (0/1: serial)")
-		compare    = flag.Bool("compare", false, "run baseline AND UCP, reporting the speedup")
-		jsonOut    = flag.Bool("json", false, "emit machine-readable JSON instead of the table")
-		hist       = flag.Bool("hist", false, "print stream-length and refill-latency distributions")
-		jobs       = flag.Int("jobs", 0, "concurrent simulations (default GOMAXPROCS); output order is unaffected")
-		cacheDir   = flag.String("cache-dir", "", "content-addressed result cache directory (empty: no on-disk cache)")
-		ckptDir    = flag.String("ckpt-dir", "", "warm-checkpoint store directory for sampled and time-parallel runs (empty: no checkpoint reuse)")
-		ckptMax    = flag.Int64("ckpt-max-bytes", 0, "bound the checkpoint directory's on-disk bytes, pruning least-recently-verified blobs (0: unbounded)")
-		digest     = flag.Bool("digest", false, "print Result.DeterminismDigest instead of the metric table (optimization-neutrality gate)")
-		server     = flag.String("server", "", "run simulations against a sweepd server at this URL instead of in-process")
-		version    = flag.Bool("version", false, "print model/schema/protocol versions and exit")
-		cpuProf    = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProf    = flag.String("memprofile", "", "write a pprof allocation profile to this file on exit")
+		traceName  = fs.String("trace", "srv203", "profile name, or 'all' for the full default set")
+		file       = fs.String("file", "", "run a recorded .ucpt trace file instead of a profile")
+		useUCP     = fs.Bool("ucp", false, "enable the UCP alternate-path prefetcher")
+		noInd      = fs.Bool("ucp-noind", false, "UCP without the dedicated indirect predictor")
+		tillL1I    = fs.Bool("ucp-l1i", false, "UCP prefetching only to the L1I (no µ-op fill)")
+		shared     = fs.Bool("ucp-shared-decoders", false, "UCP sharing the demand decoders")
+		idealBTB   = fs.Bool("ucp-ideal-btb", false, "UCP with ideal BTB banking")
+		tageConf   = fs.Bool("ucp-tage-conf", false, "use Seznec's TAGE-Conf instead of UCP-Conf")
+		threshold  = fs.Int("threshold", 500, "UCP stop threshold")
+		prefetcher = fs.String("prefetcher", "", "standalone L1I prefetcher: fnlmma, fnlmma++, djolt, ep, ep++")
+		noUop      = fs.Bool("no-uop-cache", false, "remove the µ-op cache")
+		idealUop   = fs.Bool("ideal-uop-cache", false, "perfect µ-op cache")
+		warmup     = fs.Uint64("warmup", 800_000, "warmup instructions")
+		measure    = fs.Uint64("measure", 700_000, "measured instructions")
+		sample     = fs.Bool("sample", false, "sampled simulation: fast-forward between detailed windows (conservative geometry)")
+		sampleFast = fs.Bool("sample-fast", false, "with -sample: bounded-horizon geometry (small-footprint traces only; see EXPERIMENTS.md)")
+		samplePer  = fs.Uint64("sample-period", 0, "with -sample: override the sampling period (instructions)")
+		sampleWin  = fs.Uint64("sample-window", 0, "with -sample: override the measured window length")
+		sampleWarm = fs.Uint64("sample-warm", 0, "with -sample: override the detailed-warm length")
+		sampleFF   = fs.Uint64("sample-ffwarm", 0, "with -sample: override the functional-warm horizon")
+		adaptive   = fs.Float64("adaptive", 0, "with -sample: stop adding windows once the relative 95% CI half-width of the window IPC mean drops below this (0: fixed geometry)")
+		adaptMin   = fs.Int("adaptive-min", 0, "with -adaptive: minimum windows before the first stop check (0: default)")
+		adaptMax   = fs.Int("adaptive-max", 0, "with -adaptive: cap on windows even if the target is unmet (0: the fixed-geometry budget)")
+		segments   = fs.Int("segments", 0, "time-parallel run: split the measured region into this many boundary-warmed segments; with -sample, any value > 1 runs the sampled windows in parallel instead, which -adaptive rejects (0/1: serial)")
+		compare    = fs.Bool("compare", false, "run baseline AND UCP, reporting the speedup")
+		jsonOut    = fs.Bool("json", false, "emit machine-readable JSON instead of the table")
+		hist       = fs.Bool("hist", false, "print stream-length and refill-latency distributions")
+		jobs       = fs.Int("jobs", 0, "concurrent simulations (default GOMAXPROCS); output order is unaffected")
+		cacheDir   = fs.String("cache-dir", "", "content-addressed result cache directory (empty: no on-disk cache)")
+		ckptDir    = fs.String("ckpt-dir", "", "warm-checkpoint store directory for sampled and time-parallel runs (empty: no checkpoint reuse)")
+		ckptMax    = fs.Int64("ckpt-max-bytes", 0, "bound the checkpoint directory's on-disk bytes, pruning least-recently-verified blobs (0: unbounded)")
+		digest     = fs.Bool("digest", false, "print Result.DeterminismDigest instead of the metric table (optimization-neutrality gate)")
+		server     = fs.String("server", "", "run simulations against a sweepd server at this URL instead of in-process")
+		version    = fs.Bool("version", false, "print model/schema/protocol versions and exit")
+		cpuProf    = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
+		memProf    = fs.String("memprofile", "", "write a pprof allocation profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
 
 	if *version {
-		buildinfo.Fprint(os.Stdout, "ucpsim")
-		return
+		buildinfo.Fprint(stdout, "ucpsim")
+		return 0
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -101,13 +114,13 @@ func main() {
 		defer func() {
 			f, err := os.Create(path)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 		}()
 	}
@@ -156,12 +169,12 @@ func main() {
 		cfg.Sampling = sc
 	}
 	if *adaptive > 0 && !*sample {
-		fmt.Fprintln(os.Stderr, "ucpsim: -adaptive requires -sample (the stop rule acts on sampled windows)")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ucpsim: -adaptive requires -sample (the stop rule acts on sampled windows)")
+		return 1
 	}
 	if err := cfg.ValidateSegments(*segments); err != nil {
-		fmt.Fprintln(os.Stderr, "ucpsim:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "ucpsim:", err)
+		return 1
 	}
 	pool := runq.New(runq.Options{
 		Workers:      *jobs,
@@ -173,20 +186,14 @@ func main() {
 	// A result or checkpoint the disk caches failed to keep costs the
 	// next run a recomputation: say so in one line at exit, whether the
 	// jobs succeeded or not.
-	failed := false
-	defer func() {
-		pool.ReportWriteFailures(os.Stderr)
-		if failed {
-			os.Exit(1)
-		}
-	}()
+	defer pool.ReportWriteFailures(stderr)
 	var exec runq.Runner = pool
 	if *server != "" {
 		if *file != "" {
 			// A recorded trace is local state; its content digest cannot be
 			// resolved against a remote server's filesystem.
-			fmt.Fprintln(os.Stderr, "ucpsim: -file and -server are incompatible; recorded traces run in-process")
-			os.Exit(1)
+			fmt.Fprintln(stderr, "ucpsim: -file and -server are incompatible; recorded traces run in-process")
+			return 1
 		}
 		exec = client.New(*server)
 	}
@@ -201,10 +208,12 @@ func main() {
 		labels = []string{*file}
 		jobList = []runq.Job{{Config: cfg, TraceFile: *file, Warmup: *warmup, Measure: *measure, Segments: *segments}}
 	} else {
-		profiles := selectProfiles(*traceName)
+		profiles := selectProfiles(*traceName, stderr)
+		if profiles == nil {
+			return 1
+		}
 		if *compare {
-			failed = !runCompare(exec, profiles, *warmup, *measure, *segments)
-			return
+			return runCompare(exec, profiles, *warmup, *measure, *segments, stdout, stderr)
 		}
 		for _, p := range profiles {
 			labels = append(labels, p.Name)
@@ -213,25 +222,28 @@ func main() {
 	}
 	results := exec.RunAll(jobList)
 	if !*jsonOut && !*digest {
-		header()
+		header(stdout)
 	}
 	for i, jr := range results {
 		if jr.Err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", labels[i], jr.Err)
-			failed = true
-			return
+			fmt.Fprintf(stderr, "%s: %v\n", labels[i], jr.Err)
+			return 1
 		}
 		if *digest {
-			fmt.Print(jr.Result.DeterminismDigest())
+			fmt.Fprint(stdout, jr.Result.DeterminismDigest())
 			continue
 		}
-		emit(jr.Result, *jsonOut, *hist)
+		if err := emit(stdout, jr.Result, *jsonOut, *hist); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
 	}
+	return 0
 }
 
-// selectProfiles resolves -trace to its profiles, exiting on an
-// unknown name.
-func selectProfiles(name string) []ucp.Profile {
+// selectProfiles resolves -trace to its profiles. An unknown name
+// returns nil after listing the available ones on stderr.
+func selectProfiles(name string, stderr io.Writer) []ucp.Profile {
 	switch name {
 	case "all":
 		return ucp.DefaultProfiles()
@@ -240,12 +252,12 @@ func selectProfiles(name string) []ucp.Profile {
 	default:
 		p, ok := ucp.ProfileByName(name)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown profile %q; available:", name)
+			fmt.Fprintf(stderr, "unknown profile %q; available:", name)
 			for _, pr := range ucp.DefaultProfiles() {
-				fmt.Fprintf(os.Stderr, " %s", pr.Name)
+				fmt.Fprintf(stderr, " %s", pr.Name)
 			}
-			fmt.Fprintln(os.Stderr)
-			os.Exit(1)
+			fmt.Fprintln(stderr)
+			return nil
 		}
 		return []ucp.Profile{p}
 	}
@@ -253,8 +265,9 @@ func selectProfiles(name string) []ucp.Profile {
 
 // runCompare runs the baseline and UCP over each profile
 // (interleaved base/UCP job pairs) and reports the per-trace speedup.
-// It reports false, after printing the error, when a job failed.
-func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64, segments int) bool {
+// It returns the exit status: 1, after printing the error, when a job
+// failed.
+func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64, segments int, stdout, stderr io.Writer) int {
 	base := ucp.Baseline()
 	withUCP := ucp.WithUCP(ucp.DefaultUCP())
 	jobList := make([]runq.Job, 0, 2*len(profiles))
@@ -264,21 +277,21 @@ func runCompare(exec runq.Runner, profiles []ucp.Profile, warmup, measure uint64
 			runq.Job{Config: withUCP, Profile: p, Warmup: warmup, Measure: measure, Segments: segments})
 	}
 	results := exec.RunAll(jobList)
-	fmt.Printf("%-10s %10s %10s %10s %9s %9s\n",
+	fmt.Fprintf(stdout, "%-10s %10s %10s %10s %9s %9s\n",
 		"trace", "base IPC", "UCP IPC", "speedup%", "HR base%", "HR UCP%")
 	for i, p := range profiles {
 		b, u := results[2*i], results[2*i+1]
 		for _, r := range []runq.JobResult{b, u} {
 			if r.Err != nil {
-				fmt.Fprintf(os.Stderr, "%s: %v\n", p.Name, r.Err)
-				return false
+				fmt.Fprintf(stderr, "%s: %v\n", p.Name, r.Err)
+				return 1
 			}
 		}
-		fmt.Printf("%-10s %10.4f %10.4f %+10.2f %9.2f %9.2f\n",
+		fmt.Fprintf(stdout, "%-10s %10.4f %10.4f %+10.2f %9.2f %9.2f\n",
 			p.Name, b.Result.IPC, u.Result.IPC, 100*(u.Result.IPC/b.Result.IPC-1),
 			b.Result.UopHitRate*100, u.Result.UopHitRate*100)
 	}
-	return true
+	return 0
 }
 
 // resultJSON is the -json object of one result.
@@ -346,21 +359,16 @@ func resultJSON(r sim.Result) map[string]any {
 	return out
 }
 
-// emit prints one result as a table row or JSON object.
-func emit(r sim.Result, asJSON, withHist bool) {
+// emit prints one result to w as a table row or JSON object.
+func emit(w io.Writer, r sim.Result, asJSON, withHist bool) error {
 	if asJSON {
-		out := resultJSON(r)
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+		return enc.Encode(resultJSON(r))
 	}
-	row(r)
+	row(w, r)
 	if s := r.Sampled; s != nil {
-		fmt.Printf("%-10s sampled: %d windows, IPC %.4f ±%.4f, MPKI %.3f ±%.3f (95%% CI); %d skipped / %d functional / %d detailed\n",
+		fmt.Fprintf(w, "%-10s sampled: %d windows, IPC %.4f ±%.4f, MPKI %.3f ±%.3f (95%% CI); %d skipped / %d functional / %d detailed\n",
 			r.Trace, s.Windows, s.IPCMean, s.IPCCI95, s.MPKIMean, s.MPKICI95,
 			s.SkippedInsts, s.FFInsts, s.DetailedInsts)
 		if s.TargetCI > 0 {
@@ -368,18 +376,19 @@ func emit(r sim.Result, asJSON, withHist bool) {
 			if !s.TargetMet {
 				verdict = "budget exhausted"
 			}
-			fmt.Printf("%-10s adaptive: %d/%d windows, target ±%.2f%% — %s\n",
+			fmt.Fprintf(w, "%-10s adaptive: %d/%d windows, target ±%.2f%% — %s\n",
 				r.Trace, s.Windows, s.WindowBudget, s.TargetCI*100, verdict)
 		}
 	}
 	if tp := r.TimePar; tp != nil {
-		fmt.Printf("%-10s timepar: %d segments; %d skipped / %d functional at boundaries\n",
+		fmt.Fprintf(w, "%-10s timepar: %d segments; %d skipped / %d functional at boundaries\n",
 			r.Trace, tp.Segments, tp.SkippedInsts, tp.FFInsts)
 	}
 	if withHist {
-		fmt.Println(r.StreamLens.Render())
-		fmt.Println(r.RefillLat.Render())
+		fmt.Fprintln(w, r.StreamLens.Render())
+		fmt.Fprintln(w, r.RefillLat.Render())
 	}
+	return nil
 }
 
 func safeDiv(a, b uint64) float64 {
@@ -389,13 +398,13 @@ func safeDiv(a, b uint64) float64 {
 	return float64(a) / float64(b)
 }
 
-func header() {
-	fmt.Printf("%-10s %8s %8s %9s %9s %9s %10s %9s\n",
+func header(w io.Writer) {
+	fmt.Fprintf(w, "%-10s %8s %8s %9s %9s %9s %10s %9s\n",
 		"trace", "IPC", "uopHR%", "switchPKI", "condMPKI", "ucpTrig", "ucpFills", "prefAcc%")
 }
 
-func row(r sim.Result) {
-	fmt.Printf("%-10s %8.4f %8.2f %9.2f %9.2f %9d %10d %9.2f\n",
+func row(w io.Writer, r sim.Result) {
+	fmt.Fprintf(w, "%-10s %8.4f %8.2f %9.2f %9.2f %9d %10d %9.2f\n",
 		r.Trace, r.IPC, r.UopHitRate*100, r.SwitchPKI, r.CondMPKI,
 		r.UCP.Triggers, r.UCP.FillsInserted, r.PrefetchAccuracy*100)
 }

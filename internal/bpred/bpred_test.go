@@ -556,25 +556,40 @@ func TestSCCorrectsBiasedTage(t *testing.T) {
 }
 
 func TestUsefulnessReset(t *testing.T) {
-	// The periodic u-bit decay must fire and halve usefulness, freeing
-	// allocation victims. Drive >2^18 updates through a small TAGE.
+	// The periodic u-bit decay must halve every usefulness counter on
+	// the 2^18th update, and not one update earlier. Saturate every u,
+	// step to just before the tick, then across it; entries an update
+	// itself trains or allocates are excluded from the check.
 	tg := NewTAGE(TageConfig{BimodalBits: 8, Tables: 4, MinHist: 2,
 		MaxHist: 16, IdxBits: 6, TagBase: 7, CtrBits: 3})
 	h := tg.NewHist()
-	r := rng.New(3)
-	for i := 0; i < (1<<18)+100; i++ {
-		pc := uint64(0x1000 + (i%50)*4)
-		taken := r.Bool(0.5)
-		p := tg.Predict(h, pc)
-		tg.Update(pc, taken, &p)
-		h.Push(pc, taken)
+	for i := range tg.all {
+		tg.all[i].u = 3
 	}
-	// After the reset tick, at least some u bits must be low enough for
-	// fresh allocations to land (indirectly: allocation must succeed).
-	before := tg.table(3)[0]
-	_ = before
-	if tg.tick >= 1<<18 {
-		t.Fatalf("tick %d never wrapped", tg.tick)
+	tg.tick = 1<<18 - 2
+	touched := map[int32]bool{}
+	step := func(pc uint64) {
+		p := tg.Predict(h, pc)
+		tg.Update(pc, true, &p)
+		h.Push(pc, true)
+		for _, e := range p.indices[:tg.cfg.Tables] {
+			touched[e] = true
+		}
+	}
+	check := func(when string, want uint8) {
+		t.Helper()
+		for i, e := range tg.all {
+			if !touched[int32(i)] && e.u != want {
+				t.Fatalf("%s: entry %d has u=%d, want %d", when, i, e.u, want)
+			}
+		}
+	}
+	step(0x1000)
+	check("one update before the tick", 3)
+	step(0x1040)
+	check("at the 2^18 tick", 1)
+	if tg.tick != 0 {
+		t.Fatalf("tick = %d after the decay, want 0", tg.tick)
 	}
 }
 

@@ -135,3 +135,43 @@ func BenchmarkITTAGE(b *testing.B) {
 		p.Hist().Push(pc, want, true)
 	}
 }
+
+// TestUsefulnessReset: the periodic u-bit decay must halve every
+// usefulness counter on the 2^17th update, and not one update earlier.
+// Saturate every u, step to just before the tick, then across it;
+// entries an update itself trains or allocates are excluded.
+func TestUsefulnessReset(t *testing.T) {
+	p := New(Config4KB())
+	for i := range p.tables {
+		for j := range p.tables[i] {
+			p.tables[i][j].u = 3
+		}
+	}
+	p.tick = 1<<17 - 2
+	touched := map[[2]int]bool{}
+	step := func(pc, target uint64) {
+		l := p.Predict(p.Hist(), pc)
+		p.Update(pc, target, &l)
+		p.Hist().Push(pc, target, true)
+		for i := range p.tables {
+			touched[[2]int{i, int(l.indices[i])}] = true
+		}
+	}
+	check := func(when string, want uint8) {
+		t.Helper()
+		for i := range p.tables {
+			for j, e := range p.tables[i] {
+				if !touched[[2]int{i, j}] && e.u != want {
+					t.Fatalf("%s: table %d entry %d has u=%d, want %d", when, i, j, e.u, want)
+				}
+			}
+		}
+	}
+	step(0x1000, 0x9000)
+	check("one update before the tick", 3)
+	step(0x1040, 0xa000)
+	check("at the 2^17 tick", 1)
+	if p.tick != 0 {
+		t.Fatalf("tick = %d after the decay, want 0", p.tick)
+	}
+}

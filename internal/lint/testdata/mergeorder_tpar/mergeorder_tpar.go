@@ -23,7 +23,7 @@ func (a *segAccum) Merge(b *segAccum) {
 }
 
 // cellUnion is the correct shape: a disjoint index union with no
-// arithmetic at all, like tpar.Accum.Merge.
+// arithmetic at all.
 type cellUnion struct{ cells []*segAccum }
 
 // Merge folds b's cells into a; cell sets are disjoint by construction.

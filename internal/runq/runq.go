@@ -47,13 +47,15 @@ type Job struct {
 	// Segments > 1 runs the job through the interval executor
 	// (internal/tpar) on the pool's shared segment gate: a full-detail
 	// job splits its measured region into that many boundary-warmed
-	// trace segments, a sampled job (Config.Sampling.Enabled) runs its
-	// measured windows in parallel, the window plan and boundary warm
-	// coming from the sampling geometry so Segments is only the opt-in
-	// switch. Parallel results differ from serial ones (counter blocks
-	// become measured-region deltas and a bounded warming error applies;
-	// see EXPERIMENTS.md), so the parallel mode is part of the cache
-	// key. 0 and 1 are the serial engine.
+	// trace segments, a fixed-schedule sampled job
+	// (Config.Sampling.Enabled) runs its measured windows in parallel,
+	// the window plan and boundary warm coming from the sampling
+	// geometry so Segments is only the opt-in switch; an adaptive one is
+	// rejected (sim.Config.ValidateSegments). Parallel results differ
+	// from serial ones (counter blocks become measured-region deltas and
+	// a bounded warming error applies; see EXPERIMENTS.md), so the
+	// parallel mode is part of the cache key. 0 and 1 are the serial
+	// engine.
 	Segments int
 	// Boundary is retired: boundary warming is fixed at
 	// sim.DefaultBoundaryWarm for segments and at the sampling geometry
@@ -62,6 +64,25 @@ type Job struct {
 	// the benchmark harness (_perfbench/workloads.go) still assigns the
 	// zero value, and goes once that line does.
 	Boundary sim.BoundaryWarm
+}
+
+// runConfig is the config as the job runs it: Warmup and Measure
+// replace the config's own budgets.
+func (j Job) runConfig() sim.Config {
+	cfg := j.Config
+	cfg.WarmupInsts, cfg.MeasureInsts = j.Warmup, j.Measure
+	return cfg
+}
+
+// Validate checks the job as it will run: its config under the job's
+// budgets, then the segment composition. A job it rejects can only
+// fail at execution.
+func (j Job) Validate() error {
+	cfg := j.runConfig()
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	return cfg.ValidateSegments(j.Segments)
 }
 
 // traceLabel names the job's workload in errors and reports.
@@ -510,8 +531,7 @@ func recoverRun(run func(Job, sim.ProgressFunc) (sim.Result, error), job Job, ho
 // interval executor when Job.Segments > 1 — with warm-checkpoint reuse
 // when the pool has a store.
 func (p *Pool) simulate(job Job, hook sim.ProgressFunc) (sim.Result, error) {
-	cfg := job.Config
-	cfg.WarmupInsts, cfg.MeasureInsts = job.Warmup, job.Measure
+	cfg := job.runConfig()
 	budget := int(cfg.WarmupInsts+cfg.MeasureInsts) + 200_000
 
 	var (

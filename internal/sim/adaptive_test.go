@@ -189,4 +189,11 @@ func TestAdaptiveValidate(t *testing.T) {
 			t.Errorf("%s: Validate accepted an invalid adaptive config", tc.name)
 		}
 	}
+	// The stop rule is sequential: an adaptive config runs serially only.
+	if err := base().ValidateSegments(1); err != nil {
+		t.Errorf("serial adaptive run rejected: %v", err)
+	}
+	if err := base().ValidateSegments(2); err == nil || !strings.Contains(err.Error(), "drop -segments or -adaptive") {
+		t.Errorf("ValidateSegments(2) on an adaptive config = %v, want the window-parallel rejection", err)
+	}
 }

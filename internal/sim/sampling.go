@@ -271,15 +271,13 @@ func (s SamplingConfig) BoundaryWarm() BoundaryWarm {
 	}
 }
 
-// AdaptiveStop is the confidence-targeted controller's stop rule: a
+// adaptiveStop is the confidence-targeted controller's stop rule: a
 // one-pass Welford accumulator over the window IPCs, evaluated only at
 // the pinned group-sequential schedule points. It is a pure function of
 // the window-(insts, cycles) sequence observed in window-index order —
-// no machine state, no wall clock — which is precisely why the serial
-// sampled controller and the interval executor (internal/tpar, which
-// observes speculatively simulated windows through a reorder buffer)
-// stop at exactly the same window. Both use this one type.
-type AdaptiveStop struct {
+// no machine state, no wall clock — so two passes over the same trace
+// stop at exactly the same window.
+type adaptiveStop struct {
 	s        SamplingConfig
 	minW     int
 	run      stats.Running
@@ -287,10 +285,9 @@ type AdaptiveStop struct {
 	seen     int
 }
 
-// NewAdaptiveStop builds the stop rule for a run capped at maxW
-// windows. For non-adaptive geometries Observe never stops; the
-// accumulator still runs so callers can report interval estimates.
-func NewAdaptiveStop(s SamplingConfig, maxW int) *AdaptiveStop {
+// newAdaptiveStop builds the stop rule for a run capped at maxW
+// windows. For non-adaptive geometries Observe never stops.
+func newAdaptiveStop(s SamplingConfig, maxW int) *adaptiveStop {
 	minW := s.MinWindows
 	if minW == 0 {
 		minW = DefaultMinWindows
@@ -298,22 +295,7 @@ func NewAdaptiveStop(s SamplingConfig, maxW int) *AdaptiveStop {
 	if minW > maxW {
 		minW = maxW
 	}
-	return &AdaptiveStop{s: s, minW: minW, nextEval: minW}
-}
-
-// Min returns the first stop-evaluation point (the MinWindows floor
-// clamped to the window cap).
-func (a *AdaptiveStop) Min() int { return a.minW }
-
-// Rel returns the current relative 95% half-width of the window-IPC
-// mean (+Inf while undefined) without observing a window — progress
-// reporting for executors that fold windows out of band.
-func (a *AdaptiveStop) Rel() float64 {
-	mean, half := a.run.CI95()
-	if mean > 0 && !math.IsInf(half, 1) {
-		return half / mean
-	}
-	return math.Inf(1)
+	return &adaptiveStop{s: s, minW: minW, nextEval: minW}
 }
 
 // Observe folds one measured window — strictly the next one in window
@@ -321,7 +303,7 @@ func (a *AdaptiveStop) Rel() float64 {
 // window-IPC mean (+Inf while undefined) plus whether the pinned
 // schedule says to stop after this window. Zero-cycle windows
 // contribute no IPC observation, matching the serial controller.
-func (a *AdaptiveStop) Observe(insts, cycles uint64) (rel float64, stop bool) {
+func (a *adaptiveStop) Observe(insts, cycles uint64) (rel float64, stop bool) {
 	a.seen++
 	if cycles > 0 {
 		a.run.Add(float64(insts) / float64(cycles))
@@ -394,8 +376,8 @@ type SampledStats struct {
 // windows) is stored as 0, keeping Result JSON-serializable — and, for
 // adaptive geometries, the stop provenance: budget is the fixed
 // schedule's window count and targetMet reports an adaptive stop. The
-// serial sampled controller and the interval executor's reducer
-// (internal/tpar) both finish through here.
+// serial sampled controller finishes through here, and so does the
+// interval executor's fold (internal/tpar), whose schedule is fixed.
 func (s *SampledStats) Finish(sc SamplingConfig, budget int, targetMet bool) {
 	if sc.Adaptive() {
 		s.TargetCI = sc.TargetCI
@@ -458,10 +440,10 @@ func runSampled(cfg Config, src trace.Source, code core.CodeInfo, traceName stri
 
 	// The adaptive stop rule: a one-pass Welford accumulator over the
 	// window IPCs, evaluated only at the pinned schedule points — a
-	// pure function of the window-mean sequence, so two passes (and any
-	// worker count, serial or window-parallel) terminate identically.
-	as := NewAdaptiveStop(s, maxW)
-	minW := as.Min()
+	// pure function of the window-mean sequence, so two passes
+	// terminate identically.
+	as := newAdaptiveStop(s, maxW)
+	minW := as.minW
 	targetMet := false
 
 	for k := 0; k < maxW; k++ {

@@ -167,19 +167,23 @@ func (c Config) Validate() error {
 }
 
 // ValidateSegments is the one compatibility matrix for composing a
-// parallel segment request with this config — ucpsim, experiments, and
-// the interval executor (internal/tpar) all consult it instead of
-// hand-rolling (and drifting) their own rejection messages. segments
-// <= 1 is always the serial engine. segments > 1 splits a full-detail
-// config into segments and runs a sampled config's windows in parallel,
-// each window's boundary warm derived from the sampling geometry
-// (SamplingConfig's BoundaryWarm method) — the only still-unvalidated
-// combination is a sampled geometry whose WarmInsts cannot satisfy the
-// boundary warm's floor, which is rejected here with the remediation
-// spelled out.
+// parallel segment request with this config — ucpsim, experiments,
+// sweepd's submit and the interval executor (internal/tpar) all consult
+// it instead of hand-rolling (and drifting) their own rejection
+// messages. segments <= 1 is always the serial engine. segments > 1
+// splits a full-detail config into segments and runs a fixed-schedule
+// sampled config's windows in parallel, each window's boundary warm
+// derived from the sampling geometry (SamplingConfig's BoundaryWarm
+// method). Two sampled compositions are rejected with the remediation
+// spelled out: an adaptive geometry, whose stop rule is sequential (a
+// window's inclusion depends on every window before it), and a
+// geometry whose WarmInsts cannot satisfy the boundary warm's floor.
 func (c Config) ValidateSegments(segments int) error {
 	if segments <= 1 || !c.Sampling.Enabled {
 		return nil
+	}
+	if c.Sampling.TargetCI > 0 {
+		return fmt.Errorf("sim: adaptive sampling cannot run window-parallel (its stop rule consumes windows in order; drop -segments or -adaptive), got %d segments", segments)
 	}
 	if c.Sampling.WarmInsts < 1000 {
 		return fmt.Errorf("sim: sampled+time-parallel composition requires Sampling.WarmInsts >= 1000 (each window's detailed warm becomes a segment boundary warm, whose floor is 1000; raise WarmInsts or drop -segments), got %d", c.Sampling.WarmInsts)

@@ -52,6 +52,9 @@ func FuzzSubmit(f *testing.F) {
 	f.Add([]byte(`{"protocol":"` + sweepd.ProtocolVersion + `","model":"` + sim.ModelVersion + `","jobs":[]}`))
 	f.Add(bytes.Replace(valid, []byte(`"RASEntries":64`), []byte(`"RASEntries":0`), 1))
 	f.Add(bytes.Replace(valid, []byte(`"measure":1000`), []byte(`"measure":1000,"segments":4`), 1))
+	// A job budget the config's own passes but the run does not: the
+	// server validates the config under the spec's budgets.
+	f.Add(bytes.Replace(valid, []byte(`"measure":1000`), []byte(`"measure":0`), 1))
 	// Profile fields: a build that would exhaust memory, a trip-count
 	// range the generator cannot draw from, and a fraction past one.
 	f.Add(bytes.Replace(valid, []byte(`"Funcs":16`), []byte(`"Funcs":2000000000`), 1))

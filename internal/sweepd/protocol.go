@@ -63,9 +63,9 @@ type JobSpec struct {
 	Measure uint64        `json:"measure"`
 	// Segments > 1 asks the server to run the job through the interval
 	// executor (internal/tpar): per segment for full-detail configs, per
-	// measured window for sampled ones, whose window plan comes from the
-	// sampling geometry. Results are byte-identical whatever worker
-	// budget the server has.
+	// measured window for fixed-schedule sampled ones, whose window plan
+	// comes from the sampling geometry (an adaptive one is a 400).
+	// Results are byte-identical whatever worker budget the server has.
 	Segments int `json:"segments,omitempty"`
 }
 

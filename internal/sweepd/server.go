@@ -235,14 +235,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		replyError(w, http.StatusBadRequest, "empty job batch")
 		return
 	}
-	// Resolve keys and validate configs and profiles before taking the
+	// Resolve keys and validate jobs and profiles before taking the
 	// lock: a bad job rejects the batch with a 400 naming the offender,
-	// not a 500 — or an out-of-memory program build — from the middle of
-	// execution.
+	// not a failure — or an out-of-memory program build — from the
+	// middle of execution. A job is validated as it will run: the
+	// spec's budgets, not the config's own, and its segment count.
 	ids := make([]string, len(req.Jobs))
 	jobs := make([]runq.Job, len(req.Jobs))
 	for i, spec := range req.Jobs {
-		err := spec.Config.Validate()
+		jobs[i] = spec.Job()
+		err := jobs[i].Validate()
 		if err == nil {
 			err = spec.Profile.Validate()
 		}
@@ -250,7 +252,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			replyError(w, http.StatusBadRequest, fmt.Sprintf("job %d (%s): %v", i, spec.Config.Name, err))
 			return
 		}
-		jobs[i] = spec.Job()
 		key, err := runq.Key(jobs[i])
 		if err != nil {
 			replyError(w, http.StatusBadRequest, fmt.Sprintf("job %d (%s): %v", i, spec.Config.Name, err))

@@ -826,6 +826,69 @@ func TestPredictorHistoryGeometryRejected(t *testing.T) {
 	}
 }
 
+// TestJobValidatedAsRun posts jobs whose config passes on its own but
+// not as the job runs it: the spec's budgets replace the config's, and
+// the segment count must compose with the sampling geometry. Each POST
+// gets a 400 naming the job and the reason, and the pool runs nothing.
+func TestJobValidatedAsRun(t *testing.T) {
+	srv, hs, _ := startServer(t, sweepd.Config{
+		Pool: runq.Options{RunJob: func(runq.Job, sim.ProgressFunc) (sim.Result, error) {
+			return sim.Result{}, nil
+		}},
+	})
+	sampled := func(warmInsts uint64) sweepd.JobSpec {
+		spec := testSpec(t, "asrun")
+		spec.Config.Sampling = sim.SamplingConfig{Enabled: true, PeriodInsts: 10_000, DetailedInsts: 2_000, WarmInsts: warmInsts}
+		spec.Warmup, spec.Measure = 10_000, 40_000
+		spec.Config.WarmupInsts, spec.Config.MeasureInsts = spec.Warmup, spec.Measure
+		return spec
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *sweepd.JobSpec)
+		want string
+	}{
+		{"per-window warm under the boundary floor", func(s *sweepd.JobSpec) {
+			*s = sampled(500)
+			s.Segments = 4
+		}, "requires Sampling.WarmInsts"},
+		{"period past the job's measure", func(s *sweepd.JobSpec) {
+			*s = sampled(2_000)
+			s.Config.Sampling.PeriodInsts = 50_000
+			s.Config.MeasureInsts, s.Measure = 100_000, 30_000
+		}, "PeriodInsts 50000 exceeds MeasureInsts 30000"},
+		{"adaptive window-parallel", func(s *sweepd.JobSpec) {
+			*s = sampled(2_000)
+			s.Config.Sampling.TargetCI = 0.05
+			s.Segments = 2
+		}, "drop -segments or -adaptive"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := testSpec(t, "asrun")
+			tc.edit(&spec)
+			if err := spec.Config.Validate(); err != nil {
+				t.Fatalf("probe config invalid on its own budgets: %v", err)
+			}
+			body, _ := json.Marshal(sweepd.SubmitRequest{
+				Protocol: sweepd.ProtocolVersion, Model: sim.ModelVersion,
+				Jobs: []sweepd.JobSpec{testSpec(t, "fine"), spec},
+			})
+			resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "job 1 (asrun)") || !strings.Contains(string(msg), tc.want) {
+				t.Fatalf("status %d, body %s; want a 400 naming job 1 and %q", resp.StatusCode, msg, tc.want)
+			}
+		})
+	}
+	if runs := srv.Pool().Stats().Runs; runs != 0 {
+		t.Fatalf("rejected batches ran %d jobs", runs)
+	}
+}
+
 // TestSpecRejectsRetiredBoundary: runq.Job.Boundary has no wire form,
 // so a job carrying a non-zero value must fail to convert instead of
 // silently running remotely with the fixed boundary warm.

@@ -11,19 +11,17 @@
 //   - a sampled run measures exactly the windows of its sampling
 //     schedule (sim.Config.SampleWindows), each boundary-warmed with the
 //     horizons the sampling geometry already specifies
-//     (sim.SamplingConfig.BoundaryWarm) — window-parallel mode.
+//     (sim.SamplingConfig.BoundaryWarm) — window-parallel mode. Its
+//     schedule is fixed: an adaptive geometry's stop rule is sequential,
+//     so sim.Config.ValidateSegments rejects adaptive sampling here.
 //
 // Either way every interval is one sim.RunSegment on a fresh machine
 // over its own stream from position zero (a generator walk for a
 // synthetic profile, an arena cursor for a recorded trace), whose
 // boundary state is rebuilt by the warming pyramid or restored from a
 // content-addressed internal/ckpt checkpoint captured on an earlier
-// run. Completed intervals feed one
-// in-order consumer running the shared stop rule (sim.AdaptiveStop),
-// which never stops for non-adaptive configs. An adaptive sampled run
-// therefore speculates: workers run ahead of the pinned stop schedule
-// and every window past the stop point is discarded, so a parallel
-// adaptive run stops at exactly the window a serial one does.
+// run. Workers take intervals in index order and file each outcome
+// under its index; the outcomes are then folded in index order.
 //
 // The price is a bounded warming error: each interval's start state
 // comes from the warming pyramid rather than from cycle-accurate
@@ -50,9 +48,10 @@ import (
 type Options struct {
 	// Segments > 1 selects the interval executor: a full-detail run is
 	// split into this many segments (clamped to the measured
-	// instruction count); for a sampled run it is only the opt-in
-	// switch, the window schedule coming from the sampling geometry.
-	// <= 1 runs the serial engine.
+	// instruction count); for a sampled run with a fixed schedule it is
+	// only the opt-in switch, the windows coming from the sampling
+	// geometry. An adaptive sampled run is rejected
+	// (sim.Config.ValidateSegments). <= 1 runs the serial engine.
 	Segments int
 	// Workers bounds concurrent interval simulations (GOMAXPROCS when
 	// <= 0). Results are byte-identical at any value.
@@ -158,37 +157,13 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 	if opts.Segments <= 1 || (!s.Enabled && len(specs) <= 1) {
 		return sim.RunHooked(cfg, newSource(), code, traceName, wc, opts.Hook)
 	}
-	budget := len(specs)
-	if s.Adaptive() && s.MaxWindows > 0 && s.MaxWindows < budget {
-		specs = specs[:s.MaxWindows]
-	}
 	n := len(specs)
-	unit := unitName(cfg)
-
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
-	}
-
-	// Serialized progress: completions arrive from any worker, but the
-	// hook contract is single-goroutine.
-	var noteMu sync.Mutex
-	noted := 0
-	note := func(rel float64, refining bool) {
-		if opts.Hook == nil {
-			return
-		}
-		noteMu.Lock()
-		defer noteMu.Unlock()
-		noted++
-		if refining {
-			opts.Hook(sim.Progress{Stage: sim.StageRefining, WindowsDone: noted, WindowsTotal: n, HalfWidth: rel})
-		} else {
-			opts.Hook(sim.Progress{Stage: sim.StageMeasuring, WindowsDone: noted, WindowsTotal: n})
-		}
 	}
 	if opts.Hook != nil {
 		opts.Hook(sim.Progress{Stage: sim.StageWarming, WindowsDone: 0, WindowsTotal: n})
@@ -212,177 +187,74 @@ func Run(cfg sim.Config, newSource func() trace.Source, code core.CodeInfo, trac
 		return sim.RunSegment(segCfg, newSource(), code, spec, warm, wc)
 	}
 
-	// Coordination state, all under mu. The feeder below hands out
-	// interval indices in order — for an adaptive run, issuance running
-	// ahead of the stop rule is the speculation — and completions feed
-	// the reorder buffer. advance consumes completed intervals strictly
-	// in index order through the stop rule; once it stops (or trips over
-	// an in-order error) issuance ceases and everything past that point
-	// is discarded. Both decisions are pure functions of the in-order
-	// interval sequence, so the result — and which failure is reported —
-	// is identical at every worker count and schedule.
-	type obs struct{ insts, cycles uint64 }
+	// mu guards the state below. Workers take intervals in index order
+	// and stop taking them after the first failure, so when a run fails
+	// every index below its lowest failing one was already taken and
+	// has completed by Wait: the error reported is the one a serial run
+	// would hit first, at every worker count. Progress notes are sent
+	// under the same lock, keeping the hook single-goroutine.
 	var (
-		mu       sync.Mutex
-		seen     = make([]obs, n)
-		errs     = make([]error, n)
-		done     = make([]bool, n)
-		consumed int
-		stopAt   = -1 // inclusive index of the stop window; -1: none
-		hardErr  error
-		as       = sim.NewAdaptiveStop(s, n)
+		mu     sync.Mutex
+		next   int
+		failed bool
+		noted  int
+		cells  = make([]*sim.SegmentResult, n)
+		errs   = make([]error, n)
 	)
-	advance := func() {
-		for stopAt < 0 && hardErr == nil && consumed < n && done[consumed] {
-			k := consumed
-			if errs[k] != nil {
-				// The lowest-indexed failure: a serial run would have failed
-				// here. Later intervals' outcomes are irrelevant.
-				hardErr = fmt.Errorf("tpar: %s %d: %w", unit, k, errs[k])
-				return
-			}
-			consumed++
-			if _, stop := as.Observe(seen[k].insts, seen[k].cycles); stop {
-				stopAt = k
-			}
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if failed || next == n {
+			return 0, false
+		}
+		next++
+		return next - 1, true
+	}
+	file := func(i int, res sim.SegmentResult, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		if err != nil {
+			errs[i], failed = err, true
+		} else {
+			cells[i] = &res
+		}
+		noted++
+		if opts.Hook != nil {
+			opts.Hook(sim.Progress{Stage: sim.StageMeasuring, WindowsDone: noted, WindowsTotal: n})
 		}
 	}
-
-	// Fan out over the workers. Each worker folds its intervals into its
-	// own Accum (cells are disjoint by construction: an index is
-	// dispatched exactly once); the per-worker accums merge afterwards
-	// in any order, and Accum.Result reduces in interval order — which
-	// is why the digest is byte-identical at any worker count.
-	accs := make([]*Accum, workers)
-	idxCh := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			acc := NewAccum(n)
-			accs[w] = acc
-			for i := range idxCh {
+			for i, ok := take(); ok; i, ok = take() {
 				res, err := runOne(specs[i])
-
-				mu.Lock()
-				done[i] = true
-				if err != nil {
-					errs[i] = err
-				} else {
-					seen[i] = obs{insts: res.Insts, cycles: res.Cycles}
-				}
-				advance()
-				var rel float64
-				refining := s.Adaptive() && consumed >= as.Min()
-				if refining {
-					rel = as.Rel()
-				}
-				mu.Unlock()
-				if err == nil {
-					acc.Add(res)
-				}
-				note(rel, refining)
+				file(i, res, err)
 			}
-		}(w)
+		}()
 	}
-	// Feed indices in issue order. A send already blocked when the
-	// consumer stops still hands one more speculative interval to a
-	// worker; it is discarded at reduction like every other interval
-	// past the stop point, so the result stays schedule-independent.
-	for i := 0; i < n; i++ {
-		mu.Lock()
-		stopped := stopAt >= 0 || hardErr != nil
-		mu.Unlock()
-		if stopped {
-			break
-		}
-		idxCh <- i
-	}
-	close(idxCh)
 	wg.Wait()
 
-	if hardErr != nil {
-		return sim.Result{}, hardErr
-	}
-	include, targetMet := n, false
-	if stopAt >= 0 {
-		include, targetMet = stopAt+1, true
-	}
-	merged := accs[0]
-	for _, acc := range accs[1:] {
-		merged.Merge(acc)
-	}
-	return merged.Result(cfg, traceName, include, budget, targetMet)
-}
-
-// Accum accumulates per-interval results, keyed by interval index.
-// Cells from different Accums are disjoint (each interval is simulated
-// exactly once), which is what makes Merge commutative; every
-// order-sensitive reduction is deferred to Result's index-ordered walk.
-type Accum struct {
-	cells []*sim.SegmentResult
-}
-
-// NewAccum returns an accumulator for a run of up to n intervals.
-func NewAccum(n int) *Accum {
-	return &Accum{cells: make([]*sim.SegmentResult, n)}
-}
-
-// Add files one interval's result under its index. Filing two results
-// under one index is a scheduling bug and panics.
-func (a *Accum) Add(r sim.SegmentResult) {
-	if r.Index < 0 || r.Index >= len(a.cells) {
-		panic(fmt.Sprintf("tpar: interval index %d out of range [0, %d)", r.Index, len(a.cells)))
-	}
-	if a.cells[r.Index] != nil {
-		panic(fmt.Sprintf("tpar: interval %d accumulated twice", r.Index))
-	}
-	c := r
-	a.cells[r.Index] = &c
-}
-
-// Merge folds b's cells into a. Cell sets are disjoint by construction,
-// so the merge is a union: no arithmetic happens here at all — every
-// order-sensitive reduction is deferred to Result's index-ordered walk,
-// which is what keeps digests byte-identical at any worker count.
-// Verified dynamically by TestAccumMergeCommutes (shuffle-merge under
-// seeded random orderings, via stats.CheckCommutative).
-//
-//ucplint:commutative
-func (a *Accum) Merge(b *Accum) {
-	if len(b.cells) > len(a.cells) {
-		grown := make([]*sim.SegmentResult, len(b.cells))
-		copy(grown, a.cells)
-		a.cells = grown
-	}
-	for i, c := range b.cells {
-		if c == nil {
-			continue
+	for i, err := range errs {
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("tpar: %s %d: %w", unitName(cfg), i, err)
 		}
-		if a.cells[i] != nil {
-			panic(fmt.Sprintf("tpar: interval %d accumulated twice across merge", i))
-		}
-		a.cells[i] = c
 	}
+	return fold(cfg, traceName, cells)
 }
 
-// Result reduces the first `include` accumulated intervals — in index
-// order, never arrival order — into one sim.Result. Intervals past
-// `include` (speculation beyond an adaptive stop) are ignored. Counter
-// blocks are summed measured-region deltas (integer addition, exact in
-// any grouping); histograms merge into fresh clones, so the cells
-// themselves are never mutated and Result can be re-derived from the
-// same Accum. The rates use the serial engine's formulas over the
-// summed deltas, and a TimeParStats block records the interval
-// provenance. A sampled cfg additionally gets the serial controller's
-// SampledStats block (per-window IPC/MPKI and Student-t 95% intervals);
-// budget is the fixed schedule's window count and targetMet reports an
-// adaptive stop.
-func (a *Accum) Result(cfg sim.Config, traceName string, include, budget int, targetMet bool) (sim.Result, error) {
-	if include < 1 || include > len(a.cells) {
-		return sim.Result{}, fmt.Errorf("tpar: include %d out of range [1, %d]", include, len(a.cells))
-	}
+// fold reduces the intervals' results — in index order, never arrival
+// order — into one sim.Result. Counter blocks are summed measured-region
+// deltas (integer addition, exact in any grouping); histograms merge
+// into fresh clones, so the cells themselves are never mutated. The
+// rates use the serial engine's formulas over the summed deltas, and a
+// TimeParStats block records the interval provenance. A sampled cfg
+// additionally gets the serial controller's SampledStats block
+// (per-window IPC/MPKI and Student-t 95% intervals). A missing cell is
+// an error: a silently short merge would report wrong numbers with a
+// valid-looking digest.
+func fold(cfg sim.Config, traceName string, cells []*sim.SegmentResult) (sim.Result, error) {
 	var (
 		insts, cycles  uint64
 		skipped, ff    uint64
@@ -394,10 +266,10 @@ func (a *Accum) Result(cfg sim.Config, traceName string, include, budget int, ta
 		stream, refill *stats.Histogram
 		ipcs, mpkis    []float64
 	)
-	t := &sim.TimeParStats{Segments: include}
-	for i, c := range a.cells[:include] {
+	t := &sim.TimeParStats{Segments: len(cells)}
+	for i, c := range cells {
 		if c == nil {
-			return sim.Result{}, fmt.Errorf("tpar: merge is missing %s %d of %d", unitName(cfg), i, include)
+			return sim.Result{}, fmt.Errorf("tpar: merge is missing %s %d of %d", unitName(cfg), i, len(cells))
 		}
 		insts += c.Insts
 		cycles += c.Cycles
@@ -441,7 +313,7 @@ func (a *Accum) Result(cfg sim.Config, traceName string, include, budget int, ta
 		StreamLens:   stream,
 		RefillLat:    refill,
 		TimePar:      t,
-		UCPStorageKB: a.cells[0].UCPStorageKB,
+		UCPStorageKB: cells[0].UCPStorageKB,
 	}
 	r.SetRates(fe, uop)
 	if cfg.Sampling.Enabled {
@@ -454,7 +326,7 @@ func (a *Accum) Result(cfg sim.Config, traceName string, include, budget int, ta
 			WindowIPC:     ipcs,
 			WindowMPKI:    mpkis,
 		}
-		r.Sampled.Finish(cfg.Sampling, budget, targetMet)
+		r.Sampled.Finish(cfg.Sampling, len(cells), false)
 	}
 	return r, nil
 }

@@ -1,7 +1,6 @@
 package tpar_test
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -9,7 +8,6 @@ import (
 	"ucp/internal/ckpt"
 	"ucp/internal/core"
 	"ucp/internal/sim"
-	"ucp/internal/stats"
 	"ucp/internal/tpar"
 	"ucp/internal/trace"
 )
@@ -296,70 +294,6 @@ func TestMoreSegmentsThanInsts(t *testing.T) {
 	}
 }
 
-// TestAccumMergeCommutes backs Accum.Merge's //ucplint:commutative
-// annotation with the dynamic shuffle-merge harness: per-worker accums
-// holding disjoint interval sets must reduce to byte-identical digests
-// under any merge order. Registered in ucplint's verified set
-// (TestCommutativeAnnotationsAreShuffleTested).
-func TestAccumMergeCommutes(t *testing.T) {
-	a, prog := testArena(t, "crypto01", 60_000+slack)
-	for _, m := range modes() {
-		t.Run(m.name, func(t *testing.T) {
-			segCfg, specs, warm := m.cfg, tpar.Plan(m.cfg.WarmupInsts, m.cfg.MeasureInsts, 6), sim.DefaultBoundaryWarm()
-			if m.cfg.Sampling.Enabled {
-				segCfg.Sampling = sim.SamplingConfig{}
-				specs, warm = m.cfg.SampleWindows(), m.cfg.Sampling.BoundaryWarm()
-			}
-			parts := make([]*tpar.Accum, len(specs))
-			for i, spec := range specs {
-				res, err := sim.RunSegment(segCfg, a.Cursor(), prog, spec, warm, nil)
-				if err != nil {
-					t.Fatalf("interval %d: %v", i, err)
-				}
-				parts[i] = tpar.NewAccum(len(specs))
-				parts[i].Add(res)
-			}
-			err := stats.CheckCommutative(
-				func() *tpar.Accum { return tpar.NewAccum(len(specs)) },
-				func(dst, src *tpar.Accum) { dst.Merge(src) },
-				func(acc *tpar.Accum) string {
-					r, err := acc.Result(m.cfg, "crypto01", len(specs), len(specs), false)
-					if err != nil {
-						t.Fatalf("Result after full merge: %v", err)
-					}
-					return r.DeterminismDigest()
-				},
-				parts, 0xBEEF, 64,
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-// TestResultMissingSegment: reducing an accumulator with a hole in the
-// included prefix must fail loudly — a silently short merge would
-// report wrong numbers with a valid-looking digest — while intervals
-// past the include point (speculation beyond an adaptive stop) must not
-// be required.
-func TestResultMissingSegment(t *testing.T) {
-	for _, m := range modes() {
-		t.Run(m.name, func(t *testing.T) {
-			acc := tpar.NewAccum(3)
-			acc.Add(sim.SegmentResult{Index: 0, Start: 0, End: 10, Insts: 10, Cycles: 20})
-			acc.Add(sim.SegmentResult{Index: 2, Start: 20, End: 30, Insts: 10, Cycles: 20})
-			want := fmt.Sprintf("missing %s 1", m.unit)
-			if _, err := acc.Result(m.cfg, "x", 3, 3, false); err == nil || !strings.Contains(err.Error(), want) {
-				t.Fatalf("hole not detected: err = %v, want %q", err, want)
-			}
-			if _, err := acc.Result(m.cfg, "x", 1, 3, false); err != nil {
-				t.Fatalf("include=1 reduction failed: %v", err)
-			}
-		})
-	}
-}
-
 // TestMatchesSerialSampledGeometry: the parallel run must measure
 // exactly the windows the serial sampled controller measures — same
 // count, same measured instruction total — and estimate a close IPC
@@ -401,42 +335,20 @@ func TestMatchesSerialSampledGeometry(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStopInvariant: adaptive+parallel must stop at exactly the
-// same window at every worker count — speculative windows dispatched
-// past the stop point are discarded deterministically, so the digests
-// (which include the per-window list and the adaptive provenance line)
-// are byte-identical too.
-func TestAdaptiveStopInvariant(t *testing.T) {
+// TestAdaptiveSegmentsRejected: an adaptive stop rule is sequential,
+// so the executor refuses an adaptive sampled config outright — through
+// sim.Config.ValidateSegments — instead of running any window.
+func TestAdaptiveSegmentsRejected(t *testing.T) {
 	cfg := sampledCfg()
-	cfg.MeasureInsts = 120_000 // 12-window budget
 	cfg.Sampling.TargetCI = 0.10
-	a, prog := testArena(t, "crypto01", 140_000+slack)
-
-	run := func(workers int) sim.Result {
-		r, err := tpar.Run(cfg, func() trace.Source { return a.Cursor() }, prog, "crypto01",
-			tpar.Options{Segments: 4, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return r
+	calls := 0
+	_, err := tpar.Run(cfg, func() trace.Source { calls++; return nil }, nil, "crypto01",
+		tpar.Options{Segments: 4, Workers: 2})
+	if err == nil || !strings.Contains(err.Error(), "drop -segments or -adaptive") {
+		t.Fatalf("adaptive run with 4 segments: err = %v, want the ValidateSegments rejection", err)
 	}
-	r1 := run(1)
-	d1 := r1.DeterminismDigest()
-	for _, w := range []int{3, 8} {
-		rw := run(w)
-		if rw.Sampled.Windows != r1.Sampled.Windows {
-			t.Fatalf("adaptive stop window differs: workers=1 measured %d, workers=%d measured %d",
-				r1.Sampled.Windows, w, rw.Sampled.Windows)
-		}
-		if dw := rw.DeterminismDigest(); dw != d1 {
-			t.Fatalf("adaptive digest differs between workers=1 and workers=%d:\n%s\n---\n%s", w, d1, dw)
-		}
-	}
-	if r1.Sampled.TargetCI != cfg.Sampling.TargetCI || r1.Sampled.WindowBudget != 12 {
-		t.Errorf("adaptive provenance = %+v, want TargetCI=%g budget=12", r1.Sampled, cfg.Sampling.TargetCI)
-	}
-	if !strings.Contains(d1, "sampled adaptive target=") {
-		t.Errorf("digest missing adaptive line:\n%s", d1)
+	if calls != 0 {
+		t.Errorf("rejected run opened %d stream(s), want 0", calls)
 	}
 }
 
