@@ -9,9 +9,9 @@
 #                 use the full gate.
 #   -only <gate>  run a single gate by id (tool binaries are still
 #                 built so every gate stays self-contained). Gate ids:
-#                 fmt vet build lint lint-determinism test fuzz
-#                 tracefile runq hotpath hotpath-bench sampling tpar
-#                 wpar sweepreuse autopilot sweepd schema
+#                 fmt vet build lint test fuzz tracefile runq
+#                 hotpath hotpath-bench sampling tpar wpar
+#                 sweepreuse autopilot sweepd schema
 #
 # Each gate's wall-clock time is printed when the next gate starts, and
 # a per-gate timing summary table is printed at the end.
@@ -27,28 +27,27 @@
 #   3. go build ./...      (everything compiles)
 #   4. ucplint ./...       (custom determinism / hardware-invariant
 #                           lints, including the interprocedural
-#                           seedflow/mergeorder/sharedstate/mapemit/
-#                           hotalloc dataflow rules; runs with -json
-#                           and fails on any finding — exit 0 clean,
-#                           1 findings, 2 load error)
-#   5. ucplint -determinism (two seeded runs must byte-match)
-#   6. go test -race ./... (full suite under the race detector)
-#   7. fuzz smoke          (each fuzz target, 5s: the internal/trace
+#                           seedflow/sharedstate/mapemit/hotalloc
+#                           dataflow rules; runs with -json and fails
+#                           on any finding — exit 0 clean, 1 findings,
+#                           2 load error)
+#   5. go test -race ./... (full suite under the race detector)
+#   6. fuzz smoke          (each fuzz target, 5s: the internal/trace
 #                           file parser, ckpt.Open, the warm-checkpoint
 #                           restore in internal/sim, runq's disk-cache
 #                           record load, sweepd's job submission and
 #                           its ?after= event-stream resume, and the
 #                           program generator over any valid profile)
-#   7b. recorded trace file (tracegen writes a .ucpt file and -inspect
+#   6b. recorded trace file (tracegen writes a .ucpt file and -inspect
 #                           accepts it; two ucpsim -file runs print
 #                           cmp-equal digests; a copy with one appended
 #                           byte makes both tools exit nonzero with a
 #                           "trace:" error and no panic)
-#   8. runq determinism    (quick sweep at -jobs 1 vs -jobs 8 vs a warm
+#   7. runq determinism    (quick sweep at -jobs 1 vs -jobs 8 vs a warm
 #                           cache must be byte-identical; wall-clock
 #                           ratios are recorded in BENCH_runq.json but
 #                           never gated — timing is machine noise)
-#   9. hotpath gate        (quick-sweep determinism digests must byte-
+#   8. hotpath gate        (quick-sweep determinism digests must byte-
 #                           match testdata/hotpath_digest.golden —
 #                           TestDigestGoldens/hotpath in cmd/ucpsim, so
 #                           every optimization is provably outcome-
@@ -66,7 +65,7 @@
 #                           a -benchtime=1x smoke of the internal/trace
 #                           generator-vs-arena benchmarks prints their
 #                           per-instruction costs, ungated)
-#  10. sampling gate       (paired full-vs-sampled sweep in one process:
+#   9. sampling gate       (paired full-vs-sampled sweep in one process:
 #                           per-point IPC error must stay under 2% and
 #                           the aggregate wall-clock speedup at or above
 #                           10x; measurements land in BENCH_sampling.json;
@@ -76,7 +75,7 @@
 #                           and UCP — must byte-match
 #                           testdata/sampled_digest.golden:
 #                           TestDigestGoldens/sampled in cmd/ucpsim)
-#  11. time-parallel gate  (one full-detail UCP run executed serial,
+#  10. time-parallel gate  (one full-detail UCP run executed serial,
 #                           segmented at two worker counts, and through
 #                           a capture+restore checkpoint cycle — every
 #                           segmented digest byte-identical, all four
@@ -87,7 +86,7 @@
 #                           at -jobs 8, must each reproduce the whole of
 #                           testdata/parallel_digest.golden:
 #                           TestDigestGoldens/parallel in cmd/ucpsim)
-#  11b. window-parallel gate (one sampled UCP run executed chain-serial,
+#  10b. window-parallel gate (one sampled UCP run executed chain-serial,
 #                           window-parallel at two worker counts, and
 #                           through a capture+restore checkpoint cycle —
 #                           every window-parallel digest byte-identical,
@@ -99,13 +98,13 @@
 #                           same TestDigestGoldens/parallel row as the
 #                           time-parallel gate, whose golden holds both
 #                           modes' digests)
-#  12. sweep-reuse gate    (cold vs warm-checkpoint pool over a
+#  11. sweep-reuse gate    (cold vs warm-checkpoint pool over a
 #                           10-config sampled threshold ablation: every
 #                           digest byte-identical, exactly one warm
 #                           checkpoint captured and N-1 restored, and
 #                           wall-clock speedup at or above 3x; recorded
 #                           in BENCH_sweepreuse.json)
-#  12b. autopilot gate     (adaptive sampling must meet its CI target in
+#  11b. autopilot gate     (adaptive sampling must meet its CI target in
 #                           fewer windows than fixed geometry with the
 #                           full-detail IPC inside the claimed interval,
 #                           and the confidence-pruned 10-config search
@@ -113,7 +112,7 @@
 #                           least 2x fewer simulated instructions, twice
 #                           identically; recorded in BENCH_autopilot.json,
 #                           Pareto table spliced into EXPERIMENTS_RESULTS.md)
-#  13. sweepd gate         (local pool vs a loopback sweepd server over
+#  12. sweepd gate         (local pool vs a loopback sweepd server over
 #                           the same ablation: digests byte-identical
 #                           over the wire, each distinct job executed
 #                           exactly once across two remote passes, the
@@ -121,7 +120,7 @@
 #                           BENCH_sweepd.json; then the real sweepd
 #                           binary serves ucpsim -server and the remote
 #                           digest file must cmp-equal the local one)
-#  14. BENCH schema        (every BENCH_*.json carries the shared
+#  13. BENCH schema        (every BENCH_*.json carries the shared
 #                           schema_version/bench/cores envelope)
 #
 # Any failure aborts immediately with a nonzero exit.
@@ -129,7 +128,7 @@ set -eu
 
 cd "$(dirname "$0")"
 
-KNOWN_GATES="fmt vet build lint lint-determinism test fuzz tracefile runq hotpath hotpath-bench sampling tpar wpar sweepreuse autopilot sweepd schema"
+KNOWN_GATES="fmt vet build lint test fuzz tracefile runq hotpath hotpath-bench sampling tpar wpar sweepreuse autopilot sweepd schema"
 
 FAST=0
 ONLY=""
@@ -225,11 +224,6 @@ else
 	fi
 	exit 1
 fi
-fi
-
-if want lint-determinism; then
-step "ucplint -determinism"
-"$RUNQ_TMP/ucplint" -determinism -determinism-insts 60000
 fi
 
 if want test; then

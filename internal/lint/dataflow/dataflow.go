@@ -3,8 +3,7 @@
 // linter loads, plus per-function summaries and taint closures built on
 // it. The intraprocedural rules in internal/lint answer "what does this
 // statement do"; this package answers "what can this function reach" —
-// which randomness sources a seed expression derives from, whether a
-// merge method is reachable from the result-aggregation paths, where a
+// which randomness sources a seed expression derives from, where a
 // goroutine's writes can land, whether a hot function's callees
 // allocate.
 //
@@ -272,7 +271,7 @@ func (g *Graph) NodeOf(fn *types.Func) *Node { return g.nodes[fn] }
 type Taint struct {
 	Fn *types.Func
 	// Why explains this link: the base reason for seed functions, or
-	// "calls <next>" / "called by <prev>" for propagated ones.
+	// "calls <next>" for propagated ones.
 	Why string
 	// Pos is the call site that propagated the taint (the base
 	// function's taint has no position).
@@ -339,61 +338,4 @@ func (g *Graph) ReachesSink(base func(fn *types.Func) (string, bool)) map[*types
 		}
 	}
 	return taint
-}
-
-// ReachableFrom computes the set of module functions reachable — via
-// any chain of static calls — from a function for which root returns a
-// reason. The result maps each reached function to a chain back to its
-// root.
-func (g *Graph) ReachableFrom(root func(fn *types.Func) (string, bool)) map[*types.Func]*Taint {
-	reach := make(map[*types.Func]*Taint)
-	var queue []*Node
-	for _, n := range g.order {
-		if why, ok := root(n.Fn); ok {
-			reach[n.Fn] = &Taint{Fn: n.Fn, Why: why}
-			queue = append(queue, n)
-		}
-	}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, c := range n.Calls {
-			cn := g.nodes[c.Callee]
-			if cn == nil {
-				continue
-			}
-			if _, ok := reach[c.Callee]; ok {
-				continue
-			}
-			reach[c.Callee] = &Taint{
-				Fn:   c.Callee,
-				Why:  "called by " + n.Fn.FullName(),
-				Pos:  c.Pos,
-				From: reach[n.Fn],
-			}
-			queue = append(queue, cn)
-		}
-	}
-	return reach
-}
-
-// RootChain renders a ReachableFrom chain root-first:
-// "root (reason) → … → fn".
-func RootChain(t *Taint) string {
-	var parts []string
-	for cur := t; cur != nil; cur = cur.From {
-		name := cur.Fn.FullName()
-		if cur.From == nil {
-			name += " (" + cur.Why + ")"
-		}
-		parts = append(parts, name)
-	}
-	out := ""
-	for i := len(parts) - 1; i >= 0; i-- {
-		if out != "" {
-			out += " → "
-		}
-		out += parts[i]
-	}
-	return out
 }

@@ -88,23 +88,30 @@ func TestReachesSinkFollowsChains(t *testing.T) {
 	}
 }
 
+// TestInterfaceCallsExpandToImplementations pins the CHA edge: an
+// interface-method call reaches every module implementation, so a sink
+// inside impl.Emit taints callIface through the interface call.
 func TestInterfaceCallsExpandToImplementations(t *testing.T) {
 	g := buildTestGraph(t)
-	reach := g.ReachableFrom(func(fn *types.Func) (string, bool) {
-		if fn.Name() == "callIface" {
-			return "root", true
+	tainted := g.ReachesSink(func(fn *types.Func) (string, bool) {
+		if fn.Name() == "Emit" && fn.Pkg() != nil && fn.Pkg().Path() == "test/p" {
+			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+				if _, iface := sig.Recv().Type().Underlying().(*types.Interface); !iface {
+					return "impl sink", true
+				}
+			}
 		}
 		return "", false
 	})
-	found := false
-	for fn := range reach {
-		if fn.Name() == "Emit" && fn.Pkg().Path() == "test/p" {
-			found = true
+	for fn, taint := range tainted {
+		if fn.Name() == "callIface" {
+			if chain := taint.Chain(g.Fset); !strings.Contains(chain, "impl sink") {
+				t.Errorf("callIface chain %q does not end at the impl.Emit sink", chain)
+			}
+			return
 		}
 	}
-	if !found {
-		t.Error("CHA edge missing: impl.Emit not reachable from callIface")
-	}
+	t.Error("CHA edge missing: callIface does not reach the impl.Emit sink")
 }
 
 // TestBuildIsDeterministic guards the linter's own reproducibility: two

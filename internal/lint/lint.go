@@ -12,16 +12,10 @@
 //
 // Since the interprocedural engine landed (internal/lint/dataflow), the
 // pass also proves module-wide dataflow invariants: every random value
-// derives from a config seed (seedflow), merge methods on the
-// result-aggregation paths are order-insensitive or dynamically proven
-// commutative (mergeorder), goroutine fan-out never shares unguarded
-// mutable state (sharedstate), map-iteration order cannot taint a
-// digest or report through any call chain (mapemit), and
-// //ucplint:hotpath functions stay allocation-free (hotalloc). These
-// are exactly the preconditions the time-parallel single-run refactor
-// (ROADMAP item 1) needs: a cross-worker merge the linter cannot prove
-// order-independent is a merge that will eventually produce two
-// different reports from one seed.
+// derives from a config seed (seedflow), goroutine fan-out never shares
+// unguarded mutable state (sharedstate), map-iteration order cannot
+// taint a digest or report through any call chain (mapemit), and
+// //ucplint:hotpath functions stay allocation-free (hotalloc).
 //
 // The implementation is deliberately stdlib-only (go/ast, go/parser,
 // go/token, go/types): the repository must keep building with nothing
@@ -42,6 +36,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 
 	"ucp/internal/lint/dataflow"
@@ -229,27 +224,30 @@ func (u *Universe) Report(r *Reporter, pos token.Pos, rule, format string, args 
 	}
 }
 
-// NewAnalyzers returns a fresh instance of every ucplint rule.
+// NewAnalyzers returns a fresh instance of every ucplint rule: the
+// per-package rules first (ignorename last among them, since it needs
+// every rule's name), then the interprocedural ones. README's rule
+// table lists them in this order (TestReadmeRuleTable).
 func NewAnalyzers() []*Analyzer {
-	as := []*Analyzer{
+	perPackage := []*Analyzer{
 		newWallclockAnalyzer(),
-		newMapEmitAnalyzer(),
 		newCtrWidthAnalyzer(),
 		newStatNameAnalyzer(),
 		newConfigBoundsAnalyzer(),
 		newPprofImportAnalyzer(),
 		newTraceOpenAnalyzer(),
+	}
+	module := []*Analyzer{
 		newSeedflowAnalyzer(),
-		newMergeOrderAnalyzer(),
 		newSharedStateAnalyzer(),
+		newMapEmitAnalyzer(),
 		newHotAllocAnalyzer(),
 	}
-	names := make([]string, 0, len(as)+1)
-	for _, a := range as {
+	names := []string{"ignorename"}
+	for _, a := range slices.Concat(perPackage, module) {
 		names = append(names, a.Name)
 	}
-	names = append(names, "ignorename")
-	return append(as, newIgnoreNameAnalyzer(names))
+	return slices.Concat(perPackage, []*Analyzer{newIgnoreNameAnalyzer(names)}, module)
 }
 
 // Run applies the analyzers to every package and returns the sorted

@@ -2,7 +2,6 @@ package lint
 
 import (
 	"bufio"
-	"go/ast"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -141,65 +140,36 @@ func TestFixturesCoverEveryRule(t *testing.T) {
 	}
 }
 
-// TestCommutativeAnnotationsAreShuffleTested pins the set of
-// //ucplint:commutative annotations in the module to the set of merges
-// the dynamic shuffle-merge harness (stats.CheckCommutative) actually
-// verifies. Annotating a new merge method makes this test fail until
-// the method is added here — alongside a shuffle-merge test backing the
-// claim.
-func TestCommutativeAnnotationsAreShuffleTested(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short mode")
-	}
-	verified := map[string]bool{
-		// stats.TestHistogramMergeCommutes
-		"ucp/internal/stats.Histogram.Merge": true,
-		// stats.TestRunningMergeCommutes
-		"ucp/internal/stats.Running.Merge": true,
-	}
-	wd, err := os.Getwd()
+// TestReadmeRuleTable keeps README's rule table in step with the
+// analyzers: its rows must name exactly the rules NewAnalyzers returns,
+// in the same order, so adding, deleting or renaming a rule without
+// documenting it fails here.
+func TestReadmeRuleTable(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read README: %v", err)
 	}
-	loader, err := NewLoader(wd)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
+	const header = "| rule | invariant it enforces | escape hatch |"
+	_, table, ok := strings.Cut(string(data), header+"\n")
+	if !ok {
+		t.Fatalf("README has no rule table (header %q)", header)
 	}
-	pkgs, err := loader.LoadModule()
-	if err != nil {
-		t.Fatalf("LoadModule: %v", err)
-	}
-	annotated := map[string]bool{}
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || !funcMarked(fd, "commutative") {
-					continue
-				}
-				name := fd.Name.Name
-				if fd.Recv != nil && len(fd.Recv.List) == 1 {
-					rt := fd.Recv.List[0].Type
-					if star, ok := rt.(*ast.StarExpr); ok {
-						rt = star.X
-					}
-					if id, ok := rt.(*ast.Ident); ok {
-						name = id.Name + "." + name
-					}
-				}
-				annotated[p.Path+"."+name] = true
-			}
+	rowRe := regexp.MustCompile("^\\| `([a-z]+)` \\|")
+	var got []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if m := rowRe.FindStringSubmatch(line); m != nil {
+			got = append(got, m[1])
 		}
 	}
-	for name := range annotated {
-		if !verified[name] {
-			t.Errorf("%s is annotated //ucplint:commutative but has no shuffle-merge test registered here", name)
-		}
+	var want []string
+	for _, a := range NewAnalyzers() {
+		want = append(want, a.Name)
 	}
-	for name := range verified {
-		if !annotated[name] {
-			t.Errorf("%s is listed as shuffle-verified but carries no //ucplint:commutative annotation", name)
-		}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("README rule table lists\n  %v\nNewAnalyzers returns\n  %v", got, want)
 	}
 }
 

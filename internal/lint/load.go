@@ -247,8 +247,8 @@ func (l *Loader) LoadModule() ([]*Package, error) {
 // as a synthetic package. Imports of the enclosing module resolve
 // normally, so fixtures may import e.g. ucp/internal/stats. By default
 // the package path is "fixture/<dirname>"; a fixture exercising a rule
-// that keys on import paths (seedflow's internal/rng purity, the
-// mergeorder aggregation roots) can declare its own with a
+// that keys on import paths (seedflow's internal/rng purity) can
+// declare its own with a
 //
 //	//ucplint:importpath ucp/internal/rng
 //

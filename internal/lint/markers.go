@@ -9,8 +9,8 @@ import (
 )
 
 // This file is the single parser for ucplint's marker comments. Every
-// rule that reads a directive — ignores, config/commutative/hotpath/
-// guarded annotations, fixture import paths, nbits: field markers —
+// rule that reads a directive — ignores, config/hotpath/guarded
+// annotations, fixture import paths, nbits: field markers —
 // goes through these helpers, so the accepted syntax cannot drift
 // between rules.
 //

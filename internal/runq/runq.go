@@ -10,11 +10,13 @@
 // per key, and — with a cache directory — never recomputed across
 // process restarts until the model or schema version stamp changes.
 //
-// Workers recover panics into per-job errors and retry a failed job
-// once, so one broken configuration fails its own figure instead of
-// taking down the whole evaluation. Progress and ETA reporting flow
-// through an injected Clock: runq itself never reads the wall clock
-// (the ucplint wallclock rule), the real clock is wired only in cmd/.
+// Workers recover panics into per-job errors, so one broken
+// configuration fails its own figure instead of taking down the whole
+// evaluation. A failed job runs once: simulation is deterministic, so
+// a second attempt would only repeat the failure. Progress and ETA
+// reporting flow through an injected Clock: runq itself never reads
+// the wall clock (the ucplint wallclock rule), the real clock is wired
+// only in cmd/.
 package runq
 
 import (
@@ -105,7 +107,7 @@ const (
 )
 
 // JobResult pairs a job with its outcome. Exactly one of Result/Err is
-// meaningful: Err != nil means the job failed (after the retry).
+// meaningful: Err != nil means the job failed.
 type JobResult struct {
 	Job    Job
 	Key    string
@@ -114,8 +116,8 @@ type JobResult struct {
 	// Source records where the result came from: SourceRun, SourceDisk,
 	// or SourceMemo.
 	Source string
-	// Attempts counts executions of this job (0 when served from a
-	// cache, 2 when the first attempt panicked or errored).
+	// Attempts counts executions of this job: 1 when it ran, 0 when
+	// served from a cache.
 	Attempts int
 }
 
@@ -165,22 +167,23 @@ type Options struct {
 	// RunJob overrides the job execution body (nil: the real
 	// simulation). It is the seam sweepd's tests use to inject slow,
 	// failing, or panicking jobs; the pool still wraps it with panic
-	// recovery, the retry, the memo, and the caches.
+	// recovery, the memo, and the caches.
 	RunJob func(Job, sim.ProgressFunc) (sim.Result, error)
 }
 
 // Stats counts what the pool did, cumulatively over its lifetime.
 type Stats struct {
-	// Runs counts simulations actually executed (including failed ones,
-	// excluding retries).
+	// Runs counts simulations actually executed (including failed ones).
 	Runs int `json:"runs"`
 	// MemoHits counts jobs served from the in-process memo.
 	MemoHits int `json:"memo_hits"`
 	// DiskHits counts jobs replayed from the on-disk cache.
 	DiskHits int `json:"disk_hits"`
-	// Retries counts second attempts after a panic or error.
+	// Retries is retired and always 0: a failed job is not rerun. The
+	// field stays because the benchmark harness
+	// (_perfbench/workloads.go) and sweepd's statz still report it.
 	Retries int `json:"retries"`
-	// Failures counts jobs that still failed after their retry.
+	// Failures counts jobs whose run panicked or returned an error.
 	Failures int `json:"failures"`
 	// WriteFailures counts results the disk cache failed to write
 	// (CacheDir unwritable, full or obstructed); later pools miss them.
@@ -458,9 +461,9 @@ func (p *Pool) RunOne(job Job, hook sim.ProgressFunc) JobResult {
 
 // execute resolves one job through the result cache: a memo or
 // disk hit returns the stored outcome; otherwise this call leads the
-// key's flight and runs the simulation with panic recovery and a single
-// retry, then publishes the outcome (result or error) to every caller
-// coalesced on the key. RunAll's loop-spawned workers and any number of
+// key's flight, runs the simulation once with panic recovery, and
+// publishes the outcome (result or error) to every caller coalesced
+// on the key. RunAll's loop-spawned workers and any number of
 // concurrent RunOne callers go through it; the pool's counters are
 // under p.mu.
 //
@@ -481,21 +484,8 @@ func (p *Pool) execute(jr JobResult, hook sim.ProgressFunc) JobResult {
 		return jr
 	}
 
-	var res sim.Result
-	var err error
-	for attempt := 1; attempt <= 2; attempt++ {
-		jr.Attempts = attempt
-		res, err = recoverRun(p.runJob, jr.Job, hook)
-		if err == nil {
-			break
-		}
-		if attempt == 1 {
-			p.mu.Lock()
-			p.stats.Retries++
-			p.mu.Unlock()
-		}
-	}
-	jr.Source = SourceRun
+	res, err := recoverRun(p.runJob, jr.Job, hook)
+	jr.Source, jr.Attempts = SourceRun, 1
 	if err != nil {
 		jr.Err = fmt.Errorf("%s on %s: %w", jr.Job.Config.Name, jr.Job.traceLabel(), err)
 	} else {

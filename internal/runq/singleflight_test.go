@@ -61,9 +61,9 @@ func TestRunOneSingleFlight(t *testing.T) {
 	}
 }
 
-// TestRunOneFailurePublishes pins that a leader failing (after its
-// retry) still releases coalesced waiters with the memoized error
-// instead of deadlocking the flight.
+// TestRunOneFailurePublishes pins that a failing leader still releases
+// coalesced waiters with the memoized error instead of deadlocking the
+// flight.
 func TestRunOneFailurePublishes(t *testing.T) {
 	var execs atomic.Int32
 	p := New(Options{
@@ -89,9 +89,9 @@ func TestRunOneFailurePublishes(t *testing.T) {
 			t.Fatalf("caller %d: expected the memoized failure, got nil", i)
 		}
 	}
-	// One leader, two attempts; everyone else memo-hits the error.
-	if n := execs.Load(); n != 2 {
-		t.Fatalf("runJob executed %d times, want 2 (one leader, one retry)", n)
+	// One leader, one attempt; everyone else memo-hits the error.
+	if n := execs.Load(); n != 1 {
+		t.Fatalf("runJob executed %d times, want 1 (one leader, no retry)", n)
 	}
 }
 

@@ -37,10 +37,8 @@ func subCounters(dst, a, b reflect.Value) {
 }
 
 // AddCounters adds src into dst field-wise over every uint64 counter in
-// T, with the same shape contract as SubCounters. Integer addition is
-// exact and commutative, so accumulating per-segment deltas in any
-// grouping produces identical bits — the property the time-parallel
-// merge relies on (and the ucplint mergeorder rule checks for floats).
+// T, with the same shape contract as SubCounters. tpar's fold uses it
+// to sum per-segment counter deltas in segment order.
 func AddCounters[T any](dst *T, src T) {
 	addCounters(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src))
 }

@@ -32,13 +32,13 @@ func digestOnce(t *testing.T, profName string, insts uint64) string {
 	return res.DeterminismDigest()
 }
 
-// TestDeterministicDigest is the in-process version of the
-// `ucplint -determinism` harness: two complete simulations from the
-// same seed must produce byte-identical stats digests. Any wall-clock,
-// global-rand, or map-order dependence anywhere in the pipeline breaks
-// this test.
+// TestDeterministicDigest is the runtime determinism check: two
+// complete 60K-instruction UCP simulations from the same seed, each
+// regenerating the program from the profile, must produce
+// byte-identical stats digests. Any wall-clock, global-rand, or
+// map-order dependence anywhere in the pipeline breaks this test.
 func TestDeterministicDigest(t *testing.T) {
-	const insts = 30_000
+	const insts = 60_000
 	a := digestOnce(t, "srv203", insts)
 	b := digestOnce(t, "srv203", insts)
 	if a != b {

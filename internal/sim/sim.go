@@ -515,8 +515,8 @@ func (r *Result) SetRates(fe frontend.Stats, uop uopcache.Stats) {
 // DeterminismDigest renders every measured quantity of the run —
 // scalars, all counter blocks, and both full distributions — into one
 // string. Two runs of the same configuration from the same seed must
-// produce byte-identical digests; ucplint's -determinism harness and
-// the harness determinism test compare them.
+// produce byte-identical digests; TestDeterministicDigest and the
+// harness determinism test compare them.
 func (r Result) DeterminismDigest() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "name=%s trace=%s\n", r.Name, r.Trace)

@@ -22,33 +22,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += d * (x - r.mean)
 }
 
-// Merge folds o's observations into r using Chan et al.'s pairwise
-// combine: the merged mean is the count-weighted mean, and the merged
-// M2 adds the between-part correction delta²·n_r·n_o/n. The result is
-// the same distribution summary Add would have produced over the
-// concatenated sample streams (to float tolerance — pinned against the
-// naive two-pass moments by TestRunningMergeMatchesTwoPass), which is
-// what lets per-worker accumulators combine after a parallel fan-out.
-// Merge order perturbs only floating-point rounding, never the
-// statistics; the shuffle harness (TestRunningMergeCommutes) pins
-// bit-exact commutativity on exactly-representable parts.
-//
-//ucplint:commutative
-func (r *Running) Merge(o *Running) {
-	if o.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *o
-		return
-	}
-	n := r.n + o.n
-	delta := o.mean - r.mean
-	r.mean += delta * float64(o.n) / float64(n)
-	r.m2 += o.m2 + delta*delta*float64(r.n)*float64(o.n)/float64(n)
-	r.n = n
-}
-
 // N returns the number of observations added.
 func (r *Running) N() int { return r.n }
 

@@ -181,14 +181,6 @@ func (h *Histogram) UnmarshalJSON(data []byte) error {
 }
 
 // Merge adds other's samples into h (bucket-wise; min/max/mean exact).
-//
-// The float sum is exact under any merge order: every sample enters via
-// Add(uint64), so sum is a total of integer-valued float64 terms, and
-// integer-valued float64 addition below 2^53 never rounds. The
-// annotation is verified dynamically by TestHistogramMergeCommutes
-// (shuffle-merge under seeded random orderings).
-//
-//ucplint:commutative
 func (h *Histogram) Merge(other *Histogram) {
 	for i := range h.buckets {
 		h.buckets[i] += other.buckets[i]
@@ -205,10 +197,9 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
-// Clone returns an independent copy of h (nil-safe). Aggregators that
-// must not mutate their inputs — the time-parallel merge reduces shared
-// per-segment results more than once under the shuffle-merge harness —
-// clone before merging.
+// Clone returns an independent copy of h (nil-safe). An aggregator
+// that must leave its inputs intact (tpar's fold of per-segment
+// results) clones the first part and merges the rest into the copy.
 func (h *Histogram) Clone() *Histogram {
 	if h == nil {
 		return nil
